@@ -1,9 +1,9 @@
 // Command andord serves the AND/OR power-aware scheduler over HTTP/JSON.
 //
-// The daemon compiles applications once (LRU plan cache with
-// duplicate-compile suppression) and executes runs on a bounded worker
-// pool of zero-allocation simulation arenas. See docs/SERVER.md for the
-// API.
+// The daemon compiles applications once (per-worker plan-cache shards;
+// the owning worker serializes the compiles of its keys) and executes runs
+// on a bounded worker pool of zero-allocation simulation arenas. See
+// docs/SERVER.md for the API.
 //
 // Usage:
 //
@@ -13,13 +13,10 @@
 //	       [-tenant-run-rate N] [-tenant-run-burst N]
 //	       [-tenant-header X-API-Key] [-tenant-by-ip] [-max-batch 256]
 //	       [-trace-off] [-trace-ring 256] [-trace-slowest 8]
-//	       [-legacy-cache]
 //
-// By default the serve path is shared-nothing: every pool worker owns a
-// private plan-cache shard and schedule-cache shard, and requests are
-// routed to the owning worker by content digest (see docs/SERVER.md).
-// -legacy-cache restores the shared LRU plan cache and shared queue; the
-// two paths answer byte-identically.
+// The serve path is shared-nothing: every pool worker owns a private
+// plan-cache shard and schedule-cache shard, and compiles are routed to
+// the owning worker by content digest (see docs/SERVER.md).
 //
 // Per-tenant admission control is off by default; -tenant-rate > 0
 // enables it. Tenants are identified by the -tenant-header request
@@ -68,7 +65,6 @@ func main() {
 	tenantRunBurst := flag.Float64("tenant-run-burst", 0, "per-tenant run burst (0 = 10x run rate)")
 	tenantHeader := flag.String("tenant-header", "X-API-Key", "request header identifying the tenant")
 	tenantByIP := flag.Bool("tenant-by-ip", false, "key tenants by remote IP, ignoring the header")
-	legacyCache := flag.Bool("legacy-cache", false, "use the shared plan cache and queue instead of the shared-nothing per-worker shards")
 	traceOff := flag.Bool("trace-off", false, "disable request tracing and /debug/requests")
 	traceRing := flag.Int("trace-ring", 0, "flight-recorder ring size (0 = default 256)")
 	traceSlowest := flag.Int("trace-slowest", 0, "slowest traces retained per endpoint (0 = default 8)")
@@ -83,7 +79,6 @@ func main() {
 		MaxRuns:        *maxRuns,
 		MaxProcs:       *maxProcs,
 		MaxBatchItems:  *maxBatch,
-		LegacyCache:    *legacyCache,
 		Trace: serve.TraceConfig{
 			Disabled:           *traceOff,
 			RingSize:           *traceRing,

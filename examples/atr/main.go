@@ -41,30 +41,29 @@ func main() {
 		fmt.Printf("%d × %s, frame deadline %.2fms (load %.1f), %d frames:\n",
 			procs, plat.Name, deadline*1e3, load, frames)
 
+		src := exectime.NewSource(0)
+		cfg := core.RunConfig{Deadline: deadline, Sampler: exectime.NewSampler(src)}
+		arena := core.NewArena()
 		for _, s := range core.Schemes {
+			// Common random numbers: frame f replays the same actual times
+			// and branch outcomes for the NPM baseline and for s.
 			var norm, chg stats.Acc
-			master := exectime.NewSource(seed)
-			for f := 0; f < frames; f++ {
-				frameSeed := master.Uint64()
-				base, err := plan.Run(core.RunConfig{
-					Scheme: core.NPM, Deadline: deadline,
-					Sampler: exectime.NewSampler(exectime.NewSource(frameSeed)),
+			var base float64
+			err := core.CompareFrames(plan, cfg, []core.Scheme{s}, seed, 0, frames, arena, src,
+				func(_, si int, res *core.RunResult) error {
+					if si < 0 {
+						base = res.Energy()
+						return nil
+					}
+					if !res.MetDeadline {
+						return fmt.Errorf("%s missed a frame deadline — must not happen", s)
+					}
+					norm.Add(res.Energy() / base)
+					chg.Add(float64(res.SpeedChanges))
+					return nil
 				})
-				if err != nil {
-					log.Fatal(err)
-				}
-				res, err := plan.Run(core.RunConfig{
-					Scheme: s, Deadline: deadline,
-					Sampler: exectime.NewSampler(exectime.NewSource(frameSeed)),
-				})
-				if err != nil {
-					log.Fatal(err)
-				}
-				if !res.MetDeadline {
-					log.Fatalf("%s missed a frame deadline — must not happen", s)
-				}
-				norm.Add(res.Energy() / base.Energy())
-				chg.Add(float64(res.SpeedChanges))
+			if err != nil {
+				log.Fatal(err)
 			}
 			fmt.Printf("  %-3s  energy vs NPM %.4f ±%.4f   speed changes/frame %5.1f\n",
 				s, norm.Mean(), norm.CI95(), chg.Mean())

@@ -44,26 +44,23 @@ func main() {
 		}
 		deadline := plan.CTWorst / load
 		fmt.Printf("%-28s", plat.Name)
+		src := exectime.NewSource(0)
+		cfg := core.RunConfig{Deadline: deadline, Sampler: exectime.NewSampler(src)}
+		arena := core.NewArena()
 		for _, s := range []core.Scheme{core.GSS, core.SS1, core.AS} {
 			var acc stats.Acc
-			master := exectime.NewSource(11)
-			for r := 0; r < runs; r++ {
-				seed := master.Uint64()
-				base, err := plan.Run(core.RunConfig{
-					Scheme: core.NPM, Deadline: deadline,
-					Sampler: exectime.NewSampler(exectime.NewSource(seed)),
+			var base float64
+			err := core.CompareFrames(plan, cfg, []core.Scheme{s}, 11, 0, runs, arena, src,
+				func(_, si int, res *core.RunResult) error {
+					if si < 0 {
+						base = res.Energy()
+					} else {
+						acc.Add(res.Energy() / base)
+					}
+					return nil
 				})
-				if err != nil {
-					log.Fatal(err)
-				}
-				res, err := plan.Run(core.RunConfig{
-					Scheme: s, Deadline: deadline,
-					Sampler: exectime.NewSampler(exectime.NewSource(seed)),
-				})
-				if err != nil {
-					log.Fatal(err)
-				}
-				acc.Add(res.Energy() / base.Energy())
+			if err != nil {
+				log.Fatal(err)
 			}
 			fmt.Printf(" %8.4f", acc.Mean())
 		}

@@ -5,7 +5,7 @@ import "andorsched/internal/sim"
 // Arena owns the per-run scratch state of the on-line phase: the engine's
 // sim.Arena plus this layer's resolved script, task instantiation buffers,
 // processor-level carries, branch-probability scratch, the reusable policy,
-// and the clairvoyant probe result. One Arena per worker goroutine, reused
+// the clairvoyant probe result and the Monte-Carlo loops' result holder. One Arena per worker goroutine, reused
 // across runs, makes steady-state Plan.RunInto calls allocation-free (with
 // RunConfig.Tracer, Metrics, CollectTrace and Validate unset).
 //
@@ -27,6 +27,7 @@ type Arena struct {
 	pol       policy      // the run's policy, re-initialized per run
 	probePol  policy      // clairvoyant probe policy
 	probe     RunResult   // clairvoyant probe output
+	mcRes     RunResult   // MonteCarlo / CompareFrames result holder
 }
 
 // NewArena returns an empty Arena. Buffers grow on first use and are

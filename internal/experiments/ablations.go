@@ -5,10 +5,8 @@ import (
 
 	"andorsched/internal/andor"
 	"andorsched/internal/core"
-	"andorsched/internal/exectime"
 	"andorsched/internal/power"
 	"andorsched/internal/sim"
-	"andorsched/internal/stats"
 	"andorsched/internal/workload"
 )
 
@@ -100,7 +98,7 @@ func ablationHeteroPlacement(id string, hetero func() *power.Hetero) Experiment 
 			}
 			for i, plan := range plans {
 				// Same seed for every placement: paired comparison.
-				pt, err := measurePoint(plan, se.Schemes, float64(i), d, runs, seed, 0)
+				pt, err := measurePoint(plan, se.Schemes, float64(i), d, runs, seed, 0, 0)
 				if err != nil {
 					return nil, fmt.Errorf("%s placement %s: %w", hp.Name, places[i].Name(), err)
 				}
@@ -139,7 +137,7 @@ func ablationReclaim() Experiment {
 				Schemes: []core.Scheme{core.GSS, core.AS, core.ASP, core.ORA},
 			}
 			for i, actual := range []float64{0.1, 0.3, 0.5, 0.8, 1.0} {
-				pt, err := measureBiasedPoint(plan, se.Schemes, actual, actual/assumed, d, runs, seed+uint64(i))
+				pt, err := measurePoint(plan, se.Schemes, actual, d, runs, seed+uint64(i), 0, actual/assumed)
 				if err != nil {
 					return nil, err
 				}
@@ -148,62 +146,6 @@ func ablationReclaim() Experiment {
 			return se, nil
 		},
 	}
-}
-
-// measureBiasedPoint is measurePoint with the sampler's average-case times
-// scaled by factor (exectime.Biased), sequential — the reclaim table is
-// small. Common random numbers still hold: every scheme of one run index
-// replays the same seed through the same biased sampler.
-func measureBiasedPoint(plan *core.Plan, schemes []core.Scheme, x, factor, deadline float64,
-	runs int, seed uint64) (Point, error) {
-	pt := Point{
-		X: x, Deadline: deadline,
-		NormEnergy:   make(map[core.Scheme]float64, len(schemes)),
-		CI95:         make(map[core.Scheme]float64, len(schemes)),
-		SpeedChanges: make(map[core.Scheme]float64, len(schemes)),
-	}
-	src := exectime.NewSource(seed)
-	sampler := exectime.NewBiased(exectime.NewSampler(src), factor)
-	arena := core.NewArena()
-	seeds := make([]uint64, runs)
-	master := exectime.NewSource(seed)
-	for r := range seeds {
-		seeds[r] = master.Uint64()
-	}
-	accs := make([]stats.Acc, len(schemes))
-	chg := make([]stats.Acc, len(schemes))
-	var npmAcc stats.Acc
-	var base, res core.RunResult
-	for r := 0; r < runs; r++ {
-		src.Reseed(seeds[r])
-		if err := plan.RunInto(core.RunConfig{
-			Scheme: core.NPM, Deadline: deadline, Sampler: sampler,
-		}, arena, &base); err != nil {
-			return pt, fmt.Errorf("experiments: NPM run %d: %w", r, err)
-		}
-		npmAcc.Add(base.Energy())
-		for i, s := range schemes {
-			src.Reseed(seeds[r])
-			if err := plan.RunInto(core.RunConfig{
-				Scheme: s, Deadline: deadline, Sampler: sampler,
-			}, arena, &res); err != nil {
-				return pt, fmt.Errorf("experiments: %s run %d: %w", s, r, err)
-			}
-			if res.LSTViolations > 0 || !res.MetDeadline {
-				return pt, fmt.Errorf("experiments: %s run %d violated timing (finish %g, deadline %g, %d LST violations)",
-					s, r, res.Finish, deadline, res.LSTViolations)
-			}
-			accs[i].Add(res.Energy() / base.Energy())
-			chg[i].Add(float64(res.SpeedChanges))
-		}
-	}
-	for i, s := range schemes {
-		pt.NormEnergy[s] = accs[i].Mean()
-		pt.CI95[s] = accs[i].CI95()
-		pt.SpeedChanges[s] = chg[i].Mean()
-	}
-	pt.NPMEnergy = npmAcc.Mean()
-	return pt, nil
 }
 
 // ablationSlew enables the voltage-slew transition model of the paper's
@@ -277,7 +219,7 @@ func ablationStructure() Experiment {
 						return nil, err
 					}
 					d := plan.CTWorst / 0.7
-					pt, err := measurePoint(plan, se.Schemes, forkProb, d, perGraph, seed+uint64(i*graphs+gi), 0)
+					pt, err := measurePoint(plan, se.Schemes, forkProb, d, perGraph, seed+uint64(i*graphs+gi), 0, 0)
 					if err != nil {
 						return nil, err
 					}
@@ -316,7 +258,7 @@ func ablationClairvoyant() Experiment {
 				return nil, err
 			}
 			for i, load := range []float64{0.2, 0.4, 0.6, 0.8, 1.0} {
-				pt, err := measurePoint(plan, se.Schemes, load, plan.CTWorst/load, runs, seed+uint64(i), 0)
+				pt, err := measurePoint(plan, se.Schemes, load, plan.CTWorst/load, runs, seed+uint64(i), 0, 0)
 				if err != nil {
 					return nil, err
 				}
@@ -338,7 +280,7 @@ func pointSweep(title, xlabel string, xs []float64,
 		if err != nil {
 			return nil, err
 		}
-		pt, err := measurePoint(plan, se.Schemes, x, deadline, runs, seed+uint64(i), 0)
+		pt, err := measurePoint(plan, se.Schemes, x, deadline, runs, seed+uint64(i), 0, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -22,7 +22,7 @@ func TestMeasurePointAllocsConstantInRuns(t *testing.T) {
 	deadline := plan.CTWorst * 2
 	measure := func(runs int) float64 {
 		return testing.AllocsPerRun(3, func() {
-			if _, err := measurePoint(plan, schemes, 0.5, deadline, runs, 42, 1); err != nil {
+			if _, err := measurePoint(plan, schemes, 0.5, deadline, runs, 42, 1, 0); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -95,30 +95,36 @@ func SetDefaultWorkers(n int) {
 	defaultWorkers.Store(int32(n))
 }
 
-// pointWorker is one goroutine's reusable run state: a simulation arena, a
-// reseedable sampler and the two result holders. Every run of every scheme
-// reuses these, so a data point's allocation count is O(workers), not
-// O(runs).
+// pointWorker is one goroutine's reusable run state: a simulation arena
+// and a reseedable source with a sampler drawing from it. Every run of
+// every scheme reuses these, so a data point's allocation count is
+// O(workers), not O(runs).
 type pointWorker struct {
-	arena     *core.Arena
-	src       *exectime.Source
-	sampler   *exectime.Sampler
-	base, res core.RunResult
+	arena   *core.Arena
+	src     *exectime.Source
+	sampler exectime.TimeSampler
 }
 
-func newPointWorker() *pointWorker {
+// newPointWorker builds a worker whose sampler draws around the ACET, or,
+// with bias != 0, around bias·ACET (exectime.Biased).
+func newPointWorker(bias float64) *pointWorker {
 	src := exectime.NewSource(0)
-	return &pointWorker{arena: core.NewArena(), src: src, sampler: exectime.NewSampler(src)}
+	var sampler exectime.TimeSampler = exectime.NewSampler(src)
+	if bias != 0 {
+		sampler = exectime.NewBiased(sampler, bias)
+	}
+	return &pointWorker{arena: core.NewArena(), src: src, sampler: sampler}
 }
 
-// measurePoint runs all schemes `runs` times against one plan and deadline,
-// spreading runs over `workers` goroutines (Plan.RunInto is pure, so runs
-// are embarrassingly parallel; per-run seeds are fixed beforehand and
-// results folded in run order, keeping the output independent of
-// scheduling). Each worker holds one arena; per-run outputs land in flat
-// preallocated slices.
+// measurePoint runs all schemes `runs` times against one plan and deadline
+// under common random numbers (core.CompareFrames: run r is frame r of
+// the seed's master stream), spreading runs over `workers` goroutines one
+// run index at a time. Per-run outputs land in flat preallocated slices
+// and are folded in run order, keeping the output independent of
+// scheduling. bias != 0 scales the sampler's average-case times (see
+// newPointWorker); the plan still assumes the unscaled ones.
 func measurePoint(plan *core.Plan, schemes []core.Scheme, x, deadline float64,
-	runs int, seed uint64, workers int) (Point, error) {
+	runs int, seed uint64, workers int, bias float64) (Point, error) {
 	pt := Point{
 		X: x, Deadline: deadline,
 		NormEnergy:   make(map[core.Scheme]float64, len(schemes)),
@@ -126,43 +132,35 @@ func measurePoint(plan *core.Plan, schemes []core.Scheme, x, deadline float64,
 		SpeedChanges: make(map[core.Scheme]float64, len(schemes)),
 	}
 	k := len(schemes)
-	seeds := make([]uint64, runs)
-	master := exectime.NewSource(seed)
-	for r := range seeds {
-		seeds[r] = master.Uint64()
-	}
-
 	norms := make([]float64, runs*k)   // E_s/E_NPM, indexed [r*k+i]
 	changes := make([]float64, runs*k) // speed changes, same indexing
 	npms := make([]float64, runs)      // absolute NPM energy
 	errs := make([]error, runs)
-	oneRun := func(w *pointWorker, r int) {
-		// Reseeding before every scheme reproduces the common-random-
-		// numbers discipline: within one run index every scheme sees the
-		// same actual execution times and OR branch outcomes.
-		w.src.Reseed(seeds[r])
-		if err := plan.RunInto(core.RunConfig{
-			Scheme: core.NPM, Deadline: deadline, Sampler: w.sampler,
-		}, w.arena, &w.base); err != nil {
-			errs[r] = fmt.Errorf("experiments: NPM run %d: %w", r, err)
-			return
+	var next atomic.Int64
+	work := func() {
+		w := newPointWorker(bias)
+		cfg := core.RunConfig{Deadline: deadline, Sampler: w.sampler}
+		visit := func(r, i int, res *core.RunResult) error {
+			if i < 0 {
+				npms[r] = res.Energy()
+				return nil
+			}
+			if res.LSTViolations > 0 || !res.MetDeadline {
+				return fmt.Errorf("%s run %d violated timing (finish %g, deadline %g, %d LST violations)",
+					schemes[i], r, res.Finish, deadline, res.LSTViolations)
+			}
+			norms[r*k+i] = res.Energy() / npms[r]
+			changes[r*k+i] = float64(res.SpeedChanges)
+			return nil
 		}
-		npms[r] = w.base.Energy()
-		for i, s := range schemes {
-			w.src.Reseed(seeds[r])
-			if err := plan.RunInto(core.RunConfig{
-				Scheme: s, Deadline: deadline, Sampler: w.sampler,
-			}, w.arena, &w.res); err != nil {
-				errs[r] = fmt.Errorf("experiments: %s run %d: %w", s, r, err)
+		for {
+			r := int(next.Add(1)) - 1
+			if r >= runs {
 				return
 			}
-			if w.res.LSTViolations > 0 || !w.res.MetDeadline {
-				errs[r] = fmt.Errorf("experiments: %s run %d violated timing (finish %g, deadline %g, %d LST violations)",
-					s, r, w.res.Finish, deadline, w.res.LSTViolations)
-				return
+			if err := core.CompareFrames(plan, cfg, schemes, seed, r, r+1, w.arena, w.src, visit); err != nil {
+				errs[r] = fmt.Errorf("experiments: %w", err)
 			}
-			norms[r*k+i] = w.res.Energy() / w.base.Energy()
-			changes[r*k+i] = float64(w.res.SpeedChanges)
 		}
 	}
 
@@ -172,29 +170,18 @@ func measurePoint(plan *core.Plan, schemes []core.Scheme, x, deadline float64,
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > runs {
-		workers = runs
-	}
-	if workers <= 1 {
-		w := newPointWorker()
-		for r := 0; r < runs; r++ {
-			oneRun(w, r)
-		}
+	if workers <= 1 || runs <= 1 {
+		work()
 	} else {
-		var next atomic.Int64
+		if workers > runs {
+			workers = runs
+		}
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ws := newPointWorker()
-				for {
-					r := int(next.Add(1)) - 1
-					if r >= runs {
-						return
-					}
-					oneRun(ws, r)
-				}
+				work()
 			}()
 		}
 		wg.Wait()
@@ -243,32 +230,22 @@ func CompareSchemes(plan *core.Plan, a, b core.Scheme, deadline float64,
 	runs int, seed uint64) (Comparison, error) {
 	cmp := Comparison{A: a, B: b, Runs: runs}
 	var paired stats.Paired
-	master := exectime.NewSource(seed)
-	w := newPointWorker()
-	for r := 0; r < runs; r++ {
-		runSeed := master.Uint64()
-		one := func(s core.Scheme) (float64, error) {
-			w.src.Reseed(runSeed)
-			if err := plan.RunInto(core.RunConfig{
-				Scheme: s, Deadline: deadline, Sampler: w.sampler,
-			}, w.arena, &w.res); err != nil {
-				return 0, err
+	w := newPointWorker(0)
+	var base, ea float64
+	err := core.CompareFrames(plan, core.RunConfig{Deadline: deadline, Sampler: w.sampler},
+		[]core.Scheme{a, b}, seed, 0, runs, w.arena, w.src, func(_, i int, res *core.RunResult) error {
+			switch i {
+			case -1:
+				base = res.Energy()
+			case 0:
+				ea = res.Energy()
+			default:
+				paired.Add(ea/base, res.Energy()/base)
 			}
-			return w.res.Energy(), nil
-		}
-		base, err := one(core.NPM)
-		if err != nil {
-			return cmp, err
-		}
-		ea, err := one(a)
-		if err != nil {
-			return cmp, err
-		}
-		eb, err := one(b)
-		if err != nil {
-			return cmp, err
-		}
-		paired.Add(ea/base, eb/base)
+			return nil
+		})
+	if err != nil {
+		return cmp, err
 	}
 	cmp.MeanDiff = paired.MeanDiff()
 	cmp.CI95 = paired.CI95()
@@ -296,7 +273,7 @@ func EnergyVsLoad(cfg Config, loads []float64) (*Series, error) {
 			return nil, fmt.Errorf("experiments: load %g outside (0,1]", load)
 		}
 		d := plan.CTWorst / load
-		pt, err := measurePoint(plan, cfg.Schemes, load, d, cfg.Runs, cfg.Seed+uint64(i), cfg.Workers)
+		pt, err := measurePoint(plan, cfg.Schemes, load, d, cfg.Runs, cfg.Seed+uint64(i), cfg.Workers, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -326,7 +303,7 @@ func EnergyVsAlpha(cfg Config, load float64, alphas []float64) (*Series, error) 
 			return nil, err
 		}
 		d := plan.CTWorst / load
-		pt, err := measurePoint(plan, cfg.Schemes, alpha, d, cfg.Runs, cfg.Seed+uint64(i), cfg.Workers)
+		pt, err := measurePoint(plan, cfg.Schemes, alpha, d, cfg.Runs, cfg.Seed+uint64(i), cfg.Workers, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -43,7 +43,7 @@ func WinnerMap(cfg Config, loads, alphas []float64) ([][]WinnerCell, error) {
 			}
 			d := plan.CTWorst / load
 			pt, err := measurePoint(plan, cfg.Schemes, load, d, cfg.Runs,
-				cfg.Seed+uint64(ai*len(loads)+li), cfg.Workers)
+				cfg.Seed+uint64(ai*len(loads)+li), cfg.Workers, 0)
 			if err != nil {
 				return nil, err
 			}

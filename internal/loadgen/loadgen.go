@@ -1,7 +1,7 @@
-// Package loadgen is a closed-loop HTTP load generator for the andord
-// service: a fixed set of workers issue requests back to back (optionally
-// paced to a target aggregate rate), classify every response, and report
-// latency percentiles. It is used by cmd/andorload and by the serve
+// Package loadgen is an HTTP load generator for the andord service: a
+// fixed set of workers issue requests back to back (closed loop) or on a
+// fixed schedule at a target aggregate rate, classify every response, and
+// report latency percentiles. It is used by cmd/andorload and by the serve
 // package's end-to-end tests, which is why classification knows the
 // service's streaming convention: a 200 NDJSON response without a trailing
 // summary line is an Incomplete — the server accepted the request and then
@@ -35,12 +35,17 @@ type Config struct {
 	// Requests caps the total requests issued. 0 means run until Duration
 	// elapses (one of the two must be set).
 	Requests int
-	// Duration bounds the run in time when Requests is 0.
+	// Duration bounds the run in time when Requests is 0. An unpaced run
+	// stops issuing and abandons in-flight requests when it elapses; a
+	// paced run issues every request due inside it and lets them finish.
 	Duration time.Duration
-	// RPS paces the aggregate request rate; 0 means unthrottled. Pacing
-	// relies on a timer tick per request, so rates above roughly 1e6
-	// (sub-microsecond intervals) degrade toward unthrottled: the interval
-	// is clamped to 1ns and the ticker simply cannot fire that fast.
+	// RPS paces the aggregate request rate; 0 means unthrottled. Request i
+	// is due at start + i/RPS, and its latency is measured from that due
+	// time, not from when a worker got around to sending it: a server
+	// stall that holds up every worker shows up in the latencies of the
+	// requests due during it (no coordinated omission), and no due request
+	// is skipped. Rates beyond what the workers can sustain therefore
+	// report growing latencies rather than a quietly lower rate.
 	RPS float64
 	// Client overrides the HTTP client (default: 30s timeout).
 	Client *http.Client
@@ -185,39 +190,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
-	if cfg.Duration > 0 {
+	paced := cfg.RPS > 0
+	if cfg.Duration > 0 && !paced {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.Duration)
 		defer cancel()
-	}
-
-	// Pacing: a token channel refilled at RPS. Unthrottled runs use a
-	// closed (always-ready) channel.
-	var tokens chan struct{}
-	if cfg.RPS > 0 {
-		tokens = make(chan struct{}, workers)
-		interval := time.Duration(float64(time.Second) / cfg.RPS)
-		if interval < time.Nanosecond {
-			// Very high RPS rounds the interval to zero, which would panic
-			// time.NewTicker. Clamp to the minimum representable tick; such
-			// rates are effectively unthrottled anyway.
-			interval = time.Nanosecond
-		}
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		go func() {
-			for {
-				select {
-				case <-ticker.C:
-					select {
-					case tokens <- struct{}{}:
-					default: // workers lagging; drop the token
-					}
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
 	}
 
 	var next atomic.Int64
@@ -243,11 +220,21 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				if cfg.Requests > 0 && i >= cfg.Requests {
 					return
 				}
-				if tokens != nil {
-					select {
-					case <-tokens:
-					case <-ctx.Done():
+				var due time.Time
+				if paced {
+					offset := time.Duration(float64(i) * float64(time.Second) / cfg.RPS)
+					if cfg.Duration > 0 && offset >= cfg.Duration {
 						return
+					}
+					due = start.Add(offset)
+					if wait := time.Until(due); wait > 0 {
+						timer := time.NewTimer(wait)
+						select {
+						case <-timer.C:
+						case <-ctx.Done():
+							timer.Stop()
+							return
+						}
 					}
 				}
 				req, err := http.NewRequestWithContext(ctx, http.MethodPost, cfg.URL,
@@ -265,7 +252,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				if cfg.Trace {
 					req.Header.Set("Traceparent", obs.Traceparent(obs.NewTraceID(), obs.NewSpanID()))
 				}
-				t0 := time.Now()
+				t0 := time.Now() // latency origin: the send, or the due time
+				if paced {
+					t0 = due
+				}
 				resp, err := client.Do(req)
 				if err != nil {
 					if ctx.Err() != nil {

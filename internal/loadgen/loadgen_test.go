@@ -230,3 +230,50 @@ func TestRunValidation(t *testing.T) {
 		t.Error("no error without a stop condition")
 	}
 }
+
+// TestRunPacedNoCoordinatedOmission: a paced run measures every request
+// from its due time and never skips a due request. One request stalls
+// the server's only client connection for ~200ms; the requests due during
+// the stall must still be sent, and their latencies must include the
+// time they spent waiting for it.
+func TestRunPacedNoCoordinatedOmission(t *testing.T) {
+	const stall = 200 * time.Millisecond
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hits.Add(1) == 11 { // the request due at 100ms
+			time.Sleep(stall)
+		}
+		fmt.Fprintln(w, `{}`)
+	}))
+	defer srv.Close()
+	const rps, duration = 100, time.Second
+	res, err := Run(context.Background(), Config{
+		URL:         srv.URL,
+		Body:        func(i int) []byte { return []byte(`{}`) },
+		Concurrency: 1,
+		Duration:    duration,
+		RPS:         rps,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int(rps * duration.Seconds())
+	if res.Sent < want-1 || res.Sent > want+1 || res.OK != res.Sent {
+		t.Fatalf("sent %d (ok %d), want %d ± 1: due requests were dropped", res.Sent, res.OK, want)
+	}
+	// Requests due at 110ms … 200ms were sent only after the stall ended
+	// at ~300ms: ten latencies of at least ~100ms, plus the stalled one.
+	slow := 0
+	for _, lat := range res.latencies {
+		if lat >= 90*time.Millisecond {
+			slow++
+		}
+	}
+	if slow < 10 {
+		t.Errorf("%d latencies >= 90ms, want >= 10: the stall is missing from the requests due during it (p99 %v)",
+			slow, res.Percentile(99))
+	}
+	if max := res.latencies[len(res.latencies)-1]; max < stall {
+		t.Errorf("max latency %v, want >= the %v stall", max, stall)
+	}
+}

@@ -63,11 +63,12 @@ const batchSeedBase = 0x8f1c_33d9_5b24_a6e7
 // batchItem is one item after validation: ready to execute, or already
 // failed with its error line.
 type batchItem struct {
-	plan *core.Plan
-	cfg  core.RunConfig
-	runs int
-	seed uint64
-	res  BatchItemResult
+	plan   *core.Plan
+	peeked bool // snapshot plan hit, credited by the executing worker
+	cfg    core.RunConfig
+	runs   int
+	seed   uint64
+	res    BatchItemResult
 }
 
 // handleBatch executes every item of the request across the worker pool
@@ -139,7 +140,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			it.res.Error = err.Error()
 			continue
 		}
-		plan, _, apiErr := s.planFor(r.Context(), &spec.AppSpec)
+		plan, peeked, apiErr := s.planFor(r.Context(), &spec.AppSpec)
 		if apiErr != nil {
 			if apiErr.status == http.StatusServiceUnavailable {
 				// A compile timeout is a request-level condition (the batch's
@@ -155,7 +156,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			it.res.Error = apiErr.msg
 			continue
 		}
-		it.plan = plan
+		it.plan, it.peeked = plan, peeked
 		// The sampler is bound per worker at execution time; here only the
 		// scheme, deadline and worst-case mode are fixed.
 		it.cfg = core.RunConfig{Scheme: scheme, Deadline: deadline, WorstCase: spec.Worst}
@@ -181,8 +182,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// chunk per worker — one pool job per chunk, not per item — so the
 	// dispatch cost (goroutine, queue round-trip, completion channel) is
 	// paid ~workers times per batch instead of ~items times. Blocking
-	// submission (DoWait) keeps an admitted batch from failing on
-	// transient queue pressure.
+	// submission keeps an admitted batch from failing on transient queue
+	// pressure.
 	valid := make([]*batchItem, 0, len(items))
 	for i := range items {
 		if items[i].plan != nil {
@@ -209,7 +210,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(chunk []*batchItem, chunkUnits int64) {
 			defer wg.Done()
-			err := s.pool.doWaitUnits(r.Context(), chunkUnits, func(ctx context.Context, wk *Worker) {
+			err := s.pool.submit(r.Context(), anyWorker, true, chunkUnits, func(ctx context.Context, wk *Worker) {
 				done := int64(0)
 				defer func() {
 					mu.Lock()
@@ -220,12 +221,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 					if ctx.Err() != nil {
 						return // request-level failure, handled below
 					}
-					cfg := it.cfg
-					if !cfg.WorstCase {
-						cfg.Sampler = wk.Sampler
+					if it.peeked {
+						wk.pw.hits.Add(1)
 					}
-					sum, err := monteCarlo(ctx, wk, it.plan, cfg, it.runs, it.seed, nil)
-					done += int64(sum.Runs)
+					var mc core.MCStats
+					err := monteCarloOn(ctx, wk, it.plan, it.cfg, it.seed, 0, it.runs,
+						func(_ int, res *core.RunResult) { mc.Observe(res) })
+					done += int64(mc.Done)
 					if err != nil {
 						if ctx.Err() != nil {
 							return
@@ -233,6 +235,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 						it.res.Error = err.Error()
 						continue
 					}
+					sum := mcSummary(&mc, it.cfg)
 					it.res = BatchItemResult{
 						Item: it.res.Item, Runs: sum.Runs, Scheme: sum.Scheme,
 						DeadlineS: sum.DeadlineS, MeanEnergyJ: sum.MeanEnergyJ,
@@ -242,7 +245,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 						MeanClassGrossJ: sum.MeanClassGrossJ, MeanClassIdleJ: sum.MeanClassIdleJ,
 					}
 				}
-			})
+			}, nil)
 			if err != nil {
 				mu.Lock()
 				if firstErr == nil {

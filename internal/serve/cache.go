@@ -1,14 +1,9 @@
 package serve
 
 import (
-	"container/list"
-	"context"
 	"crypto/sha256"
-	"sync"
 
 	"andorsched/internal/andor"
-	"andorsched/internal/core"
-	"andorsched/internal/obs"
 	"andorsched/internal/power"
 )
 
@@ -34,100 +29,4 @@ type cacheKey struct {
 // workload — collapse onto one digest.
 func graphDigest(g *andor.Graph) [sha256.Size]byte {
 	return sha256.Sum256([]byte(andor.FormatText(g)))
-}
-
-// cacheEntry is one cache slot. ready is closed when plan/err are set;
-// requests that find an in-flight entry wait on it instead of compiling
-// the same application again (duplicate-compile suppression).
-type cacheEntry struct {
-	key   cacheKey
-	ready chan struct{}
-	plan  *core.Plan
-	err   error
-}
-
-// PlanCache is a bounded LRU of compiled Plans with duplicate-compile
-// suppression: N concurrent requests for the same application trigger
-// exactly one core.NewPlan; the rest block until it finishes. Safe for
-// concurrent use. Plans are immutable (see core.Plan), so handing one
-// Plan to many requests is sound.
-type PlanCache struct {
-	mu    sync.Mutex
-	cap   int
-	lru   *list.List // of *cacheEntry, front = most recently used
-	byKey map[cacheKey]*list.Element
-
-	hits, misses, evictions *obs.Counter
-	size                    *obs.Gauge
-}
-
-// NewPlanCache returns a cache holding at most capacity plans (minimum 1),
-// reporting to the given registry.
-func NewPlanCache(capacity int, m *obs.Metrics) *PlanCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	c := &PlanCache{
-		cap:       capacity,
-		lru:       list.New(),
-		byKey:     make(map[cacheKey]*list.Element),
-		hits:      m.Counter(MetricCacheHits),
-		misses:    m.Counter(MetricCacheMisses),
-		evictions: m.Counter(MetricCacheEvictions),
-		size:      m.Gauge(MetricCacheSize),
-	}
-	return c
-}
-
-// Len returns the number of cached (or in-flight) entries.
-func (c *PlanCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
-// GetOrCompile returns the plan for key, compiling it with compile if
-// absent. The boolean reports whether the call was served from the cache
-// (including joining an in-flight compile). Failed compiles are not
-// cached; every waiter of a failed compile receives the same error.
-// Waiting is bounded by ctx.
-func (c *PlanCache) GetOrCompile(ctx context.Context, key cacheKey, compile func() (*core.Plan, error)) (*core.Plan, bool, error) {
-	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		c.lru.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		c.mu.Unlock()
-		c.hits.Inc()
-		select {
-		case <-e.ready:
-			return e.plan, true, e.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-	}
-	e := &cacheEntry{key: key, ready: make(chan struct{})}
-	c.byKey[key] = c.lru.PushFront(e)
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		be := back.Value.(*cacheEntry)
-		c.lru.Remove(back)
-		delete(c.byKey, be.key)
-		c.evictions.Inc()
-	}
-	c.size.Set(float64(c.lru.Len()))
-	c.mu.Unlock()
-	c.misses.Inc()
-
-	e.plan, e.err = compile()
-	close(e.ready)
-	if e.err != nil {
-		c.mu.Lock()
-		if el, ok := c.byKey[key]; ok && el.Value.(*cacheEntry) == e {
-			c.lru.Remove(el)
-			delete(c.byKey, key)
-			c.size.Set(float64(c.lru.Len()))
-		}
-		c.mu.Unlock()
-	}
-	return e.plan, false, e.err
 }

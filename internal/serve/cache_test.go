@@ -12,7 +12,7 @@ import (
 
 	"andorsched/internal/andor"
 	"andorsched/internal/core"
-	"andorsched/internal/obs"
+	"andorsched/internal/core/schedcache"
 	"andorsched/internal/power"
 	"andorsched/internal/workload"
 )
@@ -33,11 +33,27 @@ func compilePlan(t testing.TB) func() (*core.Plan, error) {
 	}
 }
 
-// TestCacheSingleCompile is the issue's acceptance test: N concurrent
-// identical submissions trigger exactly one compile; everyone gets the
-// same Plan.
+// ownerLookup resolves key the way routePlan does: a blocking submit
+// routed to the key's shard owner, which looks the key up in its shard and
+// compiles on a miss.
+func ownerLookup(ctx context.Context, p *Pool, key cacheKey, compile func() (*core.Plan, error)) (*core.Plan, bool, error) {
+	var plan *core.Plan
+	var hit bool
+	var err error
+	if subErr := p.submit(ctx, p.homeFor(key), true, 1, func(ctx context.Context, wk *Worker) {
+		plan, hit, err = wk.OwnerPlan(key, func(*schedcache.Cache) (*core.Plan, error) { return compile() })
+	}, nil); subErr != nil {
+		return nil, false, subErr
+	}
+	return plan, hit, err
+}
+
+// TestCacheSingleCompile: N concurrent identical lookups trigger exactly
+// one compile — the owner queue serializes them, so every later lookup
+// finds the first one's plan — and everyone gets the same Plan.
 func TestCacheSingleCompile(t *testing.T) {
-	c := NewPlanCache(8, obs.NewMetrics())
+	p := NewPool(4, 64, 8)
+	defer p.Close()
 	var compiles atomic.Int64
 	mk := compilePlan(t)
 	compile := func() (*core.Plan, error) {
@@ -58,7 +74,7 @@ func TestCacheSingleCompile(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			start.Wait()
-			p, _, err := c.GetOrCompile(context.Background(), testKey(1), compile)
+			p, _, err := ownerLookup(context.Background(), p, testKey(1), compile)
 			if err != nil {
 				t.Errorf("goroutine %d: %v", i, err)
 				return
@@ -77,21 +93,26 @@ func TestCacheSingleCompile(t *testing.T) {
 			t.Fatalf("goroutine %d received a different Plan pointer", i)
 		}
 	}
-	if c.Len() != 1 {
-		t.Errorf("cache holds %d entries, want 1", c.Len())
+	if got := p.CachedPlans(); got != 1 {
+		t.Errorf("shards hold %d entries, want 1", got)
+	}
+	if st := p.PlanCacheStats(); st.Misses != 1 || st.Hits != n-1 {
+		t.Errorf("stats %+v, want 1 miss and %d hits", st, n-1)
 	}
 }
 
+// TestCacheLRUEviction: a full shard evicts its least recently used
+// entry, and the eviction counter records it.
 func TestCacheLRUEviction(t *testing.T) {
-	m := obs.NewMetrics()
-	c := NewPlanCache(2, m)
+	p := NewPool(1, 8, 2) // one worker: a single shard of capacity 2
+	defer p.Close()
 	var compiles atomic.Int64
 	mk := compilePlan(t)
 	compile := func() (*core.Plan, error) { compiles.Add(1); return mk() }
 
 	get := func(k int) {
 		t.Helper()
-		if _, _, err := c.GetOrCompile(context.Background(), testKey(k), compile); err != nil {
+		if _, _, err := ownerLookup(context.Background(), p, testKey(k), compile); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,8 +120,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	get(2)
 	get(1) // refresh 1: now 2 is least recently used
 	get(3) // evicts 2
-	if c.Len() != 2 {
-		t.Fatalf("cache length %d, want 2", c.Len())
+	if got := p.CachedPlans(); got != 2 {
+		t.Fatalf("shard holds %d plans, want 2", got)
 	}
 	if compiles.Load() != 3 {
 		t.Fatalf("%d compiles for 3 distinct keys, want 3", compiles.Load())
@@ -113,49 +134,73 @@ func TestCacheLRUEviction(t *testing.T) {
 	if compiles.Load() != 4 {
 		t.Error("evicted key 2 did not recompile")
 	}
-	if ev, _ := m.Snapshot().Counter(MetricCacheEvictions); ev < 1 {
-		t.Errorf("eviction counter %d, want >= 1", ev)
+	if ev := p.PlanCacheStats().Evictions; ev != 2 {
+		t.Errorf("eviction counter %d, want 2", ev)
 	}
 }
 
+// TestCacheFailedCompileNotCached: a failed compile leaves nothing in the
+// shard, so the next lookup compiles again.
 func TestCacheFailedCompileNotCached(t *testing.T) {
-	c := NewPlanCache(8, obs.NewMetrics())
+	p := NewPool(2, 8, 8)
+	defer p.Close()
 	var compiles atomic.Int64
 	boom := errors.New("boom")
 	fail := func() (*core.Plan, error) { compiles.Add(1); return nil, boom }
 
 	for i := 0; i < 3; i++ {
-		if _, _, err := c.GetOrCompile(context.Background(), testKey(9), fail); !errors.Is(err, boom) {
+		if _, _, err := ownerLookup(context.Background(), p, testKey(9), fail); !errors.Is(err, boom) {
 			t.Fatalf("attempt %d: err %v, want boom", i, err)
 		}
 	}
 	if compiles.Load() != 3 {
 		t.Errorf("failed compile was cached: %d compiles, want 3", compiles.Load())
 	}
-	if c.Len() != 0 {
-		t.Errorf("failed entries left in cache: len %d", c.Len())
+	if got := p.CachedPlans(); got != 0 {
+		t.Errorf("failed entries left in the shards: %d plans", got)
 	}
 }
 
+// TestCacheWaitBoundedByContext: a plan resolution waiting behind a busy
+// owner queue honours the request's deadline and answers 503 instead of
+// waiting for the owner, and no compile runs on its behalf.
 func TestCacheWaitBoundedByContext(t *testing.T) {
-	c := NewPlanCache(8, obs.NewMetrics())
-	slow := make(chan struct{})
-	go c.GetOrCompile(context.Background(), testKey(5), func() (*core.Plan, error) {
-		<-slow
-		return nil, errors.New("never mind")
-	})
-	// Give the first goroutine time to claim the entry.
-	time.Sleep(10 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	_, _, err := c.GetOrCompile(ctx, testKey(5), func() (*core.Plan, error) {
-		t.Error("second compile must not run")
-		return nil, nil
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err %v, want deadline exceeded", err)
+	s := newTestServer(t, Config{Workers: 1, QueueSize: 1, RequestTimeout: 50 * time.Millisecond})
+	gate := make(chan struct{})
+	running := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // occupy the owner...
+		defer wg.Done()
+		_ = s.pool.submit(context.Background(), 0, false, 1, func(context.Context, *Worker) {
+			close(running)
+			<-gate
+		}, nil)
+	}()
+	<-running
+	go func() { // ...and its one private queue slot
+		defer wg.Done()
+		_ = s.pool.submit(context.Background(), 0, true, 1, func(context.Context, *Worker) {}, nil)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); s.pool.QueueDepth() < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("owner queue never filled")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
-	close(slow)
+	start := time.Now()
+	w := post(t, s, "/v1/plan", `{"workload":"atr","procs":2}`)
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503: %s", w.Code, w.Body.String())
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("waited %v behind a busy owner, want about the 50ms request timeout", took)
+	}
+	close(gate)
+	wg.Wait()
+	if got := s.pool.CachedPlans(); got != 0 {
+		t.Errorf("a compile ran for the timed-out request: %d plans cached", got)
+	}
 }
 
 // TestHTTPSingleCompile drives the same property through the HTTP layer:

@@ -7,33 +7,33 @@ import (
 	"sync"
 
 	"andorsched/internal/core"
-	"andorsched/internal/exectime"
 	"andorsched/internal/obs"
 	"andorsched/internal/stats"
 )
 
-// Intra-request Monte-Carlo parallelism: a large-run /v1/run (or frame-
-// heavy /v1/compare) is split into per-worker chunks of contiguous run
-// ranges, executed as ordinary pool jobs (one arena per chunk, by
-// construction: each chunk job owns its worker's state for its duration),
-// then merged back in run order.
+// Monte-Carlo execution: a runs>1 /v1/run or any /v1/compare is split into
+// chunks of contiguous run ranges — one chunk is the serial form, more
+// spread the work over the pool — executed as ordinary pool jobs (each
+// chunk job owns its worker's arena for its duration), then reduced and
+// encoded in run order on the handler goroutine.
 //
 // Two invariants make the split invisible to clients:
 //
-//  1. Chunk-independent seeding. The serial loop draws run i's seed as the
-//     i-th output of a master SplitMix64 stream. A chunk covering runs
-//     [lo, hi) reproduces that exact subsequence with Reseed(seed) +
-//     Skip(lo) — an O(1) state jump — so every run's random stream is
-//     the same no matter how the request was chunked.
-//  2. Run-order reduction. Chunks buffer per-run rows; the handler walks
-//     them in run order, feeding the same core.MCStats reducer the serial
-//     path uses. The floating-point operation sequence is then exactly
-//     the serial one, so summaries are bit-identical — not merely close —
-//     for every chunk count (differential- and fuzz-tested).
+//  1. Chunk-independent seeding. core.MonteCarlo and core.CompareFrames
+//     seed run i with exectime.SeedAt(seed, i), so every run's random
+//     stream is the same no matter how the request was chunked.
+//  2. Run-order reduction. Chunks buffer per-run samples; the handler walks
+//     them in run order, feeding core.MCStats (or the compare
+//     accumulators). The floating-point operation sequence is then the
+//     same for every chunk count, so responses are bit-identical — not
+//     merely close (differential-, fuzz- and golden-corpus-tested).
 //
 // Failure is all-or-nothing: any chunk error (queue rejection, context
-// expiry, simulation failure) fails the whole request before a status
-// line is written — a chunked stream never ends in a partial summary.
+// expiry, simulation failure) fails the whole request before a status line
+// is written. No pool job writes to the ResponseWriter, so a slow reader
+// holds its handler goroutine, never a worker; the price is buffering
+// ~runs rows (bounded by MaxRuns), and a client that leaves stops only
+// the encode, not an admitted simulation.
 
 const (
 	// maxRunChunks caps the explicit chunks field. It also bounds the
@@ -90,7 +90,6 @@ func chunkBounds(runs, nchunks, c int) (lo, hi int) {
 type runChunkBuf struct {
 	rows []RunRow
 	lst  []int
-	err  error
 }
 
 // runChunkBufMaxRetained bounds the row capacity a buffer may take back
@@ -111,7 +110,6 @@ func (b *runChunkBuf) prepare(n int) {
 	} else {
 		b.lst = make([]int, n)
 	}
-	b.err = nil
 }
 
 func putRunChunkBuf(b *runChunkBuf) {
@@ -120,138 +118,100 @@ func putRunChunkBuf(b *runChunkBuf) {
 	}
 }
 
-// mcChunk builds the pool-job function for runs [lo, hi) of a chunked
-// Monte-Carlo request. It mirrors monteCarlo's loop exactly — same seeding
-// convention, same RunInto, same fillRow — minus the streaming callback:
-// rows land in buf for the handler to merge. One exec.mc span per chunk
-// records its completed-run count; chunks record concurrently into the
-// request's trace, which the span array's atomic slot reservation permits.
-func mcChunk(plan *core.Plan, scheme core.Scheme, deadline float64, worst bool,
-	seed uint64, lo, hi int, buf *runChunkBuf) func(context.Context, *Worker) {
-	return func(ctx context.Context, wk *Worker) {
-		done := 0
-		if rec := obs.TraceFromContext(ctx); rec != nil {
-			t0 := rec.SinceStart()
-			defer func() { rec.RecordOffsetN(PhaseExecMC, t0, int64(done)) }()
-		}
-		var master exectime.Source
-		master.Reseed(seed)
-		master.Skip(uint64(lo)) // run lo's seed is the lo-th master draw
-		cfg := core.RunConfig{Scheme: scheme, Deadline: deadline}
-		if worst {
-			cfg.WorstCase = true
-		} else {
-			cfg.Sampler = wk.Sampler
-		}
-		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				buf.err = err
-				return
-			}
-			wk.Src.Reseed(master.Uint64())
-			if err := plan.RunInto(cfg, wk.Arena, &wk.Res); err != nil {
-				buf.err = err
-				return
-			}
-			fillRow(&buf.rows[i-lo], i, &wk.Res)
-			buf.lst[i-lo] = wk.Res.LSTViolations
-			done++
-		}
+// monteCarloOn runs core.MonteCarlo over runs [lo, hi) on wk — sampling
+// from wk's source unless cfg is worst-case — and stops once ctx expires.
+// It records one exec.mc span counting the completed runs; the chunks of
+// one request record concurrently into its trace, which the span array's
+// atomic slot reservation permits.
+func monteCarloOn(ctx context.Context, wk *Worker, plan *core.Plan, cfg core.RunConfig, seed uint64, lo, hi int,
+	visit func(i int, res *core.RunResult)) error {
+	if !cfg.WorstCase {
+		cfg.Sampler = wk.Sampler
 	}
+	rec := obs.TraceFromContext(ctx)
+	done := 0
+	t0 := rec.SinceStart()
+	defer func() { rec.RecordOffsetN(PhaseExecMC, t0, int64(done)) }()
+	return core.MonteCarlo(plan, cfg, seed, lo, hi, wk.Arena, wk.Src, func(i int, res *core.RunResult) error {
+		visit(i, res)
+		done++
+		return ctx.Err()
+	})
 }
 
-// handleRunChunked is the fan-out arm of handleRun for runs > 1 and
-// nchunks > 1: resolve the plan once on the handler goroutine, execute
-// nchunks chunk jobs across the pool, then stream the buffered rows in run
-// order with the summary reduced exactly as the serial path would. The
-// response bytes are identical to the serial path's for any chunk count.
-//
-// Unlike the serial path — which commits its 200 before simulating and
-// reports late failures as an {"error"} line — every chunk has completed
-// before the first byte is written, so queue rejection, context expiry and
-// simulation failure all still produce clean status codes here. The cost
-// is buffering ~runs rows (bounded by MaxRuns) and losing mid-stream
-// client-abandonment detection: an admitted chunked request runs to
-// completion even if the client leaves, and the encode loop simply stops.
-func (s *Server) handleRunChunked(w http.ResponseWriter, r *http.Request, req *RunRequest,
-	scheme core.Scheme, runs, nchunks int) {
-	plan, _, apiErr := s.planFor(r.Context(), &req.AppSpec)
-	if apiErr != nil {
-		s.writeError(w, apiErr.status, apiErr.msg)
-		return
-	}
-	deadline, apiErr := resolveDeadline(plan.CTWorst, req.Deadline, req.Load)
-	if apiErr != nil {
-		s.writeError(w, apiErr.status, apiErr.msg)
-		return
-	}
-
-	// One handler-side exec span brackets the whole fan-out — buffer
-	// preparation, chunk admission and the wait for the last chunk — so
-	// the trace stays gap-free; the chunks' own queue/exec/exec.mc spans
-	// nest inside it and show where the time actually went.
+// execChunks executes a Monte-Carlo request of `runs` runs (or frames),
+// each worth perRun simulations, as nchunks chunk jobs (Pool.fanOut);
+// job(c, lo, hi) builds chunk c's function. Chunk 0 credits the request's
+// snapshot plan hit (peeked). One handler-side exec span brackets the
+// whole fan-out — chunk buffer preparation, admission and the wait for
+// the last chunk — so the trace stays gap-free; the chunks' own
+// queue/exec/exec.mc spans nest inside it. On failure the error response
+// is written and execChunks returns false.
+func (s *Server) execChunks(w http.ResponseWriter, r *http.Request, peeked bool, runs, nchunks int, perRun int64,
+	job func(c, lo, hi int) func(context.Context, *Worker) error) bool {
 	rec := obs.TraceFromContext(r.Context())
-	tFan := rec.Now()
-
-	bufs := make([]*runChunkBuf, nchunks)
-	for c := range bufs {
-		lo, hi := chunkBounds(runs, nchunks, c)
-		bufs[c] = runChunkPool.Get().(*runChunkBuf)
-		bufs[c].prepare(hi - lo)
+	t0 := rec.Now()
+	err := s.pool.fanOut(r.Context(), runs, nchunks, perRun, func(c, lo, hi int) func(context.Context, *Worker) error {
+		fn := job(c, lo, hi)
+		if c > 0 || !peeked {
+			return fn
+		}
+		return func(ctx context.Context, wk *Worker) error {
+			wk.pw.hits.Add(1)
+			return fn(ctx, wk)
+		}
+	})
+	rec.RecordDetail(PhaseExec, t0, "fan-out")
+	if !s.checkPoolErr(w, err) {
+		return false
 	}
+	s.runs.Add(int64(runs) * perRun)
+	return true
+}
+
+// runMonteCarlo executes runs of plan under cfg in nchunks chunks, then
+// writes the buffered rows in run order and the summary reduced through
+// core.MCStats.
+func (s *Server) runMonteCarlo(w http.ResponseWriter, r *http.Request, plan *core.Plan, peeked bool,
+	cfg core.RunConfig, runs int, seed uint64, nchunks int) {
+	bufs := make([]*runChunkBuf, nchunks)
 	defer func() {
 		for _, b := range bufs {
-			putRunChunkBuf(b)
+			if b != nil {
+				putRunChunkBuf(b)
+			}
 		}
 	}()
-
-	err := s.pool.fanOut(r.Context(), nchunks,
-		func(c int) int64 {
-			lo, hi := chunkBounds(runs, nchunks, c)
-			return int64(hi - lo)
-		},
-		func(c int) func(context.Context, *Worker) {
-			lo, hi := chunkBounds(runs, nchunks, c)
-			return mcChunk(plan, scheme, deadline, req.Worst, req.Seed, lo, hi, bufs[c])
-		})
-	rec.RecordDetail(PhaseExec, tFan, "fan-out")
-	if err != nil {
-		s.checkPoolErr(w, err)
+	if !s.execChunks(w, r, peeked, runs, nchunks, 1, func(c, lo, hi int) func(context.Context, *Worker) error {
+		b := runChunkPool.Get().(*runChunkBuf)
+		b.prepare(hi - lo)
+		bufs[c] = b
+		return func(ctx context.Context, wk *Worker) error {
+			return monteCarloOn(ctx, wk, plan, cfg, seed, lo, hi, func(i int, res *core.RunResult) {
+				fillRow(&b.rows[i-lo], i, res)
+				b.lst[i-lo] = res.LSTViolations
+			})
+		}
+	}) {
 		return
 	}
-	for _, b := range bufs {
-		if b.err != nil {
-			if r.Context().Err() != nil {
-				s.writeError(w, http.StatusServiceUnavailable, "request timed out mid-run")
-			} else {
-				s.writeError(w, http.StatusInternalServerError, b.err.Error())
-			}
-			return
-		}
-	}
-	s.runs.Add(int64(runs))
 
+	rec := obs.TraceFromContext(r.Context())
 	t0 := rec.SinceStart()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	var mc core.MCStats
-	cfg := core.RunConfig{Scheme: scheme, Deadline: deadline}
-	emitted := 0
 	for _, b := range bufs {
 		for i := range b.rows {
 			row := &b.rows[i]
-			// Same Add sequence, in the same global run order, as the serial
-			// loop's Observe calls — the summary is bit-identical by
-			// construction.
 			mc.Add(row.FinishS, row.EnergyJ, row.ClassGrossJ, row.ClassIdleJ,
 				row.SpeedChanges, b.lst[i], row.MetDeadline)
 			if enc.Encode(row) != nil {
 				return // client went away; a stream without a summary is incomplete
 			}
-			emitted++
-			if flusher != nil && emitted%256 == 0 {
+			if flusher != nil && mc.Done%256 == 0 {
 				flusher.Flush()
 			}
 		}
@@ -267,13 +227,12 @@ func (s *Server) handleRunChunked(w http.ResponseWriter, r *http.Request, req *R
 // cmpChunkBuf buffers one compare chunk's per-frame samples: the NPM
 // baseline energy per frame, and frame-major per-scheme normalized energy,
 // speed-change count and miss flag. The handler reduces them in frame
-// order so the response matches the serial path byte for byte.
+// order, so the response is the same for every chunk count.
 type cmpChunkBuf struct {
 	base   []float64 // [frame]
 	norm   []float64 // [frame*nschemes + scheme]
 	chg    []int     // same layout
 	missed []bool    // same layout
-	err    error
 }
 
 var cmpChunkPool = sync.Pool{New: func() any { return new(cmpChunkBuf) }}
@@ -298,7 +257,6 @@ func (b *cmpChunkBuf) prepare(frames, nschemes int) {
 	} else {
 		b.missed = make([]bool, n)
 	}
-	b.err = nil
 }
 
 func putCmpChunkBuf(b *cmpChunkBuf) {
@@ -307,105 +265,50 @@ func putCmpChunkBuf(b *cmpChunkBuf) {
 	}
 }
 
-// cmpChunk builds the pool job for frames [lo, hi) of a chunked compare:
-// the serial CRN loop over a skipped master stream, sampling into buf.
-func cmpChunk(plan *core.Plan, schemes []core.Scheme, deadline float64,
-	seed uint64, lo, hi int, buf *cmpChunkBuf) func(context.Context, *Worker) {
-	return func(ctx context.Context, wk *Worker) {
-		var master exectime.Source
-		master.Reseed(seed)
-		master.Skip(uint64(lo)) // frame lo's CRN seed is the lo-th master draw
-		for f := lo; f < hi; f++ {
-			if err := ctx.Err(); err != nil {
-				buf.err = err
-				return
-			}
-			runSeed := master.Uint64()
-			// Common random numbers: every scheme replays the same actual
-			// times and branch outcomes.
-			wk.Src.Reseed(runSeed)
-			if err := plan.RunInto(core.RunConfig{
-				Scheme: core.NPM, Deadline: deadline, Sampler: wk.Sampler,
-			}, wk.Arena, &wk.Base); err != nil {
-				buf.err = err
-				return
-			}
-			base := wk.Base.Energy()
-			buf.base[f-lo] = base
-			for si, sc := range schemes {
-				wk.Src.Reseed(runSeed)
-				if err := plan.RunInto(core.RunConfig{
-					Scheme: sc, Deadline: deadline, Sampler: wk.Sampler,
-				}, wk.Arena, &wk.Res); err != nil {
-					buf.err = err
-					return
-				}
-				k := (f-lo)*len(schemes) + si
-				buf.norm[k] = wk.Res.Energy() / base
-				buf.chg[k] = wk.Res.SpeedChanges
-				buf.missed[k] = !wk.Res.MetDeadline
-			}
-		}
-	}
-}
-
-// handleCompareChunked fans a compare's frames out across the pool and
-// reduces the buffered samples in frame order — the same accumulator
-// sequence as the serial loop, so the response is byte-identical for any
-// chunk count.
-func (s *Server) handleCompareChunked(w http.ResponseWriter, r *http.Request, req *CompareRequest,
-	schemes []core.Scheme, plan *core.Plan, deadline float64, runs, nchunks int) {
-	// Same gap-free bracketing as handleRunChunked: one exec span from
-	// buffer prep to the last chunk's completion.
-	rec := obs.TraceFromContext(r.Context())
-	tFan := rec.Now()
+// runCompare executes a common-random-numbers comparison of schemes in
+// nchunks chunks (core.CompareFrames over each chunk's frames), then
+// reduces the buffered samples in frame order.
+func (s *Server) runCompare(w http.ResponseWriter, r *http.Request, plan *core.Plan, peeked bool,
+	schemes []core.Scheme, deadline float64, runs int, seed uint64, nchunks int) {
 	bufs := make([]*cmpChunkBuf, nchunks)
-	for c := range bufs {
-		lo, hi := chunkBounds(runs, nchunks, c)
-		bufs[c] = cmpChunkPool.Get().(*cmpChunkBuf)
-		bufs[c].prepare(hi-lo, len(schemes))
-	}
 	defer func() {
 		for _, b := range bufs {
-			putCmpChunkBuf(b)
+			if b != nil {
+				putCmpChunkBuf(b)
+			}
 		}
 	}()
-
 	perFrame := int64(len(schemes) + 1)
-	err := s.pool.fanOut(r.Context(), nchunks,
-		func(c int) int64 {
-			lo, hi := chunkBounds(runs, nchunks, c)
-			return int64(hi-lo) * perFrame
-		},
-		func(c int) func(context.Context, *Worker) {
-			lo, hi := chunkBounds(runs, nchunks, c)
-			return cmpChunk(plan, schemes, deadline, req.Seed, lo, hi, bufs[c])
-		})
-	rec.RecordDetail(PhaseExec, tFan, "fan-out")
-	if !s.checkPoolErr(w, err) {
+	if !s.execChunks(w, r, peeked, runs, nchunks, perFrame, func(c, lo, hi int) func(context.Context, *Worker) error {
+		b := cmpChunkPool.Get().(*cmpChunkBuf)
+		b.prepare(hi-lo, len(schemes))
+		bufs[c] = b
+		return func(ctx context.Context, wk *Worker) error {
+			var base float64
+			cfg := core.RunConfig{Deadline: deadline, Sampler: wk.Sampler}
+			return core.CompareFrames(plan, cfg, schemes, seed, lo, hi, wk.Arena, wk.Src, func(f, si int, res *core.RunResult) error {
+				if si < 0 {
+					base = res.Energy()
+					b.base[f-lo] = base
+					return ctx.Err()
+				}
+				k := (f-lo)*len(schemes) + si
+				b.norm[k] = res.Energy() / base
+				b.chg[k] = res.SpeedChanges
+				b.missed[k] = !res.MetDeadline
+				return nil
+			})
+		}
+	}) {
 		return
 	}
-	for _, b := range bufs {
-		if b.err != nil {
-			if r.Context().Err() != nil {
-				s.writeError(w, http.StatusServiceUnavailable, "request timed out mid-run")
-			} else {
-				s.writeError(w, http.StatusInternalServerError, b.err.Error())
-			}
-			return
-		}
-	}
-	s.runs.Add(int64(runs) * perFrame)
 
-	// Frame-order reduction, mirroring the serial loop's accumulator
-	// sequence exactly: baseline, then each scheme's norm/chg/miss.
 	norm := make([]stats.Acc, len(schemes))
 	chg := make([]stats.Acc, len(schemes))
 	missed := make([]int, len(schemes))
 	var npmEnergy stats.Acc
 	for _, b := range bufs {
-		frames := len(b.base)
-		for f := 0; f < frames; f++ {
+		for f := range b.base {
 			npmEnergy.Add(b.base[f])
 			for si := range schemes {
 				k := f*len(schemes) + si

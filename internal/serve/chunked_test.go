@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"andorsched/internal/core"
+	"andorsched/internal/exectime"
+	"andorsched/internal/stats"
 )
 
 // TestChunkCount pins the splitting policy: explicit chunk counts are
@@ -54,39 +59,147 @@ func TestChunkCount(t *testing.T) {
 	}
 }
 
-// TestChunkedRunDifferential is the issue's gate: for every scheme, on
-// homogeneous and heterogeneous platforms, a chunked /v1/run must answer
-// the byte-for-byte identical NDJSON body — every row and the summary —
-// as the serial (chunks:1) form of the same request, for every chunk
-// count. Not statistically equivalent: identical.
+// chunkCases are the chunk counts the differential tests send: the
+// serial form, automatic, and explicit splits (0 = automatic).
+var chunkCases = []int{1, 0, 2, 3, 5, 8}
+
+// refPlan compiles spec's plan outside the cache and returns it with the
+// request's default deadline (load 0.5).
+func refPlan(t testing.TB, s *Server, spec AppSpec) (*core.Plan, float64) {
+	t.Helper()
+	ra, apiErr := s.resolveApp(&spec)
+	if apiErr != nil {
+		t.Fatal(apiErr.msg)
+	}
+	plan, err := buildPlan(ra, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline, apiErr := resolveDeadline(plan.CTWorst, 0, 0)
+	if apiErr != nil {
+		t.Fatal(apiErr.msg)
+	}
+	return plan, deadline
+}
+
+// refRunBody derives a /v1/run response body from first principles: a
+// single run draws from the seed itself; run i of a Monte-Carlo request
+// draws from exectime.SeedAt(seed, i), its row is fillRow's and the
+// summary is core.MCStats fed in run order.
+func refRunBody(t testing.TB, plan *core.Plan, cfg core.RunConfig, runs int, seed uint64) string {
+	t.Helper()
+	src := exectime.NewSource(0)
+	cfg.Sampler = exectime.NewSampler(src)
+	arena := core.NewArena()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	var res core.RunResult
+	var row RunRow
+	var mc core.MCStats
+	for i := 0; i < runs; i++ {
+		if runs == 1 {
+			src.Reseed(seed)
+		} else {
+			src.Reseed(exectime.SeedAt(seed, uint64(i)))
+		}
+		if err := plan.RunInto(cfg, arena, &res); err != nil {
+			t.Fatal(err)
+		}
+		fillRow(&row, i, &res)
+		mc.Observe(&res)
+		if err := enc.Encode(&row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runs > 1 {
+		if err := enc.Encode(mcSummary(&mc, cfg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.String()
+}
+
+// refCompareBody derives a /v1/compare response body from first
+// principles: frame f replays exectime.SeedAt(seed, f) for the NPM
+// baseline and for every scheme, accumulated with stats.Acc in frame
+// order.
+func refCompareBody(t testing.TB, plan *core.Plan, schemes []core.Scheme, deadline float64, runs int, seed uint64) string {
+	t.Helper()
+	src := exectime.NewSource(0)
+	sampler := exectime.NewSampler(src)
+	arena := core.NewArena()
+	norm := make([]stats.Acc, len(schemes))
+	chg := make([]stats.Acc, len(schemes))
+	missed := make([]int, len(schemes))
+	var npm stats.Acc
+	var base, res core.RunResult
+	for f := 0; f < runs; f++ {
+		frameSeed := exectime.SeedAt(seed, uint64(f))
+		src.Reseed(frameSeed)
+		if err := plan.RunInto(core.RunConfig{Scheme: core.NPM, Deadline: deadline, Sampler: sampler}, arena, &base); err != nil {
+			t.Fatal(err)
+		}
+		npm.Add(base.Energy())
+		for si, sc := range schemes {
+			src.Reseed(frameSeed)
+			if err := plan.RunInto(core.RunConfig{Scheme: sc, Deadline: deadline, Sampler: sampler}, arena, &res); err != nil {
+				t.Fatal(err)
+			}
+			norm[si].Add(res.Energy() / base.Energy())
+			chg[si].Add(float64(res.SpeedChanges))
+			if !res.MetDeadline {
+				missed[si]++
+			}
+		}
+	}
+	resp := CompareResponse{App: plan.Graph.Name, Runs: runs, DeadlineS: deadline, NPMEnergyJ: npm.Mean()}
+	for si, sc := range schemes {
+		resp.Schemes = append(resp.Schemes, CompareScheme{
+			Scheme: sc.String(), MeanNormEnergy: norm[si].Mean(), CI95: norm[si].CI95(),
+			MeanSpeedChanges: chg[si].Mean(), DeadlineMisses: missed[si],
+		})
+	}
+	data, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data) + "\n"
+}
+
+// TestChunkedRunDifferential is the chunking gate: for every scheme, on
+// homogeneous and heterogeneous platforms, /v1/run must answer the
+// byte-for-byte reference NDJSON body — every row and the summary — for
+// every chunk count. Not statistically equivalent: identical.
 func TestChunkedRunDifferential(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 4, QueueSize: 64})
 	schemes := []string{"NPM", "SPM", "GSS", "SS1", "SS2", "AS", "CLV", "ASP", "ORA"}
-	platforms := []string{
-		`"workload":"atr"`,
-		`"workload":"atr","hetero":"biglittle","placement":"class-affinity"`,
+	platforms := []struct {
+		json string
+		spec AppSpec
+	}{
+		{`"workload":"atr"`, AppSpec{Workload: "atr"}},
+		{`"workload":"atr","hetero":"biglittle","placement":"class-affinity"`,
+			AppSpec{Workload: "atr", Hetero: json.RawMessage(`"biglittle"`), Placement: "class-affinity"}},
 	}
-	runsCases := []int{1, 7, 100, 1000}
-	chunkCases := []int{0, 2, 3, 5, 8} // 0 = auto
-
 	for _, plat := range platforms {
+		plan, deadline := refPlan(t, s, plat.spec)
 		for _, scheme := range schemes {
-			for _, runs := range runsCases {
-				serialBody := ""
-				for _, chunks := range append([]int{1}, chunkCases...) {
+			sc, err := core.ParseScheme(scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, runs := range []int{1, 7, 100, 1000} {
+				want := refRunBody(t, plan, core.RunConfig{Scheme: sc, Deadline: deadline}, runs, 12345)
+				for _, chunks := range chunkCases {
 					body := fmt.Sprintf(`{%s,"scheme":%q,"runs":%d,"seed":12345,"chunks":%d}`,
-						plat, scheme, runs, chunks)
+						plat.json, scheme, runs, chunks)
 					w := post(t, s, "/v1/run", body)
 					if w.Code != http.StatusOK {
 						t.Fatalf("%s: status %d: %s", body, w.Code, w.Body.String())
 					}
-					if chunks == 1 {
-						serialBody = w.Body.String()
-						continue
-					}
-					if got := w.Body.String(); got != serialBody {
-						t.Fatalf("%s diverged from serial response\nchunked: %s\nserial:  %s",
-							body, truncateDiff(got, serialBody), truncateDiff(serialBody, got))
+					if got := w.Body.String(); got != want {
+						t.Fatalf("%s diverged from the reference\ngot:  %s\nwant: %s",
+							body, truncateDiff(got, want), truncateDiff(want, got))
 					}
 				}
 			}
@@ -149,37 +262,41 @@ func TestChunkedRunValidation(t *testing.T) {
 	}
 }
 
-// TestChunkedCompareDifferential: /v1/compare under frame chunking must
-// reproduce the serial response byte for byte — the CRN pairing of NPM
+// TestChunkedCompareDifferential: /v1/compare must answer the reference
+// body byte for byte for every chunk count — the CRN pairing of NPM
 // baseline and scheme replays inside each frame survives the split.
 func TestChunkedCompareDifferential(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 4, QueueSize: 64})
-	bodies := []string{
-		`{"workload":"atr","schemes":["GSS","AS","ORA"],"runs":%d,"seed":7,"chunks":%d}`,
-		`{"workload":"atr","hetero":"biglittle","schemes":["AS","ASP"],"runs":%d,"seed":7,"chunks":%d}`,
+	cases := []struct {
+		tpl     string
+		spec    AppSpec
+		schemes []core.Scheme
+	}{
+		{`{"workload":"atr","schemes":["GSS","AS","ORA"],"runs":%d,"seed":7,"chunks":%d}`,
+			AppSpec{Workload: "atr"}, []core.Scheme{core.GSS, core.AS, core.ORA}},
+		{`{"workload":"atr","hetero":"biglittle","schemes":["AS","ASP"],"runs":%d,"seed":7,"chunks":%d}`,
+			AppSpec{Workload: "atr", Hetero: json.RawMessage(`"biglittle"`)}, []core.Scheme{core.AS, core.ASP}},
 	}
-	for _, tpl := range bodies {
+	for _, tc := range cases {
+		plan, deadline := refPlan(t, s, tc.spec)
 		for _, runs := range []int{1, 40, 300} {
-			serial := post(t, s, "/v1/compare", fmt.Sprintf(tpl, runs, 1))
-			if serial.Code != http.StatusOK {
-				t.Fatalf("serial compare status %d: %s", serial.Code, serial.Body.String())
-			}
-			for _, chunks := range []int{0, 2, 5, 8} {
-				w := post(t, s, "/v1/compare", fmt.Sprintf(tpl, runs, chunks))
+			want := refCompareBody(t, plan, tc.schemes, deadline, runs, 7)
+			for _, chunks := range chunkCases {
+				w := post(t, s, "/v1/compare", fmt.Sprintf(tc.tpl, runs, chunks))
 				if w.Code != http.StatusOK {
-					t.Fatalf("chunked compare status %d: %s", w.Code, w.Body.String())
+					t.Fatalf("compare status %d: %s", w.Code, w.Body.String())
 				}
-				if w.Body.String() != serial.Body.String() {
-					t.Fatalf("compare runs=%d chunks=%d diverged from serial\nchunked: %s\nserial:  %s",
-						runs, chunks, w.Body.String(), serial.Body.String())
+				if got := w.Body.String(); got != want {
+					t.Fatalf("compare runs=%d chunks=%d diverged from the reference\ngot:  %s\nwant: %s",
+						runs, chunks, got, want)
 				}
 			}
 		}
 	}
 }
 
-// FuzzChunkedRunDifferential fuzzes the serial/chunked equivalence: any
-// two chunk counts of the same request must produce identical bodies.
+// FuzzChunkedRunDifferential fuzzes chunk-count independence: any two
+// chunk counts of the same request must answer the reference body.
 func FuzzChunkedRunDifferential(f *testing.F) {
 	f.Add(uint8(0), uint16(100), uint64(1), uint8(1), uint8(4), false)
 	f.Add(uint8(5), uint16(300), uint64(42), uint8(2), uint8(7), true)
@@ -189,28 +306,31 @@ func FuzzChunkedRunDifferential(f *testing.F) {
 	s := New(Config{Workers: 4, QueueSize: 64, RequestTimeout: 30 * time.Second})
 	f.Cleanup(s.Close)
 	schemes := []string{"NPM", "SPM", "GSS", "SS1", "SS2", "AS", "CLV", "ASP", "ORA"}
+	homo, homoDeadline := refPlan(f, s, AppSpec{Workload: "atr"})
+	het, hetDeadline := refPlan(f, s, AppSpec{Workload: "atr", Hetero: json.RawMessage(`"biglittle"`)})
 
 	f.Fuzz(func(t *testing.T, schemeIdx uint8, runs uint16, seed uint64, chunksA, chunksB uint8, hetero bool) {
 		scheme := schemes[int(schemeIdx)%len(schemes)]
-		nruns := int(runs)%500 + 1
-		plat := `"workload":"atr"`
-		if hetero {
-			plat = `"workload":"atr","hetero":"biglittle"`
+		sc, err := core.ParseScheme(scheme)
+		if err != nil {
+			t.Fatal(err)
 		}
-		req := func(chunks int) string {
+		nruns := int(runs)%500 + 1
+		plat, plan, deadline := `"workload":"atr"`, homo, homoDeadline
+		if hetero {
+			plat, plan, deadline = `"workload":"atr","hetero":"biglittle"`, het, hetDeadline
+		}
+		want := refRunBody(t, plan, core.RunConfig{Scheme: sc, Deadline: deadline}, nruns, seed)
+		for _, chunks := range []int{int(chunksA)%maxRunChunks + 1, int(chunksB)%maxRunChunks + 1} {
 			body := fmt.Sprintf(`{%s,"scheme":%q,"runs":%d,"seed":%d,"chunks":%d}`,
 				plat, scheme, nruns, seed, chunks)
 			w := post(t, s, "/v1/run", body)
 			if w.Code != http.StatusOK {
 				t.Fatalf("%s: status %d: %s", body, w.Code, w.Body.String())
 			}
-			return w.Body.String()
-		}
-		a := req(int(chunksA)%maxRunChunks + 1)
-		b := req(int(chunksB)%maxRunChunks + 1)
-		if a != b {
-			t.Fatalf("chunk counts %d and %d disagree for scheme=%s runs=%d seed=%d",
-				int(chunksA)%maxRunChunks+1, int(chunksB)%maxRunChunks+1, scheme, nruns, seed)
+			if got := w.Body.String(); got != want {
+				t.Fatalf("%s diverged from the reference: %s", body, truncateDiff(got, want))
+			}
 		}
 	})
 }
@@ -233,11 +353,12 @@ func TestFanOutAllOrNothing(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				results[r] = p.fanOut(context.Background(), chunks, nil,
-					func(c int) func(context.Context, *Worker) {
-						return func(ctx context.Context, wk *Worker) {
+				results[r] = p.fanOut(context.Background(), chunks, chunks, 1,
+					func(c, lo, hi int) func(context.Context, *Worker) error {
+						return func(ctx context.Context, wk *Worker) error {
 							time.Sleep(50 * time.Microsecond)
 							counts[r].Add(1)
+							return nil
 						}
 					})
 			}()
@@ -265,12 +386,13 @@ func TestFanOutCancellation(t *testing.T) {
 	var sawCancel atomic.Int32
 	errc := make(chan error, 1)
 	go func() {
-		errc <- p.fanOut(ctx, 4, nil,
-			func(c int) func(context.Context, *Worker) {
-				return func(ctx context.Context, wk *Worker) {
+		errc <- p.fanOut(ctx, 4, 4, 1,
+			func(c, lo, hi int) func(context.Context, *Worker) error {
+				return func(ctx context.Context, wk *Worker) error {
 					started <- struct{}{}
 					<-ctx.Done()
 					sawCancel.Add(1)
+					return ctx.Err()
 				}
 			})
 	}()
@@ -289,10 +411,10 @@ func TestFanOutCancellation(t *testing.T) {
 	}
 }
 
-// TestFanOutAdmission pins the 429 semantics of the chunked path: when the
-// shared queue cannot take even the first chunk, fanOut fails fast with
-// ErrQueueFull — one admission decision for the whole request, like the
-// serial path — rather than blocking or half-submitting.
+// TestFanOutAdmission pins the 429 semantics of chunked execution: when
+// the shared queue cannot take even the first chunk, fanOut fails fast
+// with ErrQueueFull — one admission decision for the whole request —
+// rather than blocking or half-submitting.
 func TestFanOutAdmission(t *testing.T) {
 	p := NewPool(1, 1, 8)
 	defer p.Close()
@@ -303,7 +425,7 @@ func TestFanOutAdmission(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = p.DoWait(context.Background(), func(ctx context.Context, wk *Worker) { <-gate })
+			_ = p.submit(context.Background(), anyWorker, true, 1, func(ctx context.Context, wk *Worker) { <-gate }, nil)
 		}()
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -315,9 +437,9 @@ func TestFanOutAdmission(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		errc <- p.fanOut(context.Background(), 4, nil,
-			func(c int) func(context.Context, *Worker) {
-				return func(ctx context.Context, wk *Worker) {}
+		errc <- p.fanOut(context.Background(), 4, 4, 1,
+			func(c, lo, hi int) func(context.Context, *Worker) error {
+				return func(ctx context.Context, wk *Worker) error { return nil }
 			})
 	}()
 	select {
@@ -346,7 +468,7 @@ func TestRetryAfterCountsUnits(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = p.DoWait(context.Background(), func(ctx context.Context, wk *Worker) { <-gate })
+			_ = p.submit(context.Background(), anyWorker, true, 1, func(ctx context.Context, wk *Worker) { <-gate }, nil)
 		}()
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -361,7 +483,7 @@ func TestRetryAfterCountsUnits(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = p.doWaitUnits(context.Background(), 1, func(ctx context.Context, wk *Worker) {})
+			_ = p.submit(context.Background(), anyWorker, true, 1, func(ctx context.Context, wk *Worker) {}, nil)
 		}()
 	}
 	for p.QueueDepth() < 4 {
@@ -605,5 +727,76 @@ func TestChunkedRunRetryAfterBound(t *testing.T) {
 			t.Errorf("Retry-After %ds outside the documented [1, 60]s clamp", secs)
 		}
 		return
+	}
+}
+
+// blockingWriter is a ResponseWriter whose first Write blocks until
+// release closes — a client that stops reading mid-response.
+type blockingWriter struct {
+	*httptest.ResponseRecorder
+	once    sync.Once
+	writing chan struct{} // closed when the first Write starts
+	release chan struct{}
+}
+
+func (w *blockingWriter) Write(b []byte) (int, error) {
+	w.once.Do(func() { close(w.writing) })
+	<-w.release
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestSlowReaderDoesNotHoldWorker: no pool job writes to the socket, so a
+// Monte-Carlo response stuck on a slow reader holds its handler goroutine,
+// not a worker. With a single worker, a second request must complete while
+// the first one's Write is blocked, and the first response must still
+// arrive intact once the reader resumes.
+func TestSlowReaderDoesNotHoldWorker(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueSize: 8})
+	const body = `{"workload":"atr","scheme":"AS","runs":300,"seed":5}`
+	bw := &blockingWriter{ResponseRecorder: httptest.NewRecorder(),
+		writing: make(chan struct{}), release: make(chan struct{})}
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		s.Handler().ServeHTTP(bw, httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body)))
+	}()
+	released := false
+	defer func() {
+		if !released {
+			close(bw.release)
+		}
+		<-first
+	}()
+	select {
+	case <-bw.writing:
+	case <-time.After(10 * time.Second):
+		t.Fatal("first response never started writing")
+	}
+
+	second := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/run",
+			strings.NewReader(`{"workload":"atr","scheme":"GSS","seed":9}`)))
+		second <- w
+	}()
+	select {
+	case w := <-second:
+		if w.Code != http.StatusOK {
+			t.Fatalf("second request: status %d: %s", w.Code, w.Body.String())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("second request did not complete while the first response was blocked on its reader: the writer holds the only worker")
+	}
+
+	close(bw.release)
+	released = true
+	<-first
+	want := post(t, s, "/v1/run", body)
+	if bw.Code != http.StatusOK || want.Code != http.StatusOK {
+		t.Fatalf("statuses %d (blocked reader) and %d (recorder), want 200", bw.Code, want.Code)
+	}
+	if got := bw.Body.String(); got != want.Body.String() {
+		t.Fatalf("blocked-reader response diverged: %s", truncateDiff(got, want.Body.String()))
 	}
 }

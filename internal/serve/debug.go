@@ -4,35 +4,25 @@ import (
 	"net/http"
 	"strconv"
 
-	"andorsched/internal/core"
 	"andorsched/internal/obs"
 )
 
 // refreshStats re-derives every gauge whose source of truth lives outside
-// the registry — the section-schedule cache (process-wide on the legacy
-// path, summed across worker shards on the shared-nothing one), the
-// per-tenant admission counters, and the pool's queue depth/age — and, on
-// the shared-nothing path, folds the per-worker plan-shard counters into
-// the registry's plan-cache instruments. It runs on every read path that
-// reports this state (/metrics, /healthz, /debug/requests), so a server
-// that is never scraped still answers them consistently. This is the only
-// place worker-local cache counters meet shared state: request execution
-// never pays for metrics aggregation.
+// the registry — the section-schedule cache (summed across worker shards),
+// the per-tenant admission counters, and the pool's queue depth/age — and
+// folds the per-worker plan-shard counters into the registry's plan-cache
+// instruments. It runs on every read path that reports this state
+// (/metrics, /healthz, /debug/requests), so a server that is never scraped
+// still answers them consistently. This is the only place worker-local
+// cache counters meet shared state: request execution never pays for
+// metrics aggregation.
 func (s *Server) refreshStats() {
-	if s.cache != nil {
-		st := core.ScheduleCacheStats()
-		s.metrics.Gauge(MetricSchedCacheHits).Set(float64(st.Hits))
-		s.metrics.Gauge(MetricSchedCacheMisses).Set(float64(st.Misses))
-		s.metrics.Gauge(MetricSchedCacheEvictions).Set(float64(st.Evictions))
-		s.metrics.Gauge(MetricSchedCacheSize).Set(float64(st.Size))
-	} else {
-		st := s.pool.SchedCacheStats()
-		s.metrics.Gauge(MetricSchedCacheHits).Set(float64(st.Hits))
-		s.metrics.Gauge(MetricSchedCacheMisses).Set(float64(st.Misses))
-		s.metrics.Gauge(MetricSchedCacheEvictions).Set(float64(st.Evictions))
-		s.metrics.Gauge(MetricSchedCacheSize).Set(float64(st.Size))
-		s.mergePlanStats()
-	}
+	st := s.pool.SchedCacheStats()
+	s.metrics.Gauge(MetricSchedCacheHits).Set(float64(st.Hits))
+	s.metrics.Gauge(MetricSchedCacheMisses).Set(float64(st.Misses))
+	s.metrics.Gauge(MetricSchedCacheEvictions).Set(float64(st.Evictions))
+	s.metrics.Gauge(MetricSchedCacheSize).Set(float64(st.Size))
+	s.mergePlanStats()
 	for _, ts := range s.limiter.Snapshot() {
 		s.metrics.Gauge(tenantMetricName(ts.Tenant, "admitted")).Set(float64(ts.Admitted))
 		s.metrics.Gauge(tenantMetricName(ts.Tenant, "rejected")).Set(float64(ts.Rejected))

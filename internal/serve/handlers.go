@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -11,23 +10,66 @@ import (
 
 	"andorsched/internal/core"
 	"andorsched/internal/core/schedcache"
-	"andorsched/internal/exectime"
 	"andorsched/internal/obs"
-	"andorsched/internal/stats"
 )
 
-// planFor resolves an AppSpec to a compiled Plan through whichever cache
-// path is active. The boolean reports a cache hit.
-func (s *Server) planFor(ctx context.Context, spec *AppSpec) (*core.Plan, bool, *apiError) {
+// planFor resolves spec to its compiled plan. A warm key is found by a
+// counter-free peek at the owning shard's published snapshot (a lock-free
+// read); peeked reports such a hit, which the caller credits in-job to the
+// worker executing the request (wk.pw.hits), so the warm path writes no
+// counter another goroutine writes. A cold key is resolved by routePlan.
+func (s *Server) planFor(ctx context.Context, spec *AppSpec) (plan *core.Plan, peeked bool, apiErr *apiError) {
 	ra, apiErr := s.resolveApp(spec)
 	if apiErr != nil {
 		return nil, false, apiErr
 	}
-	return s.resolvePlan(ctx, ra)
+	if plan, ok := s.pool.planPeek(ra.key); ok {
+		obs.TraceFromContext(ctx).MarkDetail(PhaseCache, "hit")
+		return plan, true, nil
+	}
+	plan, _, apiErr = s.routePlan(ctx, ra)
+	return plan, false, apiErr
 }
 
-// compilePlan builds ra's plan against the given section-schedule cache
-// shard (nil bypasses section caching).
+// routePlan resolves ra in its owner's shard with a blocking submit routed
+// to homeFor(ra.key), compiling on a miss; the owner counts its own hit or
+// miss. The owner queue serializes compiles for its keys, so
+// duplicate-compile suppression falls out of the routing: a request that
+// queued behind an in-flight compile of the same key finds it done.
+func (s *Server) routePlan(ctx context.Context, ra resolvedApp) (*core.Plan, bool, *apiError) {
+	var plan *core.Plan
+	var hit bool
+	var err error
+	submitErr := s.pool.submit(ctx, s.pool.homeFor(ra.key), true, 1, func(ctx context.Context, wk *Worker) {
+		rec := obs.TraceFromContext(ctx)
+		plan, hit, err = wk.OwnerPlan(ra.key, func(sched *schedcache.Cache) (*core.Plan, error) {
+			tc := rec.SinceStart()
+			defer rec.RecordOffset(PhaseCompile, tc)
+			return buildPlan(ra, sched)
+		})
+		if hit {
+			rec.MarkDetail(PhaseCache, "hit")
+		} else {
+			rec.MarkDetail(PhaseCache, "miss")
+		}
+	}, nil)
+	switch {
+	case errors.Is(submitErr, context.DeadlineExceeded) || errors.Is(submitErr, context.Canceled):
+		return nil, false, errf(http.StatusServiceUnavailable, "timed out waiting for plan compile")
+	case submitErr != nil:
+		return nil, false, errf(http.StatusServiceUnavailable, "plan compile unavailable: %v", submitErr)
+	case err != nil:
+		// Compile failures are application problems (invalid graph,
+		// non-positive procs): the client's fault.
+		return nil, false, errf(http.StatusBadRequest, "plan: %v", err)
+	}
+	return plan, hit, nil
+}
+
+// buildPlan compiles ra's plan against the given section-schedule cache
+// shard. A plan-cache miss on a graph whose sections were seen before
+// (same structure at a different procs/platform, or an evicted plan) then
+// skips the canonical simulations.
 func buildPlan(ra resolvedApp, sched *schedcache.Cache) (*core.Plan, error) {
 	if ra.hp != nil {
 		return core.NewHeteroPlanWithCache(ra.g, ra.hp, ra.key.ov, ra.place, sched)
@@ -36,98 +78,7 @@ func buildPlan(ra resolvedApp, sched *schedcache.Cache) (*core.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The plan compile consults a section-schedule cache: a plan-cache
-	// miss on a graph whose sections were seen before (same structure at a
-	// different procs/platform, or an evicted plan) skips the canonical
-	// simulations.
 	return core.NewPlanWithCache(ra.g, ra.key.procs, plat, ra.key.ov, sched)
-}
-
-// ownerPlan resolves ra's plan in the executing worker's own shard,
-// compiling on a miss and mapping failures onto API errors. It must run
-// inside a job routed to homeFor(ra.key): the shard and its recency state
-// are owner-only. Safe to record trace marks here — the submitter is
-// blocked on the job until it finishes.
-func (s *Server) ownerPlan(ctx context.Context, wk *Worker, ra resolvedApp) (*core.Plan, bool, *apiError) {
-	rec := obs.TraceFromContext(ctx)
-	plan, hit, err := wk.OwnerPlan(ra.key, func(sched *schedcache.Cache) (*core.Plan, error) {
-		tc := rec.SinceStart()
-		defer rec.RecordOffset(PhaseCompile, tc)
-		return buildPlan(ra, sched)
-	})
-	if hit {
-		rec.MarkDetail(PhaseCache, "hit")
-	} else {
-		rec.MarkDetail(PhaseCache, "miss")
-	}
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return nil, false, errf(http.StatusServiceUnavailable, "timed out waiting for plan compile")
-		}
-		// Compile failures are application problems (invalid graph,
-		// non-positive procs): the client's fault.
-		return nil, false, errf(http.StatusBadRequest, "plan: %v", err)
-	}
-	return plan, hit, nil
-}
-
-// resolvePlan turns a resolved app into a compiled plan. On the legacy
-// path this is the shared LRU cache with single-flight compile
-// suppression. On the shared-nothing path it first consults the owning
-// shard's published snapshot (a lock-free read, usable from any
-// goroutine); on a miss the compile is routed to the owner with a
-// blocking submit — the owner queue serializes compiles for its keys, so
-// duplicate-compile suppression falls out of the routing.
-func (s *Server) resolvePlan(ctx context.Context, ra resolvedApp) (*core.Plan, bool, *apiError) {
-	rec := obs.TraceFromContext(ctx)
-	if s.cache != nil {
-		plan, hit, err := s.cache.GetOrCompile(ctx, ra.key, func() (*core.Plan, error) {
-			tc := rec.SinceStart()
-			defer rec.RecordOffset(PhaseCompile, tc)
-			if ra.hp != nil {
-				return core.NewHeteroPlan(ra.g, ra.hp, ra.key.ov, ra.place)
-			}
-			plat, err := parsePlatformMemo(ra.key.platform)
-			if err != nil {
-				return nil, err
-			}
-			return core.NewPlan(ra.g, ra.key.procs, plat, ra.key.ov)
-		})
-		// The cache span wraps the whole lookup: on a miss, or a join of an
-		// in-flight compile, it contains the compile time too.
-		if hit {
-			rec.MarkDetail(PhaseCache, "hit")
-		} else {
-			rec.MarkDetail(PhaseCache, "miss")
-		}
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				return nil, false, errf(http.StatusServiceUnavailable, "timed out waiting for plan compile")
-			}
-			return nil, false, errf(http.StatusBadRequest, "plan: %v", err)
-		}
-		return plan, hit, nil
-	}
-	if plan, _, ok := s.pool.planFromSnapshot(ra.key); ok {
-		rec.MarkDetail(PhaseCache, "hit")
-		return plan, true, nil
-	}
-	var plan *core.Plan
-	var hit bool
-	var apiErr *apiError
-	err := s.pool.DoWaitOn(ctx, s.pool.homeFor(ra.key), func(ctx context.Context, wk *Worker) {
-		plan, hit, apiErr = s.ownerPlan(ctx, wk, ra)
-	})
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return nil, false, errf(http.StatusServiceUnavailable, "timed out waiting for plan compile")
-		}
-		return nil, false, errf(http.StatusServiceUnavailable, "plan compile unavailable: %v", err)
-	}
-	if apiErr != nil {
-		return nil, false, apiErr
-	}
-	return plan, hit, nil
 }
 
 // handlePlan compiles (or fetches) a plan and returns its summary.
@@ -147,7 +98,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	plan, hit, apiErr := s.planFor(r.Context(), &req.AppSpec)
+	// /v1/plan runs no job a snapshot hit could be credited in, so it
+	// resolves on the shard owner directly, which counts the hit itself.
+	ra, apiErr := s.resolveApp(&req.AppSpec)
+	if apiErr != nil {
+		s.writeError(w, apiErr.status, apiErr.msg)
+		return
+	}
+	plan, hit, apiErr := s.routePlan(r.Context(), ra)
 	if apiErr != nil {
 		s.writeError(w, apiErr.status, apiErr.msg)
 		return
@@ -198,45 +156,6 @@ func fillRow(row *RunRow, run int, res *core.RunResult) {
 	}
 }
 
-// monteCarlo executes runs Monte-Carlo executions of plan on wk's state.
-// Per-run seeds come from one master stream (run i's seed is the i-th
-// master draw — the convention the chunked path reproduces with an O(1)
-// skip), so runs are independent but the whole request is reproducible
-// from seed. each (optional) observes every result and may stop the loop
-// early by returning false — e.g. a streaming encoder whose client went
-// away. The returned summary covers the observed prefix (Runs < runs when
-// stopped early); a context expiry or simulation failure aborts with the
-// error and a partial summary. Accumulation goes through core.MCStats,
-// the same reducer the chunked merge path feeds in run order, which is
-// what keeps serial and chunked summaries bit-identical.
-func monteCarlo(ctx context.Context, wk *Worker, plan *core.Plan, cfg core.RunConfig,
-	runs int, seed uint64, each func(i int, res *core.RunResult) bool) (RunSummary, error) {
-	var mc core.MCStats
-	if rec := obs.TraceFromContext(ctx); rec != nil {
-		// One exec.mc span per Monte-Carlo loop, counting completed runs.
-		// Batch and run chunks call this concurrently on one request's
-		// record; span slots are reserved atomically, so that is safe.
-		t0 := rec.SinceStart()
-		defer func() { rec.RecordOffsetN(PhaseExecMC, t0, int64(mc.Done)) }()
-	}
-	var master exectime.Source
-	master.Reseed(seed)
-	for i := 0; i < runs; i++ {
-		if err := ctx.Err(); err != nil {
-			return mcSummary(&mc, cfg), err
-		}
-		wk.Src.Reseed(master.Uint64())
-		if err := plan.RunInto(cfg, wk.Arena, &wk.Res); err != nil {
-			return mcSummary(&mc, cfg), err
-		}
-		if each != nil && !each(i, &wk.Res) {
-			return mcSummary(&mc, cfg), nil
-		}
-		mc.Observe(&wk.Res)
-	}
-	return mcSummary(&mc, cfg), nil
-}
-
 // mcSummary renders an accumulated Monte-Carlo experiment as the stream's
 // trailing summary row.
 func mcSummary(mc *core.MCStats, cfg core.RunConfig) RunSummary {
@@ -250,9 +169,9 @@ func mcSummary(mc *core.MCStats, cfg core.RunConfig) RunSummary {
 }
 
 // handleRun executes an application once (JSON response) or runs=N times
-// (NDJSON stream: one row per run, then a summary row). The simulation
-// itself runs on a pool worker's arena; this handler only decodes,
-// resolves the plan and encodes.
+// (NDJSON: one row per run, then a summary row). The simulation itself
+// runs on pool workers' arenas; this handler only decodes, resolves the
+// plan, and reduces and encodes the results.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !s.requirePost(w, r) {
 		return
@@ -290,200 +209,48 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-
-	// Large-run requests fan out across the pool: per-worker chunks with
-	// chunk-independent seeding, merged back in run order — byte-identical
-	// to the serial path below, several workers faster. Serial execution
-	// (one in-job streaming loop) remains the path for small requests,
-	// single-worker pools and explicit chunks=1.
-	if nchunks := chunkCount(runs, s.pool.Workers(), req.Chunks, minRunsPerChunk); nchunks > 1 {
-		s.handleRunChunked(w, r, &req, scheme, runs, nchunks)
+	plan, peeked, apiErr := s.planFor(r.Context(), &req.AppSpec)
+	if apiErr != nil {
+		s.writeError(w, apiErr.status, apiErr.msg)
+		return
+	}
+	deadline, apiErr := resolveDeadline(plan.CTWorst, req.Deadline, req.Load)
+	if apiErr != nil {
+		s.writeError(w, apiErr.status, apiErr.msg)
+		return
+	}
+	cfg := core.RunConfig{Scheme: scheme, Deadline: deadline, WorstCase: req.Worst}
+	if runs > 1 {
+		s.runMonteCarlo(w, r, plan, peeked, cfg, runs, req.Seed,
+			chunkCount(runs, s.pool.Workers(), req.Chunks, minRunsPerChunk))
 		return
 	}
 
-	// Plan resolution differs by path. The legacy path resolves on the
-	// handler goroutine through the shared cache, then submits to the
-	// shared queue. The shared-nothing path peeks the owning shard's
-	// published snapshot (a lock-free read): a warm key yields its
-	// immutable plan right here, and the run executes on ANY worker via
-	// the shared queue — from admission to encode without taking a lock
-	// or touching an atomic another goroutine writes (the hit is credited
-	// in-job to the executing worker's own counter). Only a cold key
-	// routes the whole request to the shard owner chosen by the app's
-	// digest, which compiles in its private shard and publishes a new
-	// snapshot; the owner queue serializes compiles for its keys, so
-	// duplicate-compile suppression is structural. jobErr carries
-	// resolution failures out of the job (the job returns before
-	// committing any status line, so the handler can still answer
-	// 400/503).
-	legacy := s.cache != nil
-	var ra resolvedApp
-	var plan *core.Plan
-	var deadline float64
-	var jobErr *apiError
-	if legacy {
-		var apiErr *apiError
-		plan, _, apiErr = s.planFor(r.Context(), &req.AppSpec)
-		if apiErr != nil {
-			s.writeError(w, apiErr.status, apiErr.msg)
-			return
+	// A single run draws its random stream from the seed itself.
+	var row RunRow
+	var runErr error
+	err = s.pool.submit(r.Context(), anyWorker, false, 1, func(ctx context.Context, wk *Worker) {
+		if peeked {
+			wk.pw.hits.Add(1)
 		}
-		deadline, apiErr = resolveDeadline(plan.CTWorst, req.Deadline, req.Load)
-		if apiErr != nil {
-			s.writeError(w, apiErr.status, apiErr.msg)
-			return
-		}
-	} else {
-		var apiErr *apiError
-		ra, apiErr = s.resolveApp(&req.AppSpec)
-		if apiErr != nil {
-			s.writeError(w, apiErr.status, apiErr.msg)
-			return
-		}
-		if p, ok := s.pool.planPeek(ra.key); ok {
-			obs.TraceFromContext(r.Context()).MarkDetail(PhaseCache, "hit")
-			plan = p
-			deadline, apiErr = resolveDeadline(plan.CTWorst, req.Deadline, req.Load)
-			if apiErr != nil {
-				s.writeError(w, apiErr.status, apiErr.msg)
-				return
-			}
-		}
-	}
-	// A sharded request with its plan in hand (warm) rides the shared
-	// queue like legacy traffic; only unresolved requests are routed.
-	routed := !legacy && plan == nil
-	if runs == 1 {
-		var row RunRow
-		var runErr error
-		fn := func(ctx context.Context, wk *Worker) {
-			p, d := plan, deadline
-			if routed {
-				var apiErr *apiError
-				if p, _, apiErr = s.ownerPlan(ctx, wk, ra); apiErr != nil {
-					jobErr = apiErr
-					return
-				}
-				if d, apiErr = resolveDeadline(p.CTWorst, req.Deadline, req.Load); apiErr != nil {
-					jobErr = apiErr
-					return
-				}
-			} else if !legacy {
-				wk.pw.hits.Add(1) // snapshot hit, credited to the executing worker
-			}
-			wk.Src.Reseed(req.Seed)
-			cfg := core.RunConfig{Scheme: scheme, Deadline: d}
-			if req.Worst {
-				cfg.WorstCase = true
-			} else {
-				cfg.Sampler = wk.Sampler
-			}
-			if runErr = p.RunInto(cfg, wk.Arena, &wk.Res); runErr != nil {
-				return
-			}
-			fillRow(&row, 0, &wk.Res)
-		}
-		var err error
-		if routed {
-			err = s.pool.DoOn(r.Context(), s.pool.homeFor(ra.key), fn)
-		} else {
-			err = s.pool.Do(r.Context(), fn)
-		}
-		if !s.checkPoolErr(w, err) {
-			return
-		}
-		if jobErr != nil {
-			s.writeError(w, jobErr.status, jobErr.msg)
-			return
-		}
-		if runErr != nil {
-			s.writeError(w, http.StatusInternalServerError, runErr.Error())
-			return
-		}
-		s.runs.Inc()
-		s.writeJSONTraced(w, r, http.StatusOK, row)
-		return
-	}
-
-	// Monte-Carlo: stream NDJSON rows as they are produced, then a
-	// summary. Admission happens before the status line commits — the 200
-	// is only written once a worker has picked the job up (and, on the
-	// sharded path, resolved the plan), so a full queue or a bad app still
-	// yields a clean 429/400. After the 200, a mid-stream failure is
-	// reported as an {"error": ...} line and an absent summary; clients
-	// (and loadgen) treat a stream without a summary as incomplete.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	stream := func(ctx context.Context, wk *Worker) {
-		p, d := plan, deadline
-		if routed {
-			var apiErr *apiError
-			if p, _, apiErr = s.ownerPlan(ctx, wk, ra); apiErr != nil {
-				jobErr = apiErr
-				return
-			}
-			if d, apiErr = resolveDeadline(p.CTWorst, req.Deadline, req.Load); apiErr != nil {
-				jobErr = apiErr
-				return
-			}
-		} else if !legacy {
-			wk.pw.hits.Add(1) // snapshot hit, credited to the executing worker
-		}
-		w.WriteHeader(http.StatusOK)
-		var row RunRow
-		cfg := core.RunConfig{Scheme: scheme, Deadline: d}
-		if req.Worst {
-			cfg.WorstCase = true
-		} else {
+		cfg := cfg
+		if !cfg.WorstCase {
 			cfg.Sampler = wk.Sampler
 		}
-		sum, err := monteCarlo(ctx, wk, p, cfg, runs, req.Seed,
-			func(i int, res *core.RunResult) bool {
-				fillRow(&row, i, res)
-				if enc.Encode(&row) != nil {
-					return false // client went away; stop simulating
-				}
-				if flusher != nil && (i+1)%256 == 0 {
-					flusher.Flush()
-				}
-				return true
-			})
-		s.runs.Add(int64(sum.Runs))
-		if err != nil {
-			if ctx.Err() == nil {
-				_ = enc.Encode(map[string]string{"error": err.Error()})
-			}
-			return // stream ends without a summary: client must treat as incomplete
+		wk.Src.Reseed(req.Seed)
+		if runErr = plan.RunInto(cfg, wk.Arena, &wk.Res); runErr == nil {
+			fillRow(&row, 0, &wk.Res)
 		}
-		if sum.Runs == runs { // not cut short by a gone client
-			_ = enc.Encode(sum)
-		}
-	}
-	// The job is sized in runs so the queue's Retry-After accounting sees
-	// the real work behind it, serial or chunked.
-	var poolErr error
-	if routed {
-		poolErr = s.pool.doOnUnits(r.Context(), s.pool.homeFor(ra.key), int64(runs), stream)
-	} else {
-		poolErr = s.pool.doUnits(r.Context(), int64(runs), stream)
-	}
-	if poolErr != nil {
-		// The job never ran, so no status line was written: report the
-		// rejection properly instead of committing a doomed 200.
-		w.Header().Del("Content-Type")
-		s.checkPoolErr(w, poolErr)
+	}, nil)
+	if !s.checkPoolErr(w, err) {
 		return
 	}
-	if jobErr != nil {
-		// The job bailed before the status line: resolution failed.
-		w.Header().Del("Content-Type")
-		s.writeError(w, jobErr.status, jobErr.msg)
+	if runErr != nil {
+		s.writeError(w, http.StatusInternalServerError, runErr.Error())
 		return
 	}
-	if flusher != nil {
-		flusher.Flush()
-	}
+	s.runs.Inc()
+	s.writeJSONTraced(w, r, http.StatusOK, row)
 }
 
 // handleCompare runs every requested scheme over the same random numbers
@@ -532,7 +299,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	plan, _, apiErr := s.planFor(r.Context(), &req.AppSpec)
+	plan, peeked, apiErr := s.planFor(r.Context(), &req.AppSpec)
 	if apiErr != nil {
 		s.writeError(w, apiErr.status, apiErr.msg)
 		return
@@ -542,93 +309,32 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, apiErr.status, apiErr.msg)
 		return
 	}
-
 	// Each frame costs one NPM baseline plus one run per scheme, so the
 	// per-chunk floor is correspondingly lower than /v1/run's.
 	minFrames := minRunsPerChunk / (len(schemes) + 1)
 	if minFrames < 8 {
 		minFrames = 8
 	}
-	if nchunks := chunkCount(runs, s.pool.Workers(), req.Chunks, minFrames); nchunks > 1 {
-		s.handleCompareChunked(w, r, &req, schemes, plan, deadline, runs, nchunks)
-		return
-	}
-
-	resp := CompareResponse{
-		App: plan.Graph.Name, Runs: runs, DeadlineS: deadline,
-	}
-	var runErr error
-	err := s.pool.doUnits(r.Context(), int64(runs*(len(schemes)+1)), func(ctx context.Context, wk *Worker) {
-		norm := make([]stats.Acc, len(schemes))
-		chg := make([]stats.Acc, len(schemes))
-		missed := make([]int, len(schemes))
-		var npmEnergy stats.Acc
-		var master exectime.Source
-		master.Reseed(req.Seed)
-		for i := 0; i < runs; i++ {
-			if ctx.Err() != nil {
-				runErr = ctx.Err()
-				return
-			}
-			runSeed := master.Uint64()
-			// Common random numbers: every scheme replays the same actual
-			// times and branch outcomes.
-			wk.Src.Reseed(runSeed)
-			if runErr = plan.RunInto(core.RunConfig{
-				Scheme: core.NPM, Deadline: deadline, Sampler: wk.Sampler,
-			}, wk.Arena, &wk.Base); runErr != nil {
-				return
-			}
-			base := wk.Base.Energy()
-			npmEnergy.Add(base)
-			for si, sc := range schemes {
-				wk.Src.Reseed(runSeed)
-				if runErr = plan.RunInto(core.RunConfig{
-					Scheme: sc, Deadline: deadline, Sampler: wk.Sampler,
-				}, wk.Arena, &wk.Res); runErr != nil {
-					return
-				}
-				norm[si].Add(wk.Res.Energy() / base)
-				chg[si].Add(float64(wk.Res.SpeedChanges))
-				if !wk.Res.MetDeadline {
-					missed[si]++
-				}
-			}
-		}
-		resp.NPMEnergyJ = npmEnergy.Mean()
-		for si, sc := range schemes {
-			resp.Schemes = append(resp.Schemes, CompareScheme{
-				Scheme:           sc.String(),
-				MeanNormEnergy:   norm[si].Mean(),
-				CI95:             norm[si].CI95(),
-				MeanSpeedChanges: chg[si].Mean(),
-				DeadlineMisses:   missed[si],
-			})
-		}
-		s.runs.Add(int64(runs * (len(schemes) + 1)))
-	})
-	if !s.checkPoolErr(w, err) {
-		return
-	}
-	if runErr != nil {
-		s.writeError(w, http.StatusInternalServerError, runErr.Error())
-		return
-	}
-	s.writeJSONTraced(w, r, http.StatusOK, resp)
+	s.runCompare(w, r, plan, peeked, schemes, deadline, runs, req.Seed,
+		chunkCount(runs, s.pool.Workers(), req.Chunks, minFrames))
 }
 
-// checkPoolErr maps pool submission failures onto responses; true means
-// the job ran and the caller should proceed.
+// checkPoolErr maps the failure of a pool submission or of the work it
+// ran onto a response; true means the work completed and the caller
+// should proceed. Pool failures are capacity conditions (429, 503); any
+// other error is a simulation failure (500).
 func (s *Server) checkPoolErr(w http.ResponseWriter, err error) bool {
 	switch {
 	case err == nil:
 		return true
 	case errors.Is(err, ErrQueueFull):
 		s.writeRateLimited(w, s.pool.RetryAfter(), "server at capacity, retry later")
-	case errors.Is(err, context.DeadlineExceeded):
-		s.writeError(w, http.StatusServiceUnavailable, "request timed out before a worker was available")
-	default:
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		s.writeError(w, http.StatusServiceUnavailable, "request timed out")
+	case errors.Is(err, ErrPoolClosed):
 		s.writeError(w, http.StatusServiceUnavailable, err.Error())
+	default:
+		s.writeError(w, http.StatusInternalServerError, err.Error())
 	}
 	return false
 }
@@ -644,7 +350,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"queue_capacity": s.cfg.QueueSize,
 		"in_flight":      s.pool.InFlight(),
 		"queue_age_s":    s.pool.OldestQueueAge().Seconds(),
-		"cached_plans":   s.cachedPlans(),
+		"cached_plans":   s.pool.CachedPlans(),
 		"tenants":        s.limiter.Len(),
 	})
 }

@@ -40,7 +40,9 @@ const (
 	// of a /v1/compare request.
 	MetricRuns = "serve.runs"
 	// MetricCacheHits counts plan-cache lookups that found an entry
-	// (counter); in-flight compiles joined by later requests count as hits.
+	// (counter); a request queued behind an owner's compile of the same
+	// key counts as a hit. A snapshot hit is counted by the worker that
+	// executes the request.
 	MetricCacheHits = "serve.cache.hits"
 	// MetricCacheMisses counts plan-cache lookups that triggered a compile
 	// (counter).
@@ -51,10 +53,10 @@ const (
 	MetricCacheSize = "serve.cache.size"
 
 	// MetricSchedCacheHits, MetricSchedCacheMisses and
-	// MetricSchedCacheEvictions mirror the process-wide section-schedule
-	// cache's monotonic counters (core.ScheduleCacheStats); they are
-	// refreshed on each /metrics scrape, and exported as gauges because the
-	// underlying counters reset when the cache is resized.
+	// MetricSchedCacheEvictions sum the workers' section-schedule cache
+	// shards' monotonic counters; they are refreshed on each /metrics
+	// scrape, and exported as gauges because the underlying counters reset
+	// when a cache is resized.
 	MetricSchedCacheHits      = "core.schedcache.hits"
 	MetricSchedCacheMisses    = "core.schedcache.misses"
 	MetricSchedCacheEvictions = "core.schedcache.evictions"
@@ -76,21 +78,22 @@ const (
 	// and on a miss the span contains the compile (PhaseCompile) it ran.
 	PhaseCache = "cache"
 	// PhaseCompile is an off-line plan compilation (core.NewPlan) executed
-	// by this request (duplicate-suppressed joiners record a cache hit
+	// by this request (requests queued behind it record a cache hit
 	// instead).
 	PhaseCompile = "compile"
 	// PhaseQueue is the wait from pool submission to worker pickup. A job
 	// cancelled while queued still records it (with no PhaseExec).
 	PhaseQueue = "queue"
-	// PhaseExec is a worker's execution of one pool job (for streaming
-	// responses it includes row encoding, which interleaves with the
-	// simulation).
+	// PhaseExec is a worker's execution of one pool job; Monte-Carlo
+	// requests add one handler-side "fan-out" exec span around all their
+	// chunk jobs.
 	PhaseExec = "exec"
 	// PhaseExecMC is one Monte-Carlo loop within a job; its n is the number
-	// of runs completed. Batch requests record one per chunk, concurrently.
+	// of runs completed. Run chunks and batch items record one each,
+	// concurrently.
 	PhaseExecMC = "exec.mc"
-	// PhaseEncode is response encoding outside the workers (buffered JSON
-	// responses, batch NDJSON emission).
+	// PhaseEncode is response encoding, always outside the workers (JSON
+	// responses, run and batch NDJSON emission).
 	PhaseEncode = "encode"
 )
 

@@ -31,9 +31,9 @@ type Worker struct {
 	Arena   *core.Arena
 	Src     *exectime.Source
 	Sampler *exectime.Sampler
-	// Res and Base are result holders jobs may reuse (e.g. scheme runs and
-	// their NPM baseline).
-	Res, Base core.RunResult
+	// Res is the single-run result holder (Monte-Carlo loops use the
+	// arena's own).
+	Res core.RunResult
 
 	// pw is the pool worker this state belongs to: the owner of the plan
 	// and section-schedule shards a routed job may consult. Nil for
@@ -125,10 +125,10 @@ type planEntry struct {
 }
 
 // planSnapshot is an immutable epoch of one shard's contents, published
-// by the owner after every mutation. Cross-shard readers (compare, batch
-// resolution, stats) look plans up here without any lock; they see the
-// shard as of some recent generation, never a torn map. Snapshot reads do
-// not refresh LRU recency — only owner-routed traffic does.
+// by the owner after every mutation. Request plan resolution and stats
+// look plans up here without any lock; they see the shard as of some
+// recent generation, never a torn map. Snapshot reads do not refresh LRU
+// recency — only owner-routed traffic does.
 type planSnapshot struct {
 	gen   uint64
 	plans map[cacheKey]*core.Plan
@@ -166,9 +166,9 @@ func (sh *planShard) publish() {
 
 // poolWorker is one worker goroutine's identity: its private queue, its
 // plan and section-schedule shards, and its stat counters. The counters
-// are written (almost) exclusively by the owner — snapshot readers
-// crediting a cross-shard hit are the only other writers — and merged
-// into the registry's instruments only on the metrics/debug read paths.
+// are written only by the owner — a snapshot hit is credited by the worker
+// executing the request — and merged into the registry's instruments only
+// on the metrics/debug read paths.
 type poolWorker struct {
 	id    int
 	jobs  chan *job
@@ -190,13 +190,15 @@ type poolWorker struct {
 }
 
 // Pool is a fixed-size worker pool with a shared bounded admission queue
-// plus one private queue per worker. Do/DoWait submit to the shared queue
-// (any worker picks the job up); DoOn/DoWaitOn route a job to one
-// specific worker — the shard owner chosen by digest — so all mutation of
-// that worker's caches stays on its goroutine. Do fails fast with
-// ErrQueueFull when the shared queue is full (backpressure); the Wait
-// variants block for space. Submission and shutdown synchronize through
-// two atomics (a Dekker-style closed/in-flight handshake), not a lock.
+// plus one private queue per worker. submit enqueues one job either on
+// the shared queue (anyWorker: whichever worker is free picks it up) or
+// on one worker's private queue — the shard owner chosen by digest — so
+// all mutation of that worker's caches stays on its goroutine; fanOut
+// spreads one request's chunk jobs over the shared queue. A fail-fast
+// submit returns ErrQueueFull when the queue is full (backpressure); a
+// waiting one blocks for space. Submission and shutdown synchronize
+// through two atomics (a Dekker-style closed/in-flight handshake), not a
+// lock.
 type Pool struct {
 	shared     chan *job
 	sharedRing *ageRing
@@ -403,68 +405,34 @@ func (p *Pool) RetryAfter() time.Duration {
 	return wait
 }
 
-// Do submits fn to the shared queue and waits for it to finish. fn runs on
-// a pool worker with exclusive use of that worker's state; it must respect
-// ctx between units of work. Do returns ErrQueueFull immediately when the
-// queue is full, ErrPoolClosed after Close, and ctx's error when the job
-// was skipped because the context expired before a worker picked it up. A
-// nil return means fn ran to completion.
-func (p *Pool) Do(ctx context.Context, fn func(ctx context.Context, w *Worker)) error {
-	return p.submit(ctx, p.shared, p.sharedRing, fn, false, 1, nil)
-}
+// anyWorker is submit's home for the shared queue.
+const anyWorker = -1
 
-// doUnits is Do with an explicit work size in run units (see job.units):
-// handlers submitting multi-run work declare its size so the Retry-After
-// EWMAs stay calibrated per run rather than per job.
-func (p *Pool) doUnits(ctx context.Context, units int64, fn func(ctx context.Context, w *Worker)) error {
-	return p.submit(ctx, p.shared, p.sharedRing, fn, false, units, nil)
-}
-
-// doOnUnits is DoOn with an explicit work size.
-func (p *Pool) doOnUnits(ctx context.Context, home int, units int64, fn func(ctx context.Context, w *Worker)) error {
-	w := p.workers[home]
-	return p.submit(ctx, w.jobs, w.ring, fn, false, units, nil)
-}
-
-// doWaitUnits is DoWait with an explicit work size.
-func (p *Pool) doWaitUnits(ctx context.Context, units int64, fn func(ctx context.Context, w *Worker)) error {
-	return p.submit(ctx, p.shared, p.sharedRing, fn, true, units, nil)
-}
-
-// DoWait is Do without the fail-fast queue check: when the queue is full
-// it blocks until space frees or ctx expires. It exists for work that has
-// already passed an admission decision of its own — the items of an
-// admitted /v1/batch — where a fail-fast ErrQueueFull would turn one
-// accepted request into a partial failure. Like Do, callers must not
-// start a DoWait after Close begins.
-func (p *Pool) DoWait(ctx context.Context, fn func(ctx context.Context, w *Worker)) error {
-	return p.submit(ctx, p.shared, p.sharedRing, fn, true, 1, nil)
-}
-
-// DoOn is Do routed to worker `home`'s private queue: fn runs on exactly
-// that worker, which is what entitles it to touch the worker's plan and
-// section-schedule shards without synchronization.
-func (p *Pool) DoOn(ctx context.Context, home int, fn func(ctx context.Context, w *Worker)) error {
-	w := p.workers[home]
-	return p.submit(ctx, w.jobs, w.ring, fn, false, 1, nil)
-}
-
-// DoWaitOn is DoOn with blocking submission, for owner work downstream of
-// an admission decision (plan compiles joined by batch items).
-func (p *Pool) DoWaitOn(ctx context.Context, home int, fn func(ctx context.Context, w *Worker)) error {
-	w := p.workers[home]
-	return p.submit(ctx, w.jobs, w.ring, fn, true, 1, nil)
-}
-
-// submit enqueues fn as one job and blocks until it completes. units sizes
-// the job for the Retry-After accounting (floored at 1). onEnqueue, when
-// non-nil, runs exactly once right after the job lands in the queue —
-// before submit blocks on completion — so a coordinator (fanOut) can learn
-// that the fail-fast admission decision succeeded without waiting for the
-// job to finish. It runs on the submitting goroutine and must not block.
-func (p *Pool) submit(ctx context.Context, ch chan *job, ring *ageRing, fn func(ctx context.Context, w *Worker), wait bool, units int64, onEnqueue func()) error {
+// submit enqueues fn as one job and blocks until it completes. home picks
+// the queue: anyWorker for the shared one, or a worker index for that
+// worker's private queue (fn then runs on exactly that worker, which is
+// what entitles it to touch the worker's plan and section-schedule shards
+// without synchronization). With wait false a full queue fails fast with
+// ErrQueueFull; with wait true submit blocks for space until ctx expires —
+// for work downstream of an admission decision of its own. units sizes
+// the job in Monte-Carlo runs for the Retry-After accounting (floored at
+// 1). onEnqueue, when non-nil, runs exactly once right after the job lands
+// in the queue — before submit blocks on completion — so a coordinator
+// (fanOut) can learn that the fail-fast admission decision succeeded
+// without waiting for the job to finish. It runs on the submitting
+// goroutine and must not block.
+//
+// fn runs with exclusive use of the worker's state and must respect ctx
+// between units of work. submit returns ErrPoolClosed after Close, and
+// ctx's error when the job was skipped because the context expired before
+// a worker picked it up; nil means fn ran to completion.
+func (p *Pool) submit(ctx context.Context, home int, wait bool, units int64, fn func(ctx context.Context, w *Worker), onEnqueue func()) error {
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	ch, ring := p.shared, p.sharedRing
+	if home != anyWorker {
+		ch, ring = p.workers[home].jobs, p.workers[home].ring
 	}
 	if units < 1 {
 		units = 1
@@ -475,7 +443,7 @@ func (p *Pool) submit(ctx context.Context, ch chan *job, ring *ageRing, fn func(
 	// the closed flag (both sequentially consistent). Close stores the
 	// flag first, then reads the count — so either this submitter sees
 	// closed and backs out, or Close sees the in-flight count and waits
-	// for the job. No lock, and a Do racing a Close still gets a clean
+	// for the job. No lock, and a submit racing a Close still gets a clean
 	// ErrPoolClosed instead of a job no worker will drain.
 	p.inFlight.Add(1)
 	if p.closed.Load() {
@@ -520,35 +488,48 @@ func (p *Pool) submit(ctx context.Context, ch chan *job, ring *ageRing, fn func(
 	return nil
 }
 
-// fanOut executes n chunk jobs of one request across the pool and blocks
-// until every started job has returned. job(c) builds chunk c's function,
-// units(c) its work size (nil means 1).
+// fanOut executes one request of `runs` runs, each worth perRun work
+// units, as n ≥ 1 chunk jobs on the shared queue and blocks until every
+// started job has returned. Chunk c covers the runs [lo, hi) of
+// chunkBounds(runs, n, c), and job(c, lo, hi) builds its function; a
+// chunk function's error fails the request. Execution with one chunk is
+// the serial form.
 //
-// Admission semantics mirror the serial path exactly: chunk 0 is submitted
-// with the fail-fast Do path — the request's single admission decision on
-// the shared queue, so a saturated pool still answers a clean 429 — and
-// the remaining chunks enter with blocking DoWait only after chunk 0 is
-// known to be enqueued, the way an admitted batch's items ride out
-// transient queue pressure. (Without that ordering a sibling chunk could
-// fill the queue first and fail its own request's admission probe.)
+// Admission: chunk 0 is submitted fail-fast — the request's single
+// admission decision on the shared queue, so a saturated pool answers a
+// clean 429 — and the remaining chunks enter with blocking submission
+// only after chunk 0 is known to be enqueued, the way an admitted batch's
+// items ride out transient queue pressure. (Without that ordering a
+// sibling chunk could fill the queue first and fail its own request's
+// admission probe.)
 //
 // Error handling is all-or-nothing: the first failure cancels the shared
 // child context, every started chunk backs out at its next run boundary,
 // and the returned error reports the failure — never a partial result. A
 // nil return means every chunk ran to completion.
-func (p *Pool) fanOut(ctx context.Context, n int, units func(c int) int64, job func(c int) func(context.Context, *Worker)) error {
-	u := func(c int) int64 {
-		if units == nil {
-			return 1
-		}
-		return units(c)
-	}
-	if n <= 1 {
-		return p.doUnits(ctx, u(0), job(0))
-	}
+func (p *Pool) fanOut(ctx context.Context, runs, n int, perRun int64,
+	job func(c, lo, hi int) func(context.Context, *Worker) error) error {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make([]error, n)
+	chunk := func(c int, onEnqueue func()) {
+		lo, hi := chunkBounds(runs, n, c)
+		fn := job(c, lo, hi)
+		var runErr error
+		err := p.submit(cctx, anyWorker, c > 0, int64(hi-lo)*perRun, func(ctx context.Context, wk *Worker) {
+			runErr = fn(ctx, wk)
+		}, onEnqueue)
+		if errs[c] = err; err == nil {
+			errs[c] = runErr
+		}
+		if errs[c] != nil {
+			cancel()
+		}
+	}
+	if n == 1 {
+		chunk(0, nil)
+		return errs[0]
+	}
 	var wg sync.WaitGroup
 	// enq resolves chunk 0's admission: nil once it is enqueued, or the
 	// fail-fast error if it never was.
@@ -557,14 +538,12 @@ func (p *Pool) fanOut(ctx context.Context, n int, units func(c int) int64, job f
 	go func() {
 		defer wg.Done()
 		enqueued := false
-		errs[0] = p.submit(cctx, p.shared, p.sharedRing, job(0), false, u(0), func() {
+		chunk(0, func() {
 			enqueued = true
 			enq <- nil
 		})
 		if !enqueued {
 			enq <- errs[0]
-		} else if errs[0] != nil {
-			cancel()
 		}
 	}()
 	if err := <-enq; err != nil {
@@ -575,10 +554,7 @@ func (p *Pool) fanOut(ctx context.Context, n int, units func(c int) int64, job f
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			errs[c] = p.submit(cctx, p.shared, p.sharedRing, job(c), true, u(c), nil)
-			if errs[c] != nil {
-				cancel()
-			}
+			chunk(c, nil)
 		}(c)
 	}
 	wg.Wait()
@@ -627,26 +603,11 @@ func (p *Pool) homeFor(key cacheKey) int {
 	return int(h % uint64(len(p.workers)))
 }
 
-// planFromSnapshot looks key up in the owning shard's published snapshot —
-// the lock-free cross-shard read path. It returns the plan (if present)
-// and the owner's index either way. A snapshot hit is credited to the
-// owner's hit counter; it does not refresh the entry's LRU recency (only
-// owner-routed traffic does).
-func (p *Pool) planFromSnapshot(key cacheKey) (*core.Plan, int, bool) {
-	home := p.homeFor(key)
-	if snap := p.workers[home].plans.snap.Load(); snap != nil {
-		if plan, ok := snap.plans[key]; ok {
-			p.workers[home].hits.Add(1)
-			return plan, home, true
-		}
-	}
-	return nil, home, false
-}
-
-// planPeek is planFromSnapshot without the stats credit: a pure read for
-// the warm /v1/run path, which attributes the hit to whichever worker
-// executes the run (each worker bumps only its own counter, so the hot
-// path never writes a cache line another goroutine is writing).
+// planPeek looks key up in the owning shard's published snapshot — a
+// lock-free read usable from any goroutine. It counts nothing and does
+// not refresh the entry's LRU recency (only owner-routed traffic does):
+// the request's executing worker credits the hit to its own counter, so
+// the warm path never writes a cache line another goroutine writes.
 func (p *Pool) planPeek(key cacheKey) (*core.Plan, bool) {
 	if snap := p.workers[p.homeFor(key)].plans.snap.Load(); snap != nil {
 		if plan, ok := snap.plans[key]; ok {
@@ -657,8 +618,8 @@ func (p *Pool) planPeek(key cacheKey) (*core.Plan, bool) {
 }
 
 // OwnerPlan resolves key in the worker's own plan shard, compiling on a
-// miss. It must be called from a job routed to the shard's owner (DoOn /
-// DoWaitOn with homeFor(key)): entries, recency ticks and the snapshot
+// miss. It must be called from a job routed to the shard's owner (submit
+// with home homeFor(key)): entries, recency ticks and the snapshot
 // epoch are all mutated without synchronization on the owner's goroutine.
 // The boolean reports a hit; a second routed request for a key whose
 // compile just finished counts as a hit (the owner queue serializes

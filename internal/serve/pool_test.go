@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
 )
 
 func TestPoolRunsJobs(t *testing.T) {
@@ -16,14 +15,14 @@ func TestPoolRunsJobs(t *testing.T) {
 	var mu sync.Mutex
 	seen := 0
 	for i := 0; i < 10; i++ {
-		err := p.Do(context.Background(), func(ctx context.Context, w *Worker) {
+		err := p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, w *Worker) {
 			if w.Arena == nil || w.Src == nil || w.Sampler == nil {
 				t.Error("worker state not initialized")
 			}
 			mu.Lock()
 			seen++
 			mu.Unlock()
-		})
+		}, nil)
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
@@ -40,15 +39,15 @@ func TestPoolQueueFull(t *testing.T) {
 	block := make(chan struct{})
 	running := make(chan struct{})
 	// Occupy the single worker...
-	go p.Do(context.Background(), func(ctx context.Context, w *Worker) {
+	go p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, w *Worker) {
 		close(running)
 		<-block
-	})
+	}, nil)
 	<-running
 	// ...and the single queue slot.
 	queued := make(chan error, 1)
 	go func() {
-		queued <- p.Do(context.Background(), func(ctx context.Context, w *Worker) {})
+		queued <- p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, w *Worker) {}, nil)
 	}()
 	// Wait until the queue slot is actually taken.
 	deadline := time.Now().Add(2 * time.Second)
@@ -60,7 +59,7 @@ func TestPoolQueueFull(t *testing.T) {
 	}
 
 	// Now the pool is saturated: submissions must fail fast.
-	if err := p.Do(context.Background(), func(ctx context.Context, w *Worker) {}); !errors.Is(err, ErrQueueFull) {
+	if err := p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, w *Worker) {}, nil); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err %v, want ErrQueueFull", err)
 	}
 	close(block)
@@ -75,17 +74,17 @@ func TestPoolSkipsExpiredQueuedJobs(t *testing.T) {
 
 	block := make(chan struct{})
 	running := make(chan struct{})
-	go p.Do(context.Background(), func(ctx context.Context, w *Worker) {
+	go p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, w *Worker) {
 		close(running)
 		<-block
-	})
+	}, nil)
 	<-running
 
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := false
 	errc := make(chan error, 1)
 	go func() {
-		errc <- p.Do(ctx, func(ctx context.Context, w *Worker) { ran = true })
+		errc <- p.submit(ctx, anyWorker, false, 1, func(ctx context.Context, w *Worker) { ran = true }, nil)
 	}()
 	for p.InFlight() < 2 {
 		time.Sleep(time.Millisecond)
@@ -103,14 +102,14 @@ func TestPoolSkipsExpiredQueuedJobs(t *testing.T) {
 func TestPoolClose(t *testing.T) {
 	p := NewPool(2, 4, 16)
 	done := false
-	if err := p.Do(context.Background(), func(ctx context.Context, w *Worker) { done = true }); err != nil {
+	if err := p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, w *Worker) { done = true }, nil); err != nil {
 		t.Fatal(err)
 	}
 	p.Close()
 	if !done {
 		t.Error("job did not complete before Close returned")
 	}
-	if err := p.Do(context.Background(), func(ctx context.Context, w *Worker) {}); !errors.Is(err, ErrPoolClosed) {
+	if err := p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, w *Worker) {}, nil); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("err after close %v, want ErrPoolClosed", err)
 	}
 	p.Close() // idempotent
@@ -120,10 +119,10 @@ func TestPoolCloseDrainsQueued(t *testing.T) {
 	p := NewPool(1, 8, 16)
 	block := make(chan struct{})
 	running := make(chan struct{})
-	go p.Do(context.Background(), func(ctx context.Context, w *Worker) {
+	go p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, w *Worker) {
 		close(running)
 		<-block
-	})
+	}, nil)
 	<-running
 
 	var mu sync.Mutex
@@ -133,11 +132,11 @@ func TestPoolCloseDrainsQueued(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := p.Do(context.Background(), func(ctx context.Context, w *Worker) {
+			err := p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, w *Worker) {
 				mu.Lock()
 				completed++
 				mu.Unlock()
-			})
+			}, nil)
 			if err != nil {
 				t.Errorf("queued job rejected during drain: %v", err)
 			}
@@ -165,10 +164,10 @@ func TestPoolCancelMidQueue(t *testing.T) {
 	block := make(chan struct{})
 	occupied := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
-		go p.Do(context.Background(), func(ctx context.Context, w *Worker) {
+		go p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, w *Worker) {
 			occupied <- struct{}{}
 			<-block
-		})
+		}, nil)
 	}
 	<-occupied
 	<-occupied
@@ -188,9 +187,9 @@ func TestPoolCancelMidQueue(t *testing.T) {
 		go func(i int, ctx context.Context) {
 			defer wg.Done()
 			runs := &results[i].runs
-			results[i].err = p.Do(ctx, func(ctx context.Context, w *Worker) {
+			results[i].err = p.submit(ctx, anyWorker, false, 1, func(ctx context.Context, w *Worker) {
 				atomic.AddInt32(runs, 1)
-			})
+			}, nil)
 		}(i, ctx)
 	}
 	// Cancel every other job while the pool is still blocked, so the
@@ -236,62 +235,64 @@ func TestPoolCancelMidQueue(t *testing.T) {
 	}
 }
 
-// TestPoolDoWaitBlocksForSpace: DoWait must ride out a full queue instead
-// of failing fast, and still respect cancellation while blocked.
+// TestPoolDoWaitBlocksForSpace: a waiting submit must ride out a full
+// queue instead of failing fast, and still respect cancellation while
+// blocked.
 func TestPoolDoWaitBlocksForSpace(t *testing.T) {
 	p := NewPool(1, 1, 16)
 	defer p.Close()
 
 	block := make(chan struct{})
 	running := make(chan struct{})
-	go p.Do(context.Background(), func(ctx context.Context, w *Worker) {
+	go p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, w *Worker) {
 		close(running)
 		<-block
-	})
+	}, nil)
 	<-running
 	// Fill the single queue slot.
 	queued := make(chan error, 1)
 	go func() {
-		queued <- p.Do(context.Background(), func(ctx context.Context, w *Worker) {})
+		queued <- p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, w *Worker) {}, nil)
 	}()
 	for p.InFlight() < 2 {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Do fails fast; DoWait blocks until the queue drains, then runs.
-	if err := p.Do(context.Background(), func(ctx context.Context, w *Worker) {}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("Do on full queue: %v, want ErrQueueFull", err)
+	// A fail-fast submit fails; a waiting one blocks until the queue
+	// drains, then runs.
+	if err := p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, w *Worker) {}, nil); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("fail-fast submit on full queue: %v, want ErrQueueFull", err)
 	}
 	ran := make(chan struct{})
 	waited := make(chan error, 1)
 	go func() {
-		waited <- p.DoWait(context.Background(), func(ctx context.Context, w *Worker) { close(ran) })
+		waited <- p.submit(context.Background(), anyWorker, true, 1, func(ctx context.Context, w *Worker) { close(ran) }, nil)
 	}()
 	select {
 	case err := <-waited:
-		t.Fatalf("DoWait returned %v while the queue was still full", err)
+		t.Fatalf("waiting submit returned %v while the queue was still full", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	close(block)
 	if err := <-waited; err != nil {
-		t.Fatalf("DoWait: %v", err)
+		t.Fatalf("waiting submit: %v", err)
 	}
 	<-ran
 	if err := <-queued; err != nil {
-		t.Fatalf("queued Do: %v", err)
+		t.Fatalf("queued submit: %v", err)
 	}
 
-	// A DoWait blocked on a full queue honors cancellation.
+	// A waiting submit blocked on a full queue honors cancellation.
 	block2 := make(chan struct{})
 	running2 := make(chan struct{})
-	go p.Do(context.Background(), func(ctx context.Context, w *Worker) {
+	go p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, w *Worker) {
 		close(running2)
 		<-block2
-	})
+	}, nil)
 	<-running2
 	filler := make(chan error, 1)
 	go func() {
-		filler <- p.Do(context.Background(), func(ctx context.Context, w *Worker) {})
+		filler <- p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, w *Worker) {}, nil)
 	}()
 	for p.InFlight() < 2 {
 		time.Sleep(time.Millisecond)
@@ -299,14 +300,14 @@ func TestPoolDoWaitBlocksForSpace(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waitErr := make(chan error, 1)
 	go func() {
-		waitErr <- p.DoWait(ctx, func(ctx context.Context, w *Worker) {
-			t.Error("cancelled DoWait executed")
-		})
+		waitErr <- p.submit(ctx, anyWorker, true, 1, func(ctx context.Context, w *Worker) {
+			t.Error("cancelled waiting submit executed")
+		}, nil)
 	}()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
 	if err := <-waitErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled DoWait: %v, want context.Canceled", err)
+		t.Fatalf("cancelled waiting submit: %v, want context.Canceled", err)
 	}
 	close(block2)
 	if err := <-filler; err != nil {
@@ -324,9 +325,9 @@ func TestPoolRetryAfter(t *testing.T) {
 		t.Errorf("fresh pool RetryAfter %v, want the 1s fallback", got)
 	}
 	for i := 0; i < 8; i++ {
-		if err := p.Do(context.Background(), func(ctx context.Context, w *Worker) {
+		if err := p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, w *Worker) {
 			time.Sleep(200 * time.Microsecond)
-		}); err != nil {
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -339,17 +340,17 @@ func TestPoolRetryAfter(t *testing.T) {
 	// estimate must stay within [1s, 60s] and scale with depth.
 	block := make(chan struct{})
 	running := make(chan struct{})
-	go p.Do(context.Background(), func(ctx context.Context, w *Worker) {
+	go p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, w *Worker) {
 		close(running)
 		<-block
-	})
+	}, nil)
 	<-running
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.Do(context.Background(), func(ctx context.Context, w *Worker) {})
+			p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, w *Worker) {}, nil)
 		}()
 	}
 	for p.InFlight() < 5 {

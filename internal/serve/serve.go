@@ -1,10 +1,11 @@
 // Package serve exposes the scheduler as a long-running HTTP/JSON service:
 // the off-line phase (core.NewPlan) runs once per distinct application and
-// is memoized in an LRU plan cache with duplicate-compile suppression,
-// while on-line executions run on a bounded worker pool whose workers each
-// own a core.Arena and a reseedable exectime source — the steady-state
-// request path is the same zero-allocation machinery the experiment
-// harness uses.
+// is memoized in per-worker plan-cache shards — each key owned by one
+// worker, which compiles it once and publishes lock-free snapshots — while
+// on-line executions run on a bounded worker pool whose workers each own a
+// core.Arena and a reseedable exectime source: the steady-state request
+// path is the same zero-allocation machinery (core.MonteCarlo,
+// core.CompareFrames) the experiment harness uses.
 //
 // Endpoints:
 //
@@ -52,7 +53,8 @@ type Config struct {
 	// QueueSize bounds the admission queue (default 64). When the queue is
 	// full, requests are rejected with 429.
 	QueueSize int
-	// CacheSize bounds the plan cache (default 128 plans).
+	// CacheSize bounds the plan cache (default 128 plans, split evenly
+	// across the workers' shards).
 	CacheSize int
 	// RequestTimeout bounds each request end to end (default 15s).
 	RequestTimeout time.Duration
@@ -67,13 +69,6 @@ type Config struct {
 	// (default 256). The total runs of a batch are separately bounded by
 	// MaxRuns.
 	MaxBatchItems int
-	// LegacyCache selects the pre-sharding serve path: one mutex-guarded
-	// LRU plan cache with single-flight compile suppression, and every job
-	// submitted to the shared pool queue. The default (false) is the
-	// shared-nothing path — per-worker plan and section-schedule shards
-	// with digest routing. The two paths answer byte-identically; the flag
-	// exists for differential testing and as an escape hatch.
-	LegacyCache bool
 	// Tenant configures per-client admission control (rate limits,
 	// concurrency quotas, run budgets). The zero value disables it.
 	Tenant tenant.Config
@@ -138,21 +133,18 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	metrics *obs.Metrics
-	// cache is the legacy shared plan cache; nil on the shared-nothing
-	// path, where plans live in per-worker shards inside the pool.
-	cache *PlanCache
-	pool  *Pool
+	pool    *Pool // also holds the per-worker plan-cache shards
 
-	// statsMu guards the sharded-mode merge of per-worker cache counters
-	// into the registry's monotonic instruments (refreshStats); lastMerged
+	// statsMu guards the merge of per-worker cache counters into the
+	// registry's monotonic instruments (refreshStats); lastMerged
 	// remembers the totals already credited so each merge adds only the
 	// delta. Read paths only — never touched by request execution.
 	statsMu    sync.Mutex
 	lastMerged PlanCacheStats
-	limiter *tenant.Limiter // nil when admission control is disabled
-	mux     *http.ServeMux
-	httpSrv *http.Server
-	start   time.Time
+	limiter    *tenant.Limiter // nil when admission control is disabled
+	mux        *http.ServeMux
+	httpSrv    *http.Server
+	start      time.Time
 
 	requests    *obs.Counter
 	errors      *obs.Counter
@@ -190,9 +182,6 @@ func New(cfg Config) *Server {
 		batchItems:  m.Counter(MetricBatchItems),
 		latency:     m.Histogram(MetricLatency, latencyBuckets),
 	}
-	if cfg.LegacyCache {
-		s.cache = NewPlanCache(cfg.CacheSize, m)
-	}
 	if !cfg.Trace.Disabled {
 		s.flight = obs.NewFlight(cfg.Trace.RingSize, cfg.Trace.SlowestPerEndpoint)
 		s.phaseHist = make(map[string]*obs.Histogram, len(phaseNames))
@@ -220,23 +209,10 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics returns the server's registry.
 func (s *Server) Metrics() *obs.Metrics { return s.metrics }
 
-// Cache returns the legacy plan cache (nil on the shared-nothing path,
-// where plans live in per-worker shards — see Pool.CachedPlans).
-func (s *Server) Cache() *PlanCache { return s.cache }
-
-// cachedPlans counts currently cached plans on whichever path is active.
-func (s *Server) cachedPlans() int {
-	if s.cache != nil {
-		return s.cache.Len()
-	}
-	return s.pool.CachedPlans()
-}
-
 // statusWriter captures the response status for the request trace. It
-// passes Flush through so NDJSON streaming keeps working behind it. The
-// status field may be written by a pool worker (streaming handlers commit
-// the 200 from inside the job) and is read by the middleware only after
-// the job's done channel closed, which orders the accesses.
+// passes Flush through so NDJSON streaming keeps working behind it. Only
+// the handler goroutine writes to it: pool jobs never touch the
+// ResponseWriter.
 type statusWriter struct {
 	http.ResponseWriter
 	status int

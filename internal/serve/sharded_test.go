@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"strings"
 	"sync"
@@ -17,58 +18,6 @@ import (
 	"andorsched/internal/core"
 	"andorsched/internal/core/schedcache"
 )
-
-// TestShardedLegacyDifferential is the tentpole's correctness bar: across
-// random workloads and every endpoint, the shared-nothing path must
-// answer byte-for-byte what the legacy shared-cache path answers. Both
-// servers see every request twice, so cold-compile and warm-cache
-// responses are both covered.
-func TestShardedLegacyDifferential(t *testing.T) {
-	cfg := Config{Workers: 3, QueueSize: 32, CacheSize: 64}
-	legacyCfg := cfg
-	legacyCfg.LegacyCache = true
-	sharded := newTestServer(t, cfg)
-	legacy := newTestServer(t, legacyCfg)
-
-	rng := rand.New(rand.NewSource(7))
-	app := func(wl int) string {
-		switch wl % 4 {
-		case 0:
-			return fmt.Sprintf(`"workload":"random:%d","procs":%d`, wl+1, 2+wl%3)
-		case 1:
-			return fmt.Sprintf(`"workload":"random:%d","procs":2,"platform":"xscale"`, wl+1)
-		case 2:
-			return fmt.Sprintf(`"workload":"random:%d","hetero":"biglittle","placement":"class-affinity"`, wl+1)
-		default:
-			return fmt.Sprintf(`"workload":"random:%d","hetero":"accel"`, wl+1)
-		}
-	}
-	schemes := []string{"GSS", "SS1", "ORA", "AS"}
-	for wl := 0; wl < 30; wl++ {
-		seed := rng.Uint64()
-		bodies := []struct{ path, body string }{
-			{"/v1/run", fmt.Sprintf(`{%s,"scheme":%q,"seed":%d}`, app(wl), schemes[wl%len(schemes)], seed)},
-			{"/v1/run", fmt.Sprintf(`{%s,"scheme":%q,"seed":%d,"runs":5}`, app(wl), schemes[wl%len(schemes)], seed)},
-			{"/v1/compare", fmt.Sprintf(`{%s,"schemes":["NPM","GSS","ORA"],"runs":8,"seed":%d}`, app(wl), seed)},
-			{"/v1/batch", fmt.Sprintf(`{"items":[{%s,"scheme":"GSS","seed":%d,"runs":3},{%s,"scheme":"SS2","seed":%d,"runs":2}]}`,
-				app(wl), seed, app((wl+11)%30), seed+1)},
-		}
-		for _, req := range bodies {
-			for pass := 0; pass < 2; pass++ { // cold, then warm
-				ws := post(t, sharded, req.path, req.body)
-				wl2 := post(t, legacy, req.path, req.body)
-				if ws.Code != wl2.Code {
-					t.Fatalf("workload %d %s pass %d: status sharded %d vs legacy %d\nsharded: %s\nlegacy: %s",
-						wl, req.path, pass, ws.Code, wl2.Code, ws.Body.String(), wl2.Body.String())
-				}
-				if !bytes.Equal(ws.Body.Bytes(), wl2.Body.Bytes()) {
-					t.Fatalf("workload %d %s pass %d: bodies diverged\nsharded: %s\nlegacy: %s",
-						wl, req.path, pass, ws.Body.String(), wl2.Body.String())
-				}
-			}
-		}
-	}
-}
 
 // TestSnapshotPublicationRace stress-tests the epoch-published shard
 // snapshots under concurrent eviction: owners churn small shards (every
@@ -126,8 +75,8 @@ func TestSnapshotPublicationRace(t *testing.T) {
 						break
 					}
 				}
-				if plan, _, ok := p.planFromSnapshot(k); ok && plan == nil {
-					t.Errorf("planFromSnapshot returned ok with nil plan")
+				if plan, ok := p.planPeek(k); ok && plan == nil {
+					t.Errorf("planPeek returned ok with nil plan")
 					stop.Store(true)
 					return
 				}
@@ -138,13 +87,13 @@ func TestSnapshotPublicationRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 1500; i++ {
 		k := keys[rng.Intn(nKeys)]
-		err := p.DoWaitOn(context.Background(), p.homeFor(k), func(ctx context.Context, wk *Worker) {
+		err := p.submit(context.Background(), p.homeFor(k), true, 1, func(ctx context.Context, wk *Worker) {
 			if _, _, err := wk.OwnerPlan(k, func(*schedcache.Cache) (*core.Plan, error) { return mk() }); err != nil {
 				t.Errorf("OwnerPlan: %v", err)
 			}
-		})
+		}, nil)
 		if err != nil {
-			t.Fatalf("DoWaitOn: %v", err)
+			t.Fatalf("routed submit: %v", err)
 		}
 	}
 	stop.Store(true)
@@ -172,10 +121,10 @@ func TestPoolStatsConservationOnClose(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < ops; i++ {
 		k := testKey(rng.Intn(20))
-		if err := p.DoWaitOn(context.Background(), p.homeFor(k), func(ctx context.Context, wk *Worker) {
+		if err := p.submit(context.Background(), p.homeFor(k), true, 1, func(ctx context.Context, wk *Worker) {
 			_, _, _ = wk.OwnerPlan(k, func(*schedcache.Cache) (*core.Plan, error) { return mk() })
-		}); err != nil {
-			t.Fatalf("DoWaitOn: %v", err)
+		}, nil); err != nil {
+			t.Fatalf("routed submit: %v", err)
 		}
 	}
 	// Race chunked submissions against the drain below: their units ride
@@ -186,10 +135,9 @@ func TestPoolStatsConservationOnClose(t *testing.T) {
 		go func() {
 			defer fanWG.Done()
 			for i := 0; i < 50; i++ {
-				_ = p.fanOut(context.Background(), 3,
-					func(int) int64 { return 7 },
-					func(int) func(context.Context, *Worker) {
-						return func(context.Context, *Worker) {}
+				_ = p.fanOut(context.Background(), 3, 3, 7,
+					func(int, int, int) func(context.Context, *Worker) error {
+						return func(context.Context, *Worker) error { return nil }
 					})
 			}
 		}()
@@ -214,15 +162,27 @@ func TestPoolStatsConservationOnClose(t *testing.T) {
 	}
 }
 
-// TestWarmRunNoServeMutexContention pins the tentpole's "zero shared
-// mutable state" claim with the runtime's own instrumentation: warmed
-// /v1/run requests hammered concurrently must produce no mutex-contention
-// samples with a serve-package frame. (Tracing and admission are off, as
-// on a tuned production path; the legacy path fails this by design — its
-// shared cache mutex shows up under the same load.)
+// TestWarmRunNoServeMutexContention pins the "zero shared mutable state"
+// claim of the warm request path with the runtime's own instrumentation:
+// warmed /v1/run requests hammered concurrently must produce no
+// mutex-contention samples with a serve-package frame. (Tracing and
+// admission are off, as on a tuned production path.) The hammer
+// goroutines drive ServeHTTP directly and report failures only after the
+// load: the post helper's t.Helper and t.Errorf take testing's own locks,
+// whose contention would show up under this package's frames — and the
+// mutex profile is process-cumulative, so one such sample would fail
+// every later run in the process.
 func TestWarmRunNoServeMutexContention(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 4, QueueSize: 64, Trace: TraceConfig{Disabled: true}})
 	body := `{"workload":"atr","procs":4,"scheme":"GSS","seed":7}`
+	// Hold the collector off for the measurement. A GC empties every
+	// sync.Pool, and the first Get after it re-pins the pool under the
+	// runtime's global pool lock; concurrent re-pins then show up as
+	// contention under whichever serve frame called Get (encoding/json's
+	// encoder pool via writeJSON), though no serve state is shared. The
+	// warmup below runs with the collector off, so every pool is pinned
+	// before profiling starts.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// Warm the shard (and every worker's arena) before profiling.
 	for i := 0; i < 8; i++ {
 		if w := post(t, s, "/v1/run", body); w.Code != http.StatusOK {
@@ -233,19 +193,28 @@ func TestWarmRunNoServeMutexContention(t *testing.T) {
 	defer runtime.SetMutexProfileFraction(prev)
 
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	failed := make([]*httptest.ResponseRecorder, 8)
+	for g := range failed {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				if w := post(t, s, "/v1/run", body); w.Code != http.StatusOK {
-					t.Errorf("status %d: %s", w.Code, w.Body.String())
+				req := httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body))
+				w := httptest.NewRecorder()
+				s.Handler().ServeHTTP(w, req)
+				if w.Code != http.StatusOK {
+					failed[g] = w
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	for _, w := range failed {
+		if w != nil {
+			t.Fatalf("status %d: %s", w.Code, w.Body.String())
+		}
+	}
 
 	var buf bytes.Buffer
 	if err := pprof.Lookup("mutex").WriteTo(&buf, 1); err != nil {

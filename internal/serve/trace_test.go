@@ -247,10 +247,10 @@ func TestQueueWaitCancellation(t *testing.T) {
 	runningA := make(chan struct{})
 	doneA := make(chan error, 1)
 	go func() {
-		doneA <- p.Do(context.Background(), func(ctx context.Context, wk *Worker) {
+		doneA <- p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, wk *Worker) {
 			close(runningA)
 			<-block
-		})
+		}, nil)
 	}()
 	<-runningA
 
@@ -259,9 +259,9 @@ func TestQueueWaitCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(obs.ContextWithTrace(context.Background(), rec))
 	queued := make(chan error, 1)
 	go func() {
-		queued <- p.Do(ctx, func(ctx context.Context, wk *Worker) {
+		queued <- p.submit(ctx, anyWorker, false, 1, func(ctx context.Context, wk *Worker) {
 			t.Error("cancelled job executed")
-		})
+		}, nil)
 	}()
 	// Wait until the job is visibly queued, then cancel and release the
 	// worker so it drains the dead job.
@@ -274,7 +274,7 @@ func TestQueueWaitCancellation(t *testing.T) {
 	cancel()
 	close(block)
 	if err := <-queued; err != context.Canceled {
-		t.Fatalf("cancelled Do returned %v, want context.Canceled", err)
+		t.Fatalf("cancelled submit returned %v, want context.Canceled", err)
 	}
 	if err := <-doneA; err != nil {
 		t.Fatalf("blocking job failed: %v", err)
@@ -292,9 +292,9 @@ func TestQueueWaitCancellation(t *testing.T) {
 	}
 }
 
-// TestQueueWaitCancelledBeforeSend covers the DoWait blocked-send path: a
-// caller that gives up while waiting for queue space still records its
-// wait as queue time, and the queue-age map is cleaned up.
+// TestQueueWaitCancelledBeforeSend covers the waiting submit's blocked
+// send: a caller that gives up while waiting for queue space still
+// records its wait as queue time, and the queue-age map is cleaned up.
 func TestQueueWaitCancelledBeforeSend(t *testing.T) {
 	p := NewPool(1, 1, 16)
 	defer p.Close()
@@ -304,16 +304,16 @@ func TestQueueWaitCancelledBeforeSend(t *testing.T) {
 	runningA := make(chan struct{})
 	doneA := make(chan error, 1)
 	go func() {
-		doneA <- p.Do(context.Background(), func(ctx context.Context, wk *Worker) {
+		doneA <- p.submit(context.Background(), anyWorker, false, 1, func(ctx context.Context, wk *Worker) {
 			close(runningA)
 			<-block
-		})
+		}, nil)
 	}()
 	<-runningA
 	// Fill the 1-slot queue.
 	doneB := make(chan error, 1)
 	go func() {
-		doneB <- p.DoWait(context.Background(), func(ctx context.Context, wk *Worker) {})
+		doneB <- p.submit(context.Background(), anyWorker, true, 1, func(ctx context.Context, wk *Worker) {}, nil)
 	}()
 	for i := 0; p.InFlight() < 2; i++ {
 		if i > 1000 {
@@ -322,19 +322,19 @@ func TestQueueWaitCancelledBeforeSend(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// A traced DoWait now blocks on the send; cancel it there.
+	// A traced waiting submit now blocks on the send; cancel it there.
 	rec := f.Start("/v1/batch", "", time.Now())
 	ctx, cancel := context.WithCancel(obs.ContextWithTrace(context.Background(), rec))
 	blocked := make(chan error, 1)
 	go func() {
-		blocked <- p.DoWait(ctx, func(ctx context.Context, wk *Worker) {
+		blocked <- p.submit(ctx, anyWorker, true, 1, func(ctx context.Context, wk *Worker) {
 			t.Error("cancelled job executed")
-		})
+		}, nil)
 	}()
 	time.Sleep(10 * time.Millisecond) // let it reach the blocking send
 	cancel()
 	if err := <-blocked; err != context.Canceled {
-		t.Fatalf("cancelled DoWait returned %v, want context.Canceled", err)
+		t.Fatalf("cancelled waiting submit returned %v, want context.Canceled", err)
 	}
 	close(block)
 	if err := <-doneA; err != nil {
