@@ -72,6 +72,16 @@ func benchExperiment(b *testing.B, id string) {
 
 // ---- Tables 1 and 2: the platform voltage/speed settings ----
 
+// machine wraps p as the m-processor single-class machine the engine
+// benchmarks run on.
+func machine(p *power.Platform, m int) *power.Hetero {
+	h, err := power.Homogeneous(p, m)
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
 func BenchmarkTable1Transmeta(b *testing.B) {
 	var p *power.Platform
 	for i := 0; i < b.N; i++ {
@@ -374,7 +384,7 @@ func BenchmarkEngineScaling(b *testing.B) {
 					}
 					tasks[i] = t
 				}
-				cfg := sim.Config{Platform: plat, Mode: sim.ByOrder, Procs: m}
+				cfg := sim.Config{Hetero: machine(plat, m), Mode: sim.ByOrder}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := sim.Run(cfg, tasks); err != nil {
@@ -443,7 +453,7 @@ func BenchmarkEngineSection(b *testing.B) {
 		t.LFT = 1 // ample
 		tasks[i] = t
 	}
-	cfg := sim.Config{Platform: plat, Mode: sim.ByOrder, Procs: 4}
+	cfg := sim.Config{Hetero: machine(plat, 4), Mode: sim.ByOrder}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(cfg, tasks); err != nil {
@@ -467,7 +477,7 @@ func BenchmarkEngineSectionArena(b *testing.B) {
 		}
 		tasks[i] = t
 	}
-	cfg := sim.Config{Platform: plat, Mode: sim.ByOrder, Procs: 4}
+	cfg := sim.Config{Hetero: machine(plat, 4), Mode: sim.ByOrder}
 	arena := sim.NewArena()
 	if _, err := arena.Run(cfg, tasks); err != nil { // warm-up
 		b.Fatal(err)
@@ -511,7 +521,7 @@ func BenchmarkEngineTracerOverhead(b *testing.B) {
 		}
 		tasks[i] = t
 	}
-	base := sim.Config{Platform: plat, Mode: sim.ByOrder, Procs: 4}
+	base := sim.Config{Hetero: machine(plat, 4), Mode: sim.ByOrder}
 
 	b.Run("off", func(b *testing.B) {
 		b.ReportAllocs()

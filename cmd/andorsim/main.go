@@ -215,12 +215,6 @@ func run(o options) error {
 		return writeEventExports(o, collector)
 	}
 
-	if hp != nil && (o.trace || o.svgPath != "" || o.chromePath != "") {
-		// The schedule renderers label speeds off one DVS table; classes
-		// have their own. The structured exports (-trace-out/-events-out)
-		// carry processor indices and work fine.
-		return fmt.Errorf("-trace, -svg and -chrome-trace are not supported on heterogeneous platforms yet (use -trace-out/-events-out)")
-	}
 	collect := o.trace || o.svgPath != "" || o.chromePath != ""
 	cfg := core.RunConfig{
 		Scheme: scheme, Deadline: deadline, CollectTrace: collect,
@@ -294,18 +288,18 @@ func run(o options) error {
 
 	if o.trace {
 		fmt.Println("\nschedule:")
-		fmt.Print(sim.Gantt(plat, res.Trace))
+		fmt.Print(sim.Gantt(plan.Hetero, res.Trace))
 		fmt.Println()
 		fmt.Print(sim.Timeline(res.Trace, deadline, 100))
 	}
 	if o.svgPath != "" {
-		if err := os.WriteFile(o.svgPath, []byte(sim.SVG(plat, res.Trace, deadline)), 0o644); err != nil {
+		if err := os.WriteFile(o.svgPath, []byte(sim.SVG(plan.Hetero, res.Trace, deadline)), 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", o.svgPath)
 	}
 	if o.chromePath != "" {
-		data, err := sim.ChromeTrace(plat, res.Trace)
+		data, err := sim.ChromeTrace(plan.Hetero, res.Trace)
 		if err != nil {
 			return err
 		}

@@ -77,6 +77,29 @@ func TestRunTraceAndExports(t *testing.T) {
 	}
 }
 
+// TestRunTraceHetero renders a big.LITTLE run with every schedule
+// renderer: little-core rows carry the little cores' own DVS levels.
+func TestRunTraceHetero(t *testing.T) {
+	dir := t.TempDir()
+	o := base()
+	o.workload, o.platform, o.scheme, o.load = "atr", "biglittle", "GSS", 0.6
+	o.trace = true
+	o.svgPath = filepath.Join(dir, "s.svg")
+	o.chromePath = filepath.Join(dir, "t.json")
+	out, err := capture(t, func() error { return run(o) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "schedule:") || !strings.Contains(out, "@0.75V") {
+		t.Errorf("schedule lacks little-core levels:\n%s", out)
+	}
+	for _, f := range []string{o.svgPath, o.chromePath} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("export %s missing or empty", f)
+		}
+	}
+}
+
 // TestRunObservability exercises -stats, -trace-out and -events-out: the
 // acceptance path of the observability layer through the CLI.
 func TestRunObservability(t *testing.T) {

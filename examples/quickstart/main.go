@@ -74,7 +74,7 @@ func main() {
 		(deadline-res.Finish)*1e3, res.SpeedChanges)
 	fmt.Printf("energy %.4gJ (active %.4g + overhead %.4g + idle %.4g)\n\n",
 		res.Energy(), res.ActiveEnergy, res.OverheadEnergy, res.IdleEnergy)
-	fmt.Print(sim.Gantt(plan.Platform, res.Trace))
+	fmt.Print(sim.Gantt(plan.Hetero, res.Trace))
 
 	// 4. Compare all schemes on the same frame (same seed = same actual
 	// times and branch outcome).

@@ -32,16 +32,16 @@ func TestASPFloorExact(t *testing.T) {
 	// Floor for T1 at t=0: 250 MHz (level 1).
 	t1 := sp.tasks[0].tmpl
 	t1.LFT = 24e-3
-	if got := pol.floorAt(&t1, 0); got != 1 {
+	if got := pol.floorAt(&t1, 0, 0); got != 1 {
 		t.Errorf("ASP floor = %d, want 1 (250MHz)", got)
 	}
 	// Same task picked late (t = 21ms): 6ms of average work over 3ms left
 	// → f_max.
-	if got := pol.floorAt(&t1, 21e-3); got != plan.Platform.MaxIndex() {
+	if got := pol.floorAt(&t1, 21e-3, 0); got != plan.Platform.MaxIndex() {
 		t.Errorf("late ASP floor = %d, want max", got)
 	}
 	// Past the deadline: clamp.
-	if got := pol.floorAt(&t1, 25e-3); got != plan.Platform.MaxIndex() {
+	if got := pol.floorAt(&t1, 25e-3, 0); got != plan.Platform.MaxIndex() {
 		t.Errorf("post-deadline ASP floor = %d, want max", got)
 	}
 }

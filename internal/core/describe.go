@@ -12,7 +12,7 @@ import (
 // why the scheduler chose the speeds it did (used by andorsim -plan).
 func (p *Plan) Describe(deadline float64) string {
 	var b strings.Builder
-	if p.Hetero != nil {
+	if p.Platform == nil {
 		fmt.Fprintf(&b, "off-line plan: %s on %s (%d processors", p.Graph.Name, p.Hetero.Name, p.Procs)
 		for c := 0; c < p.Hetero.NumClasses(); c++ {
 			cl := p.Hetero.Class(c)
@@ -26,7 +26,7 @@ func (p *Plan) Describe(deadline float64) string {
 	fmt.Fprintf(&b, "  canonical average    CT_avg   = %.3fms (probability-weighted)\n", p.CTAvg*1e3)
 	fmt.Fprintf(&b, "  deadline D = %.3fms → load %.3f, feasible: %v\n",
 		deadline*1e3, p.CTWorst/deadline, p.Feasible(deadline))
-	if p.Hetero != nil {
+	if p.Platform == nil {
 		fmt.Fprintf(&b, "  speculative stretch CT_avg/D = %.3f (applied to each class's own f_max)\n",
 			p.CTAvg/deadline)
 	} else {

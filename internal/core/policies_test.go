@@ -46,7 +46,7 @@ func TestGssPickNoOverheads(t *testing.T) {
 		{"past lft", simTask(4e-3*1e9, 1e-3), 2e-3, 1, 3},
 	}
 	for _, c := range cases {
-		if got := pol.gssPick(c.task, c.now, c.cur); got != c.want {
+		if got := pol.gssPick(c.task, c.now, c.cur, 0); got != c.want {
 			t.Errorf("%s: gssPick = %d, want %d", c.name, got, c.want)
 		}
 	}
@@ -59,24 +59,24 @@ func TestGssPickOverheadAccounting(t *testing.T) {
 	// 4ms work, 9ms allocation, processor at f_max. Without a change:
 	// 444 MHz → 500. With the 1ms change: 4/8 = 500 MHz → still 500, so
 	// the change pays off (500 < 1000).
-	if got := pol.gssPick(simTask(4e-3*1e9, 9e-3), 0, 3); got != 2 {
+	if got := pol.gssPick(simTask(4e-3*1e9, 9e-3), 0, 3, 0); got != 2 {
 		t.Errorf("affordable slowdown = %d, want 2", got)
 	}
 	// 4ms work, 4.5ms allocation at f_max: without change 888 MHz → 1000
 	// (= current): stay; changing would need 4/3.5 = 1.14 GHz — impossible.
-	if got := pol.gssPick(simTask(4e-3*1e9, 4.5e-3), 0, 3); got != 3 {
+	if got := pol.gssPick(simTask(4e-3*1e9, 4.5e-3), 0, 3, 0); got != 3 {
 		t.Errorf("unaffordable slowdown = %d, want 3 (stay)", got)
 	}
 	// Processor at 125 MHz (level 0), 4ms work, 6ms allocation: current
 	// is too slow, must speed up; after the 1ms change, 4/5 = 800 MHz →
 	// f_max.
-	if got := pol.gssPick(simTask(4e-3*1e9, 6e-3), 0, 0); got != 3 {
+	if got := pol.gssPick(simTask(4e-3*1e9, 6e-3), 0, 0, 0); got != 3 {
 		t.Errorf("mandatory speed-up = %d, want 3", got)
 	}
 	// Slowing down would be feasible without the change cost but not with
 	// it: 4ms work, 5.2ms allocation at 1 GHz. No change: 769 MHz → 1000
 	// (current, OK). With change: 4/4.2 = 952 MHz → 1000 = current → stay.
-	if got := pol.gssPick(simTask(4e-3*1e9, 5.2e-3), 0, 3); got != 3 {
+	if got := pol.gssPick(simTask(4e-3*1e9, 5.2e-3), 0, 3, 0); got != 3 {
 		t.Errorf("change not worthwhile = %d, want 3", got)
 	}
 }
@@ -86,12 +86,12 @@ func TestGssPickCompOverheadUsesCurrentFreq(t *testing.T) {
 	ov := power.Overheads{SpeedCompCycles: 1e6}
 	_, pol := newTestPolicy(t, GSS, 24e-3, ov)
 	// At 1 GHz: allocation 9ms − 1ms comp = 8ms for 4ms work → 500 MHz.
-	if got := pol.gssPick(simTask(4e-3*1e9, 9e-3), 0, 3); got != 2 {
+	if got := pol.gssPick(simTask(4e-3*1e9, 9e-3), 0, 3, 0); got != 2 {
 		t.Errorf("comp overhead at fmax: got %d, want 2", got)
 	}
 	// At 125 MHz the same computation costs 8ms: allocation 9−8 = 1ms →
 	// must run flat out (current 125 MHz is far too slow).
-	if got := pol.gssPick(simTask(4e-3*1e9, 9e-3), 0, 0); got != 3 {
+	if got := pol.gssPick(simTask(4e-3*1e9, 9e-3), 0, 0, 0); got != 3 {
 		t.Errorf("comp overhead at fmin: got %d, want 3", got)
 	}
 }
@@ -99,16 +99,16 @@ func TestGssPickCompOverheadUsesCurrentFreq(t *testing.T) {
 func TestSS1FloorApplies(t *testing.T) {
 	// chain3: CTAvg = 6ms. D = 24ms → f_spec = 250 MHz (level 1).
 	_, pol := newTestPolicy(t, SS1, 24e-3, power.NoOverheads())
-	if pol.floorLow != 1 {
-		t.Fatalf("SS1 floor = %d, want 1", pol.floorLow)
+	if pol.floorLow[0] != 1 {
+		t.Fatalf("SS1 floor = %d, want 1", pol.floorLow[0])
 	}
 	// GSS would pick f_min (level 0) for a task with huge allocation; the
 	// speculative floor lifts it to level 1.
-	if got := pol.PickLevel(simTask(4e-3*1e9, 100e-3), 0, 1); got != 1 {
+	if got := pol.PickLevel(simTask(4e-3*1e9, 100e-3), 0, 1, 0); got != 1 {
 		t.Errorf("SS1 PickLevel = %d, want floor 1", got)
 	}
 	// When GSS needs more than the floor, GSS wins.
-	if got := pol.PickLevel(simTask(4e-3*1e9, 4e-3), 0, 3); got != 3 {
+	if got := pol.PickLevel(simTask(4e-3*1e9, 4e-3), 0, 3, 0); got != 3 {
 		t.Errorf("SS1 PickLevel under pressure = %d, want 3", got)
 	}
 }
@@ -117,18 +117,18 @@ func TestSS2SwitchPoint(t *testing.T) {
 	// D = 30ms, CTAvg = 6ms → f_spec = 200 MHz, between 125 (lvl 0) and
 	// 250 (lvl 1): T_s = D·(250−200)/(250−125) = 30ms·0.4 = 12ms.
 	_, pol := newTestPolicy(t, SS2, 30e-3, power.NoOverheads())
-	if pol.floorLow != 0 || pol.floorHigh != 1 {
-		t.Fatalf("SS2 levels = %d/%d, want 0/1", pol.floorLow, pol.floorHigh)
+	if pol.floorLow[0] != 0 || pol.floorHigh[0] != 1 {
+		t.Fatalf("SS2 levels = %d/%d, want 0/1", pol.floorLow[0], pol.floorHigh[0])
 	}
-	if !closeTo(pol.switchAt, 12e-3) {
-		t.Fatalf("SS2 T_s = %g, want 12ms", pol.switchAt)
+	if !closeTo(pol.switchAt[0], 12e-3) {
+		t.Fatalf("SS2 T_s = %g, want 12ms", pol.switchAt[0])
 	}
-	if pol.floorAt(nil, 11e-3) != 0 || pol.floorAt(nil, 13e-3) != 1 {
+	if pol.floorAt(nil, 11e-3, 0) != 0 || pol.floorAt(nil, 13e-3, 0) != 1 {
 		t.Error("SS2 floor does not switch at T_s")
 	}
 	// Exactly on a level: SS2 degenerates to a single speed.
 	_, pol2 := newTestPolicy(t, SS2, 24e-3, power.NoOverheads()) // f_spec = 250
-	if pol2.floorLow != pol2.floorHigh {
+	if pol2.floorLow[0] != pol2.floorHigh[0] {
 		t.Error("on-level SS2 should degenerate to one speed")
 	}
 }
@@ -141,25 +141,25 @@ func TestASResetPerSection(t *testing.T) {
 	d := 39.6e-3 // CTAvg = 9.9ms → initial f_spec = 250 MHz exactly
 	pol := newPolicy(plan, AS, d)
 	pol.resetSection(plan.Sections.First.ID, 0)
-	if pol.floorLow != 1 {
-		t.Errorf("AS initial floor = %d, want 1 (250MHz)", pol.floorLow)
+	if pol.floorLow[0] != 1 {
+		t.Errorf("AS initial floor = %d, want 1 (250MHz)", pol.floorLow[0])
 	}
 	// After the fork took the long branch (B) at t = 20ms: remaining avg
 	// = 6+1 = 7ms over 19.6ms left → 357 MHz → level 2 (500).
 	bSection := plan.Sections.Branch[plan.Graph.NodeByName("O1").ID][0]
 	pol.resetSection(bSection.ID, 20e-3)
-	if pol.floorLow != 2 {
-		t.Errorf("AS floor after OR = %d, want 2", pol.floorLow)
+	if pol.floorLow[0] != 2 {
+		t.Errorf("AS floor after OR = %d, want 2", pol.floorLow[0])
 	}
 	// Past the deadline: clamp to f_max.
 	pol.resetSection(bSection.ID, d+1e-3)
-	if pol.floorLow != plan.Platform.MaxIndex() {
+	if pol.floorLow[0] != plan.Platform.MaxIndex() {
 		t.Error("AS floor past deadline should be f_max")
 	}
 	// Non-AS schemes ignore resetSection.
 	gss := newPolicy(plan, GSS, d)
 	gss.resetSection(plan.Sections.First.ID, 0)
-	if gss.floorAt(nil, 0) != -1 {
+	if gss.floorAt(nil, 0, 0) != -1 {
 		t.Error("GSS should have no speculative floor")
 	}
 }
@@ -170,20 +170,20 @@ func TestSpeculativeFloorRespectsChangeOverhead(t *testing.T) {
 	// SS1 speculative speed is 875 MHz → floor level 3 (f_max).
 	ov := power.Overheads{SpeedChangeTime: 5e-3}
 	_, pol := newTestPolicy(t, SS1, 24e-3, ov)
-	if pol.floorLow != 3 {
-		t.Fatalf("SS1 floor = %d, want 3 (padding-inflated CTAvg)", pol.floorLow)
+	if pol.floorLow[0] != 3 {
+		t.Fatalf("SS1 floor = %d, want 3 (padding-inflated CTAvg)", pol.floorLow[0])
 	}
 	// Processor at 500 MHz (level 2), 4ms work, 8.2ms allocation. GSS
 	// stays at level 2 (fast enough; a change to anything is
 	// unaffordable: 3.2ms left after the change cannot cover 4ms of work
 	// even at f_max). The floor (level 3) wants a change the allocation
 	// cannot pay for → fall back to the GSS choice.
-	if got := pol.PickLevel(simTask(4e-3*1e9, 8.2e-3), 0, 2); got != 2 {
+	if got := pol.PickLevel(simTask(4e-3*1e9, 8.2e-3), 0, 2, 0); got != 2 {
 		t.Errorf("PickLevel = %d, want 2 (floor change unaffordable)", got)
 	}
 	// With a large allocation the change is affordable and the floor
 	// applies: 4ms work, 100ms allocation at level 0 → floor level 3.
-	if got := pol.PickLevel(simTask(4e-3*1e9, 100e-3), 0, 0); got != 3 {
+	if got := pol.PickLevel(simTask(4e-3*1e9, 100e-3), 0, 0, 0); got != 3 {
 		t.Errorf("PickLevel = %d, want 3 (floor applies)", got)
 	}
 }
@@ -193,13 +193,13 @@ func TestInitialLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lvl := newPolicy(plan, SPM, 24e-3).initialLevel(); lvl != 2 {
+	if lvl := newPolicy(plan, SPM, 24e-3).initialLevel(0); lvl != 2 {
 		t.Errorf("SPM initial level = %d, want 2 (500MHz)", lvl)
 	}
-	if lvl := newPolicy(plan, GSS, 24e-3).initialLevel(); lvl != 3 {
+	if lvl := newPolicy(plan, GSS, 24e-3).initialLevel(0); lvl != 3 {
 		t.Errorf("GSS initial level = %d, want max", lvl)
 	}
-	if lvl := newPolicy(plan, NPM, 24e-3).initialLevel(); lvl != 3 {
+	if lvl := newPolicy(plan, NPM, 24e-3).initialLevel(0); lvl != 3 {
 		t.Errorf("NPM initial level = %d, want max", lvl)
 	}
 }

@@ -93,7 +93,7 @@ func (p *Plan) RunStreamArena(cfg StreamConfig, a *Arena) (*StreamResult, error)
 	}
 	out := &StreamResult{
 		Frames:    cfg.Frames,
-		LevelTime: make([]float64, p.numLevels()),
+		LevelTime: make([]float64, p.Hetero.MaxLevels()),
 	}
 	runCfg := RunConfig{
 		Scheme: cfg.Scheme, Deadline: cfg.Period, Sampler: cfg.Sampler,

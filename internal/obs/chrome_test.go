@@ -19,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // dvs-overhead slices and speed-change instants.
 type levelHopPolicy struct{ n int }
 
-func (p levelHopPolicy) PickLevel(t *sim.Task, _ float64, _ int) int {
+func (p levelHopPolicy) PickLevel(t *sim.Task, _ float64, _ int, _ int) int {
 	return (t.Node * 3) % p.n
 }
 
@@ -35,13 +35,16 @@ func twoProcRun(t *testing.T) []obs.Event {
 		{Node: 3, Name: "J", Dummy: true, Order: 3, Preds: []int{1, 2}, Succs: []int{4}},
 		{Node: 4, Name: "D", WorkW: 5e6, WorkA: 2e6, Order: 4, LFT: 1, Preds: []int{3}},
 	}
+	machine, err := power.Homogeneous(plat, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	col := obs.NewCollector()
-	_, err := sim.Run(sim.Config{
-		Platform:  plat,
+	_, err = sim.Run(sim.Config{
+		Hetero:    machine,
 		Overheads: power.DefaultOverheads(),
 		Mode:      sim.ByOrder,
 		Policy:    levelHopPolicy{plat.NumLevels()},
-		Procs:     2,
 		Tracer:    col,
 	}, tasks)
 	if err != nil {
@@ -144,10 +147,10 @@ func validateChromeTrace(t *testing.T, data []byte, wantTasks []string) {
 // than silently exported.
 func TestChromeTraceUnbalanced(t *testing.T) {
 	cases := [][]obs.Event{
-		{{Kind: obs.EvTaskFinish, Proc: 0, Task: 1}},                              // finish without dispatch
-		{{Kind: obs.EvTaskDispatch, Proc: 0, Task: 1, Name: "X"}},                 // dispatch without finish
-		{{Kind: obs.EvSectionEnd, Node: 3}},                                       // end without begin
-		{{Kind: obs.EvSectionBegin, Node: 1}},                                     // begin without end
+		{{Kind: obs.EvTaskFinish, Proc: 0, Task: 1}},                                               // finish without dispatch
+		{{Kind: obs.EvTaskDispatch, Proc: 0, Task: 1, Name: "X"}},                                  // dispatch without finish
+		{{Kind: obs.EvSectionEnd, Node: 3}},                                                        // end without begin
+		{{Kind: obs.EvSectionBegin, Node: 1}},                                                      // begin without end
 		{{Kind: obs.EvTaskDispatch, Proc: 0, Task: 1}, {Kind: obs.EvTaskFinish, Proc: 0, Task: 2}}, // wrong pairing
 	}
 	for i, evs := range cases {

@@ -121,7 +121,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		MinDeadline: plan.MinDeadline(),
 		Cached:      hit,
 	}
-	if plan.Hetero != nil {
+	if plan.Platform == nil {
 		resp.Platform = plan.Hetero.Name
 		resp.Levels = plan.Hetero.MaxLevels()
 		resp.Classes = plan.Hetero.NumClasses()
@@ -145,9 +145,10 @@ func fillRow(row *RunRow, run int, res *core.RunResult) {
 	row.OverheadJ = res.OverheadEnergy
 	row.IdleJ = res.IdleEnergy
 	row.SpeedChanges = res.SpeedChanges
-	// Heterogeneous runs carry per-class breakdowns; homogeneous results
-	// have nil slices and the append keeps the row's nil (the fields stay
-	// omitted and the warm homogeneous path stays allocation-free).
+	// Heterogeneous runs carry per-class breakdowns; identical-processor
+	// results have nil slices and the append keeps the row's nil (the
+	// fields stay omitted and the warm identical-processor path stays
+	// allocation-free).
 	row.ClassGrossJ = append(row.ClassGrossJ[:0], res.ClassGrossEnergy...)
 	row.ClassIdleJ = append(row.ClassIdleJ[:0], res.ClassIdleEnergy...)
 	row.Path = row.Path[:0]

@@ -31,7 +31,7 @@ func TestArenaRunZeroAllocs(t *testing.T) {
 	plat := power.Transmeta5400()
 	tasks := layeredTasks(64)
 	for _, mode := range []Mode{ByPriority, ByOrder} {
-		cfg := Config{Platform: plat, Mode: mode, Procs: 4, Policy: fixedPolicy(1),
+		cfg := Config{Hetero: machine(plat, 4), Mode: mode, Policy: fixedPolicy(1),
 			Overheads: power.DefaultOverheads()}
 		a := NewArena()
 		if _, err := a.Run(cfg, tasks); err != nil { // warm-up sizes the buffers
@@ -56,7 +56,7 @@ func TestArenaRunMatchesFresh(t *testing.T) {
 	big := layeredTasks(128)
 	small := layeredTasks(16)
 	cfgFor := func(mode Mode) Config {
-		return Config{Platform: plat, Mode: mode, Procs: 3, Policy: fixedPolicy(2),
+		return Config{Hetero: machine(plat, 3), Mode: mode, Policy: fixedPolicy(2),
 			Overheads: power.DefaultOverheads(), Start: 0.25}
 	}
 	a := NewArena()
@@ -119,17 +119,24 @@ func assertResultsIdentical(t *testing.T, want, got *Result) {
 
 // ---- Fuzz differential: fresh engine vs reused arena vs naive reference ----
 
-// fuzzPlats are the platforms a fuzz workload can select.
+// fuzzPlats are the DVS tables a fuzz workload's classes draw from.
 func fuzzPlats() []*power.Platform {
 	return []*power.Platform{testPlat(), power.Transmeta5400(), power.IntelXScale()}
 }
 
+// fuzzSpeeds are the class speed multipliers a fuzz workload draws from.
+var fuzzSpeeds = []float64{1, 0.5, 2, 1.25}
+
 // encodeWorkload serializes an order-gated workload for the fuzz corpus:
 //
-//	[m][plat][level][n] then per task (in dispatch order):
+//	[m][machine][level][n] then per task (in dispatch order):
 //	[flags][workW:2 (1e5-cycle units)][workAfrac][npreds] [npreds × pred delta]
 //
-// Tasks must be sorted by Order; preds must reference earlier tasks.
+// The machine byte selects the first class's DVS table (mod 3), the class
+// count (1 + byte/3 mod 3, at most m) and the placement (byte/9 mod 3); the
+// level byte's high nibble selects the class speeds. Flag bit 0 marks a
+// dummy task, bits 1–7 its canonical class (mod the class count). Tasks
+// must be sorted by Order; preds must reference earlier tasks.
 func encodeWorkload(m, plat, level int, tasks []*Task) []byte {
 	data := []byte{byte(m), byte(plat), byte(level), byte(len(tasks))}
 	for i, t := range tasks {
@@ -168,8 +175,24 @@ func decodeWorkload(data []byte) (cfg Config, tasks []*Task, ok bool) {
 		return cfg, nil, false
 	}
 	m := int(data[0]%8) + 1
-	plat := fuzzPlats()[int(data[1])%3]
-	level := int(data[2]) % plat.NumLevels()
+	nc := min(1+int(data[1]/3)%3, m)
+	classes := make([]power.Class, nc)
+	for c := range classes {
+		classes[c] = power.Class{
+			Count: m / nc,
+			Plat:  fuzzPlats()[(int(data[1])+c)%3],
+			Speed: fuzzSpeeds[(int(data[2]>>4)+c)%len(fuzzSpeeds)],
+		}
+		if c < m%nc {
+			classes[c].Count++
+		}
+	}
+	h, err := power.NewHetero("fuzz", classes)
+	if err != nil {
+		return cfg, nil, false
+	}
+	level := int(data[2]) % classes[0].Plat.NumLevels()
+	place := []PlacementPolicy{FastestFirst, EnergyGreedy, ClassAffinity}[int(data[1]/9)%3]
 	n := int(data[3]%96) + 1
 	pos := 4
 	for i := 0; i < n; i++ {
@@ -181,7 +204,7 @@ func decodeWorkload(data []byte) (cfg Config, tasks []*Task, ok bool) {
 		frac := float64(data[pos+3]) / 255
 		np := int(data[pos+4] % 16)
 		pos += 5
-		t := &Task{Name: "f", Node: i, Order: i}
+		t := &Task{Name: "f", Node: i, Order: i, CanonClass: int(flags>>1) % nc}
 		if flags&1 == 0 {
 			t.WorkW = float64(wu) * 1e5
 			t.WorkA = t.WorkW * frac
@@ -207,14 +230,14 @@ func decodeWorkload(data []byte) (cfg Config, tasks []*Task, ok bool) {
 		}
 	}
 	cfg = Config{
-		Platform: plat,
+		Hetero:    h,
+		Placement: place,
 		Overheads: power.Overheads{
 			SpeedCompCycles: float64(data[2]) * 8,
 			SpeedChangeTime: float64(data[0]) * 1e-6,
 		},
 		Mode:   ByOrder,
-		Procs:  m,
-		Policy: fixedPolicy(level),
+		Policy: clampedPolicy{h, level},
 		Start:  float64(data[3]%16) / 16,
 	}
 	return cfg, tasks, true
@@ -278,7 +301,7 @@ func encodeSectionWorkload(tb testing.TB, g *andor.Graph, sec *andor.Section,
 		}
 		tasks[i] = t
 	}
-	res, err := Run(Config{Platform: plat, Mode: ByPriority, Procs: m}, tasks)
+	res, err := Run(Config{Hetero: machine(plat, m), Mode: ByPriority}, tasks)
 	if err != nil {
 		tb.Fatalf("canonical schedule of %s section %d: %v", g.Name, sec.ID, err)
 	}
@@ -301,14 +324,17 @@ func encodeSectionWorkload(tb testing.TB, g *andor.Graph, sec *andor.Section,
 	return encodeWorkload(m, 1, 2, sorted)
 }
 
-// FuzzEngineArenaDifferential cross-checks three implementations of the
-// ByOrder dispatch semantics on fuzzed workloads: the event-driven engine
-// with fresh state, the same engine on a reused arena (run three times to
-// exercise buffer recycling), and the naive sequential reference scheduler.
-// The corpus is seeded with the paper's Figure-3 synthetic application and
-// the radar.andor workload, section by section, plus the ATR application —
+// FuzzEngineArenaDifferential cross-checks the ByOrder dispatch semantics
+// on fuzzed workloads over machines of one to three classes with speed
+// multipliers other than 1: the event-driven engine with fresh state must
+// pass ValidateResult and match the same engine on a reused arena (run
+// three times to exercise buffer recycling); on single-class machines it
+// must also match the naive sequential reference scheduler. The corpus is
+// seeded with the paper's Figure-3 synthetic application and the
+// radar.andor workload, section by section, plus the ATR application —
 // each section in both its raw and its overhead-padded form, the latter
-// being exactly the workload the compile cache's canonical runs see.
+// being exactly the workload the compile cache's canonical runs see — and
+// with multi-class variants of some of them.
 func FuzzEngineArenaDifferential(f *testing.F) {
 	for _, g := range []*andor.Graph{workload.Synthetic(), workload.ATR(workload.DefaultATRConfig())} {
 		for _, m := range []int{2, 4} {
@@ -336,6 +362,19 @@ func FuzzEngineArenaDifferential(f *testing.F) {
 		0, 0x75, 0x30, 25, 1, 1,
 		1, 0, 0, 0, 2, 0, 2,
 		0, 0x4E, 0x20, 25, 1, 0})
+	// Multi-class variants of the synthetic application's sections: two
+	// and three classes, speeds other than 1, every placement, tasks
+	// spread over the classes by their flag bits.
+	for k, data := range graphSectionWorkloads(f, workload.Synthetic(), 4) {
+		data[1] = byte(3 + 3*(k%2) + 9*(k%3)) // 2 or 3 classes, placement k mod 3
+		data[2] |= byte(16 * (1 + k%3))       // speed nibble
+		for pos := 4; pos+5 <= len(data); {
+			data[pos] |= byte(k+pos) << 1 // canonical class bits
+			np := int(data[pos+4] % 16)
+			pos += 5 + np
+		}
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, tasks, ok := decodeWorkload(data)
@@ -346,14 +385,19 @@ func FuzzEngineArenaDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("engine rejected decoded workload: %v", err)
 		}
-		wantD, wantF, wantP := referenceRun(cfg, tasks)
-		for _, r := range fresh.Records {
-			if math.Abs(r.Dispatch-wantD[r.Task]) > 1e-9 ||
-				math.Abs(r.Finish-wantF[r.Task]) > 1e-9 ||
-				r.Proc != wantP[r.Task] {
-				t.Fatalf("task %d: engine (d=%g f=%g p=%d) vs reference (d=%g f=%g p=%d)",
-					r.Task, r.Dispatch, r.Finish, r.Proc,
-					wantD[r.Task], wantF[r.Task], wantP[r.Task])
+		if err := ValidateResult(cfg.Hetero, cfg.Mode, cfg.Start, tasks, fresh); err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Hetero.NumClasses() == 1 {
+			wantD, wantF, wantP := referenceRun(cfg, tasks)
+			for _, r := range fresh.Records {
+				if math.Abs(r.Dispatch-wantD[r.Task]) > 1e-9 ||
+					math.Abs(r.Finish-wantF[r.Task]) > 1e-9 ||
+					r.Proc != wantP[r.Task] {
+					t.Fatalf("task %d: engine (d=%g f=%g p=%d) vs reference (d=%g f=%g p=%d)",
+						r.Task, r.Dispatch, r.Finish, r.Proc,
+						wantD[r.Task], wantF[r.Task], wantP[r.Task])
+				}
 			}
 		}
 		a := NewArena()

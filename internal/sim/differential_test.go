@@ -9,22 +9,23 @@ import (
 )
 
 // referenceRun is an independent, deliberately naive implementation of the
-// ByOrder dispatch semantics, used for differential testing against the
-// event-driven engine. Because dispatch is strictly ordered, the schedule
-// can be computed sequentially: task k (in order) is dispatched at
+// ByOrder dispatch semantics on a single-class machine, used for
+// differential testing against the event-driven engine. It reads the one
+// class's DVS table and speed multiplier. Because dispatch is strictly
+// ordered, the schedule can be computed sequentially: task k (in order) is
+// dispatched at
 //
 //	max(dispatch of task k−1, ready time, earliest processor free time)
 //
 // on the processor that has been idle longest. It returns dispatch/finish
 // times and processor assignments.
 func referenceRun(cfg Config, tasks []*Task) (dispatch, finish []float64, proc []int) {
-	m := cfg.Procs
-	if cfg.InitialLevels != nil {
-		m = len(cfg.InitialLevels)
-	}
+	cls := cfg.Hetero.Class(0)
+	plat, speed := cls.Plat, cls.Speed
+	m := cfg.Hetero.NumProcs()
 	levels := make([]int, m)
 	for i := range levels {
-		levels[i] = cfg.Platform.MaxIndex()
+		levels[i] = plat.MaxIndex()
 	}
 	if cfg.InitialLevels != nil {
 		copy(levels, cfg.InitialLevels)
@@ -66,20 +67,20 @@ func referenceRun(cfg Config, tasks []*Task) (dispatch, finish []float64, proc [
 		var compT, changeT float64
 		lvl := levels[best]
 		if !t.Dummy {
-			compT = cfg.Overheads.CompTime(cfg.Platform.Levels()[lvl].Freq)
+			compT = cfg.Overheads.CompTime(plat.Levels()[lvl].Freq * speed)
 			if cfg.Policy != nil {
-				lvl = cfg.Policy.PickLevel(t, d, levels[best])
+				lvl = cfg.Policy.PickLevel(t, d, levels[best], 0)
 			} else {
-				lvl = cfg.Platform.MaxIndex()
+				lvl = plat.MaxIndex()
 				compT = 0
 			}
 			if lvl != levels[best] {
-				changeT = cfg.Overheads.ChangeTime(cfg.Platform.Levels()[levels[best]], cfg.Platform.Levels()[lvl])
+				changeT = cfg.Overheads.ChangeTime(plat.Levels()[levels[best]], plat.Levels()[lvl])
 			}
 		}
 		exec := 0.0
 		if t.WorkA > 0 {
-			exec = t.WorkA / cfg.Platform.Levels()[lvl].Freq
+			exec = t.WorkA / (plat.Levels()[lvl].Freq * speed)
 		}
 		dispatch[ti] = d
 		finish[ti] = d + compT + changeT + exec
@@ -91,9 +92,10 @@ func referenceRun(cfg Config, tasks []*Task) (dispatch, finish []float64, proc [
 }
 
 // TestEngineMatchesReference differentially tests the event-driven engine
-// against the sequential reference on random order-gated workloads. Every
-// workload also runs through a shared, reused Arena so the reference
-// cross-checks the pooled engine path as well.
+// against the sequential reference on random order-gated workloads, and
+// checks every schedule with ValidateResult. Every workload also runs
+// through a shared, reused Arena so the reference cross-checks the pooled
+// engine path as well.
 func TestEngineMatchesReference(t *testing.T) {
 	plats := []*power.Platform{testPlat(), power.IntelXScale(), power.Transmeta5400()}
 	arena := NewArena()
@@ -123,13 +125,12 @@ func TestEngineMatchesReference(t *testing.T) {
 			}
 		}
 		cfg := Config{
-			Platform: plat,
+			Hetero: machine(plat, m),
 			Overheads: power.Overheads{
 				SpeedCompCycles: float64(rnd.next() % 2000),
 				SpeedChangeTime: rnd.float() * 1e-4,
 			},
 			Mode:   ByOrder,
-			Procs:  m,
 			Policy: fixedPolicy(int(rnd.next()) % plat.NumLevels()),
 			Start:  rnd.float(),
 		}
@@ -139,6 +140,10 @@ func TestEngineMatchesReference(t *testing.T) {
 		res, err := Run(cfg, tasks)
 		if err != nil {
 			t.Logf("seed %d: engine: %v", seed, err)
+			return false
+		}
+		if err := ValidateResult(cfg.Hetero, cfg.Mode, cfg.Start, tasks, res); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
 		wantD, wantF, wantP := referenceRun(cfg, tasks)

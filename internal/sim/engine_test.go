@@ -15,10 +15,19 @@ func testPlat() *power.Platform {
 	})
 }
 
+// machine wraps p as the m-processor single-class machine.
+func machine(p *power.Platform, m int) *power.Hetero {
+	h, err := power.Homogeneous(p, m)
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
 // fixedPolicy always picks one level.
 type fixedPolicy int
 
-func (f fixedPolicy) PickLevel(*Task, float64, int) int { return int(f) }
+func (f fixedPolicy) PickLevel(*Task, float64, int, int) int { return int(f) }
 
 // task builds a compute task with work in mega-cycles.
 func task(name string, workW, workA float64, preds, succs []int) *Task {
@@ -28,7 +37,7 @@ func task(name string, workW, workA float64, preds, succs []int) *Task {
 func TestSingleTaskTimingAndEnergy(t *testing.T) {
 	p := testPlat()
 	// 400 mega-cycles at 400MHz → 1s.
-	res, err := Run(Config{Platform: p, Mode: ByPriority, Procs: 1}, []*Task{
+	res, err := Run(Config{Hetero: machine(p, 1), Mode: ByPriority}, []*Task{
 		task("a", 400, 400, nil, nil),
 	})
 	if err != nil {
@@ -62,8 +71,7 @@ func TestPolicyLevelAndChangeOverhead(t *testing.T) {
 		task("b", 100, 100, []int{0}, nil),
 	}
 	res, err := Run(Config{
-		Platform: p, Overheads: ov, Mode: ByPriority, Procs: 1,
-		Policy: fixedPolicy(0),
+		Hetero: machine(p, 1), Overheads: ov, Mode: ByPriority, Policy: fixedPolicy(0),
 	}, tasks)
 	if err != nil {
 		t.Fatal(err)
@@ -105,8 +113,7 @@ func TestVoltageSlewCharged(t *testing.T) {
 	// One task forced from the max level (1.5V) to level 0 (1.0V):
 	// change = 0.1 + 1.0×0.5 = 0.6s; exec 100Mc at 100MHz = 1s.
 	res, err := Run(Config{
-		Platform: p, Overheads: ov, Mode: ByPriority, Procs: 1,
-		Policy: fixedPolicy(0),
+		Hetero: machine(p, 1), Overheads: ov, Mode: ByPriority, Policy: fixedPolicy(0),
 	}, []*Task{task("a", 100, 100, nil, nil)})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +133,7 @@ func TestLTFPriority(t *testing.T) {
 		task("long", 400, 400, nil, nil),
 		task("mid", 200, 200, nil, nil),
 	}
-	res, err := Run(Config{Platform: testPlat(), Mode: ByPriority, Procs: 1}, tasks)
+	res, err := Run(Config{Hetero: machine(testPlat(), 1), Mode: ByPriority}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +151,7 @@ func TestLTFTieBreakByNodeID(t *testing.T) {
 		{Node: 5, Name: "n5", WorkW: 100, WorkA: 100},
 		{Node: 2, Name: "n2", WorkW: 100, WorkA: 100},
 	}
-	res, err := Run(Config{Platform: testPlat(), Mode: ByPriority, Procs: 1}, tasks)
+	res, err := Run(Config{Hetero: machine(testPlat(), 1), Mode: ByPriority}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +165,7 @@ func TestTwoProcessorsRunInParallel(t *testing.T) {
 		task("a", 400, 400, nil, nil),
 		task("b", 400, 400, nil, nil),
 	}
-	res, err := Run(Config{Platform: testPlat(), Mode: ByPriority, Procs: 2}, tasks)
+	res, err := Run(Config{Hetero: machine(testPlat(), 2), Mode: ByPriority}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +183,7 @@ func TestPrecedenceRespected(t *testing.T) {
 		task("a", 200, 200, nil, []int{1}),
 		task("b", 200, 200, []int{0}, nil),
 	}
-	res, err := Run(Config{Platform: testPlat(), Mode: ByPriority, Procs: 2}, tasks)
+	res, err := Run(Config{Hetero: machine(testPlat(), 2), Mode: ByPriority}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +203,7 @@ func TestOrderGateForcesSleep(t *testing.T) {
 		{Name: "mid", WorkW: 100e6, WorkA: 100e6, Order: 1, Preds: []int{0}},
 		{Name: "free", WorkW: 100e6, WorkA: 100e6, Order: 2},
 	}
-	res, err := Run(Config{Platform: testPlat(), Mode: ByOrder, Procs: 2}, tasks)
+	res, err := Run(Config{Hetero: machine(testPlat(), 2), Mode: ByOrder}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +231,7 @@ func TestByPriorityWouldViolateOrder(t *testing.T) {
 		{Name: "mid", WorkW: 100e6, WorkA: 100e6, Preds: []int{0}},
 		{Name: "free", WorkW: 100e6, WorkA: 100e6},
 	}
-	res, err := Run(Config{Platform: testPlat(), Mode: ByPriority, Procs: 2}, tasks)
+	res, err := Run(Config{Hetero: machine(testPlat(), 2), Mode: ByPriority}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +251,7 @@ func TestDummyTasksTakeNoTime(t *testing.T) {
 	}
 	ov := power.Overheads{SpeedCompCycles: 1e9, SpeedChangeTime: 10}
 	res, err := Run(Config{
-		Platform: testPlat(), Overheads: ov, Mode: ByOrder, Procs: 1,
-		Policy: fixedPolicy(2),
+		Hetero: machine(testPlat(), 1), Overheads: ov, Mode: ByOrder, Policy: fixedPolicy(2),
 	}, tasks)
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +272,7 @@ func TestStartTimeAndInitialLevels(t *testing.T) {
 	p := testPlat()
 	tasks := []*Task{task("a", 100, 100, nil, nil)}
 	res, err := Run(Config{
-		Platform: p, Mode: ByPriority, Start: 5.0,
+		Hetero: machine(p, 1), Mode: ByPriority, Start: 5.0,
 		InitialLevels: []int{0}, // 100MHz
 		Policy:        fixedPolicy(0),
 	}, tasks)
@@ -284,7 +290,7 @@ func TestStartTimeAndInitialLevels(t *testing.T) {
 func TestErrors(t *testing.T) {
 	p := testPlat()
 	t.Run("no processors", func(t *testing.T) {
-		if _, err := Run(Config{Platform: p}, nil); err == nil {
+		if _, err := Run(Config{}, nil); err == nil {
 			t.Error("want error")
 		}
 	})
@@ -293,7 +299,7 @@ func TestErrors(t *testing.T) {
 			{Name: "a", WorkW: 1e6, WorkA: 1e6, Preds: []int{1}, Succs: []int{1}},
 			{Name: "b", WorkW: 1e6, WorkA: 1e6, Preds: []int{0}, Succs: []int{0}},
 		}
-		if _, err := Run(Config{Platform: p, Mode: ByPriority, Procs: 1}, tasks); err == nil {
+		if _, err := Run(Config{Hetero: machine(p, 1), Mode: ByPriority}, tasks); err == nil {
 			t.Error("want deadlock error")
 		}
 	})
@@ -302,31 +308,31 @@ func TestErrors(t *testing.T) {
 			{Name: "a", WorkW: 1e6, WorkA: 1e6, Order: 0},
 			{Name: "b", WorkW: 1e6, WorkA: 1e6, Order: 0},
 		}
-		if _, err := Run(Config{Platform: p, Mode: ByOrder, Procs: 1}, tasks); err == nil {
+		if _, err := Run(Config{Hetero: machine(p, 1), Mode: ByOrder}, tasks); err == nil {
 			t.Error("want order error")
 		}
 	})
 	t.Run("actual exceeds worst", func(t *testing.T) {
 		tasks := []*Task{{Name: "a", WorkW: 1e6, WorkA: 2e6}}
-		if _, err := Run(Config{Platform: p, Mode: ByPriority, Procs: 1}, tasks); err == nil {
+		if _, err := Run(Config{Hetero: machine(p, 1), Mode: ByPriority}, tasks); err == nil {
 			t.Error("want work error")
 		}
 	})
 	t.Run("bad pred index", func(t *testing.T) {
 		tasks := []*Task{{Name: "a", WorkW: 1e6, WorkA: 1e6, Preds: []int{9}}}
-		if _, err := Run(Config{Platform: p, Mode: ByPriority, Procs: 1}, tasks); err == nil {
+		if _, err := Run(Config{Hetero: machine(p, 1), Mode: ByPriority}, tasks); err == nil {
 			t.Error("want index error")
 		}
 	})
 	t.Run("empty task list", func(t *testing.T) {
-		res, err := Run(Config{Platform: p, Mode: ByOrder, Procs: 2, Start: 3}, nil)
+		res, err := Run(Config{Hetero: machine(p, 2), Mode: ByOrder, Start: 3}, nil)
 		if err != nil || res.Finish != 3 {
 			t.Errorf("empty run: %v finish=%v", err, res.Finish)
 		}
 	})
 	t.Run("procs disagree with initial levels", func(t *testing.T) {
 		tasks := []*Task{task("a", 100, 100, nil, nil)}
-		_, err := Run(Config{Platform: p, Mode: ByPriority, Procs: 3, InitialLevels: []int{0, 1}}, tasks)
+		_, err := Run(Config{Hetero: machine(p, 3), Mode: ByPriority, InitialLevels: []int{0, 1}}, tasks)
 		if err == nil || !strings.Contains(err.Error(), "disagrees with len(InitialLevels)") {
 			t.Errorf("want mismatch error, got %v", err)
 		}
@@ -334,7 +340,7 @@ func TestErrors(t *testing.T) {
 	t.Run("initial level out of range", func(t *testing.T) {
 		tasks := []*Task{task("a", 100, 100, nil, nil)}
 		for _, lv := range []int{-1, p.NumLevels()} {
-			_, err := Run(Config{Platform: p, Mode: ByPriority, InitialLevels: []int{lv}}, tasks)
+			_, err := Run(Config{Hetero: machine(p, 1), Mode: ByPriority, InitialLevels: []int{lv}}, tasks)
 			if err == nil || !strings.Contains(err.Error(), "outside the platform") {
 				t.Errorf("InitialLevels=[%d]: want range error, got %v", lv, err)
 			}
@@ -342,7 +348,7 @@ func TestErrors(t *testing.T) {
 	})
 	t.Run("procs matching initial levels ok", func(t *testing.T) {
 		tasks := []*Task{task("a", 100, 100, nil, nil)}
-		res, err := Run(Config{Platform: p, Mode: ByPriority, Procs: 2, InitialLevels: []int{0, 1}}, tasks)
+		res, err := Run(Config{Hetero: machine(p, 2), Mode: ByPriority, InitialLevels: []int{0, 1}}, tasks)
 		if err != nil {
 			t.Fatalf("matching Procs/InitialLevels rejected: %v", err)
 		}
@@ -363,8 +369,7 @@ func TestTimeConservation(t *testing.T) {
 		{Name: "c", WorkW: 100e6, WorkA: 80e6, Order: 2, Preds: []int{0}},
 	}
 	res, err := Run(Config{
-		Platform: p, Overheads: ov, Mode: ByOrder, Procs: 2,
-		Policy: fixedPolicy(1), Start: 1,
+		Hetero: machine(p, 2), Overheads: ov, Mode: ByOrder, Policy: fixedPolicy(1), Start: 1,
 	}, tasks)
 	if err != nil {
 		t.Fatal(err)
@@ -390,11 +395,11 @@ func TestTimeConservation(t *testing.T) {
 func TestGantt(t *testing.T) {
 	p := testPlat()
 	tasks := []*Task{task("alpha", 400, 400, nil, nil)}
-	res, err := Run(Config{Platform: p, Mode: ByPriority, Procs: 1}, tasks)
+	res, err := Run(Config{Hetero: machine(p, 1), Mode: ByPriority}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := Gantt(p, Entries(tasks, res.Records))
+	out := Gantt(machine(p, 1), Entries(tasks, res.Records))
 	if !strings.Contains(out, "alpha") || !strings.Contains(out, "P0") || !strings.Contains(out, "400MHz") {
 		t.Errorf("Gantt output wrong:\n%s", out)
 	}

@@ -18,7 +18,12 @@ func Example() {
 		{Name: "b", WorkW: 200e6, WorkA: 200e6, Order: 1},
 		{Name: "c", WorkW: 100e6, WorkA: 100e6, Order: 2, Preds: []int{0}},
 	}
-	res, err := sim.Run(sim.Config{Platform: plat, Mode: sim.ByOrder, Procs: 2}, tasks)
+	machine, err := power.Homogeneous(plat, 2)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	res, err := sim.Run(sim.Config{Hetero: machine, Mode: sim.ByOrder}, tasks)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -24,10 +24,12 @@ type chromeEvent struct {
 // ChromeTrace renders a schedule as Chrome Trace Event Format JSON: one
 // lane per processor (tid), one complete event per task execution, plus
 // shaded events for power-management overheads. Open the result in
-// chrome://tracing or https://ui.perfetto.dev.
-func ChromeTrace(platform *power.Platform, entries []GanttEntry) ([]byte, error) {
+// chrome://tracing or https://ui.perfetto.dev. Levels and power are read on
+// the DVS table of each processor's class on machine h.
+func ChromeTrace(h *power.Hetero, entries []GanttEntry) ([]byte, error) {
 	events := make([]chromeEvent, 0, 2*len(entries))
 	for _, e := range entries {
+		platform := classPlat(h, e.Proc)
 		lv := platform.Levels()[e.Level]
 		if oh := e.CompOH + e.ChangeOH; oh > 0 {
 			events = append(events, chromeEvent{
@@ -65,8 +67,9 @@ const (
 // SVG renders a schedule as a self-contained SVG timeline: one lane per
 // processor, task blocks shaded by voltage/speed level (darker = faster),
 // overhead slivers in red, and a dashed deadline marker. Suitable for
-// embedding in reports; no external assets.
-func SVG(platform *power.Platform, entries []GanttEntry, deadline float64) string {
+// embedding in reports; no external assets. Shades are relative to the DVS
+// table of each processor's class on machine h.
+func SVG(h *power.Hetero, entries []GanttEntry, deadline float64) string {
 	if len(entries) == 0 {
 		return `<svg xmlns="http://www.w3.org/2000/svg" width="200" height="40"><text x="8" y="24">empty schedule</text></svg>`
 	}
@@ -85,9 +88,9 @@ func SVG(platform *power.Platform, entries []GanttEntry, deadline float64) strin
 	x := func(t float64) float64 {
 		return svgMargin + (float64(svgWidth-svgMargin-10))*t/end
 	}
-	shade := func(level int) string {
+	shade := func(proc, level int) string {
 		// Interpolate light blue (slow) to dark blue (fast).
-		n := platform.NumLevels()
+		n := classPlat(h, proc).NumLevels()
 		frac := 0.0
 		if n > 1 {
 			frac = float64(level) / float64(n-1)
@@ -101,7 +104,7 @@ func SVG(platform *power.Platform, entries []GanttEntry, deadline float64) strin
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="monospace" font-size="11">`,
 		svgWidth, height)
 	fmt.Fprintf(&b, `<text x="%d" y="14">%s — %d processors, %.3f ms</text>`,
-		svgMargin, platform.Name, lanes, end*1e3)
+		svgMargin, h.Name, lanes, end*1e3)
 	sorted := append([]GanttEntry(nil), entries...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Dispatch < sorted[j].Dispatch })
 	for p := 0; p < lanes; p++ {
@@ -119,8 +122,8 @@ func SVG(platform *power.Platform, entries []GanttEntry, deadline float64) strin
 		start := e.Dispatch + e.CompOH + e.ChangeOH
 		w := maxf(x(e.Finish)-x(start), 0.5)
 		fmt.Fprintf(&b, `<rect x="%.1f" y="%d" width="%.2f" height="%d" fill="%s" stroke="#456"><title>%s @ %s [%.3f–%.3f ms]</title></rect>`,
-			x(start), y+4, w, svgLane-10, shade(e.Level),
-			e.Name, platform.Levels()[e.Level], start*1e3, e.Finish*1e3)
+			x(start), y+4, w, svgLane-10, shade(e.Proc, e.Level),
+			e.Name, classPlat(h, e.Proc).Levels()[e.Level], start*1e3, e.Finish*1e3)
 		if w > 34 {
 			fmt.Fprintf(&b, `<text x="%.1f" y="%d" fill="#123">%s</text>`,
 				x(start)+2, y+svgLane/2+4, e.Name)

@@ -2,13 +2,14 @@ package sim
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
 	"andorsched/internal/power"
 )
 
-func exportEntries(t *testing.T) (*power.Platform, []GanttEntry) {
+func exportEntries(t *testing.T) (*power.Hetero, []GanttEntry) {
 	t.Helper()
 	p := testPlat()
 	ov := power.Overheads{SpeedCompCycles: 10e6, SpeedChangeTime: 0.01}
@@ -16,13 +17,14 @@ func exportEntries(t *testing.T) (*power.Platform, []GanttEntry) {
 		{Name: "alpha", WorkW: 200e6, WorkA: 150e6, Order: 0, LFT: 10},
 		{Name: "beta", WorkW: 300e6, WorkA: 200e6, Order: 1, LFT: 10},
 	}
+	h := machine(p, 2)
 	res, err := Run(Config{
-		Platform: p, Overheads: ov, Mode: ByOrder, Procs: 2, Policy: fixedPolicy(0),
+		Hetero: h, Overheads: ov, Mode: ByOrder, Policy: fixedPolicy(0),
 	}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, Entries(tasks, res.Records)
+	return h, Entries(tasks, res.Records)
 }
 
 func TestChromeTrace(t *testing.T) {
@@ -76,5 +78,78 @@ func TestSVGEmpty(t *testing.T) {
 	svg := SVG(p, nil, 0)
 	if !strings.Contains(svg, "empty schedule") {
 		t.Error("empty SVG placeholder missing")
+	}
+}
+
+// TestRenderBigLittle renders a run on a machine of two classes with
+// different DVS tables: every renderer must read each entry's level on the
+// table of its own processor's class.
+func TestRenderBigLittle(t *testing.T) {
+	h := power.BigLittle()
+	little := h.ClassIndex("little")
+	var tasks []*Task
+	for i := 0; i < 4; i++ {
+		tasks = append(tasks, &Task{
+			Name: fmt.Sprintf("t%d", i), Node: i, Order: i,
+			WorkW: 40e6, WorkA: 40e6, LFT: 10, CanonClass: i % 2 * little,
+		})
+	}
+	res, err := Run(Config{Hetero: h, Mode: ByOrder}, tasks) // every class at its maximum
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := Entries(tasks, res.Records)
+	const bigTop, littleTop = "700MHz@1.65V", "400MHz@1.05V"
+	want := func(proc int) string {
+		if h.ClassOf(proc) == little {
+			return littleTop
+		}
+		return bigTop
+	}
+
+	for _, line := range strings.Split(strings.TrimSpace(Gantt(h, entries)), "\n") {
+		var proc int
+		if _, err := fmt.Sscanf(line, "P%d", &proc); err != nil {
+			t.Fatalf("Gantt line %q: %v", line, err)
+		}
+		if !strings.Contains(line, want(proc)) {
+			t.Errorf("Gantt line for P%d lacks %s: %q", proc, want(proc), line)
+		}
+	}
+
+	data, err := ChromeTrace(h, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name string            `json:"name"`
+		Tid  int               `json:"tid"`
+		Args map[string]string `json:"args"`
+	}
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatal(err)
+	}
+	onLittle := 0
+	for _, e := range events {
+		if e.Args["level"] != want(e.Tid) {
+			t.Errorf("trace event %s on P%d at level %q, want %q", e.Name, e.Tid, e.Args["level"], want(e.Tid))
+		}
+		if h.ClassOf(e.Tid) == little {
+			onLittle++
+			plat := h.Class(little).Plat
+			if p := fmt.Sprintf("%.3gW", plat.PowerAt(plat.MaxIndex())); e.Args["power"] != p {
+				t.Errorf("little-core power %q, want %q", e.Args["power"], p)
+			}
+		}
+	}
+	if onLittle != 2 {
+		t.Errorf("%d trace events on little cores, want 2", onLittle)
+	}
+
+	svg := SVG(h, entries, 1)
+	for _, s := range []string{"big.LITTLE", "P3", bigTop, littleTop} {
+		if !strings.Contains(svg, s) {
+			t.Errorf("SVG missing %q", s)
+		}
 	}
 }

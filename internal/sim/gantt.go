@@ -38,8 +38,9 @@ func Entries(tasks []*Task, records []Record) []GanttEntry {
 //	P0  [    0.000ms ->     5.210ms] B            467MHz@1.39V
 //
 // Entries from several engine runs (sections) may be concatenated; they are
-// sorted by dispatch time within each processor.
-func Gantt(platform *power.Platform, entries []GanttEntry) string {
+// sorted by dispatch time within each processor. Levels are read on the DVS
+// table of each processor's class on machine h.
+func Gantt(h *power.Hetero, entries []GanttEntry) string {
 	byProc := map[int][]GanttEntry{}
 	var procs []int
 	for _, e := range entries {
@@ -54,7 +55,7 @@ func Gantt(platform *power.Platform, entries []GanttEntry) string {
 		es := byProc[p]
 		sort.Slice(es, func(i, j int) bool { return es[i].Dispatch < es[j].Dispatch })
 		for _, e := range es {
-			lv := platform.Levels()[e.Level]
+			lv := classPlat(h, p).Levels()[e.Level]
 			fmt.Fprintf(&b, "P%-2d [%9.3fms -> %9.3fms] %-12s %4.0fMHz@%.2fV",
 				p, e.Dispatch*1e3, e.Finish*1e3, e.Name, lv.Freq/1e6, lv.Volt)
 			if e.CompOH > 0 || e.ChangeOH > 0 {
@@ -64,4 +65,9 @@ func Gantt(platform *power.Platform, entries []GanttEntry) string {
 		}
 	}
 	return b.String()
+}
+
+// classPlat returns the DVS table of processor proc's class.
+func classPlat(h *power.Hetero, proc int) *power.Platform {
+	return h.Class(h.ClassOf(proc)).Plat
 }

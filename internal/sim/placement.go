@@ -23,9 +23,13 @@ type ProcView struct {
 }
 
 // PlacementPolicy picks the processor a ready task is dispatched on. It is
-// the pluggable queue-selection axis of the heterogeneous machine model:
-// the engine keeps one logical ready queue per processor group and asks the
-// policy which group's head processor takes the next task.
+// the pluggable queue-selection axis of the machine model: the engine keeps
+// one logical ready queue per processor group and asks the policy which
+// group's head processor takes the next task. The engine consults it in
+// canonical (ByPriority) runs and for dummy tasks; online computation tasks
+// are pinned to their canonical class, whose processors are identical, and
+// every policy's ranking reduces there to idle-longest-first, which the
+// engine applies directly.
 //
 // Policies must be deterministic pure functions of their arguments —
 // schedules are replayed and differential-tested bit-for-bit.
@@ -40,8 +44,8 @@ type PlacementPolicy interface {
 
 // fasterView reports whether a should be preferred over b under the
 // fastest-first ordering: higher effective f_max, then longer idle (lower
-// FreeAt), then lower processor index. With a single class this reduces
-// exactly to the homogeneous engine's idle-longest-first processor pick.
+// FreeAt), then lower processor index. Within one class this is the
+// idle-longest-first processor pick.
 func fasterView(a, b *ProcView) bool {
 	if a.EffFmax != b.EffFmax {
 		return a.EffFmax > b.EffFmax
@@ -68,7 +72,7 @@ func fastestOf(eligible []ProcView, keep func(*ProcView) bool) int {
 }
 
 // fastestFirst always places on the fastest eligible class — the default
-// policy, and on a 1-class platform exactly the homogeneous behavior.
+// policy; on identical processors it is idle-longest-first.
 type fastestFirst struct{}
 
 func (fastestFirst) Name() string { return "fastest-first" }

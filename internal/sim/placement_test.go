@@ -1,107 +1,23 @@
 package sim
 
 import (
+	"strings"
 	"testing"
-	"testing/quick"
 
 	"andorsched/internal/power"
 )
 
-// fixedHeteroPolicy picks min(level, class max) on any class — a fixed
-// policy usable on both machine models for differential testing.
-type fixedHeteroPolicy struct {
+// clampedPolicy picks min(level, class max) on any class.
+type clampedPolicy struct {
 	h   *power.Hetero
 	lvl int
 }
 
-func (f fixedHeteroPolicy) PickLevel(*Task, float64, int) int { return f.lvl }
-func (f fixedHeteroPolicy) PickLevelHetero(_ *Task, _ float64, _ int, class int) int {
+func (f clampedPolicy) PickLevel(_ *Task, _ float64, _ int, class int) int {
 	if max := f.h.Class(class).Plat.MaxIndex(); f.lvl > max {
 		return max
 	}
 	return f.lvl
-}
-
-// TestHetero1ClassSimDifferential pins the degenerate-case contract at the
-// engine level: a 1-class heterogeneous platform at Speed 1 produces
-// bit-identical records, energies and level trajectories to the
-// homogeneous engine, across random order-gated workloads, both dispatch
-// modes, and both the fixed-level and nil (max-level) policies.
-func TestHetero1ClassSimDifferential(t *testing.T) {
-	plats := []*power.Platform{testPlat(), power.IntelXScale(), power.Transmeta5400()}
-	prop := func(seed int64) bool {
-		rnd := newLCG(uint64(seed))
-		plat := plats[int(rnd.next()%3)]
-		m := 1 + int(rnd.next()%4)
-		hp, err := power.Homogeneous(plat, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 1 + int(rnd.next()%24)
-		tasks := make([]*Task, n)
-		for i := 0; i < n; i++ {
-			w := 1e6 + float64(rnd.next()%400)*1e6
-			tasks[i] = &Task{
-				Name: "t", Node: i, Order: i,
-				WorkW: w, WorkA: w * (0.3 + 0.7*rnd.float()),
-				LFT: 1e9,
-			}
-			if rnd.next()%4 == 0 {
-				tasks[i].Dummy = true
-				tasks[i].WorkW, tasks[i].WorkA = 0, 0
-			}
-			for j := 0; j < i; j++ {
-				if rnd.next()%7 == 0 {
-					tasks[i].Preds = append(tasks[i].Preds, j)
-					tasks[j].Succs = append(tasks[j].Succs, i)
-				}
-			}
-		}
-		cfg := Config{
-			Platform: plat,
-			Overheads: power.Overheads{
-				SpeedCompCycles: float64(rnd.next() % 2000),
-				SpeedChangeTime: rnd.float() * 1e-4,
-			},
-			Mode:  Mode(rnd.next() % 2),
-			Procs: m,
-			Start: rnd.float(),
-		}
-		if rnd.next()%3 != 0 {
-			cfg.Policy = fixedPolicy(int(rnd.next() % uint64(plat.NumLevels())))
-		}
-		want, err := Run(cfg, tasks)
-		if err != nil {
-			t.Logf("seed %d: homogeneous: %v", seed, err)
-			return false
-		}
-
-		hcfg := cfg
-		hcfg.Platform = nil
-		hcfg.Procs = 0
-		hcfg.Hetero = hp
-		if cfg.Policy != nil {
-			hcfg.Policy = fixedHeteroPolicy{hp, int(cfg.Policy.(fixedPolicy))}
-		}
-		got, err := Run(hcfg, tasks)
-		if err != nil {
-			t.Logf("seed %d: heterogeneous: %v", seed, err)
-			return false
-		}
-		assertResultsIdentical(t, want, got)
-		if t.Failed() {
-			t.Logf("seed %d: 1-class heterogeneous run diverged from homogeneous", seed)
-			return false
-		}
-		if err := ValidateResultHetero(hp, hcfg.Mode, hcfg.Start, tasks, got); err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
-	}
 }
 
 // bigLittlePair is a two-class test platform: one fast core and one slow
@@ -172,7 +88,7 @@ func TestHeteroFeasibilityGuard(t *testing.T) {
 		tk.CanonClass = canon
 		res, err := Run(Config{
 			Hetero: hp, Placement: place, Mode: mode,
-			Policy: fixedHeteroPolicy{hp, testPlat().MaxIndex()},
+			Policy: clampedPolicy{hp, testPlat().MaxIndex()},
 		}, []*Task{tk})
 		if err != nil {
 			t.Fatal(err)
@@ -199,7 +115,7 @@ func TestHeteroFeasibilityGuard(t *testing.T) {
 	b.Node, b.Order = 1, 1
 	res, err := Run(Config{
 		Hetero: hp, Placement: FastestFirst, Mode: ByOrder,
-		Policy: fixedHeteroPolicy{hp, testPlat().MaxIndex()},
+		Policy: clampedPolicy{hp, testPlat().MaxIndex()},
 	}, []*Task{a, b})
 	if err != nil {
 		t.Fatal(err)
@@ -215,12 +131,12 @@ func TestHeteroFeasibilityGuard(t *testing.T) {
 	}
 }
 
-// TestHeteroConfigErrors covers the heterogeneous configuration checks.
+// TestHeteroConfigErrors covers the machine configuration checks.
 func TestHeteroConfigErrors(t *testing.T) {
 	hp := bigLittlePair()
 	tk := onlineTask(10, 1e9)
-	if _, err := Run(Config{Hetero: hp, Procs: 5}, []*Task{tk}); err == nil {
-		t.Error("Procs mismatch accepted")
+	if _, err := Run(Config{Hetero: hp, InitialLevels: []int{0, 0, 0}}, []*Task{tk}); err == nil {
+		t.Error("long InitialLevels accepted")
 	}
 	if _, err := Run(Config{Hetero: hp, InitialLevels: []int{0}}, []*Task{tk}); err == nil {
 		t.Error("short InitialLevels accepted")
@@ -229,8 +145,11 @@ func TestHeteroConfigErrors(t *testing.T) {
 	if _, err := Run(Config{Hetero: hp, InitialLevels: []int{1, 1}}, []*Task{tk}); err == nil {
 		t.Error("per-class out-of-range initial level accepted")
 	}
-	if _, err := Run(Config{Hetero: hp, Policy: fixedPolicy(0)}, []*Task{tk}); err == nil {
-		t.Error("non-hetero policy accepted on a heterogeneous platform")
+	pinned := onlineTask(10, 1e9)
+	pinned.CanonClass = 2
+	if _, err := Run(Config{Hetero: hp, Mode: ByOrder}, []*Task{pinned}); err == nil ||
+		!strings.Contains(err.Error(), "pinned to class 2 of a 2-class machine") {
+		t.Errorf("task pinned to a missing class: got %v", err)
 	}
 	if _, err := Run(Config{Hetero: hp, InitialLevels: []int{2, 0}}, []*Task{tk}); err != nil {
 		t.Errorf("valid heterogeneous config rejected: %v", err)
@@ -260,7 +179,7 @@ func TestClassAffinitySteering(t *testing.T) {
 			}
 		}
 	}
-	if err := ValidateResultHetero(hp, ByOrder, 0, []*Task{tagged, plain}, res); err != nil {
+	if err := ValidateResult(hp, ByOrder, 0, []*Task{tagged, plain}, res); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,26 +1,30 @@
 // Package sim implements the shared-memory multiprocessor machine model of
 // the paper (§2.3) as a deterministic discrete-event simulator.
 //
-// The simulated system has m identical DVS processors and a global ready
-// queue kept in shared memory. Each processor runs the scheduler
-// independently: when idle it tries to fetch the next task from the queue;
-// if the task it expects is not ready yet it goes to sleep and is woken
-// when the task becomes available (the wait()/signal() protocol of the
-// paper's Figure 2). The engine supports two dispatch disciplines:
+// The simulated machine is a power.Hetero: processors grouped into
+// classes, each class with its own DVS table and speed multiplier. The
+// paper's m identical DVS processors are the single class at Speed 1
+// (power.Homogeneous); there is one dispatch loop for every machine. A
+// global ready queue is kept in shared memory. Each processor runs the
+// scheduler independently: when idle it tries to fetch the next task from
+// the queue; if the task it expects is not ready yet it goes to sleep and
+// is woken when the task becomes available (the wait()/signal() protocol
+// of the paper's Figure 2). The engine supports two dispatch disciplines:
 //
 //   - ByPriority: tasks are dequeued highest-priority-first (longest task
-//     first) as soon as they are ready — used by the off-line phase to
-//     build canonical schedules;
+//     first) as soon as they are ready, on the processor a PlacementPolicy
+//     picks — used by the off-line phase to build canonical schedules;
 //   - ByOrder: tasks are dequeued strictly in a precomputed execution
 //     order — the on-line discipline that makes greedy slack sharing safe
 //     on multiprocessors (a processor sleeps while the next expected task
-//     is not ready, even if later-ordered tasks are).
+//     is not ready, even if later-ordered tasks are). Each computation
+//     task is pinned to the class its canonical schedule ran it on.
 //
 // Speed selection is delegated to a Policy; the engine charges the speed
-// computation overhead (cycles at the current frequency) and, when the
+// computation overhead (cycles at the current effective rate) and, when the
 // chosen level differs from the processor's current one, the voltage/speed
 // change overhead, and it integrates active, overhead and idle energy using
-// the power model.
+// each class's power model.
 //
 // The engine simulates one program section at a time (between Or
 // synchronization barriers); the driver in internal/core chains sections
@@ -66,16 +70,15 @@ type Task struct {
 	// speculation scheme).
 	SpecRemain float64
 	// Affinity is the task's preferred processor class plus one; zero
-	// means no preference. Only the class-affinity placement policy on
-	// heterogeneous platforms reads it (assigned from `@class` tags in
-	// .andor workloads).
+	// means no preference. Only the class-affinity placement policy reads
+	// it (assigned from `@class` tags in .andor workloads).
 	Affinity int
 	// CanonClass is the class the task ran on in the canonical schedule.
-	// The heterogeneous engine's feasibility guard pins online (ByOrder)
-	// dispatch to exactly this class: within a class processors are
-	// identical, which is what carries the Theorem-1 safety induction to
-	// unequal processors. Zero (class 0) on homogeneous platforms and in
-	// canonical (ByPriority) runs, which ignore it.
+	// The engine's feasibility guard pins online (ByOrder) dispatch of
+	// computation tasks to exactly this class: within a class processors
+	// are identical, which is what carries the Theorem-1 safety induction
+	// to unequal processors. Zero on a single-class machine; canonical
+	// (ByPriority) runs ignore it.
 	CanonClass int
 	// Preds and Succs are indices into the engine's task slice.
 	Preds, Succs []int
@@ -93,7 +96,8 @@ type Record struct {
 	Start float64
 	// Finish is the completion time.
 	Finish float64
-	// Level is the platform level index the task ran at.
+	// Level is the level index the task ran at, into the DVS table of the
+	// processor's class.
 	Level int
 	// CompOH and ChangeOH are the speed-computation and speed-change
 	// overhead durations charged before Start, in seconds.
@@ -113,8 +117,8 @@ type Result struct {
 	// energy depends on the accounting horizon and is added by the caller.
 	ActiveEnergy, OverheadEnergy float64
 	// ClassActiveEnergy and ClassOverheadEnergy decompose the two energies
-	// by processor class on heterogeneous runs (indexed by class, summing
-	// exactly to the scalars above term by term); nil on homogeneous runs.
+	// by processor class (indexed by class; each class total accumulates
+	// the same terms as the scalars above).
 	ClassActiveEnergy, ClassOverheadEnergy []float64
 	// SpeedChanges counts voltage/speed transitions.
 	SpeedChanges int
@@ -142,50 +146,25 @@ const (
 // Policy chooses the operating level for each computation task at dispatch
 // time. Implementations live in internal/core (the paper's schemes).
 type Policy interface {
-	// PickLevel returns the platform level index to run task t, dispatched
-	// at time now on a processor currently at level cur. The engine charges
-	// the speed-change overhead if the returned level differs from cur.
-	PickLevel(t *Task, now float64, cur int) int
-}
-
-// HeteroPolicy chooses operating levels on heterogeneous platforms, where
-// a level index is only meaningful relative to a processor class's own DVS
-// table. A Policy used with Config.Hetero must also implement this
-// interface; Run rejects configurations where it does not.
-type HeteroPolicy interface {
-	// PickLevelHetero returns the level index — into the class's own
-	// table — to run task t, dispatched at time now on a processor of the
-	// given class currently at level cur.
-	PickLevelHetero(t *Task, now float64, cur int, class int) int
-}
-
-// maxPolicy runs everything at the platform's maximum level.
-type maxPolicy struct{ idx int }
-
-func (m maxPolicy) PickLevel(*Task, float64, int) int { return m.idx }
-
-// maxHeteroPolicy runs everything at each class's own maximum level.
-type maxHeteroPolicy struct{ maxIdx []int }
-
-func (m *maxHeteroPolicy) PickLevelHetero(_ *Task, _ float64, _ int, class int) int {
-	return m.maxIdx[class]
+	// PickLevel returns the level index — into the DVS table of the
+	// processor's class — to run task t, dispatched at time now on a
+	// processor of the given class currently at level cur. The engine
+	// charges the speed-change overhead if the returned level differs
+	// from cur.
+	PickLevel(t *Task, now float64, cur int, class int) int
 }
 
 // Config parameterizes an engine run.
 type Config struct {
-	// Platform is the processors' DVS model. Ignored when Hetero is set.
-	Platform *power.Platform
-	// Hetero, when non-nil, selects the heterogeneous machine model: each
-	// processor belongs to a class with its own DVS table and speed
-	// multiplier, processors are picked by the Placement policy behind a
-	// per-class feasibility guard, and Policy (if non-nil) must implement
-	// HeteroPolicy. Platform is ignored; the processor count is the
-	// platform's.
+	// Hetero is the machine: its processor classes, their DVS tables and
+	// speed multipliers, and the processor count. Identical processors are
+	// the single class at Speed 1 (power.Homogeneous). Required.
 	Hetero *power.Hetero
-	// Placement picks the processor each ready task is dispatched on when
-	// Hetero is set; nil defaults to FastestFirst (which on a single class
-	// is exactly the homogeneous idle-longest-first pick). Ignored on
-	// homogeneous runs.
+	// Placement picks the processor each ready task is dispatched on in
+	// ByPriority runs and for dummy tasks; nil defaults to FastestFirst.
+	// Online computation tasks are pinned to their canonical class, whose
+	// processors are identical, and go to its idle-longest processor
+	// without consulting the policy.
 	Placement PlacementPolicy
 	// Overheads are the power-management costs. Zero values disable them
 	// (used for canonical schedules and for the static schemes, which
@@ -193,16 +172,14 @@ type Config struct {
 	Overheads power.Overheads
 	// Mode is the dispatch discipline.
 	Mode Mode
-	// Policy chooses levels; nil runs everything at the maximum level with
-	// no overheads (canonical schedules, NPM).
+	// Policy chooses levels; nil runs everything at each class's maximum
+	// level (canonical schedules, NPM).
 	Policy Policy
 	// Start is the simulation start time (the section's begin).
 	Start float64
-	// Procs is the processor count; used when InitialLevels is nil.
-	Procs int
-	// InitialLevels, if non-nil, gives each processor's level at Start and
-	// implies the processor count. When Procs is also set the two must
-	// agree; Run rejects mismatches.
+	// InitialLevels, if non-nil, gives each processor's level at Start, one
+	// entry per processor of the machine; nil starts every processor at
+	// its class's maximum level.
 	InitialLevels []int
 	// Tracer, if non-nil, receives structured events (task dispatch/finish,
 	// speed changes, idle intervals) as the simulation progresses. The nil

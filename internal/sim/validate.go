@@ -12,36 +12,24 @@ import (
 const valTol = 1e-9
 
 // ValidateResult is an independent oracle that cross-checks an engine run
-// against the machine model's invariants. It is used by tests (and by
-// core.RunConfig.Validate) to catch scheduling bugs structurally rather
-// than through aggregate outcomes. It verifies that:
+// on machine h against the machine model's invariants. It is used by tests
+// (and by core.RunConfig.Validate) to catch scheduling bugs structurally
+// rather than through aggregate outcomes. It verifies that:
 //
-//   - every task executed exactly once, at a valid level, not before start;
+//   - every task executed exactly once, at a valid level of its
+//     processor's class, not before start;
 //   - each record's arithmetic holds: Start = Dispatch + overheads and
-//     Finish − Start = WorkA / f(level);
+//     Finish − Start = WorkA / (Speed·f(level)) on the processor's class;
 //   - no two records overlap on the same processor;
 //   - every task was dispatched only after all its predecessors finished;
 //   - in ByOrder mode, dispatch times are non-decreasing in task order
-//     (the order-gate discipline);
+//     (the order-gate discipline) and every computation task ran on its
+//     canonical class;
 //   - the per-processor busy/overhead totals match the records.
-func ValidateResult(platform *power.Platform, mode Mode, start float64, tasks []*Task, res *Result) error {
-	return validateResult(func(int) (*power.Platform, float64) { return platform, 1 },
-		mode, start, tasks, res)
-}
-
-// ValidateResultHetero is ValidateResult for heterogeneous runs: each
-// record's level bound and duration are checked against its processor
-// class's own DVS table and effective rate Speed·f.
-func ValidateResultHetero(h *power.Hetero, mode Mode, start float64, tasks []*Task, res *Result) error {
-	return validateResult(func(proc int) (*power.Platform, float64) {
-		c := h.Class(h.ClassOf(proc))
-		return c.Plat, c.Speed
-	}, mode, start, tasks, res)
-}
-
-// procModel returns the DVS table and speed multiplier of a processor; the
-// proc index has been bounds-checked against the result.
-func validateResult(procModel func(proc int) (*power.Platform, float64), mode Mode, start float64, tasks []*Task, res *Result) error {
+func ValidateResult(h *power.Hetero, mode Mode, start float64, tasks []*Task, res *Result) error {
+	if len(res.BusyTime) != h.NumProcs() {
+		return fmt.Errorf("sim: result covers %d processors, machine has %d", len(res.BusyTime), h.NumProcs())
+	}
 	if len(res.Records) != len(tasks) {
 		return fmt.Errorf("sim: %d records for %d tasks", len(res.Records), len(tasks))
 	}
@@ -58,9 +46,14 @@ func validateResult(procModel func(proc int) (*power.Platform, float64), mode Mo
 		if r.Proc < 0 || r.Proc >= len(res.BusyTime) {
 			return fmt.Errorf("sim: record on unknown processor %d", r.Proc)
 		}
-		platform, speed := procModel(r.Proc)
+		ci := h.ClassOf(r.Proc)
+		platform, speed := h.Class(ci).Plat, h.Class(ci).Speed
 		if r.Level < 0 || r.Level >= platform.NumLevels() {
 			return fmt.Errorf("sim: task %q ran at invalid level %d", tasks[r.Task].Name, r.Level)
+		}
+		if t := tasks[r.Task]; mode == ByOrder && !t.Dummy && ci != t.CanonClass {
+			return fmt.Errorf("sim: task %q pinned to class %d ran on processor %d of class %d",
+				t.Name, t.CanonClass, r.Proc, ci)
 		}
 		if r.Dispatch < start-valTol {
 			return fmt.Errorf("sim: task %q dispatched at %g before start %g", tasks[r.Task].Name, r.Dispatch, start)
