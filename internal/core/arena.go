@@ -15,19 +15,26 @@ import "andorsched/internal/sim"
 type Arena struct {
 	sim sim.Arena
 
-	sc        script      // resolved script, slices reused across runs
-	tasks     []*sim.Task // runtimeTasks output
-	taskBuf   []sim.Task  // backing store for the per-section task copies
-	levels    []int       // per-section level carry
-	clvLevels []int       // clairvoyant initial levels
-	probs     []float64   // chooseBranch scratch
-	busyP     []float64   // per-processor busy seconds (heterogeneous idle energy)
-	ovhP      []float64   // per-processor overhead seconds (heterogeneous idle energy)
-	batch     []float64   // batched-sampling scratch (one section's times)
-	pol       policy      // the run's policy, re-initialized per run
-	probePol  policy      // clairvoyant probe policy
-	probe     RunResult   // clairvoyant probe output
-	mcRes     RunResult   // MonteCarlo / CompareFrames result holder
+	sc script // resolved script, slices reused across runs
+
+	// runtimeTasks' engine tasks for the plan taskPlan, each section's at
+	// its taskOff; filled marks (by section ID) the sections whose
+	// templates have been copied in since the arena switched plans.
+	taskPlan *Plan
+	tasks    []sim.Task
+	taskPtrs []*sim.Task
+	filled   []bool
+
+	levels    []int     // per-section level carry
+	clvLevels []int     // clairvoyant initial levels
+	probs     []float64 // chooseBranch scratch
+	busyP     []float64 // per-processor busy seconds (per-class idle energy)
+	ovhP      []float64 // per-processor overhead seconds (per-class idle energy)
+	batch     []float64 // batched-sampling scratch (one section's times)
+	pol       policy    // the run's policy, re-initialized per run
+	probePol  policy    // clairvoyant probe policy
+	probe     RunResult // clairvoyant probe output
+	mcRes     RunResult // MonteCarlo / CompareFrames result holder
 }
 
 // NewArena returns an empty Arena. Buffers grow on first use and are
@@ -49,4 +56,16 @@ func ensureFloats(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
+}
+
+// ensureBools returns buf resized to n with every element false.
+func ensureBools(buf []bool, n int) []bool {
+	if cap(buf) < n {
+		return make([]bool, n)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = false
+	}
+	return buf
 }
