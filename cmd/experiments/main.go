@@ -38,16 +38,12 @@ func main() {
 		htmlF     = flag.String("html", "", "write a self-contained HTML report (charts + tables) to this file")
 		winnersF  = flag.Bool("winners", false, "print the scheme-selection map (best scheme per load × α cell) and exit")
 		parallelF = flag.Int("parallel", 0, "worker goroutines per data point (0 = all CPUs); results are identical for any value")
-		cacheF    = flag.Bool("compile-cache", true, "memoize canonical section schedules across plan compiles (results are identical either way; disable for A/B profiling)")
 		cStatsF   = flag.Bool("cache-stats", false, "print section-schedule cache statistics to stderr when done")
 		profile   obs.Profile
 	)
 	profile.RegisterFlags(flag.CommandLine, "trace")
 	flag.Parse()
 	experiments.SetDefaultWorkers(*parallelF)
-	if !*cacheF {
-		core.SetScheduleCacheCapacity(0)
-	}
 
 	var sess *obs.Session
 	if profile.Enabled() {

@@ -30,7 +30,7 @@ type Arena struct {
 	probs     []float64 // chooseBranch scratch
 	busyP     []float64 // per-processor busy seconds (per-class idle energy)
 	ovhP      []float64 // per-processor overhead seconds (per-class idle energy)
-	batch     []float64 // batched-sampling scratch (one section's times)
+	batch     []float64 // one section's sampled times (SampleBatch output)
 	pol       policy    // the run's policy, re-initialized per run
 	probePol  policy    // clairvoyant probe policy
 	probe     RunResult // clairvoyant probe output

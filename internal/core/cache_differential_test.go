@@ -174,46 +174,6 @@ func TestScheduleCacheSharedAcrossSizing(t *testing.T) {
 	}
 }
 
-// TestSetScheduleCacheCapacity exercises the process-wide switch: disabling
-// and re-enabling the default cache must leave NewPlan results unchanged.
-func TestSetScheduleCacheCapacity(t *testing.T) {
-	defer SetScheduleCacheCapacity(DefaultScheduleCacheCapacity)
-	g := workload.Random(7, andor.DefaultRandomOpts())
-	plat := power.IntelXScale()
-	ov := power.DefaultOverheads()
-
-	SetScheduleCacheCapacity(0)
-	if st := ScheduleCacheStats(); st != (schedcache.Stats{}) {
-		t.Fatalf("disabled cache reported non-zero stats: %+v", st)
-	}
-	off, err := NewPlan(g, 3, plat, ov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := ScheduleCacheStats(); st != (schedcache.Stats{}) {
-		t.Fatalf("disabled cache accumulated stats: %+v", st)
-	}
-
-	SetScheduleCacheCapacity(64)
-	on1, err := NewPlan(g, 3, plat, ov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	on2, err := NewPlan(g, 3, plat, ov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := eqPlans(off, on1); diff != "" {
-		t.Fatalf("cache-on (cold) vs cache-off: %s", diff)
-	}
-	if diff := eqPlans(off, on2); diff != "" {
-		t.Fatalf("cache-on (warm) vs cache-off: %s", diff)
-	}
-	if st := ScheduleCacheStats(); st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("expected both hits and misses after warm recompile: %+v", st)
-	}
-}
-
 // FuzzNewPlanCacheDifferential fuzzes the cache correctness contract: for
 // any generator seed and configuration, a warm cached compile must be
 // bit-identical to an uncached one, and a representative run under common

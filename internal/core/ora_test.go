@@ -131,18 +131,6 @@ func TestORAAlphaGauge(t *testing.T) {
 	}
 }
 
-// lightSampler models a stale plan: actual execution times are drawn
-// around factor×ACET instead of the ACET the plan's speculation assumes.
-type lightSampler struct {
-	inner  exectime.TimeSampler
-	factor float64
-}
-
-func (b lightSampler) Sample(wcet, acet float64) float64 {
-	return b.inner.Sample(wcet, math.Min(wcet, b.factor*acet))
-}
-func (b lightSampler) Source() *exectime.Source { return b.inner.Source() }
-
 // TestORAReclaimsUnderLighterRuns guards against ORA silently degenerating
 // into AS: when actual execution times run well below the plan's static
 // average-case assumption, the estimator must lower the speculative floor
@@ -164,7 +152,7 @@ func TestORAReclaimsUnderLighterRuns(t *testing.T) {
 	for seed := uint64(0); seed < 150; seed++ {
 		for _, s := range []Scheme{AS, ORA} {
 			cfg.Scheme = s
-			cfg.Sampler = lightSampler{exectime.NewSampler(exectime.NewSource(seed)), 0.2}
+			cfg.Sampler = exectime.NewBiasedSampler(exectime.NewSource(seed), 0.2)
 			if err := plan.RunInto(cfg, arena, &res); err != nil {
 				t.Fatalf("%s seed=%d: %v", s, seed, err)
 			}

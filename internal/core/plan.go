@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"andorsched/internal/andor"
 	"andorsched/internal/core/schedcache"
@@ -102,8 +101,8 @@ type secPlan struct {
 	tasks []taskPlan
 	// computeIdx indexes the Compute entries of tasks, in task order, and
 	// wcets/acets hold their execution-time parameters contiguously — the
-	// layout batched sampling (exectime.BatchSampler) consumes when the
-	// on-line phase draws a whole section's actual times in one call.
+	// layout exectime.Sampler.SampleBatch consumes when the on-line phase
+	// draws a whole section's actual times in one call.
 	computeIdx   []int
 	wcets, acets []float64
 }
@@ -132,38 +131,12 @@ type taskPlan struct {
 const DefaultScheduleCacheCapacity = 4096
 
 // scheduleCache is the process-wide section-schedule memoization used by
-// NewPlan; see docs/COMPILE_CACHE.md. The pointer is swapped atomically so
-// SetScheduleCacheCapacity is safe to call concurrently with compiles (a
-// compile in flight keeps using the cache it loaded — results are identical
-// either way, only amortization changes).
-var scheduleCache atomic.Pointer[schedcache.Cache]
-
-func init() {
-	scheduleCache.Store(schedcache.New(DefaultScheduleCacheCapacity))
-}
-
-// SetScheduleCacheCapacity replaces the process-wide section-schedule cache
-// with a fresh one bounded to n entries; n <= 0 disables caching entirely
-// (every NewPlan recomputes every canonical schedule — the behavior before
-// the cache existed, useful for A/B profiling). Plans are bit-identical
-// with the cache on, off, or resized.
-func SetScheduleCacheCapacity(n int) {
-	if n <= 0 {
-		scheduleCache.Store(nil)
-		return
-	}
-	scheduleCache.Store(schedcache.New(n))
-}
+// NewPlan; see docs/COMPILE_CACHE.md.
+var scheduleCache = schedcache.New(DefaultScheduleCacheCapacity)
 
 // ScheduleCacheStats snapshots the process-wide section-schedule cache
-// counters. All-zero when the cache is disabled.
-func ScheduleCacheStats() schedcache.Stats {
-	c := scheduleCache.Load()
-	if c == nil {
-		return schedcache.Stats{}
-	}
-	return c.Stats()
-}
+// counters.
+func ScheduleCacheStats() schedcache.Stats { return scheduleCache.Stats() }
 
 // NewPlan runs the off-line phase on m identical processors: it validates
 // the application, decomposes it into program sections, builds each
@@ -183,7 +156,7 @@ func ScheduleCacheStats() schedcache.Stats {
 // Deadline feasibility (CTWorst ≤ D) is checked by Run, which knows the
 // deadline.
 func NewPlan(g *andor.Graph, m int, platform *power.Platform, ov power.Overheads) (*Plan, error) {
-	return NewPlanWithCache(g, m, platform, ov, scheduleCache.Load())
+	return NewPlanWithCache(g, m, platform, ov, scheduleCache)
 }
 
 // NewPlanWithCache is NewPlan against an explicit section-schedule cache
@@ -232,7 +205,7 @@ func NewPlanWithCache(g *andor.Graph, m int, platform *power.Platform, ov power.
 // placement-sensitive entries can never poison identical-platform ones.
 // Cached compiles are bit-identical to uncached ones (differential-tested).
 func NewHeteroPlan(g *andor.Graph, hp *power.Hetero, ov power.Overheads, place sim.PlacementPolicy) (*Plan, error) {
-	return NewHeteroPlanWithCache(g, hp, ov, place, scheduleCache.Load())
+	return NewHeteroPlanWithCache(g, hp, ov, place, scheduleCache)
 }
 
 // NewHeteroPlanWithCache is NewHeteroPlan against an explicit

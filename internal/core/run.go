@@ -21,7 +21,7 @@ type RunConfig struct {
 	// Sampler supplies actual execution times and drives OR branch
 	// selection. Required unless both WorstCase and ForceBranches cover
 	// the run.
-	Sampler exectime.TimeSampler
+	Sampler *exectime.Sampler
 	// WorstCase, if set, makes every task consume its full WCET instead of
 	// a sampled actual time (used by correctness tests).
 	WorstCase bool
@@ -135,19 +135,15 @@ type script struct {
 }
 
 // resolve walks the section graph once, sampling actual execution times
-// and branch outcomes in the same order the execution consumes them. When
-// the sampler supports batched draws (exectime.BatchSampler), each
-// section's actual times come from one SampleBatch call — bit-identical to
-// the element-wise path, just cheaper. The returned script is arena-owned;
-// its per-step work slices are recycled.
+// and branch outcomes in the same order the execution consumes them. Each
+// section's actual times come from one SampleBatch call over its compute
+// tasks (worst-case runs take the WCETs instead) and are scattered into
+// the step's work slice. The returned script is arena-owned; its per-step
+// work slices are recycled.
 func (p *Plan) resolve(cfg RunConfig, a *Arena) *script {
 	sc := &a.sc
 	sc.sections = sc.sections[:0]
 	sc.choices = sc.choices[:0]
-	var batch exectime.BatchSampler
-	if !cfg.WorstCase {
-		batch, _ = cfg.Sampler.(exectime.BatchSampler)
-	}
 	sec := p.Sections.First
 	orCount := 0
 	step := 0
@@ -161,28 +157,17 @@ func (p *Plan) resolve(cfg RunConfig, a *Arena) *script {
 		}
 		works := sc.works[step]
 		step++
-		if batch != nil {
-			for i := range works {
-				works[i] = 0
-			}
+		for i := range works {
+			works[i] = 0
+		}
+		times := sp.wcets
+		if !cfg.WorstCase {
 			a.batch = ensureFloats(a.batch, len(sp.computeIdx))
-			batch.SampleBatch(sp.wcets, sp.acets, a.batch)
-			for j, ti := range sp.computeIdx {
-				works[ti] = a.batch[j] * p.fmax
-			}
-		} else {
-			for i := range sp.tasks {
-				works[i] = 0
-				n := sp.tasks[i].node
-				if n.Kind != andor.Compute {
-					continue
-				}
-				if cfg.WorstCase {
-					works[i] = n.WCET * p.fmax
-				} else {
-					works[i] = cfg.Sampler.Sample(n.WCET, n.ACET) * p.fmax
-				}
-			}
+			cfg.Sampler.SampleBatch(sp.wcets, sp.acets, a.batch)
+			times = a.batch
+		}
+		for j, ti := range sp.computeIdx {
+			works[ti] = times[j] * p.fmax
 		}
 		exit := sp.sec.Exit
 		if exit == nil || len(exit.Succs()) == 0 {

@@ -418,27 +418,3 @@ func TestSchemeParse(t *testing.T) {
 		t.Error("Dynamic() wrong")
 	}
 }
-
-// TestEmpiricalSamplerEndToEnd: profile-driven execution times flow through
-// the whole scheduler with the timing guarantee intact.
-func TestEmpiricalSamplerEndToEnd(t *testing.T) {
-	dist, err := exectime.NewEmpirical([]float64{0.3, 0.35, 0.4, 0.85, 0.9, 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := NewPlan(workload.ATR(workload.DefaultATRConfig()), 2,
-		power.IntelXScale(), power.DefaultOverheads())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := uint64(0); seed < 20; seed++ {
-		res, err := plan.Run(RunConfig{
-			Scheme: GSS, Deadline: plan.CTWorst / 0.7,
-			Sampler:  exectime.NewEmpiricalSampler(exectime.NewSource(seed), dist),
-			Validate: true,
-		})
-		if err != nil || !res.MetDeadline || res.LSTViolations != 0 {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-	}
-}

@@ -21,7 +21,7 @@ type StreamConfig struct {
 	Frames int
 	// Sampler supplies per-frame actual execution times and branch
 	// outcomes.
-	Sampler exectime.TimeSampler
+	Sampler *exectime.Sampler
 	// CarryLevels keeps each processor's voltage/speed setting across
 	// frame boundaries (the physically accurate behavior: a processor left
 	// at a low level starts the next frame there and pays a change if the

@@ -45,23 +45,13 @@ func (s *Source) FillNorm(dst []float64) {
 	}
 }
 
-// BatchSampler is implemented by samplers that can draw a whole slice of
-// actual execution times in one call. SampleBatch must be equivalent to
-// calling Sample element-wise in index order — same values, same random
-// stream — so callers may freely mix the two forms.
-type BatchSampler interface {
-	TimeSampler
-	// SampleBatch sets dst[i] to one actual execution time for a task with
-	// worst case wcet[i] and average case acet[i]. The three slices must
-	// have equal length.
-	SampleBatch(wcet, acet, dst []float64)
-}
-
-// SampleBatch draws one actual execution time per task, bit-identically to
-// element-wise Sample calls but with the normal variates generated in one
-// FillNorm pass. Tasks with ACET ≥ WCET (no variability) consume no
-// randomness, exactly as in Sample. The scratch buffer is retained on the
-// sampler, so steady-state calls allocate nothing once warmed.
+// SampleBatch sets dst[i] to one actual execution time for a task with
+// worst case wcet[i] and average case acet[i], bit-identically to
+// element-wise Sample calls in index order but with the normal variates
+// generated in one FillNorm pass. Tasks without variability (biased mean ≥
+// WCET) consume no randomness, exactly as in Sample. The three slices must
+// have equal length. The scratch buffer is retained on the sampler, so
+// steady-state calls allocate nothing once warmed.
 func (sm *Sampler) SampleBatch(wcet, acet, dst []float64) {
 	if len(wcet) != len(dst) || len(acet) != len(dst) {
 		panic("exectime: SampleBatch slice length mismatch")
@@ -69,7 +59,7 @@ func (sm *Sampler) SampleBatch(wcet, acet, dst []float64) {
 	need := 0
 	if sm.sigmaFactor > 0 {
 		for i := range dst {
-			if acet[i] < wcet[i] {
+			if sm.mean(wcet[i], acet[i]) < wcet[i] {
 				need++
 			}
 		}
@@ -81,7 +71,8 @@ func (sm *Sampler) SampleBatch(wcet, acet, dst []float64) {
 	sm.src.FillNorm(norms)
 	j := 0
 	for i := range dst {
-		w, a := wcet[i], acet[i]
+		w := wcet[i]
+		a := sm.mean(w, acet[i])
 		if a >= w {
 			dst[i] = w // no run-time variability (α = 1)
 			continue
@@ -91,12 +82,7 @@ func (sm *Sampler) SampleBatch(wcet, acet, dst []float64) {
 			dst[i] = a
 			continue
 		}
-		x := a + sigma*norms[j]
+		dst[i] = truncate(w, a, a+sigma*norms[j])
 		j++
-		lo := a - (w - a)
-		if min := 0.01 * a; lo < min {
-			lo = min
-		}
-		dst[i] = math.Min(w, math.Max(lo, x))
 	}
 }

@@ -25,48 +25,6 @@ func TestSourceDeterminism(t *testing.T) {
 	}
 }
 
-// TestSkipMatchesSequentialDraws proves the O(1) skip is exact: for any
-// (seed, n), Reseed(seed); Skip(n) leaves the source in precisely the
-// state n sequential Uint64 calls would — the property the chunked
-// Monte-Carlo path's per-run seed derivation rests on.
-func TestSkipMatchesSequentialDraws(t *testing.T) {
-	seeds := []uint64{0, 1, 42, 0xdeadbeef, math.MaxUint64}
-	for _, seed := range seeds {
-		for _, n := range []uint64{0, 1, 2, 7, 63, 64, 1000, 1 << 20} {
-			seq := NewSource(seed)
-			for i := uint64(0); i < n; i++ {
-				seq.Uint64()
-			}
-			var skipped Source
-			skipped.Reseed(seed)
-			skipped.Skip(n)
-			for i := 0; i < 16; i++ {
-				if got, want := skipped.Uint64(), seq.Uint64(); got != want {
-					t.Fatalf("seed %d skip %d draw %d: %#x, want %#x", seed, n, i, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestSkipDiscardsSpare: a cached Box–Muller spare must not leak across a
-// skip — the skipped-to position has to reproduce a fresh source exactly,
-// normals included.
-func TestSkipDiscardsSpare(t *testing.T) {
-	var s Source
-	s.Reseed(7)
-	s.NormFloat64() // populates the spare
-	s.Reseed(7)
-	s.Skip(10)
-	ref := NewSource(7)
-	ref.Skip(10)
-	for i := 0; i < 8; i++ {
-		if got, want := s.NormFloat64(), ref.NormFloat64(); got != want {
-			t.Fatalf("normal %d after skip: %g, want %g (spare leaked)", i, got, want)
-		}
-	}
-}
-
 // TestSeedAt pins SeedAt(seed, i) to the (i+1)-th output of
 // NewSource(seed) for arbitrary inputs.
 func TestSeedAt(t *testing.T) {

@@ -13,8 +13,8 @@ import "math"
 
 // gamma is SplitMix64's Weyl-sequence increment. The generator's state
 // after n steps is exactly seed + n·gamma (the output mixing is stateless),
-// which is what makes O(1) skip-ahead — Skip, SeedAt — possible: any point
-// of a stream can be reached without generating the prefix.
+// which is what lets SeedAt reach any point of a stream in O(1), without
+// generating the prefix.
 const gamma = 0x9e3779b97f4a7c15
 
 // Source is a deterministic pseudo-random number generator (SplitMix64).
@@ -93,24 +93,6 @@ func (s *Source) Fork() *Source {
 // produce without allocating.
 func (s *Source) Reseed(seed uint64) {
 	s.state = seed
-	s.haveSpare = false
-	s.spare = 0
-}
-
-// Skip advances the receiver by n Uint64 steps in O(1), discarding any
-// cached Box–Muller spare — after Skip(n), the source produces exactly the
-// outputs a fresh source at the same seed would produce after n Uint64
-// calls. It is the chunk-stable seeding primitive: a worker handed runs
-// [lo, hi) of a request reproduces the serial per-run seed stream with
-// Reseed(seed); Skip(lo), so run i's stream is independent of how the
-// request was chunked.
-//
-// Skip counts raw Uint64 draws, not derived variates: NormFloat64 consumes
-// a variable number of uniforms, so skipping across anything but whole
-// Uint64-aligned positions (like the per-run master seeds) is not
-// meaningful.
-func (s *Source) Skip(n uint64) {
-	s.state += n * gamma
 	s.haveSpare = false
 	s.spare = 0
 }

@@ -96,22 +96,22 @@ func SetDefaultWorkers(n int) {
 }
 
 // pointWorker is one goroutine's reusable run state: a simulation arena
-// and a reseedable source with a sampler drawing from it. Every run of
+// and a reseedable source with the sampler drawing from it. Every run of
 // every scheme reuses these, so a data point's allocation count is
 // O(workers), not O(runs).
 type pointWorker struct {
 	arena   *core.Arena
 	src     *exectime.Source
-	sampler exectime.TimeSampler
+	sampler *exectime.Sampler
 }
 
 // newPointWorker builds a worker whose sampler draws around the ACET, or,
-// with bias != 0, around bias·ACET (exectime.Biased).
+// with bias != 0, around bias·ACET (exectime.NewBiasedSampler).
 func newPointWorker(bias float64) *pointWorker {
 	src := exectime.NewSource(0)
-	var sampler exectime.TimeSampler = exectime.NewSampler(src)
+	sampler := exectime.NewSampler(src)
 	if bias != 0 {
-		sampler = exectime.NewBiased(sampler, bias)
+		sampler = exectime.NewBiasedSampler(src, bias)
 	}
 	return &pointWorker{arena: core.NewArena(), src: src, sampler: sampler}
 }

@@ -151,21 +151,6 @@ func TestCollector(t *testing.T) {
 	}
 }
 
-func TestMultiTracer(t *testing.T) {
-	a, b := NewCollector(), NewCollector()
-	mt := MultiTracer(nil, a, nil, b)
-	mt.Event(Event{Kind: EvIdle})
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Errorf("fan-out failed: %d, %d", a.Len(), b.Len())
-	}
-	if MultiTracer(nil, nil) != nil {
-		t.Error("all-nil MultiTracer should be nil")
-	}
-	if MultiTracer(a) != Tracer(a) {
-		t.Error("single tracer should pass through")
-	}
-}
-
 func TestKindStrings(t *testing.T) {
 	seen := map[string]bool{}
 	for k := Kind(0); k < numKinds; k++ {

@@ -122,12 +122,6 @@ type Tracer interface {
 	Event(e Event)
 }
 
-// TracerFunc adapts a function to the Tracer interface.
-type TracerFunc func(Event)
-
-// Event implements Tracer.
-func (f TracerFunc) Event(e Event) { f(e) }
-
 // Collector is a Tracer that records events in memory for post-run export.
 // It is safe for concurrent use.
 type Collector struct {
@@ -164,29 +158,4 @@ func (c *Collector) Reset() {
 	c.mu.Lock()
 	c.events = c.events[:0]
 	c.mu.Unlock()
-}
-
-// MultiTracer fans events out to several tracers. Nil entries are skipped.
-func MultiTracer(tracers ...Tracer) Tracer {
-	var live []Tracer
-	for _, t := range tracers {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return multiTracer(live)
-}
-
-type multiTracer []Tracer
-
-func (m multiTracer) Event(e Event) {
-	for _, t := range m {
-		t.Event(e)
-	}
 }

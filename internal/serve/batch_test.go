@@ -329,29 +329,15 @@ func FuzzBatchEndpoint(f *testing.F) {
 	f.Add([]byte(`{"items":[{"workload":"atr","deadline":-5}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req := httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(string(data)))
-		w := httptest.NewRecorder()
-		s.Handler().ServeHTTP(w, req)
-		if n, _ := s.Metrics().Snapshot().Counter(MetricPanics); n != 0 {
-			t.Fatalf("handler panicked on %d-byte input %q", len(data), truncate(data))
-		}
-		if !fuzzStatuses[w.Code] {
-			t.Fatalf("status %d on input %q; body %s", w.Code, truncate(data), w.Body.String())
-		}
-		if w.Code != http.StatusOK {
-			var e struct {
-				Error string `json:"error"`
-			}
-			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
-				t.Fatalf("status %d with non-JSON error body %q", w.Code, w.Body.String())
-			}
+		body, ok := fuzzPost(t, s, "/v1/batch", data)
+		if !ok {
 			return
 		}
 		// A 200 batch is NDJSON whose last line is the completeness summary.
-		lines := strings.Split(strings.TrimSpace(w.Body.String()), "\n")
+		lines := strings.Split(strings.TrimSpace(string(body)), "\n")
 		var sum BatchSummary
 		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &sum); err != nil || !sum.Summary {
-			t.Fatalf("200 batch without summary line; body %s", w.Body.String())
+			t.Fatalf("200 batch without summary line; body %s", body)
 		}
 		if sum.Items != len(lines)-1 {
 			t.Fatalf("summary items %d but %d item lines", sum.Items, len(lines)-1)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -78,30 +79,13 @@ func FuzzRunEndpoint(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req := httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(string(data)))
-		w := httptest.NewRecorder()
-		s.Handler().ServeHTTP(w, req)
-		// The middleware converts panics into 500s and counts them; a
-		// recovered panic is still a bug the fuzzer must surface.
-		if n, _ := s.Metrics().Snapshot().Counter(MetricPanics); n != 0 {
-			t.Fatalf("handler panicked on %d-byte input %q", len(data), truncate(data))
-		}
-		if !fuzzStatuses[w.Code] {
-			t.Fatalf("status %d on input %q; body %s", w.Code, truncate(data), w.Body.String())
-		}
-		// Error responses must carry a JSON error message; 200s must decode
-		// as a run row or stream.
-		if w.Code != http.StatusOK {
-			var e struct {
-				Error string `json:"error"`
-			}
-			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
-				t.Fatalf("status %d with non-JSON error body %q", w.Code, w.Body.String())
-			}
+		body, ok := fuzzPost(t, s, "/v1/run", data)
+		if !ok {
 			return
 		}
-		first := w.Body.Bytes()
-		if idx := strings.IndexByte(w.Body.String(), '\n'); idx >= 0 {
+		// A 200 is a run row or a stream of them.
+		first := body
+		if idx := bytes.IndexByte(body, '\n'); idx >= 0 {
 			first = first[:idx]
 		}
 		var row RunRow
@@ -109,6 +93,72 @@ func FuzzRunEndpoint(f *testing.F) {
 			t.Fatalf("200 with undecodable first row %q: %v", truncate(first), err)
 		}
 	})
+}
+
+// FuzzCompareEndpoint drives arbitrary bytes through the decode and
+// validation path of POST /v1/compare with the same never-panic and
+// status-set checks as FuzzRunEndpoint. Workers: 2 puts large requests on
+// the chunked fan-out path, where a panic would escape the middleware.
+func FuzzCompareEndpoint(f *testing.F) {
+	s := New(Config{
+		Workers:        2,
+		QueueSize:      8,
+		MaxBodyBytes:   1 << 18,
+		MaxRuns:        8,
+		RequestTimeout: 5 * time.Second,
+	})
+	defer s.Close()
+
+	f.Add([]byte(`{"workload":"atr","schemes":["all"],"runs":1024819115206086201}`))
+	f.Add([]byte(`{"workload":"atr","schemes":["NPM","GSS","AS"],"runs":2,"load":0.5,"seed":5}`))
+	f.Add([]byte(`{"workload":"synthetic","schemes":["GSS","AS"],"runs":4,"chunks":2}`))
+	f.Add([]byte(`{"text":"task A 1ms 1ms\ntask B 2ms","schemes":["ORA"],"runs":4}`))
+	f.Add([]byte(`{"workload":"atr","schemes":["bogus"]}`))
+	f.Add([]byte(`{"workload":"atr","runs":-9223372036854775808}`))
+	f.Add([]byte(`{"workload":"atr","schemes":[],"chunks":65}`))
+	f.Add([]byte(`{"workload":"atr","deadline":1e-9}`))
+	f.Add([]byte(`not json`))
+	f.Add([]byte(``))
+	f.Add([]byte(`{}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		body, ok := fuzzPost(t, s, "/v1/compare", data)
+		if !ok {
+			return
+		}
+		var resp CompareResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatalf("200 with undecodable body %q: %v", truncate(body), err)
+		}
+	})
+}
+
+// fuzzPost sends one fuzz input to path and applies the checks every
+// decode-path fuzzer shares: no recovered panic (the middleware turns
+// panics into counted 500s, and a recovered panic is still a bug), a
+// status from fuzzStatuses, and a JSON error message on every non-200. It
+// returns the body and whether the answer was a 200.
+func fuzzPost(t *testing.T, s *Server, path string, data []byte) ([]byte, bool) {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data))
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	if n, _ := s.Metrics().Snapshot().Counter(MetricPanics); n != 0 {
+		t.Fatalf("handler panicked on %d-byte input %q", len(data), truncate(data))
+	}
+	if !fuzzStatuses[w.Code] {
+		t.Fatalf("status %d on input %q; body %s", w.Code, truncate(data), w.Body.String())
+	}
+	if w.Code != http.StatusOK {
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Fatalf("status %d with non-JSON error body %q", w.Code, w.Body.String())
+		}
+		return nil, false
+	}
+	return w.Body.Bytes(), true
 }
 
 func truncate(b []byte) string {

@@ -283,7 +283,8 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	if runs == 0 {
 		runs = 200
 	}
-	if runs < 1 || runs*len(schemes) > s.cfg.MaxRuns {
+	// Divide rather than multiply: runs*len(schemes) can wrap negative.
+	if runs < 1 || runs > s.cfg.MaxRuns/len(schemes) {
 		s.writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("runs %d × %d schemes exceeds the limit of %d total executions",
 				runs, len(schemes), s.cfg.MaxRuns))

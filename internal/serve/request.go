@@ -77,8 +77,9 @@ type RunRequest struct {
 	// workers (0 = automatic: large-run requests fan out across the pool,
 	// small ones stay serial; 1 forces the serial path). Rows, their order
 	// and the trailing summary are byte-identical for every chunk count:
-	// per-run seeds are derived by an O(1) skip on the master stream and
-	// summaries are reduced in run order. Capped at Runs and at 64.
+	// per-run seeds are read off the master stream in O(1) by
+	// exectime.SeedAt and summaries are reduced in run order. Capped at
+	// Runs and at 64.
 	Chunks int `json:"chunks,omitempty"`
 	// Worst makes every task consume its full WCET (no sampling).
 	Worst bool `json:"worst,omitempty"`
@@ -99,8 +100,8 @@ type CompareRequest struct {
 	// Chunks splits the comparison's frames across up to this many pool
 	// workers (0 = automatic, 1 = serial; capped at Runs and at 64). The
 	// response is byte-identical for every chunk count: per-frame CRN
-	// seeds are derived by an O(1) skip on the master stream and scheme
-	// statistics are reduced in frame order.
+	// seeds are read off the master stream in O(1) by exectime.SeedAt and
+	// scheme statistics are reduced in frame order.
 	Chunks int `json:"chunks,omitempty"`
 	// Seed drives the common random numbers (default 0).
 	Seed uint64 `json:"seed,omitempty"`

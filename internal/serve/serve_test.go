@@ -197,6 +197,17 @@ func TestCompareDefaultsToAllSchemes(t *testing.T) {
 	}
 }
 
+// TestCompareRunsOverflow: a run count whose product with the scheme
+// count wraps past the integer range must be refused as too large, not
+// slip through validation into a huge allocation.
+func TestCompareRunsOverflow(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	w := post(t, s, "/v1/compare", `{"workload":"atr","schemes":["all"],"runs":1024819115206086201}`)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", w.Code, w.Body.String())
+	}
+}
+
 func TestValidationErrors(t *testing.T) {
 	s := newTestServer(t, Config{})
 	cases := []struct {
