@@ -2,6 +2,7 @@ package andor
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 )
 
@@ -119,10 +120,27 @@ func FuzzParseText(f *testing.F) {
 	f.Add("task A 1ms 1ms\ntask A 1ms 1ms")
 	f.Add("task A 1ms 1ms @accel\ntask B 2ms 1ms @big")
 	f.Add("task A 1ms 1ms @")
+	for _, src := range nonFiniteTexts {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		g, err := ParseText(src)
 		if err != nil {
 			return // rejected input: fine
+		}
+		// Every comparison with NaN is false, so range checks alone let
+		// non-finite values through; the parser must not.
+		for _, n := range g.Nodes() {
+			if n.Kind == Compute && !(isFinite(n.WCET) && isFinite(n.ACET)) {
+				t.Fatalf("task %q parsed with times %g/%g", n.Name, n.WCET, n.ACET)
+			}
+			if n.Kind == Or {
+				for i := range n.Succs() {
+					if p := n.BranchProb(i); !isFinite(p) {
+						t.Fatalf("OR node %q parsed with probability %g", n.Name, p)
+					}
+				}
+			}
 		}
 		// ParseText validates, so the graph must decompose or be rejected
 		// for a documented structural reason — never panic.
@@ -130,6 +148,9 @@ func FuzzParseText(f *testing.F) {
 			t.Fatalf("ParseText returned an invalid graph: %v", err)
 		}
 		text := FormatText(g)
+		if want := fmtFormatText(g); text != want {
+			t.Fatalf("FormatText differs from the fmt renderer\ngot:\n%q\nwant:\n%q", text, want)
+		}
 		back, err := ParseText(text)
 		if err != nil {
 			t.Fatalf("format→parse failed: %v\n%s", err, text)
@@ -154,3 +175,5 @@ func FuzzParseText(f *testing.F) {
 		}
 	})
 }
+
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

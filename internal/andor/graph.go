@@ -68,11 +68,11 @@ func (g *Graph) add(n *Node) *Node {
 
 // AddTask adds a computation node with the given worst-case and
 // average-case execution times (seconds at maximum speed).
-// It panics if wcet <= 0 or acet is outside (0, wcet]; use Validate for
+// It panics unless 0 < acet <= wcet < +Inf (NaN included); use Validate for
 // error reporting on programmatically built graphs instead of relying on
 // this programming-error check.
 func (g *Graph) AddTask(name string, wcet, acet float64) *Node {
-	if wcet <= 0 || acet <= 0 || acet > wcet {
+	if !validTimes(wcet, acet) {
 		panic(fmt.Sprintf("andor: task %q has invalid times wcet=%g acet=%g", name, wcet, acet))
 	}
 	return g.add(&Node{Name: name, Kind: Compute, WCET: wcet, ACET: acet})

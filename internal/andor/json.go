@@ -53,7 +53,7 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 		var n *Node
 		switch jn.Kind {
 		case "compute":
-			if jn.WCET <= 0 || jn.ACET <= 0 || jn.ACET > jn.WCET {
+			if !validTimes(jn.WCET, jn.ACET) {
 				return fmt.Errorf("andor: node %d (%q): invalid times wcet=%g acet=%g", i, jn.Name, jn.WCET, jn.ACET)
 			}
 			n = fresh.AddTask(jn.Name, jn.WCET, jn.ACET)

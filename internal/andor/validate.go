@@ -8,16 +8,17 @@ import (
 // Validate checks that the graph is a well-formed AND/OR application:
 //
 //   - non-empty and acyclic;
-//   - computation nodes have 0 < ACET <= WCET;
+//   - computation nodes have 0 < ACET <= WCET < +Inf;
 //   - And nodes have at least one predecessor and one successor (a dummy
 //     node with neither would be an isolated vertex);
 //   - Or nodes with more than one successor carry branch probabilities that
-//     are non-negative and sum to 1 (within 1e-9);
+//     lie in [0, 1] and sum to 1 (within 1e-9);
 //   - the graph decomposes into program sections (see Decompose for the
 //     structural rules that encode the paper's "all processors synchronize
 //     at an OR node" restriction).
 //
-// It returns the first violation found, or nil.
+// Every check is written so that NaN fails it. It returns the first
+// violation found, or nil.
 //
 // A successful validation is memoized: re-validating an unmodified graph
 // (every NewPlan call validates) is free. Any mutating Graph method
@@ -35,10 +36,10 @@ func (g *Graph) Validate() error {
 	for _, n := range g.nodes {
 		switch n.Kind {
 		case Compute:
-			if n.WCET <= 0 {
-				return fmt.Errorf("andor: task %q has non-positive WCET %g", n.Name, n.WCET)
+			if !(n.WCET > 0 && n.WCET <= math.MaxFloat64) {
+				return fmt.Errorf("andor: task %q has WCET %g, want positive and finite", n.Name, n.WCET)
 			}
-			if n.ACET <= 0 || n.ACET > n.WCET {
+			if !(n.ACET > 0 && n.ACET <= n.WCET) {
 				return fmt.Errorf("andor: task %q has ACET %g outside (0, WCET=%g]", n.Name, n.ACET, n.WCET)
 			}
 		case And:
@@ -57,8 +58,8 @@ func (g *Graph) Validate() error {
 				}
 				var sum float64
 				for i, p := range n.prob {
-					if p < 0 {
-						return fmt.Errorf("andor: OR node %q branch %d has negative probability %g", n.Name, i, p)
+					if !(p >= 0 && p <= 1) {
+						return fmt.Errorf("andor: OR node %q branch %d has probability %g outside [0, 1]", n.Name, i, p)
 					}
 					sum += p
 				}
@@ -75,4 +76,10 @@ func (g *Graph) Validate() error {
 	}
 	g.validated.Store(true)
 	return nil
+}
+
+// validTimes reports whether a task's times satisfy 0 < acet <= wcet < +Inf.
+// NaN fails every comparison, so it is rejected too.
+func validTimes(wcet, acet float64) bool {
+	return wcet > 0 && wcet <= math.MaxFloat64 && acet > 0 && acet <= wcet
 }
