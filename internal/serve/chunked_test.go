@@ -68,6 +68,9 @@ var chunkCases = []int{1, 0, 2, 3, 5, 8}
 func refPlan(t testing.TB, s *Server, spec AppSpec) (*core.Plan, float64) {
 	t.Helper()
 	ra, apiErr := s.resolveApp(&spec)
+	if apiErr == nil {
+		apiErr = ra.parseDeferred()
+	}
 	if apiErr != nil {
 		t.Fatal(apiErr.msg)
 	}

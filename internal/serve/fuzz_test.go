@@ -72,6 +72,9 @@ func FuzzRunEndpoint(f *testing.F) {
 	f.Add([]byte(`{"text":"` + strings.Repeat("task X 1ms 1ms\\n", 64) + `"}`))
 	f.Add([]byte(`{"deadline":-1e308,"load":1e-300,"workload":"atr"}`))
 	f.Add([]byte(`[[[[[[[[[[`))
+	for _, body := range nonFiniteBodies {
+		f.Add([]byte(body))
+	}
 
 	panicsBefore, _ := s.Metrics().Snapshot().Counter(MetricPanics)
 	if panicsBefore != 0 {

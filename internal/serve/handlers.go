@@ -17,7 +17,8 @@ import (
 // counter-free peek at the owning shard's published snapshot (a lock-free
 // read); peeked reports such a hit, which the caller credits in-job to the
 // worker executing the request (wk.pw.hits), so the warm path writes no
-// counter another goroutine writes. A cold key is resolved by routePlan.
+// counter another goroutine writes. A cold key is resolved by routePlan,
+// which first parses any text the memo let resolveApp skip.
 func (s *Server) planFor(ctx context.Context, spec *AppSpec) (plan *core.Plan, peeked bool, apiErr *apiError) {
 	ra, apiErr := s.resolveApp(spec)
 	if apiErr != nil {
@@ -35,8 +36,13 @@ func (s *Server) planFor(ctx context.Context, spec *AppSpec) (plan *core.Plan, p
 // to homeFor(ra.key), compiling on a miss; the owner counts its own hit or
 // miss. The owner queue serializes compiles for its keys, so
 // duplicate-compile suppression falls out of the routing: a request that
-// queued behind an in-flight compile of the same key finds it done.
+// queued behind an in-flight compile of the same key finds it done. Text
+// the memo left unparsed is parsed here, on the caller's goroutine, so the
+// owner queue does no more work than a compile.
 func (s *Server) routePlan(ctx context.Context, ra resolvedApp) (*core.Plan, bool, *apiError) {
+	if apiErr := ra.parseDeferred(); apiErr != nil {
+		return nil, false, apiErr
+	}
 	var plan *core.Plan
 	var hit bool
 	var err error
@@ -53,6 +59,9 @@ func (s *Server) routePlan(ctx context.Context, ra resolvedApp) (*core.Plan, boo
 			rec.MarkDetail(PhaseCache, "miss")
 		}
 	}, nil)
+	if jp, ok := submitErr.(*jobPanic); ok {
+		panic(jp)
+	}
 	switch {
 	case errors.Is(submitErr, context.DeadlineExceeded) || errors.Is(submitErr, context.Canceled):
 		return nil, false, errf(http.StatusServiceUnavailable, "timed out waiting for plan compile")
@@ -323,9 +332,14 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 
 // checkPoolErr maps the failure of a pool submission or of the work it
 // ran onto a response; true means the work completed and the caller
-// should proceed. Pool failures are capacity conditions (429, 503); any
-// other error is a simulation failure (500).
+// should proceed. Pool failures are capacity conditions (429, 503); a job
+// that panicked is re-raised here, on the handler goroutine, for the
+// middleware to answer and count; any other error is a simulation failure
+// (500).
 func (s *Server) checkPoolErr(w http.ResponseWriter, err error) bool {
+	if jp, ok := err.(*jobPanic); ok {
+		panic(jp)
+	}
 	switch {
 	case err == nil:
 		return true

@@ -134,6 +134,7 @@ type Server struct {
 	cfg     Config
 	metrics *obs.Metrics
 	pool    *Pool // also holds the per-worker plan-cache shards
+	texts   *textMemo
 
 	// statsMu guards the merge of per-worker cache counters into the
 	// registry's monotonic instruments (refreshStats); lastMerged
@@ -170,6 +171,7 @@ func New(cfg Config) *Server {
 		cfg:         cfg,
 		metrics:     m,
 		pool:        NewPool(cfg.Workers, cfg.QueueSize, cfg.CacheSize),
+		texts:       newTextMemo(cfg.CacheSize),
 		limiter:     tenant.New(cfg.Tenant),
 		mux:         http.NewServeMux(),
 		start:       time.Now(),
