@@ -50,8 +50,8 @@ func TestTracerEventOrdering(t *testing.T) {
 			}
 
 			last := events[0].Time
-			balance := map[int]int{}   // node -> dispatches - finishes
-			inFlight := map[int]int{}  // proc -> currently dispatched tasks
+			balance := map[int]int{}  // node -> dispatches - finishes
+			inFlight := map[int]int{} // proc -> currently dispatched tasks
 			sections := 0
 			dispatches, finishes, orResolves := 0, 0, 0
 			for i, e := range events {

@@ -17,7 +17,7 @@ import (
 
 // TestWorkerRunZeroAlloc pins the steady-state contract the pool relies
 // on: a warmed worker executing the /v1/run inner loop — reseed, RunInto,
-// fillRow — allocates nothing.
+// fillRow, appendRow into a reused buffer — allocates nothing.
 func TestWorkerRunZeroAlloc(t *testing.T) {
 	plan, err := core.NewPlan(workload.ATR(workload.DefaultATRConfig()), 2,
 		power.Transmeta5400(), power.DefaultOverheads())
@@ -28,6 +28,7 @@ func TestWorkerRunZeroAlloc(t *testing.T) {
 	wk := &Worker{Arena: core.NewArena(), Src: src, Sampler: exectime.NewSampler(src)}
 	cfg := core.RunConfig{Scheme: core.AS, Deadline: plan.CTWorst / 0.5, Sampler: wk.Sampler}
 	var row RunRow
+	var out []byte
 	seed := uint64(0)
 	run := func() {
 		wk.Src.Reseed(seed)
@@ -36,9 +37,10 @@ func TestWorkerRunZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		fillRow(&row, 0, &wk.Res)
+		out, _ = appendRow(out[:0], &row)
 	}
 	for i := 0; i < 10; i++ {
-		run() // warm the arena and the row's path buffer
+		run() // warm the arena, the row's path buffer and out
 	}
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 		t.Errorf("warmed worker run path allocates %.1f times per run, want 0", allocs)
@@ -155,31 +157,38 @@ func TestRunRequestWarmAllocs(t *testing.T) {
 	}
 }
 
-// TestRunRequestAllocsPerRun bounds the handler's marginal cost per
-// simulated run: after warmup, growing a /v1/run request by 300 extra runs
-// may only add the allocations of encoding 300 extra rows — nothing
-// proportional to the application's size (ATR has ~100 tasks per frame).
+// TestRunRequestAllocsPerRun: a warmed Monte-Carlo /v1/run allocates
+// nothing per run. Workers encode rows into pooled chunk buffers and the
+// handler writes each chunk whole, so growing a chunked request tenfold,
+// from 200 to 2000 runs over the same two chunks, may add only a few
+// allocations: a chunk buffer the pool dropped is rebuilt in a fixed
+// number of allocations (its rows sized from the first), whatever its run
+// count.
 func TestRunRequestAllocsPerRun(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueSize: 8})
-	request := func(runs int) func() {
+	s := newTestServer(t, Config{Workers: 2, QueueSize: 8})
+	measure := func(runs int) float64 {
 		body := fmt.Sprintf(`{"workload":"atr","scheme":"GSS","runs":%d,"seed":11}`, runs)
-		return func() {
-			req := httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body))
-			w := httptest.NewRecorder()
+		rd := strings.NewReader(body)
+		req := httptest.NewRequest(http.MethodPost, "/v1/run", rd)
+		w := newReusableRecorder()
+		run := func() {
+			rd.Reset(body)
+			w.reset()
 			s.Handler().ServeHTTP(w, req)
-			if w.Code != http.StatusOK {
-				t.Fatalf("status %d: %s", w.Code, w.Body.String())
+			if w.status != http.StatusOK {
+				t.Fatalf("status %d: %s", w.status, w.body.String())
 			}
 		}
+		for i := 0; i < 3; i++ {
+			run() // compile, warm the arenas, size the pooled chunk buffers
+		}
+		return testing.AllocsPerRun(10, run)
 	}
-	small, large := request(50), request(350)
-	small() // compile + warm the worker arena
-	large()
-	allocsSmall := testing.AllocsPerRun(5, small)
-	allocsLarge := testing.AllocsPerRun(5, large)
-	perRun := (allocsLarge - allocsSmall) / 300
-	t.Logf("allocs: runs=50 %.0f, runs=350 %.0f, marginal %.2f/run", allocsSmall, allocsLarge, perRun)
-	if perRun > 32 {
-		t.Errorf("marginal cost %.1f allocs per simulated run; want O(row encoding), <= 32", perRun)
+	large := measure(2000) // first, so the pooled buffers fit both sizes
+	small := measure(200)
+	t.Logf("allocs/op: runs=200 %.1f, runs=2000 %.1f", small, large)
+	if large-small > 12 {
+		t.Errorf("runs=2000 allocates %.1f more times than runs=200 (%.1f vs %.1f); want <= 12, independent of runs",
+			large-small, large, small)
 	}
 }

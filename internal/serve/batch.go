@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -226,7 +225,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 					}
 					var mc core.MCStats
 					err := monteCarloOn(ctx, wk, it.plan, it.cfg, it.seed, 0, it.runs,
-						func(_ int, res *core.RunResult) { mc.Observe(res) })
+						func(_ int, res *core.RunResult) error {
+							mc.Observe(res)
+							return nil
+						})
 					done += int64(mc.Done)
 					if err != nil {
 						if ctx.Err() != nil {
@@ -268,25 +270,32 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// All items settled: commit the 200 and stream the lines in item
-	// order, then the completeness marker.
+	// All items settled: encode the lines in item order, then the
+	// completeness marker, and commit the 200 with the whole body known. An
+	// item whose summary JSON cannot carry (a non-finite mean) becomes
+	// that item's error line.
 	rec := obs.TraceFromContext(r.Context())
 	t0 := rec.SinceStart()
 	defer rec.RecordOffset(PhaseEncode, t0)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
+	jb := jsonBufPool.Get().(*jsonBuf)
+	defer putJSONBuf(jb)
+	jb.buf.Reset()
 	sum := BatchSummary{Summary: true, Items: len(items)}
 	for i := range items {
-		if items[i].res.Error != "" {
-			sum.Errors++
-		} else {
-			sum.OK++
-			sum.Runs += items[i].res.Runs
+		res := &items[i].res
+		if res.Error == "" {
+			if jb.enc.Encode(res) == nil {
+				sum.OK++
+				sum.Runs += res.Runs
+				continue
+			}
+			*res = BatchItemResult{Item: res.Item, Error: errNonFinite.Error()}
 		}
-		if enc.Encode(&items[i].res) != nil {
-			return // client went away; the missing summary marks it incomplete
-		}
+		sum.Errors++
+		_ = jb.enc.Encode(res) // an item number and an error string always encode
 	}
-	_ = enc.Encode(sum)
+	_ = jb.enc.Encode(sum)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(jb.buf.Bytes())
 }

@@ -2,8 +2,9 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
+	"slices"
+	"strconv"
 	"sync"
 
 	"andorsched/internal/core"
@@ -14,8 +15,9 @@ import (
 // Monte-Carlo execution: a runs>1 /v1/run or any /v1/compare is split into
 // chunks of contiguous run ranges — one chunk is the serial form, more
 // spread the work over the pool — executed as ordinary pool jobs (each
-// chunk job owns its worker's arena for its duration), then reduced and
-// encoded in run order on the handler goroutine.
+// chunk job owns its worker's arena for its duration). A /v1/run chunk's
+// worker encodes its rows as the runs finish; the handler goroutine then
+// reduces the chunks' samples in run order and writes the rows.
 //
 // Two invariants make the split invisible to clients:
 //
@@ -26,14 +28,17 @@ import (
 //     them in run order, feeding core.MCStats (or the compare
 //     accumulators). The floating-point operation sequence is then the
 //     same for every chunk count, so responses are bit-identical — not
-//     merely close (differential-, fuzz- and golden-corpus-tested).
+//     merely close (differential-, fuzz- and golden-corpus-tested). Rows
+//     need no such care: a chunk's rows are its runs in order, and the
+//     chunks are written in order.
 //
 // Failure is all-or-nothing: any chunk error (queue rejection, context
-// expiry, simulation failure) fails the whole request before a status line
-// is written. No pool job writes to the ResponseWriter, so a slow reader
-// holds its handler goroutine, never a worker; the price is buffering
-// ~runs rows (bounded by MaxRuns), and a client that leaves stops only
-// the encode, not an admitted simulation.
+// expiry, simulation failure, a non-finite row) fails the whole request
+// before a status line is written. No pool job writes to the
+// ResponseWriter, so a slow reader holds its handler goroutine, never a
+// worker; the price is buffering ~runs encoded rows (bounded by MaxRuns),
+// and a client that leaves stops only the write, not an admitted
+// simulation.
 
 const (
 	// maxRunChunks caps the explicit chunks field. It also bounds the
@@ -81,39 +86,101 @@ func chunkBounds(runs, nchunks, c int) (lo, hi int) {
 	return c * runs / nchunks, (c + 1) * runs / nchunks
 }
 
-// runChunkBuf holds one chunk's buffered per-run results. rows reuses its
-// entries across requests (fillRow rewrites every field and re-slices the
-// per-row slices), so a pooled buffer's steady-state cost is the fills,
-// not allocations. lst carries LSTViolations, which RunRow does not (the
-// wire format never exposed per-run LST counts and the summary needs
-// them).
+// runChunkBuf holds one chunk's results between its worker and the
+// handler. out is the chunk's NDJSON rows, encoded by the worker as each
+// run finishes (appendRow); samples and the flat per-class slices keep
+// what the handler's run-order core.MCStats reduction needs of each run.
+// row is the scratch RunRow fillRow rewrites for every run. A pooled
+// buffer's steady-state cost is the appends, not allocations.
 type runChunkBuf struct {
-	rows []RunRow
-	lst  []int
+	out                   []byte
+	samples               []runSample
+	classGross, classIdle []float64 // [run*classes + class], heterogeneous runs only
+	row                   RunRow
+	runs                  int // the chunk's run count
 }
 
-// runChunkBufMaxRetained bounds the row capacity a buffer may take back
-// into the pool; one-off giant requests should not pin megabytes.
-const runChunkBufMaxRetained = 4096
+// runSample is one run's contribution to the summary besides its class
+// energies. The counts are int32 so a sample packs into 32 bytes; a run's
+// speed changes and LST violations are bounded by its task count, far
+// below 2^31.
+type runSample struct {
+	finish, energy float64
+	speedChanges   int32
+	lstViolations  int32
+	met            bool
+}
+
+// Pooled chunk buffers are bounded in runs and in encoded bytes, so
+// one-off giant requests do not pin megabytes.
+const (
+	runChunkBufMaxRetained      = 4096
+	runChunkBufMaxRetainedBytes = 1 << 20
+)
 
 var runChunkPool = sync.Pool{New: func() any { return new(runChunkBuf) }}
 
-// prepare sizes the buffer for n runs and clears per-request state.
+// prepare empties the buffer for a chunk of n runs.
 func (b *runChunkBuf) prepare(n int) {
-	if cap(b.rows) >= n {
-		b.rows = b.rows[:n]
-	} else {
-		b.rows = append(b.rows[:cap(b.rows)], make([]RunRow, n-cap(b.rows))...)
+	b.runs = n
+	b.out = b.out[:0]
+	b.classGross, b.classIdle = b.classGross[:0], b.classIdle[:0]
+	if cap(b.samples) < n {
+		b.samples = make([]runSample, 0, n)
 	}
-	if cap(b.lst) >= n {
-		b.lst = b.lst[:n]
-	} else {
-		b.lst = make([]int, n)
+	b.samples = b.samples[:0]
+}
+
+// add encodes run i's row and records its summary sample. It fails with
+// errNonFinite, before anything is written to the client, when the row
+// cannot be encoded.
+func (b *runChunkBuf) add(i int, res *core.RunResult) error {
+	fillRow(&b.row, i, res)
+	var ok bool
+	if b.out, ok = appendRow(b.out, &b.row); !ok {
+		return errNonFinite
+	}
+	if len(b.samples) == 0 {
+		// Size the chunk's rows from its first one, plus a sixteenth for
+		// longer run numbers and paths (rows of one request differ by a
+		// few bytes): growing a large body by appends would copy it
+		// through a ladder of arrays the GC frees late.
+		b.out = slices.Grow(b.out, (b.runs-1)*len(b.out)*17/16)
+		b.classGross = slices.Grow(b.classGross, b.runs*len(res.ClassGrossEnergy))
+		b.classIdle = slices.Grow(b.classIdle, b.runs*len(res.ClassIdleEnergy))
+	}
+	b.samples = append(b.samples, runSample{
+		finish: res.Finish, energy: b.row.EnergyJ,
+		speedChanges: int32(res.SpeedChanges), lstViolations: int32(res.LSTViolations),
+		met: res.MetDeadline,
+	})
+	b.classGross = append(b.classGross, res.ClassGrossEnergy...)
+	b.classIdle = append(b.classIdle, res.ClassIdleEnergy...)
+	return nil
+}
+
+// reduce feeds the chunk's samples, in run order, into mc.
+func (b *runChunkBuf) reduce(mc *core.MCStats) {
+	if len(b.samples) == 0 {
+		return
+	}
+	nc := len(b.classGross) / len(b.samples)
+	for j := range b.samples {
+		sm := &b.samples[j]
+		gross, idle := b.classGross[j*nc:(j+1)*nc], b.classIdle[j*nc:(j+1)*nc]
+		mc.Add(sm.finish, sm.energy, gross, idle, int(sm.speedChanges), int(sm.lstViolations), sm.met)
 	}
 }
 
+// retainable reports whether the buffer is small enough to go back into
+// the pool.
+func (b *runChunkBuf) retainable() bool {
+	size := cap(b.out) + 8*(cap(b.classGross)+cap(b.classIdle))
+	return cap(b.samples) <= runChunkBufMaxRetained && size <= runChunkBufMaxRetainedBytes
+}
+
 func putRunChunkBuf(b *runChunkBuf) {
-	if cap(b.rows) <= runChunkBufMaxRetained {
+	if b.retainable() {
 		runChunkPool.Put(b)
 	}
 }
@@ -124,7 +191,7 @@ func putRunChunkBuf(b *runChunkBuf) {
 // one request record concurrently into its trace, which the span array's
 // atomic slot reservation permits.
 func monteCarloOn(ctx context.Context, wk *Worker, plan *core.Plan, cfg core.RunConfig, seed uint64, lo, hi int,
-	visit func(i int, res *core.RunResult)) error {
+	visit func(i int, res *core.RunResult) error) error {
 	if !cfg.WorstCase {
 		cfg.Sampler = wk.Sampler
 	}
@@ -133,7 +200,9 @@ func monteCarloOn(ctx context.Context, wk *Worker, plan *core.Plan, cfg core.Run
 	t0 := rec.SinceStart()
 	defer func() { rec.RecordOffsetN(PhaseExecMC, t0, int64(done)) }()
 	return core.MonteCarlo(plan, cfg, seed, lo, hi, wk.Arena, wk.Src, func(i int, res *core.RunResult) error {
-		visit(i, res)
+		if err := visit(i, res); err != nil {
+			return err
+		}
 		done++
 		return ctx.Err()
 	})
@@ -169,9 +238,10 @@ func (s *Server) execChunks(w http.ResponseWriter, r *http.Request, peeked bool,
 	return true
 }
 
-// runMonteCarlo executes runs of plan under cfg in nchunks chunks, then
-// writes the buffered rows in run order and the summary reduced through
-// core.MCStats.
+// runMonteCarlo executes runs of plan under cfg in nchunks chunks, whose
+// workers encode the rows, then reduces the chunks' samples in run order
+// through core.MCStats and writes the rows and the summary with a known
+// Content-Length.
 func (s *Server) runMonteCarlo(w http.ResponseWriter, r *http.Request, plan *core.Plan, peeked bool,
 	cfg core.RunConfig, runs int, seed uint64, nchunks int) {
 	bufs := make([]*runChunkBuf, nchunks)
@@ -187,10 +257,7 @@ func (s *Server) runMonteCarlo(w http.ResponseWriter, r *http.Request, plan *cor
 		b.prepare(hi - lo)
 		bufs[c] = b
 		return func(ctx context.Context, wk *Worker) error {
-			return monteCarloOn(ctx, wk, plan, cfg, seed, lo, hi, func(i int, res *core.RunResult) {
-				fillRow(&b.rows[i-lo], i, res)
-				b.lst[i-lo] = res.LSTViolations
-			})
+			return monteCarloOn(ctx, wk, plan, cfg, seed, lo, hi, b.add)
 		}
 	}) {
 		return
@@ -198,30 +265,31 @@ func (s *Server) runMonteCarlo(w http.ResponseWriter, r *http.Request, plan *cor
 
 	rec := obs.TraceFromContext(r.Context())
 	t0 := rec.SinceStart()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
+	defer rec.RecordOffset(PhaseEncode, t0)
 	var mc core.MCStats
+	size := 0
 	for _, b := range bufs {
-		for i := range b.rows {
-			row := &b.rows[i]
-			mc.Add(row.FinishS, row.EnergyJ, row.ClassGrossJ, row.ClassIdleJ,
-				row.SpeedChanges, b.lst[i], row.MetDeadline)
-			if enc.Encode(row) != nil {
-				return // client went away; a stream without a summary is incomplete
-			}
-			if flusher != nil && mc.Done%256 == 0 {
-				flusher.Flush()
-			}
-		}
+		b.reduce(&mc)
+		size += len(b.out)
 	}
 	sum := mcSummary(&mc, cfg)
-	_ = enc.Encode(&sum)
-	rec.RecordOffset(PhaseEncode, t0)
-	if flusher != nil {
-		flusher.Flush()
+	jb := jsonBufPool.Get().(*jsonBuf)
+	defer putJSONBuf(jb)
+	jb.buf.Reset()
+	if jb.enc.Encode(&sum) != nil {
+		writeEncodeFailed(w)
+		return
 	}
+	size += jb.buf.Len()
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Length", strconv.Itoa(size))
+	w.WriteHeader(http.StatusOK)
+	for _, b := range bufs {
+		if _, err := w.Write(b.out); err != nil {
+			return // client went away
+		}
+	}
+	_, _ = w.Write(jb.buf.Bytes())
 }
 
 // cmpChunkBuf buffers one compare chunk's per-frame samples: the NPM

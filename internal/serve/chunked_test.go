@@ -733,6 +733,34 @@ func TestChunkedRunRetryAfterBound(t *testing.T) {
 	}
 }
 
+// TestRunChunkBufRetention: a chunk buffer goes back into the pool only
+// while it is bounded both in runs and in bytes — encoded rows plus
+// per-class energies — so one giant request does not pin its buffers.
+func TestRunChunkBufRetention(t *testing.T) {
+	var b runChunkBuf
+	b.prepare(1000)
+	if !b.retainable() {
+		t.Fatal("a 1000-run buffer is not retained")
+	}
+	b.prepare(runChunkBufMaxRetained + 1)
+	if b.retainable() {
+		t.Error("a buffer over the run bound is retained")
+	}
+	for _, grow := range []func(b *runChunkBuf){
+		func(b *runChunkBuf) { b.out = make([]byte, 0, runChunkBufMaxRetainedBytes+1) },
+		func(b *runChunkBuf) { b.classGross = make([]float64, 0, runChunkBufMaxRetainedBytes/8+1) },
+		func(b *runChunkBuf) { b.classIdle = make([]float64, 0, runChunkBufMaxRetainedBytes/8+1) },
+	} {
+		var b runChunkBuf
+		b.prepare(10)
+		grow(&b)
+		if b.retainable() {
+			t.Errorf("a buffer holding %d row bytes and %d+%d class floats is retained",
+				cap(b.out), cap(b.classGross), cap(b.classIdle))
+		}
+	}
+}
+
 // blockingWriter is a ResponseWriter whose first Write blocks until
 // release closes — a client that stops reading mid-response.
 type blockingWriter struct {

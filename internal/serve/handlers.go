@@ -180,8 +180,9 @@ func mcSummary(mc *core.MCStats, cfg core.RunConfig) RunSummary {
 
 // handleRun executes an application once (JSON response) or runs=N times
 // (NDJSON: one row per run, then a summary row). The simulation itself
-// runs on pool workers' arenas; this handler only decodes, resolves the
-// plan, and reduces and encodes the results.
+// runs on pool workers' arenas, which also encode a Monte-Carlo request's
+// rows; this handler decodes, resolves the plan, reduces the summary and
+// writes the response.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !s.requirePost(w, r) {
 		return
@@ -260,7 +261,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.runs.Inc()
-	s.writeJSONTraced(w, r, http.StatusOK, row)
+	s.writeRowTraced(w, r, &row)
 }
 
 // handleCompare runs every requested scheme over the same random numbers
@@ -349,6 +350,8 @@ func (s *Server) checkPoolErr(w http.ResponseWriter, err error) bool {
 		s.writeError(w, http.StatusServiceUnavailable, "request timed out")
 	case errors.Is(err, ErrPoolClosed):
 		s.writeError(w, http.StatusServiceUnavailable, err.Error())
+	case errors.Is(err, errNonFinite):
+		writeEncodeFailed(w)
 	default:
 		s.writeError(w, http.StatusInternalServerError, err.Error())
 	}
@@ -391,16 +394,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	} else {
 		err = obs.WritePrometheus(&b.buf, snap)
 	}
+	defer putJSONBuf(b)
 	if err != nil {
-		jsonBufPool.Put(b)
 		s.writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", contentType)
 	_, _ = w.Write(b.buf.Bytes())
-	if b.buf.Cap() <= jsonBufMaxRetained {
-		jsonBufPool.Put(b)
-	}
 }
 
 // acceptsOpenMetrics reports whether an Accept header asks for the

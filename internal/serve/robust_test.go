@@ -84,3 +84,52 @@ func TestPoolJobPanicRecovered(t *testing.T) {
 		}
 	}
 }
+
+// overflowApp is a finite application whose results overflow to +Inf:
+// JSON cannot carry them.
+const overflowApp = `"text":"task A 1e308s 1e308s\ntask B 2ms 1ms\nedge A -> B","procs":2`
+
+// TestNonFiniteResultIs500: a result JSON cannot carry is answered with a
+// clean 500 before any status line, for a single run, for a Monte-Carlo
+// request of any size and chunking, and for a compare — never a 200 with
+// a cut NDJSON body.
+func TestNonFiniteResultIs500(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/run", `{` + overflowApp + `}`},
+		{"/v1/run", `{` + overflowApp + `,"runs":3}`},
+		{"/v1/run", `{` + overflowApp + `,"runs":300}`},
+		{"/v1/run", `{` + overflowApp + `,"runs":300,"chunks":5}`},
+		{"/v1/compare", `{` + overflowApp + `}`},
+	} {
+		w := post(t, s, tc.path, tc.body)
+		if w.Code != http.StatusInternalServerError || w.Body.String() != "{\"error\":\"response encoding failed\"}\n" {
+			t.Errorf("%s %s: status %d, body %q; want 500 response encoding failed", tc.path, tc.body, w.Code, w.Body.String())
+		}
+	}
+	// The pool is not left holding anything: the next request answers.
+	if w := post(t, s, "/v1/run", `{"workload":"atr","runs":300}`); w.Code != http.StatusOK {
+		t.Fatalf("after the failures: status %d", w.Code)
+	}
+}
+
+// TestBatchNonFiniteItemIsItsError: in a batch, an item whose summary is
+// not finite becomes that item's error line, counted in the summary's
+// errors; the other items keep their results.
+func TestBatchNonFiniteItemIsItsError(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	w := post(t, s, "/v1/batch", `{"items":[{"workload":"atr","runs":2,"seed":3},{`+overflowApp+`,"runs":2},{"workload":"atr","seed":4}]}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	items, sum := parseBatchBody(t, w.Body.String())
+	if len(items) != 3 || items[0].Error != "" || items[1].Error == "" || items[2].Error != "" {
+		t.Fatalf("items %+v: want item 1 alone failed", items)
+	}
+	if items[1].Item != 1 || items[1].Runs != 0 || items[0].Runs != 2 {
+		t.Errorf("item lines %+v", items)
+	}
+	if sum != (BatchSummary{Summary: true, Items: 3, OK: 2, Errors: 1, Runs: 3}) {
+		t.Errorf("summary %+v", sum)
+	}
+}

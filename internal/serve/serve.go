@@ -31,6 +31,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -380,21 +381,56 @@ var jsonBufPool = sync.Pool{
 // array for the life of the process.
 const jsonBufMaxRetained = 64 << 10
 
+func putJSONBuf(b *jsonBuf) {
+	if b.buf.Cap() <= jsonBufMaxRetained {
+		jsonBufPool.Put(b)
+	}
+}
+
+// errNonFinite fails a Monte-Carlo chunk whose row holds a NaN or an
+// infinity, which JSON cannot carry; the handler answers it with
+// writeEncodeFailed.
+var errNonFinite = errors.New("response encoding failed")
+
+// writeEncodeFailed answers a response that could not be encoded (a
+// non-finite result). Nothing has been written yet, so it is a clean 500.
+func writeEncodeFailed(w http.ResponseWriter) {
+	http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
+}
+
 // writeJSON writes v with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	b := jsonBufPool.Get().(*jsonBuf)
+	defer putJSONBuf(b)
 	b.buf.Reset()
 	if err := b.enc.Encode(v); err != nil {
-		jsonBufPool.Put(b)
-		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
+		writeEncodeFailed(w)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(b.buf.Bytes())
-	if b.buf.Cap() <= jsonBufMaxRetained {
-		jsonBufPool.Put(b)
+}
+
+// writeRowTraced answers a single run's row, encoded by appendRow (the
+// one definition of a row's wire form) into a pooled buffer, with an
+// encode span on the request's trace record.
+func (s *Server) writeRowTraced(w http.ResponseWriter, r *http.Request, row *RunRow) {
+	rec := obs.TraceFromContext(r.Context())
+	t0 := rec.SinceStart()
+	defer rec.RecordOffset(PhaseEncode, t0)
+	b := jsonBufPool.Get().(*jsonBuf)
+	defer putJSONBuf(b)
+	b.buf.Reset()
+	out, ok := appendRow(b.buf.AvailableBuffer(), row)
+	if !ok {
+		writeEncodeFailed(w)
+		return
 	}
+	b.buf.Write(out)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b.buf.Bytes())
 }
 
 // writeJSONTraced is writeJSON with an encode span on the request's
