@@ -202,3 +202,15 @@ func TestRunErrorsMain(t *testing.T) {
 		}
 	}
 }
+
+// TestRunCompareNoFrames: -compare over zero or negative -runs is an error
+// (exit 1), not a paired comparison over no frames.
+func TestRunCompareNoFrames(t *testing.T) {
+	for _, runs := range []int{0, -3} {
+		o := base()
+		o.load, o.compare, o.runs = 0.6, "AS,GSS", runs
+		if _, err := capture(t, func() error { return run(o) }); err == nil {
+			t.Errorf("-runs %d: want error", runs)
+		}
+	}
+}

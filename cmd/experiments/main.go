@@ -37,7 +37,7 @@ func main() {
 		changesF  = flag.Bool("changes", false, "also print mean speed-change counts per point")
 		htmlF     = flag.String("html", "", "write a self-contained HTML report (charts + tables) to this file")
 		winnersF  = flag.Bool("winners", false, "print the scheme-selection map (best scheme per load × α cell) and exit")
-		parallelF = flag.Int("parallel", 0, "worker goroutines per data point (0 = all CPUs); results are identical for any value")
+		parallelF = flag.Int("parallel", 0, "worker goroutines per experiment sweep (0 = all CPUs); results are identical for any value")
 		cStatsF   = flag.Bool("cache-stats", false, "print section-schedule cache statistics to stderr when done")
 		profile   obs.Profile
 	)

@@ -154,3 +154,15 @@ func TestWinnersFlag(t *testing.T) {
 		t.Errorf("winners output wrong:\n%s", out)
 	}
 }
+
+// TestRunsBelowOne: a non-positive -runs is an error (exit 1), not an
+// all-zero table or a panic.
+func TestRunsBelowOne(t *testing.T) {
+	for _, runs := range []int{0, -3} {
+		if _, err := capture(t, func() error {
+			return run(false, false, "4a", "", runs, 1, "", "", false, false)
+		}); err == nil {
+			t.Errorf("-runs %d: want error", runs)
+		}
+	}
+}

@@ -43,30 +43,30 @@ func main() {
 
 		src := exectime.NewSource(0)
 		cfg := core.RunConfig{Deadline: deadline, Sampler: exectime.NewSampler(src)}
-		arena := core.NewArena()
-		for _, s := range core.Schemes {
-			// Common random numbers: frame f replays the same actual times
-			// and branch outcomes for the NPM baseline and for s.
-			var norm, chg stats.Acc
-			var base float64
-			err := core.CompareFrames(plan, cfg, []core.Scheme{s}, seed, 0, frames, arena, src,
-				func(_, si int, res *core.RunResult) error {
-					if si < 0 {
-						base = res.Energy()
-						return nil
-					}
-					if !res.MetDeadline {
-						return fmt.Errorf("%s missed a frame deadline — must not happen", s)
-					}
-					norm.Add(res.Energy() / base)
-					chg.Add(float64(res.SpeedChanges))
+		// Common random numbers: frame f replays the same actual times and
+		// branch outcomes for the NPM baseline and for every scheme.
+		norm := make([]stats.Acc, len(core.Schemes))
+		chg := make([]stats.Acc, len(core.Schemes))
+		var base float64
+		err = core.CompareFrames(plan, cfg, core.Schemes, seed, 0, frames, core.NewArena(), src,
+			func(_, si int, res *core.RunResult) error {
+				if si < 0 {
+					base = res.Energy()
 					return nil
-				})
-			if err != nil {
-				log.Fatal(err)
-			}
+				}
+				if !res.MetDeadline {
+					return fmt.Errorf("%s missed a frame deadline — must not happen", core.Schemes[si])
+				}
+				norm[si].Add(res.Energy() / base)
+				chg[si].Add(float64(res.SpeedChanges))
+				return nil
+			})
+		if err != nil {
+			log.Fatal(err)
+		}
+		for si, s := range core.Schemes {
 			fmt.Printf("  %-3s  energy vs NPM %.4f ±%.4f   speed changes/frame %5.1f\n",
-				s, norm.Mean(), norm.CI95(), chg.Mean())
+				s, norm[si].Mean(), norm[si].CI95(), chg[si].Mean())
 		}
 		fmt.Println()
 	}

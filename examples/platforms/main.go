@@ -46,22 +46,22 @@ func main() {
 		fmt.Printf("%-28s", plat.Name)
 		src := exectime.NewSource(0)
 		cfg := core.RunConfig{Deadline: deadline, Sampler: exectime.NewSampler(src)}
-		arena := core.NewArena()
-		for _, s := range []core.Scheme{core.GSS, core.SS1, core.AS} {
-			var acc stats.Acc
-			var base float64
-			err := core.CompareFrames(plan, cfg, []core.Scheme{s}, 11, 0, runs, arena, src,
-				func(_, si int, res *core.RunResult) error {
-					if si < 0 {
-						base = res.Energy()
-					} else {
-						acc.Add(res.Energy() / base)
-					}
-					return nil
-				})
-			if err != nil {
-				log.Fatal(err)
-			}
+		schemes := []core.Scheme{core.GSS, core.SS1, core.AS}
+		accs := make([]stats.Acc, len(schemes))
+		var base float64
+		err = core.CompareFrames(plan, cfg, schemes, 11, 0, runs, core.NewArena(), src,
+			func(_, si int, res *core.RunResult) error {
+				if si < 0 {
+					base = res.Energy()
+				} else {
+					accs[si].Add(res.Energy() / base)
+				}
+				return nil
+			})
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, acc := range accs {
 			fmt.Printf(" %8.4f", acc.Mean())
 		}
 		fmt.Println()

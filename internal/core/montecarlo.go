@@ -32,26 +32,33 @@ func MonteCarlo(p *Plan, cfg RunConfig, seed uint64, lo, hi int, a *Arena, src *
 }
 
 // CompareFrames is MonteCarlo's common-random-numbers form, the paper's
-// evaluation loop: frame f reseeds src with exectime.SeedAt(seed, f)
-// before an NPM baseline run and again before each scheme's run, so every
-// scheme of one frame replays the same actual execution times and OR
-// branch outcomes as the baseline. visit sees the baseline as scheme index
-// -1, then scheme i of schemes as index i; cfg's Scheme is ignored.
+// evaluation loop: frame f reseeds src with exectime.SeedAt(seed, f),
+// resolves the frame's actual execution times and OR branch outcomes once,
+// and replays that one script for an NPM baseline and then for each
+// scheme, so every scheme of a frame sees exactly the baseline's frame.
+// Execution draws nothing after the resolve, so the results, and src's
+// final state, equal reseeding and running each scheme in turn. visit sees
+// the baseline as scheme index -1, then scheme i of schemes as index i;
+// cfg's Scheme is ignored.
 //
-// Results are arena-owned as in MonteCarlo. A RunInto failure is returned
-// wrapped with its scheme and frame; a non-nil error from visit stops the
-// loop and is returned as is.
+// Results are arena-owned as in MonteCarlo. A configuration error is
+// returned wrapped as the frame's NPM run, a run failure wrapped with its
+// scheme and frame; a non-nil error from visit stops the loop and is
+// returned as is.
 func CompareFrames(p *Plan, cfg RunConfig, schemes []Scheme, seed uint64, lo, hi int, a *Arena,
 	src *exectime.Source, visit func(f, si int, res *RunResult) error) error {
 	for f := lo; f < hi; f++ {
-		frameSeed := exectime.SeedAt(seed, uint64(f))
+		src.Reseed(exectime.SeedAt(seed, uint64(f)))
+		cfg.Scheme = NPM
+		if err := p.check(cfg); err != nil {
+			return fmt.Errorf("%s run %d: %w", NPM, f, err)
+		}
+		sc := p.resolve(cfg, a)
 		for si := -1; si < len(schemes); si++ {
-			cfg.Scheme = NPM
 			if si >= 0 {
 				cfg.Scheme = schemes[si]
 			}
-			src.Reseed(frameSeed)
-			if err := p.RunInto(cfg, a, &a.mcRes); err != nil {
+			if err := p.runScript(cfg, a, sc, &a.mcRes); err != nil {
 				return fmt.Errorf("%s run %d: %w", cfg.Scheme, f, err)
 			}
 			if err := visit(f, si, &a.mcRes); err != nil {

@@ -199,6 +199,19 @@ func (p *Plan) Run(cfg RunConfig) (*RunResult, error) {
 // pattern. out must not alias state still needed by the caller; its
 // previous contents are overwritten.
 func (p *Plan) RunInto(cfg RunConfig, a *Arena, out *RunResult) error {
+	if err := p.check(cfg); err != nil {
+		return err
+	}
+	if a == nil {
+		a = NewArena()
+	}
+	return p.runScript(cfg, a, p.resolve(cfg, a), out)
+}
+
+// check reports why cfg cannot run on p: a non-positive or infeasible
+// deadline, a missing sampler, or an out-of-range ORA weight. None of the
+// checks depends on the scheme.
+func (p *Plan) check(cfg RunConfig) error {
 	d := cfg.Deadline
 	if d <= 0 {
 		return fmt.Errorf("core: non-positive deadline %g", d)
@@ -212,14 +225,17 @@ func (p *Plan) RunInto(cfg RunConfig, a *Arena, out *RunResult) error {
 	if cfg.ORAWeight > 1 {
 		return fmt.Errorf("core: ORAWeight %g out of range (want ≤ 1; 0 = default, < 0 = frozen)", cfg.ORAWeight)
 	}
-	if a == nil {
-		a = NewArena()
-	}
-	sc := p.resolve(cfg, a)
+	return nil
+}
+
+// runScript executes a resolved script under cfg's scheme into out. It
+// draws no randomness, so one script replays identically under any number
+// of schemes.
+func (p *Plan) runScript(cfg RunConfig, a *Arena, sc *script, out *RunResult) error {
 	if cfg.Scheme == CLV {
 		return p.runClairvoyant(cfg, a, sc, out)
 	}
-	a.pol.init(p, cfg.Scheme, d)
+	a.pol.init(p, cfg.Scheme, cfg.Deadline)
 	a.pol.setORAWeight(cfg.ORAWeight)
 	return p.execute(cfg, a, sc, &a.pol, nil, out)
 }

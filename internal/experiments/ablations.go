@@ -66,8 +66,8 @@ func placementPolicies() []sim.PlacementPolicy {
 // for comparing policies against each other is NPMEnergy
 // (and NormEnergy·NPMEnergy per scheme). On big.LITTLE the energy-greedy
 // policy routes work onto the cheap little cores and beats fastest-first
-// on absolute energy while still meeting every deadline (measurePoint
-// fails the whole point on any miss or LST violation).
+// on absolute energy while still meeting every deadline (measurePoints
+// fails the whole sweep on any miss or LST violation).
 func ablationHeteroPlacement(id string, hetero func() *power.Hetero) Experiment {
 	name := hetero().Name
 	return Experiment{
@@ -96,13 +96,15 @@ func ablationHeteroPlacement(id string, hetero func() *power.Hetero) Experiment 
 				XLabel:  "placement (0 fastest-first, 1 energy-greedy, 2 class-affinity)",
 				Schemes: paperSchemes(),
 			}
+			specs := make([]pointSpec, len(plans))
 			for i, plan := range plans {
 				// Same seed for every placement: paired comparison.
-				pt, err := measurePoint(plan, se.Schemes, float64(i), d, runs, seed, 0, 0)
-				if err != nil {
-					return nil, fmt.Errorf("%s placement %s: %w", hp.Name, places[i].Name(), err)
-				}
-				se.Points = append(se.Points, pt)
+				specs[i] = pointSpec{plan: plan, x: float64(i), deadline: d, runs: runs, seed: seed,
+					label: hp.Name + " placement " + places[i].Name()}
+			}
+			var err error
+			if se.Points, err = measurePoints(se.Schemes, specs, 0); err != nil {
+				return nil, err
 			}
 			return se, nil
 		},
@@ -136,12 +138,13 @@ func ablationReclaim() Experiment {
 				XLabel:  "actual_alpha",
 				Schemes: []core.Scheme{core.GSS, core.AS, core.ASP, core.ORA},
 			}
+			var specs []pointSpec
 			for i, actual := range []float64{0.1, 0.3, 0.5, 0.8, 1.0} {
-				pt, err := measurePoint(plan, se.Schemes, actual, d, runs, seed+uint64(i), 0, actual/assumed)
-				if err != nil {
-					return nil, err
-				}
-				se.Points = append(se.Points, pt)
+				specs = append(specs, pointSpec{plan: plan, x: actual, deadline: d, runs: runs,
+					seed: seed + uint64(i), bias: actual / assumed})
+			}
+			if se.Points, err = measurePoints(se.Schemes, specs, 0); err != nil {
+				return nil, err
 			}
 			return se, nil
 		},
@@ -199,16 +202,12 @@ func ablationStructure() Experiment {
 			// structure class: each point averages over several graphs.
 			const graphs = 8
 			perGraph := runs / graphs
-			if perGraph < 1 {
+			if perGraph < 1 && runs >= 1 { // runs < 1 stays invalid for measurePoints
 				perGraph = 1
 			}
-			for i, forkProb := range []float64{0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9} {
-				agg := Point{
-					X:            forkProb,
-					NormEnergy:   map[core.Scheme]float64{},
-					CI95:         map[core.Scheme]float64{},
-					SpeedChanges: map[core.Scheme]float64{},
-				}
+			forkProbs := []float64{0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9}
+			var specs []pointSpec
+			for i, forkProb := range forkProbs {
 				for gi := 0; gi < graphs; gi++ {
 					opts := andor.DefaultRandomOpts()
 					opts.ForkProb = forkProb
@@ -218,18 +217,29 @@ func ablationStructure() Experiment {
 					if err != nil {
 						return nil, err
 					}
-					d := plan.CTWorst / 0.7
-					pt, err := measurePoint(plan, se.Schemes, forkProb, d, perGraph, seed+uint64(i*graphs+gi), 0, 0)
-					if err != nil {
-						return nil, err
-					}
+					specs = append(specs, pointSpec{plan: plan, x: forkProb, deadline: plan.CTWorst / 0.7,
+						runs: perGraph, seed: seed + uint64(i*graphs+gi)})
+				}
+			}
+			pts, err := measurePoints(se.Schemes, specs, 0)
+			if err != nil {
+				return nil, err
+			}
+			for i, forkProb := range forkProbs {
+				agg := Point{
+					X:            forkProb,
+					NormEnergy:   map[core.Scheme]float64{},
+					CI95:         map[core.Scheme]float64{},
+					SpeedChanges: map[core.Scheme]float64{},
+				}
+				for _, pt := range pts[i*graphs : (i+1)*graphs] {
 					for _, s := range se.Schemes {
 						agg.NormEnergy[s] += pt.NormEnergy[s] / graphs
 						agg.CI95[s] += pt.CI95[s] / graphs
 						agg.SpeedChanges[s] += pt.SpeedChanges[s] / graphs
 					}
 					agg.NPMEnergy += pt.NPMEnergy / graphs
-					agg.Deadline = d
+					agg.Deadline = pt.Deadline
 				}
 				se.Points = append(se.Points, agg)
 			}
@@ -257,36 +267,19 @@ func ablationClairvoyant() Experiment {
 			if err != nil {
 				return nil, err
 			}
-			for i, load := range []float64{0.2, 0.4, 0.6, 0.8, 1.0} {
-				pt, err := measurePoint(plan, se.Schemes, load, plan.CTWorst/load, runs, seed+uint64(i), 0, 0)
-				if err != nil {
-					return nil, err
-				}
-				se.Points = append(se.Points, pt)
-			}
-			return se, nil
+			return sweep(se, []float64{0.2, 0.4, 0.6, 0.8, 1.0},
+				func(load float64) (*core.Plan, float64, error) { return plan, plan.CTWorst / load, nil },
+				runs, seed, 0)
 		},
 	}
 }
 
-// pointSweep runs one measured point per element of xs, building a fresh
-// configuration each time.
+// pointSweep measures the paper's schemes at one point per element of xs,
+// building a fresh configuration each time.
 func pointSweep(title, xlabel string, xs []float64,
 	build func(x float64) (*core.Plan, float64, error),
 	runs int, seed uint64) (*Series, error) {
-	se := &Series{Title: title, XLabel: xlabel, Schemes: paperSchemes()}
-	for i, x := range xs {
-		plan, deadline, err := build(x)
-		if err != nil {
-			return nil, err
-		}
-		pt, err := measurePoint(plan, se.Schemes, x, deadline, runs, seed+uint64(i), 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		se.Points = append(se.Points, pt)
-	}
-	return se, nil
+	return sweep(&Series{Title: title, XLabel: xlabel, Schemes: paperSchemes()}, xs, build, runs, seed, 0)
 }
 
 // ablationFmin varies the minimal speed: synthetic 16-level platforms with

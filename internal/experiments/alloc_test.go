@@ -8,32 +8,40 @@ import (
 	"andorsched/internal/workload"
 )
 
-// TestMeasurePointAllocsConstantInRuns asserts the harness-level payoff of
-// the arenas: the number of heap allocations in measurePoint is (nearly)
-// independent of the run count — per-point setup allocates, per-run
-// execution does not. Pre-arena, 10× the runs meant 10× the allocations.
-func TestMeasurePointAllocsConstantInRuns(t *testing.T) {
-	plan, err := core.NewPlan(workload.ATR(workload.DefaultATRConfig()), 2,
-		power.Transmeta5400(), power.DefaultOverheads())
-	if err != nil {
-		t.Fatal(err)
+// TestSweepAllocsPerPoint asserts that a sweep builds its workers and
+// arenas once, not once per point: the allocations EnergyVsLoad adds for
+// eight more loads stay within what the per-point result maps cost. A
+// per-point harness rebuilds an arena, a source and a sampler per worker
+// per point and grows every arena buffer again, hundreds of allocations
+// per point. One worker keeps the count deterministic: with several, how
+// many runs each worker's arena needs before it has grown to the plan's
+// largest sections depends on scheduling.
+func TestSweepAllocsPerPoint(t *testing.T) {
+	cfg := Config{
+		Graph:     workload.ATR(workload.DefaultATRConfig()),
+		Procs:     2,
+		Platform:  power.Transmeta5400(),
+		Overheads: power.DefaultOverheads(),
+		Schemes:   []core.Scheme{core.GSS, core.AS},
+		Runs:      20,
+		Seed:      42,
+		Workers:   1,
 	}
-	schemes := []core.Scheme{core.GSS, core.AS}
-	deadline := plan.CTWorst * 2
-	measure := func(runs int) float64 {
+	measure := func(loads int) float64 {
 		return testing.AllocsPerRun(3, func() {
-			if _, err := measurePoint(plan, schemes, 0.5, deadline, runs, 42, 1, 0); err != nil {
+			if _, err := EnergyVsLoad(cfg, sweepRange(0.2, 0.9, loads-1)); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	small := measure(20)
-	large := measure(200)
-	// The flat result slices and the final statistics folding may grow with
-	// runs by a handful of allocations; the pre-arena harness grew by
-	// thousands here (tens of allocations per run × 180 extra runs).
-	if large > small+50 {
-		t.Errorf("allocations scale with runs: %.0f at 20 runs vs %.0f at 200 runs", small, large)
+	small := measure(2)
+	large := measure(10)
+	// Each point's three result maps cost two allocations apiece; allow
+	// twice that.
+	const perPoint = 12
+	if large-small > 8*perPoint {
+		t.Errorf("sweep allocations grow by %.0f per point: %.0f at 2 loads vs %.0f at 10 loads",
+			(large-small)/8, small, large)
 	}
-	t.Logf("measurePoint allocations: %.0f at 20 runs, %.0f at 200 runs", small, large)
+	t.Logf("EnergyVsLoad allocations: %.0f at 2 loads, %.0f at 10 loads", small, large)
 }

@@ -14,6 +14,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -43,10 +44,10 @@ type Config struct {
 	Runs int
 	// Seed drives all randomness; the same Config yields identical series.
 	Seed uint64
-	// Workers bounds the goroutines simulating runs of one data point in
+	// Workers bounds the goroutines simulating the runs of one sweep in
 	// parallel; 0 means GOMAXPROCS. Results are bit-identical for any
 	// worker count: per-run seeds are fixed up front and per-run outputs
-	// are folded in run order.
+	// are folded per point in run order.
 	Workers int
 }
 
@@ -95,71 +96,89 @@ func SetDefaultWorkers(n int) {
 	defaultWorkers.Store(int32(n))
 }
 
-// pointWorker is one goroutine's reusable run state: a simulation arena
-// and a reseedable source with the sampler drawing from it. Every run of
-// every scheme reuses these, so a data point's allocation count is
-// O(workers), not O(runs).
-type pointWorker struct {
-	arena   *core.Arena
-	src     *exectime.Source
-	sampler *exectime.Sampler
+// pointSpec is one data point of a sweep: the plan and deadline its runs
+// execute at, its x value, its run count and seed, and the sampler bias
+// (0 draws around the plan's ACETs; b ≠ 0 draws around b·ACET, see
+// exectime.NewBiasedSampler, while the plan still assumes the unscaled
+// ones). label, if set, prefixes the point's error.
+type pointSpec struct {
+	plan        *core.Plan
+	x, deadline float64
+	runs        int
+	seed        uint64
+	bias        float64
+	label       string
 }
 
-// newPointWorker builds a worker whose sampler draws around the ACET, or,
-// with bias != 0, around bias·ACET (exectime.NewBiasedSampler).
-func newPointWorker(bias float64) *pointWorker {
-	src := exectime.NewSource(0)
-	sampler := exectime.NewSampler(src)
-	if bias != 0 {
-		sampler = exectime.NewBiasedSampler(src, bias)
-	}
-	return &pointWorker{arena: core.NewArena(), src: src, sampler: sampler}
-}
-
-// measurePoint runs all schemes `runs` times against one plan and deadline
-// under common random numbers (core.CompareFrames: run r is frame r of
-// the seed's master stream), spreading runs over `workers` goroutines one
-// run index at a time. Per-run outputs land in flat preallocated slices
-// and are folded in run order, keeping the output independent of
-// scheduling. bias != 0 scales the sampler's average-case times (see
-// newPointWorker); the plan still assumes the unscaled ones.
-func measurePoint(plan *core.Plan, schemes []core.Scheme, x, deadline float64,
-	runs int, seed uint64, workers int, bias float64) (Point, error) {
-	pt := Point{
-		X: x, Deadline: deadline,
-		NormEnergy:   make(map[core.Scheme]float64, len(schemes)),
-		CI95:         make(map[core.Scheme]float64, len(schemes)),
-		SpeedChanges: make(map[core.Scheme]float64, len(schemes)),
+// measurePoints measures every point of a sweep under common random
+// numbers (core.CompareFrames: run r of a point is frame r of the point's
+// seed, replayed by the NPM baseline and every scheme). All (point, run)
+// pairs of the sweep form one queue, drained by up to `workers`
+// goroutines spawned once per sweep, each with one arena and one source
+// plus a sampler per bias value. Per-run outputs land in flat
+// preallocated slices and are folded per point in run order, so the
+// points do not depend on the worker count. The error returned is the
+// first in (point, run) order; every point needs at least one run.
+func measurePoints(schemes []core.Scheme, specs []pointSpec, workers int) ([]Point, error) {
+	offs := make([]int, len(specs)+1) // point p's runs are queue entries [offs[p], offs[p+1])
+	biasOf := make([]int, len(specs)) // index of point p's bias in biases
+	var biases []float64
+	for p, sp := range specs {
+		if sp.runs < 1 {
+			return nil, fmt.Errorf("experiments: %d runs per point, want at least 1", sp.runs)
+		}
+		offs[p+1] = offs[p] + sp.runs
+		biasOf[p] = slices.Index(biases, sp.bias)
+		if biasOf[p] < 0 {
+			biasOf[p] = len(biases)
+			biases = append(biases, sp.bias)
+		}
 	}
 	k := len(schemes)
-	norms := make([]float64, runs*k)   // E_s/E_NPM, indexed [r*k+i]
-	changes := make([]float64, runs*k) // speed changes, same indexing
-	npms := make([]float64, runs)      // absolute NPM energy
-	errs := make([]error, runs)
+	total := offs[len(specs)]
+	norms := make([]float64, total*k)   // E_s/E_NPM, indexed [j*k+i] for queue entry j
+	changes := make([]float64, total*k) // speed changes, same indexing
+	npms := make([]float64, total)      // absolute NPM energy
+	errs := make([]error, total)
 	var next atomic.Int64
 	work := func() {
-		w := newPointWorker(bias)
-		cfg := core.RunConfig{Deadline: deadline, Sampler: w.sampler}
+		src := exectime.NewSource(0)
+		samplers := make([]*exectime.Sampler, len(biases))
+		for i, b := range biases {
+			samplers[i] = exectime.NewSampler(src)
+			if b != 0 {
+				samplers[i] = exectime.NewBiasedSampler(src, b)
+			}
+		}
+		arena := core.NewArena()
+		p := 0 // the point of the entry being run; a worker's entries only ascend
 		visit := func(r, i int, res *core.RunResult) error {
+			j := offs[p] + r
 			if i < 0 {
-				npms[r] = res.Energy()
+				npms[j] = res.Energy()
 				return nil
 			}
 			if res.LSTViolations > 0 || !res.MetDeadline {
 				return fmt.Errorf("%s run %d violated timing (finish %g, deadline %g, %d LST violations)",
-					schemes[i], r, res.Finish, deadline, res.LSTViolations)
+					schemes[i], r, res.Finish, specs[p].deadline, res.LSTViolations)
 			}
-			norms[r*k+i] = res.Energy() / npms[r]
-			changes[r*k+i] = float64(res.SpeedChanges)
+			norms[j*k+i] = res.Energy() / npms[j]
+			changes[j*k+i] = float64(res.SpeedChanges)
 			return nil
 		}
 		for {
-			r := int(next.Add(1)) - 1
-			if r >= runs {
+			j := int(next.Add(1)) - 1
+			if j >= total {
 				return
 			}
-			if err := core.CompareFrames(plan, cfg, schemes, seed, r, r+1, w.arena, w.src, visit); err != nil {
-				errs[r] = fmt.Errorf("experiments: %w", err)
+			for j >= offs[p+1] {
+				p++
+			}
+			sp := &specs[p]
+			r := j - offs[p]
+			cfg := core.RunConfig{Deadline: sp.deadline, Sampler: samplers[biasOf[p]]}
+			if err := core.CompareFrames(sp.plan, cfg, schemes, sp.seed, r, r+1, arena, src, visit); err != nil {
+				errs[j] = fmt.Errorf("experiments: %w", err)
 			}
 		}
 	}
@@ -170,12 +189,9 @@ func measurePoint(plan *core.Plan, schemes []core.Scheme, x, deadline float64,
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers <= 1 || runs <= 1 {
+	if workers = min(workers, total); workers <= 1 {
 		work()
 	} else {
-		if workers > runs {
-			workers = runs
-		}
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -187,26 +203,61 @@ func measurePoint(plan *core.Plan, schemes []core.Scheme, x, deadline float64,
 		wg.Wait()
 	}
 
+	pts := make([]Point, len(specs))
 	accs := make([]stats.Acc, k)
 	chg := make([]stats.Acc, k)
-	var npmAcc stats.Acc
-	for r := 0; r < runs; r++ {
-		if errs[r] != nil {
-			return pt, errs[r]
+	for p, sp := range specs {
+		clear(accs)
+		clear(chg)
+		var npmAcc stats.Acc
+		for j := offs[p]; j < offs[p+1]; j++ {
+			if err := errs[j]; err != nil {
+				if sp.label != "" {
+					err = fmt.Errorf("%s: %w", sp.label, err)
+				}
+				return nil, err
+			}
+			npmAcc.Add(npms[j])
+			for i := 0; i < k; i++ {
+				accs[i].Add(norms[j*k+i])
+				chg[i].Add(changes[j*k+i])
+			}
 		}
-		npmAcc.Add(npms[r])
-		for i := 0; i < k; i++ {
-			accs[i].Add(norms[r*k+i])
-			chg[i].Add(changes[r*k+i])
+		pt := Point{
+			X: sp.x, Deadline: sp.deadline,
+			NormEnergy:   make(map[core.Scheme]float64, k),
+			CI95:         make(map[core.Scheme]float64, k),
+			SpeedChanges: make(map[core.Scheme]float64, k),
+			NPMEnergy:    npmAcc.Mean(),
 		}
+		for i, s := range schemes {
+			pt.NormEnergy[s] = accs[i].Mean()
+			pt.CI95[s] = accs[i].CI95()
+			pt.SpeedChanges[s] = chg[i].Mean()
+		}
+		pts[p] = pt
 	}
-	for i, s := range schemes {
-		pt.NormEnergy[s] = accs[i].Mean()
-		pt.CI95[s] = accs[i].CI95()
-		pt.SpeedChanges[s] = chg[i].Mean()
+	return pts, nil
+}
+
+// sweep fills se.Points with one measured point of se.Schemes per
+// element of xs: point i runs at the plan and deadline build(x) returns,
+// seeded seed+i.
+func sweep(se *Series, xs []float64, build func(x float64) (*core.Plan, float64, error),
+	runs int, seed uint64, workers int) (*Series, error) {
+	specs := make([]pointSpec, len(xs))
+	for i, x := range xs {
+		plan, deadline, err := build(x)
+		if err != nil {
+			return nil, err
+		}
+		specs[i] = pointSpec{plan: plan, x: x, deadline: deadline, runs: runs, seed: seed + uint64(i)}
 	}
-	pt.NPMEnergy = npmAcc.Mean()
-	return pt, nil
+	var err error
+	if se.Points, err = measurePoints(se.Schemes, specs, workers); err != nil {
+		return nil, err
+	}
+	return se, nil
 }
 
 // Comparison is the outcome of CompareSchemes: the paired energy
@@ -229,11 +280,14 @@ type Comparison struct {
 func CompareSchemes(plan *core.Plan, a, b core.Scheme, deadline float64,
 	runs int, seed uint64) (Comparison, error) {
 	cmp := Comparison{A: a, B: b, Runs: runs}
+	if runs < 1 {
+		return cmp, fmt.Errorf("experiments: %d paired runs, want at least 1", runs)
+	}
 	var paired stats.Paired
-	w := newPointWorker(0)
+	src := exectime.NewSource(0)
 	var base, ea float64
-	err := core.CompareFrames(plan, core.RunConfig{Deadline: deadline, Sampler: w.sampler},
-		[]core.Scheme{a, b}, seed, 0, runs, w.arena, w.src, func(_, i int, res *core.RunResult) error {
+	err := core.CompareFrames(plan, core.RunConfig{Deadline: deadline, Sampler: exectime.NewSampler(src)},
+		[]core.Scheme{a, b}, seed, 0, runs, core.NewArena(), src, func(_, i int, res *core.RunResult) error {
 			switch i {
 			case -1:
 				base = res.Energy()
@@ -268,18 +322,12 @@ func EnergyVsLoad(cfg Config, loads []float64) (*Series, error) {
 		XLabel:  "load",
 		Schemes: cfg.Schemes,
 	}
-	for i, load := range loads {
+	return sweep(se, loads, func(load float64) (*core.Plan, float64, error) {
 		if load <= 0 || load > 1 {
-			return nil, fmt.Errorf("experiments: load %g outside (0,1]", load)
+			return nil, 0, fmt.Errorf("experiments: load %g outside (0,1]", load)
 		}
-		d := plan.CTWorst / load
-		pt, err := measurePoint(plan, cfg.Schemes, load, d, cfg.Runs, cfg.Seed+uint64(i), cfg.Workers, 0)
-		if err != nil {
-			return nil, err
-		}
-		se.Points = append(se.Points, pt)
-	}
-	return se, nil
+		return plan, plan.CTWorst / load, nil
+	}, cfg.Runs, cfg.Seed, cfg.Workers)
 }
 
 // EnergyVsAlpha sweeps α, the ratio of average-case to worst-case
@@ -295,21 +343,15 @@ func EnergyVsAlpha(cfg Config, load float64, alphas []float64) (*Series, error) 
 		XLabel:  "alpha",
 		Schemes: cfg.Schemes,
 	}
-	for i, alpha := range alphas {
+	return sweep(se, alphas, func(alpha float64) (*core.Plan, float64, error) {
 		g := cfg.Graph.Clone()
 		g.ScaleACET(alpha)
 		plan, err := core.NewPlan(g, cfg.Procs, cfg.Platform, cfg.Overheads)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		d := plan.CTWorst / load
-		pt, err := measurePoint(plan, cfg.Schemes, alpha, d, cfg.Runs, cfg.Seed+uint64(i), cfg.Workers, 0)
-		if err != nil {
-			return nil, err
-		}
-		se.Points = append(se.Points, pt)
-	}
-	return se, nil
+		return plan, plan.CTWorst / load, nil
+	}, cfg.Runs, cfg.Seed, cfg.Workers)
 }
 
 // sweepRange returns n+1 evenly spaced values from lo to hi inclusive.

@@ -119,33 +119,92 @@ func TestCommonRandomNumbers(t *testing.T) {
 	}
 }
 
-// TestParallelismIsDeterministic: the measured series is bit-identical for
-// any worker count — per-run seeds are pinned and outputs folded in order.
+// TestParallelismIsDeterministic: a measured sweep is bit-identical for
+// any worker count, and each of its points equals the point measured on
+// its own — per-run seeds are pinned and outputs folded per point in run
+// order, however the sweep's queue is drained. The sweep mixes plans, run
+// counts and sampler biases.
 func TestParallelismIsDeterministic(t *testing.T) {
-	series := map[int]*Series{}
-	for _, workers := range []int{1, 2, 7} {
-		cfg := smallCfg()
-		cfg.Runs = 24
-		cfg.Workers = workers
-		se, err := EnergyVsLoad(cfg, []float64{0.4, 0.8})
+	cfg := smallCfg()
+	planA, err := core.NewPlan(cfg.Graph, cfg.Procs, cfg.Platform, cfg.Overheads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planB, err := core.NewPlan(workload.Synthetic(), 3, power.Transmeta5400(), cfg.Overheads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []pointSpec{
+		{plan: planA, x: 0.4, deadline: planA.CTWorst / 0.4, runs: 5, seed: 11},
+		{plan: planB, x: 0.8, deadline: planB.CTWorst / 0.8, runs: 1, seed: 12, bias: 0.6},
+		{plan: planA, x: 0.8, deadline: planA.CTWorst / 0.8, runs: 13, seed: 13, bias: 1.4},
+		{plan: planB, x: 0.5, deadline: planB.CTWorst / 0.5, runs: 2, seed: 14},
+		{plan: planA, x: 0.6, deadline: planA.CTWorst / 0.6, runs: 7, seed: 15, bias: 0.6},
+	}
+	total := 0
+	for _, sp := range specs {
+		total += sp.runs
+	}
+	same := func(a, b Point) bool {
+		if a.X != b.X || a.Deadline != b.Deadline || a.NPMEnergy != b.NPMEnergy {
+			return false
+		}
+		for _, s := range cfg.Schemes {
+			if a.NormEnergy[s] != b.NormEnergy[s] || a.CI95[s] != b.CI95[s] ||
+				a.SpeedChanges[s] != b.SpeedChanges[s] {
+				return false
+			}
+		}
+		return true
+	}
+	var want []Point
+	for _, sp := range specs {
+		pts, err := measurePoints(cfg.Schemes, []pointSpec{sp}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		series[workers] = se
+		want = append(want, pts[0])
 	}
-	base := series[1]
-	for _, workers := range []int{2, 7} {
-		got := series[workers]
-		for pi := range base.Points {
-			for s, e := range base.Points[pi].NormEnergy {
-				if got.Points[pi].NormEnergy[s] != e {
-					t.Errorf("workers=%d point %d scheme %s: %g != %g",
-						workers, pi, s, got.Points[pi].NormEnergy[s], e)
-				}
+	for _, workers := range []int{1, 2, 3, 7, total + 5} {
+		got, err := measurePoints(cfg.Schemes, specs, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d points, want %d", workers, len(got), len(want))
+		}
+		for pi := range want {
+			if !same(got[pi], want[pi]) {
+				t.Errorf("workers=%d point %d: %+v, measured alone %+v", workers, pi, got[pi], want[pi])
 			}
-			if got.Points[pi].CI95[core.GSS] != base.Points[pi].CI95[core.GSS] {
-				t.Errorf("workers=%d: CI differs", workers)
+		}
+	}
+}
+
+// TestMeasurePointsRejectsNoRuns: a point needs at least one run; zero or
+// negative run counts are an error, not an all-zero point or a panic.
+func TestMeasurePointsRejectsNoRuns(t *testing.T) {
+	for _, runs := range []int{0, -3} {
+		cfg := smallCfg()
+		cfg.Runs = runs
+		if _, err := EnergyVsLoad(cfg, []float64{0.5}); err == nil {
+			t.Errorf("runs=%d: EnergyVsLoad returned no error", runs)
+		}
+		for _, id := range []string{"4a", "structure"} {
+			e, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if _, err := e.Run(runs, 1); err == nil {
+				t.Errorf("runs=%d: experiment %s returned no error", runs, id)
+			}
+		}
+		plan, err := core.NewPlan(cfg.Graph, cfg.Procs, cfg.Platform, cfg.Overheads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := CompareSchemes(plan, core.AS, core.GSS, plan.CTWorst*2, runs, 1); err == nil {
+			t.Errorf("runs=%d: CompareSchemes returned no error", runs)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // TestHeteroPlacementAblation pins the heterogeneous subsystem's headline
 // property: on the big.LITTLE reference platform a non-default placement
 // policy (energy-greedy) beats the fastest-first default on absolute
-// energy, with zero deadline misses — measurePoint fails the whole point
+// energy, with zero deadline misses — measurePoints fails the whole sweep
 // if any scheme run misses its deadline or starts a task after its LST,
 // so the comparison below is only reached when every run was safe.
 func TestHeteroPlacementAblation(t *testing.T) {

@@ -28,7 +28,7 @@ func WinnerMap(cfg Config, loads, alphas []float64) ([][]WinnerCell, error) {
 	if len(cfg.Schemes) < 2 {
 		return nil, fmt.Errorf("experiments: WinnerMap needs at least two schemes")
 	}
-	grid := make([][]WinnerCell, len(alphas))
+	var specs []pointSpec
 	for ai, alpha := range alphas {
 		g := cfg.Graph.Clone()
 		g.ScaleACET(alpha)
@@ -36,17 +36,23 @@ func WinnerMap(cfg Config, loads, alphas []float64) ([][]WinnerCell, error) {
 		if err != nil {
 			return nil, err
 		}
-		grid[ai] = make([]WinnerCell, len(loads))
 		for li, load := range loads {
 			if load <= 0 || load > 1 {
 				return nil, fmt.Errorf("experiments: load %g outside (0,1]", load)
 			}
-			d := plan.CTWorst / load
-			pt, err := measurePoint(plan, cfg.Schemes, load, d, cfg.Runs,
-				cfg.Seed+uint64(ai*len(loads)+li), cfg.Workers, 0)
-			if err != nil {
-				return nil, err
-			}
+			specs = append(specs, pointSpec{plan: plan, x: load, deadline: plan.CTWorst / load,
+				runs: cfg.Runs, seed: cfg.Seed + uint64(ai*len(loads)+li)})
+		}
+	}
+	pts, err := measurePoints(cfg.Schemes, specs, cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	grid := make([][]WinnerCell, len(alphas))
+	for ai, alpha := range alphas {
+		grid[ai] = make([]WinnerCell, len(loads))
+		for li, load := range loads {
+			pt := pts[ai*len(loads)+li]
 			cell := WinnerCell{Load: load, Alpha: alpha}
 			best, second := -1, -1
 			for si, s := range cfg.Schemes {
