@@ -5,7 +5,8 @@ import "andorsched/internal/sim"
 // Arena owns the per-run scratch state of the on-line phase: the engine's
 // sim.Arena plus this layer's resolved script, task instantiation buffers,
 // processor-level carries, branch-probability scratch, the reusable policy,
-// the clairvoyant probe result and the Monte-Carlo loops' result holder. One Arena per worker goroutine, reused
+// the clairvoyant probe result, the engine configuration and the Monte-Carlo
+// loops' result holder. One Arena per worker goroutine, reused
 // across runs, makes steady-state Plan.RunInto calls allocation-free (with
 // RunConfig.Tracer, Metrics, CollectTrace and Validate unset).
 //
@@ -24,6 +25,9 @@ type Arena struct {
 	tasks    []sim.Task
 	taskPtrs []*sim.Task
 	filled   []bool
+	lftD     []float64 // by section ID: the deadline its tasks' LFTs were resolved against
+
+	simCfg sim.Config // the engine configuration of the run in progress
 
 	levels    []int     // per-section level carry
 	clvLevels []int     // clairvoyant initial levels

@@ -140,7 +140,7 @@ type script struct {
 // tasks (worst-case runs take the WCETs instead) and are scattered into
 // the step's work slice. The returned script is arena-owned; its per-step
 // work slices are recycled.
-func (p *Plan) resolve(cfg RunConfig, a *Arena) *script {
+func (p *Plan) resolve(cfg *RunConfig, a *Arena) *script {
 	sc := &a.sc
 	sc.sections = sc.sections[:0]
 	sc.choices = sc.choices[:0]
@@ -199,19 +199,19 @@ func (p *Plan) Run(cfg RunConfig) (*RunResult, error) {
 // pattern. out must not alias state still needed by the caller; its
 // previous contents are overwritten.
 func (p *Plan) RunInto(cfg RunConfig, a *Arena, out *RunResult) error {
-	if err := p.check(cfg); err != nil {
+	if err := p.check(&cfg); err != nil {
 		return err
 	}
 	if a == nil {
 		a = NewArena()
 	}
-	return p.runScript(cfg, a, p.resolve(cfg, a), out)
+	return p.runScript(&cfg, a, p.resolve(&cfg, a), out)
 }
 
 // check reports why cfg cannot run on p: a non-positive or infeasible
 // deadline, a missing sampler, or an out-of-range ORA weight. None of the
 // checks depends on the scheme.
-func (p *Plan) check(cfg RunConfig) error {
+func (p *Plan) check(cfg *RunConfig) error {
 	d := cfg.Deadline
 	if d <= 0 {
 		return fmt.Errorf("core: non-positive deadline %g", d)
@@ -231,7 +231,7 @@ func (p *Plan) check(cfg RunConfig) error {
 // runScript executes a resolved script under cfg's scheme into out. It
 // draws no randomness, so one script replays identically under any number
 // of schemes.
-func (p *Plan) runScript(cfg RunConfig, a *Arena, sc *script, out *RunResult) error {
+func (p *Plan) runScript(cfg *RunConfig, a *Arena, sc *script, out *RunResult) error {
 	if cfg.Scheme == CLV {
 		return p.runClairvoyant(cfg, a, sc, out)
 	}
@@ -244,7 +244,7 @@ func (p *Plan) runScript(cfg RunConfig, a *Arena, sc *script, out *RunResult) er
 // out. levelsOverride, if non-nil, sets the processors' initial levels (the
 // clairvoyant bound starts directly at its chosen level); otherwise the
 // policy's initial level is used.
-func (p *Plan) execute(cfg RunConfig, a *Arena, sc *script, pol *policy, levelsOverride []int, out *RunResult) error {
+func (p *Plan) execute(cfg *RunConfig, a *Arena, sc *script, pol *policy, levelsOverride []int, out *RunResult) error {
 	d := cfg.Deadline
 	// Dynamic schemes pay the power-management overheads; NPM, SPM and the
 	// clairvoyant bound perform no run-time speed computation.
@@ -306,6 +306,20 @@ func (p *Plan) execute(cfg RunConfig, a *Arena, sc *script, pol *policy, levelsO
 		cSections = cfg.Metrics.Counter(MetricSections)
 		cOR = cfg.Metrics.Counter(MetricORResolves)
 	}
+	// One engine configuration serves every section of the run; only the
+	// start time changes. The engine reads the processors' initial levels
+	// from levels, which carries each section's final levels to the next.
+	simCfg := &a.simCfg
+	*simCfg = sim.Config{
+		Hetero:        hp,
+		Placement:     p.Placement,
+		Overheads:     ov,
+		Mode:          sim.ByOrder,
+		Policy:        pol,
+		InitialLevels: levels,
+		Tracer:        cfg.Tracer,
+		Metrics:       cfg.Metrics,
+	}
 	now := 0.0
 	for step, sp := range sc.sections {
 		pol.resetSection(sp.sec.ID, now)
@@ -320,17 +334,8 @@ func (p *Plan) execute(cfg RunConfig, a *Arena, sc *script, pol *policy, levelsO
 			cSections.Inc()
 		}
 		tasks := p.runtimeTasks(a, sp, d, sc.works[step])
-		sr, err := a.sim.Run(sim.Config{
-			Hetero:        hp,
-			Placement:     p.Placement,
-			Overheads:     ov,
-			Mode:          sim.ByOrder,
-			Policy:        pol,
-			Start:         now,
-			InitialLevels: levels,
-			Tracer:        cfg.Tracer,
-			Metrics:       cfg.Metrics,
-		}, tasks)
+		simCfg.Start = now
+		sr, err := a.sim.Run(simCfg, tasks)
 		if err != nil {
 			return fmt.Errorf("core: section %d: %w", sp.sec.ID, err)
 		}
@@ -427,8 +432,9 @@ func (p *Plan) execute(cfg RunConfig, a *Arena, sc *script, pol *policy, levelsO
 
 // runtimeTasks instantiates the section's task templates for one step of a
 // script: actual works installed, latest finish times resolved against the
-// deadline. The returned slice and the tasks it points to are arena-owned
-// and rewritten the next time the arena runs this section.
+// deadline (rewritten only when the deadline differs from the one last
+// written for the section). The returned slice and the tasks it points to
+// are arena-owned and rewritten the next time the arena runs this section.
 func (p *Plan) runtimeTasks(a *Arena, sp *secPlan, d float64, works []float64) []*sim.Task {
 	if a.taskPlan != p {
 		a.taskPlan = p
@@ -437,6 +443,7 @@ func (p *Plan) runtimeTasks(a *Arena, sp *secPlan, d float64, works []float64) [
 			a.taskPtrs = make([]*sim.Task, p.numTasks)
 		}
 		a.filled = ensureBools(a.filled, len(p.secs))
+		a.lftD = ensureFloats(a.lftD, len(p.secs))
 	}
 	lo, hi := sp.taskOff, sp.taskOff+len(sp.tasks)
 	tasks, ptrs := a.tasks[lo:hi], a.taskPtrs[lo:hi]
@@ -449,9 +456,15 @@ func (p *Plan) runtimeTasks(a *Arena, sp *secPlan, d float64, works []float64) [
 			ptrs[i] = &tasks[i]
 		}
 		a.filled[sp.sec.ID] = true
+		a.lftD[sp.sec.ID] = math.NaN() // no deadline written yet
+	}
+	if a.lftD[sp.sec.ID] != d {
+		for i := range sp.tasks {
+			tasks[i].LFT = d + sp.tasks[i].relLFT
+		}
+		a.lftD[sp.sec.ID] = d
 	}
 	for i := range sp.tasks {
-		tasks[i].LFT = d + sp.tasks[i].relLFT
 		tasks[i].WorkA = works[i]
 	}
 	return ptrs
@@ -459,7 +472,7 @@ func (p *Plan) runtimeTasks(a *Arena, sp *secPlan, d float64, works []float64) [
 
 // chooseBranch resolves an OR node: forced branches first, then the
 // sampler's distribution, then branch 0.
-func (p *Plan) chooseBranch(or *andor.Node, orCount int, cfg RunConfig, a *Arena) int {
+func (p *Plan) chooseBranch(or *andor.Node, orCount int, cfg *RunConfig, a *Arena) int {
 	if orCount < len(cfg.ForceBranches) {
 		b := cfg.ForceBranches[orCount]
 		if b >= 0 && b < len(or.Succs()) {
@@ -497,8 +510,8 @@ func (p *Plan) chooseBranch(or *andor.Node, orCount int, cfg RunConfig, a *Arena
 // schedule, which still meets the deadline, but because each class rounds
 // to its own grid the replay is a near-bound heuristic, not a provably
 // minimal single speed.
-func (p *Plan) runClairvoyant(cfg RunConfig, a *Arena, sc *script, out *RunResult) error {
-	probeCfg := cfg
+func (p *Plan) runClairvoyant(cfg *RunConfig, a *Arena, sc *script, out *RunResult) error {
+	probeCfg := *cfg
 	probeCfg.CollectTrace = false
 	probeCfg.Validate = false
 	// The probe replay is an internal measurement, not part of the run
@@ -506,7 +519,7 @@ func (p *Plan) runClairvoyant(cfg RunConfig, a *Arena, sc *script, out *RunResul
 	probeCfg.Tracer = nil
 	probeCfg.Metrics = nil
 	a.probePol.init(p, CLV, cfg.Deadline) // every class at its maximum level
-	if err := p.execute(probeCfg, a, sc, &a.probePol, nil, &a.probe); err != nil {
+	if err := p.execute(&probeCfg, a, sc, &a.probePol, nil, &a.probe); err != nil {
 		return err
 	}
 	hp := p.Hetero

@@ -102,17 +102,17 @@ func (p *Plan) RunStreamArena(cfg StreamConfig, a *Arena) (*StreamResult, error)
 	var res RunResult
 	var carry []int
 	for f := 0; f < cfg.Frames; f++ {
-		sc := p.resolve(runCfg, a)
+		sc := p.resolve(&runCfg, a)
 		var err error
 		if cfg.Scheme == CLV {
-			err = p.runClairvoyant(runCfg, a, sc, &res)
+			err = p.runClairvoyant(&runCfg, a, sc, &res)
 		} else {
 			var levels []int
 			if cfg.CarryLevels {
 				levels = carry // nil on the first frame → scheme default
 			}
 			a.pol.init(p, cfg.Scheme, cfg.Period)
-			err = p.execute(runCfg, a, sc, &a.pol, levels, &res)
+			err = p.execute(&runCfg, a, sc, &a.pol, levels, &res)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: frame %d: %w", f, err)

@@ -1,8 +1,9 @@
 package sim
 
 // Arena owns every piece of per-run scratch state the engine needs: the
-// processor tables (levels, busy, freeAt), the dependence counters, the
-// ready queue, the event heap, and the Result's record/timeline buffers.
+// processor tables (levels, freeAt), the dependence counters, the dispatch
+// order, the ByPriority ready queue and event heap, and the Result's
+// record/timeline buffers.
 // Acquiring one Arena per worker and reusing it across runs makes
 // steady-state engine runs allocation-free: after a warm-up run on the
 // largest section, (*Arena).Run performs zero heap allocations as long as
@@ -20,12 +21,15 @@ type Arena struct {
 func NewArena() *Arena { return &Arena{} }
 
 // Run is the arena-threaded form of the package-level Run: identical
-// semantics and bit-identical results, but all scratch state comes from the
-// arena. The returned Result and every slice it references (Records,
-// BusyTime, OverheadTime, FinalLevels) are owned by the arena and valid
-// only until the next Run on the same arena; callers that need the data
-// longer must copy it.
-func (a *Arena) Run(cfg Config, tasks []*Task) (*Result, error) {
+// semantics and bit-identical results (ByOrder the order-gate recurrence,
+// ByPriority the event loop), but all scratch state comes from the arena.
+// cfg is read, never copied or modified, and must not change during the
+// call; callers running many sections keep one Config and update only what
+// differs, such as Start. The returned Result and every slice it
+// references (Records, BusyTime, OverheadTime, FinalLevels) are owned by
+// the arena and valid only until the next Run on the same arena; callers
+// that need the data longer must copy it.
+func (a *Arena) Run(cfg *Config, tasks []*Task) (*Result, error) {
 	return a.rs.run(cfg, tasks)
 }
 
@@ -44,16 +48,4 @@ func ensureFloats(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-// ensureBools returns buf resized to n with every element false.
-func ensureBools(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = false
-	}
-	return buf
 }

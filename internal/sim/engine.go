@@ -36,6 +36,10 @@ func newEngineMetrics(m *obs.Metrics, procs int) *engineMetrics {
 // configured multiprocessor and returns the schedule and energy breakdown.
 // It is deterministic: identical inputs produce identical results.
 //
+// ByOrder runs are a single pass over the tasks in dispatch order (the
+// order-gate recurrence, see the package doc); ByPriority runs are a
+// discrete-event loop over task completions.
+//
 // It returns an error when the input cannot execute to completion —
 // cyclic dependences, an Order field that is not a permutation of 0..n-1
 // in ByOrder mode, or inconsistent Preds/Succs.
@@ -46,7 +50,7 @@ func newEngineMetrics(m *obs.Metrics, procs int) *engineMetrics {
 // steady state.
 func Run(cfg Config, tasks []*Task) (*Result, error) {
 	var rs runState
-	return rs.run(cfg, tasks)
+	return rs.run(&cfg, tasks)
 }
 
 // runState is the engine's complete per-run scratch state. A fresh zero
@@ -54,7 +58,7 @@ func Run(cfg Config, tasks []*Task) (*Result, error) {
 // so that its buffers are reused. All slices are resized (never shrunk) at
 // the start of each run.
 type runState struct {
-	cfg    Config
+	cfg    *Config
 	tasks  []*Task
 	hp     *power.Hetero
 	place  PlacementPolicy
@@ -63,22 +67,32 @@ type runState struct {
 	met    *engineMetrics
 
 	levels []int
-	busy   []bool
+	// freeAt is each processor's free time: the finish of the last task
+	// issued on it (the run's Start before any). A processor is idle at t
+	// exactly when freeAt ≤ t.
 	freeAt []float64
-	npreds []int
-	seen   []bool // checkTasks order-permutation scratch
+	npreds []int // predecessors not yet released through Succs
 
+	// ByOrder: byOrder[o] is the task with dispatch order o; readyAt[i] is
+	// the latest finish of task i's released predecessors. errAt is the
+	// finish of the completion that raised err.
+	byOrder []int
+	readyAt []float64
+	errAt   float64
+
+	// ByPriority: the ready queue and the completion clock. The event heap
+	// also holds a traced ByOrder run's pending finish events.
 	rq        readyQueue
 	events    eventHeap
 	seq       int
 	remaining int
 	now       float64
 
-	res         Result
-	dispatchErr error
+	res Result
+	err error
 }
 
-func (rs *runState) run(cfg Config, tasks []*Task) (*Result, error) {
+func (rs *runState) run(cfg *Config, tasks []*Task) (*Result, error) {
 	hp := cfg.Hetero
 	if hp == nil {
 		return nil, fmt.Errorf("sim: no machine configured (Config.Hetero is nil)")
@@ -126,7 +140,6 @@ func (rs *runState) run(cfg Config, tasks []*Task) (*Result, error) {
 			rs.levels[i] = hp.Class(hp.ClassOf(i)).Plat.MaxIndex()
 		}
 	}
-	rs.busy = ensureBools(rs.busy, m)
 	rs.freeAt = ensureFloats(rs.freeAt, m)
 	for i := range rs.freeAt {
 		rs.freeAt[i] = cfg.Start
@@ -162,51 +175,16 @@ func (rs *runState) run(cfg Config, tasks []*Task) (*Result, error) {
 		rs.met = newEngineMetrics(cfg.Metrics, m)
 	}
 
-	// Dependence bookkeeping.
-	rs.npreds = ensureInts(rs.npreds, len(tasks))
-	rs.rq.reset(cfg.Mode, tasks)
-	for i, t := range tasks {
-		rs.npreds[i] = len(t.Preds)
-		if len(t.Preds) == 0 {
-			rs.rq.push(i)
-		}
-	}
-
 	rs.events.h = rs.events.h[:0]
 	rs.seq = 0
-	rs.remaining = len(tasks)
-	rs.now = cfg.Start
-	rs.dispatchErr = nil
-
-	rs.dispatch()
-	for rs.remaining > 0 {
-		if rs.dispatchErr != nil {
-			return nil, rs.dispatchErr
-		}
-		ev, ok := rs.events.pop()
-		if !ok {
-			return nil, fmt.Errorf("sim: deadlock with %d tasks unfinished (bad precedence or order gating)", rs.remaining)
-		}
-		rs.now = ev.time
-		rs.complete(ev.proc, ev.task, ev.time)
-		// Drain every completion at this same instant before dispatching,
-		// so that simultaneously freed processors compete for the next
-		// task deterministically (idle-longest first, ties by index).
-		for {
-			next, ok := rs.events.peek()
-			if !ok || next.time != rs.now {
-				break
-			}
-			ev, _ = rs.events.pop()
-			rs.complete(ev.proc, ev.task, ev.time)
-		}
-		if rs.dispatchErr != nil {
-			return nil, rs.dispatchErr
-		}
-		rs.dispatch()
+	rs.err = nil
+	if cfg.Mode == ByOrder {
+		rs.runByOrder()
+	} else {
+		rs.runByPriority()
 	}
-	if rs.dispatchErr != nil {
-		return nil, rs.dispatchErr
+	if rs.err != nil {
+		return nil, rs.err
 	}
 
 	res.FinalLevels = rs.levels
@@ -221,19 +199,189 @@ func (rs *runState) run(cfg Config, tasks []*Task) (*Result, error) {
 	return res, nil
 }
 
+// runByOrder is the on-line discipline as a recurrence over the dispatch
+// order. Task k is dispatched at the latest of task k−1's dispatch, its
+// released predecessors' finishes and the earliest free time of the
+// processors it may run on, on the one of them idle longest. A task whose
+// turn comes with unreleased predecessors deadlocks the order gate. The
+// first over-released successor in completion order (finish time, then
+// dispatch order) is the run's error, as in the event loop, which would
+// stop at that completion.
+//
+// With a tracer, finishes are held in the event heap under the keys the
+// event loop gives them and emitted before the first dispatch at or after
+// their time, reproducing its event stream.
+func (rs *runState) runByOrder() {
+	tasks := rs.tasks
+	start := rs.cfg.Start
+	rs.readyAt = ensureFloats(rs.readyAt, len(tasks))
+	for i := range rs.readyAt {
+		rs.readyAt[i] = start
+	}
+	m := rs.hp.NumProcs()
+	gate := start
+	for k, ti := range rs.byOrder {
+		if rs.npreds[ti] != 0 {
+			if rs.err == nil {
+				rs.err = fmt.Errorf("sim: deadlock with %d tasks unfinished (bad precedence or order gating)", len(tasks)-k)
+			}
+			break
+		}
+		// Online computation tasks are pinned to their canonical class:
+		// within a class the processors are identical, so the paper's
+		// Theorem-1 induction applies class by class and no task starts
+		// after its class-relative latest start time. Admitting any other
+		// class online — even a strictly faster one — is unsafe: a task
+		// migrated up and slowed to its (slow-class-derived) latest finish
+		// time squats on a fast processor that later tasks' canonical
+		// schedule needs, and the lateness cascades (a Graham timing
+		// anomaly). A pinned task therefore waits for its own class even
+		// while others idle. Every placement policy ranks identical
+		// processors by idle time alone, so the pick is the class's
+		// idle-longest processor and the policy is not consulted. Zero-work
+		// dummy barrier tasks admit every processor, and the placement
+		// picks among those free at the dispatch instant.
+		t := tasks[ti]
+		ci := t.CanonClass
+		first, end := 0, m
+		if !t.Dummy {
+			first, end = rs.hp.Class(ci).Procs()
+		}
+		proc := first
+		for i := first + 1; i < end; i++ {
+			if rs.freeAt[i] < rs.freeAt[proc] {
+				proc = i
+			}
+		}
+		now := gate
+		if r := rs.readyAt[ti]; r > now {
+			now = r
+		}
+		if f := rs.freeAt[proc]; f > now {
+			now = f
+		}
+		if rs.err != nil && rs.errAt <= now {
+			break
+		}
+		if t.Dummy {
+			proc, ci = rs.placeProc(t, now)
+		}
+		if rs.tracer != nil {
+			rs.traceFinishes(now)
+		}
+		finish := rs.issue(ti, proc, ci, now)
+		if finish > rs.res.Finish {
+			rs.res.Finish = finish
+		}
+		if rs.tracer != nil {
+			if finish == now {
+				rs.traceFinish(proc, ti, now)
+			} else {
+				rs.events.push(event{time: finish, seq: rs.seq, proc: proc, task: ti})
+				rs.seq++
+			}
+		}
+		for _, s := range t.Succs {
+			rs.npreds[s]--
+			if rs.readyAt[s] < finish {
+				rs.readyAt[s] = finish
+			}
+			if rs.npreds[s] < 0 && (rs.err == nil || finish < rs.errAt) {
+				rs.err = fmt.Errorf("sim: task %q completed more predecessors than it has", tasks[s].Name)
+				rs.errAt = finish
+			}
+		}
+		gate = now
+	}
+	if rs.tracer != nil {
+		rs.traceFinishes(math.Inf(1))
+	}
+}
+
+// traceFinishes emits the pending finish events due by time at, in
+// (time, seq) order.
+func (rs *runState) traceFinishes(at float64) {
+	for {
+		ev, ok := rs.events.peek()
+		if !ok || ev.time > at {
+			return
+		}
+		rs.events.pop()
+		rs.traceFinish(ev.proc, ev.task, ev.time)
+	}
+}
+
+// runByPriority is the canonical discipline as a discrete-event loop:
+// whenever processors are idle, the longest ready task goes to the one the
+// placement picks; time advances to the next completion.
+func (rs *runState) runByPriority() {
+	rs.rq.reset(rs.tasks)
+	for i := range rs.tasks {
+		if rs.npreds[i] == 0 {
+			rs.rq.push(i)
+		}
+	}
+	rs.remaining = len(rs.tasks)
+	rs.now = rs.cfg.Start
+	rs.dispatch()
+	for rs.remaining > 0 && rs.err == nil {
+		ev, ok := rs.events.pop()
+		if !ok {
+			rs.err = fmt.Errorf("sim: deadlock with %d tasks unfinished (bad precedence or order gating)", rs.remaining)
+			return
+		}
+		rs.now = ev.time
+		rs.complete(ev.proc, ev.task, ev.time)
+		// Drain every completion at this same instant before dispatching,
+		// so that simultaneously freed processors compete for the next
+		// task deterministically.
+		for {
+			next, ok := rs.events.peek()
+			if !ok || next.time != rs.now {
+				break
+			}
+			ev, _ = rs.events.pop()
+			rs.complete(ev.proc, ev.task, ev.time)
+		}
+		if rs.err == nil {
+			rs.dispatch()
+		}
+	}
+}
+
+// dispatch assigns ready tasks to idle processors until one side runs out.
+func (rs *runState) dispatch() {
+	for {
+		ti, ok := rs.rq.peek()
+		if !ok {
+			return
+		}
+		proc, ci := rs.placeProc(rs.tasks[ti], rs.now)
+		if proc < 0 {
+			return
+		}
+		rs.rq.pop()
+		finish := rs.issue(ti, proc, ci, rs.now)
+		if finish == rs.now {
+			// Instantaneous work (synchronization nodes): the paper's
+			// scheduler handles them and immediately looks for the
+			// next task, so the processor never appears busy.
+			rs.complete(proc, ti, rs.now)
+			if rs.err != nil {
+				return
+			}
+			continue
+		}
+		rs.events.push(event{time: finish, seq: rs.seq, proc: proc, task: ti})
+		rs.seq++
+	}
+}
+
 // complete marks task's execution on proc finished at time at, releasing
-// the processor and its successors.
+// its successors.
 func (rs *runState) complete(proc, task int, at float64) {
 	tasks := rs.tasks
-	if rs.tracer != nil {
-		rs.tracer.Event(obs.Event{
-			Kind: obs.EvTaskFinish, Time: at, Proc: proc,
-			Task: task, Node: tasks[task].Node, Name: tasks[task].Name,
-			Level: rs.levels[proc], Prev: rs.levels[proc],
-		})
-	}
-	rs.busy[proc] = false
-	rs.freeAt[proc] = at
+	rs.traceFinish(proc, task, at)
 	if at > rs.res.Finish {
 		rs.res.Finish = at
 	}
@@ -242,35 +390,36 @@ func (rs *runState) complete(proc, task int, at float64) {
 		if rs.npreds[s] == 0 {
 			rs.rq.push(s)
 		}
-		if rs.npreds[s] < 0 && rs.dispatchErr == nil {
-			rs.dispatchErr = fmt.Errorf("sim: task %q completed more predecessors than it has", tasks[s].Name)
+		if rs.npreds[s] < 0 && rs.err == nil {
+			rs.err = fmt.Errorf("sim: task %q completed more predecessors than it has", tasks[s].Name)
 		}
 	}
 	rs.remaining--
 }
 
-// idleLongest returns the idle processor in [first, end) that has been
-// idle longest (lowest freeAt, ties by index), or -1.
-func (rs *runState) idleLongest(first, end int) int {
-	best := -1
-	for i := first; i < end; i++ {
-		if !rs.busy[i] && (best == -1 || rs.freeAt[i] < rs.freeAt[best]) {
-			best = i
-		}
+// traceFinish emits task's finish event, if tracing.
+func (rs *runState) traceFinish(proc, task int, at float64) {
+	if rs.tracer == nil {
+		return
 	}
-	return best
+	t := rs.tasks[task]
+	rs.tracer.Event(obs.Event{
+		Kind: obs.EvTaskFinish, Time: at, Proc: proc,
+		Task: task, Node: t.Node, Name: t.Name,
+		Level: rs.levels[proc], Prev: rs.levels[proc],
+	})
 }
 
-// placeProc asks the placement policy to pick among all idle processors
-// and returns the processor and its class, or -1 and class 0 when none is
-// idle.
-func (rs *runState) placeProc(t *Task) (proc, class int) {
+// placeProc asks the placement policy to pick among the processors idle
+// at now and returns the processor and its class, or -1 and class 0 when
+// none is idle.
+func (rs *runState) placeProc(t *Task, now float64) (proc, class int) {
 	views := rs.views[:0]
 	for ci := 0; ci < rs.hp.NumClasses(); ci++ {
 		c := rs.hp.Class(ci)
 		first, end := c.Procs()
 		for i := first; i < end; i++ {
-			if !rs.busy[i] {
+			if rs.freeAt[i] <= now {
 				views = append(views, ProcView{
 					Proc: i, Class: ci, FreeAt: rs.freeAt[i],
 					EffFmax: c.EffFmax(), EnergyPerCycle: c.EnergyPerCycle(),
@@ -282,177 +431,138 @@ func (rs *runState) placeProc(t *Task) (proc, class int) {
 	if len(views) == 0 {
 		return -1, 0
 	}
-	k := rs.place.Pick(t, rs.now, views)
+	k := rs.place.Pick(t, now, views)
 	if k < 0 || k >= len(views) {
 		panic(fmt.Sprintf("sim: placement %q returned pick %d of %d eligible", rs.place.Name(), k, len(views)))
 	}
 	return views[k].Proc, views[k].Class
 }
 
-// dispatch assigns ready tasks to idle processors until one side runs out.
-// All frequency, power and overhead arithmetic uses the processor class's
-// own DVS table, with work retiring at the effective rate Speed·f.
-func (rs *runState) dispatch() {
-	cfg := &rs.cfg
+// issue dispatches task ti on processor proc of class ci at time now: it
+// picks the level, charges the overheads, records the execution, accounts
+// its time and energy, and marks the processor free at the returned finish
+// time. All frequency, power and overhead arithmetic uses the processor
+// class's own DVS table, with work retiring at the effective rate Speed·f.
+func (rs *runState) issue(ti, proc, ci int, now float64) float64 {
+	cfg := rs.cfg
 	res := &rs.res
-	for {
-		ti, ok := rs.rq.peek()
-		if !ok {
-			return
-		}
-		t := rs.tasks[ti]
-		// Online (ByOrder) computation tasks are pinned to their canonical
-		// class: within a class the processors are identical, so the
-		// paper's Theorem-1 induction applies class by class and no task
-		// starts after its class-relative latest start time. Admitting any
-		// other class online — even a strictly faster one — is unsafe: a
-		// task migrated up and slowed to its (slow-class-derived) latest
-		// finish time squats on a fast processor that later tasks'
-		// canonical schedule needs, and the lateness cascades (a Graham
-		// timing anomaly). A pinned task therefore waits for its own class
-		// even while others idle; its class must free up, because it is
-		// running strictly earlier-ordered tasks. Every placement policy
-		// ranks identical processors by idle time alone, so the pick is the
-		// class's idle-longest processor and the policy is not consulted.
-		// Canonical (ByPriority) runs — where the placement shapes the
-		// schedule and each task's class is decided — and zero-work dummy
-		// barrier tasks admit every processor, and the placement picks.
-		var proc, ci int
-		var c *power.Class
-		if cfg.Mode == ByOrder && !t.Dummy {
-			ci = t.CanonClass
-			c = rs.hp.Class(ci)
-			proc = rs.idleLongest(c.Procs())
+	t := rs.tasks[ti]
+	c := rs.hp.Class(ci)
+	plat := c.Plat
+	lv := plat.Levels()
+	cur := rs.levels[proc]
+	lvl := cur
+	var compT, changeT float64
+	if !t.Dummy {
+		compT = cfg.Overheads.CompTime(c.Rate(cur))
+		if cfg.Policy == nil {
+			lvl = plat.MaxIndex()
 		} else {
-			proc, ci = rs.placeProc(t)
-			c = rs.hp.Class(ci)
+			lvl = cfg.Policy.PickLevel(t, now, cur, ci)
 		}
-		if proc < 0 {
-			return
+		if lvl < 0 || lvl >= len(lv) {
+			panic(fmt.Sprintf("sim: policy returned invalid level %d for task %q on class %q", lvl, t.Name, c.Name))
 		}
-		rs.rq.pop()
-		plat := c.Plat
-		lv := plat.Levels()
-		now := rs.now
-		cur := rs.levels[proc]
-		lvl := cur
-		var compT, changeT float64
-		if !t.Dummy {
-			compT = cfg.Overheads.CompTime(c.Rate(cur))
-			if cfg.Policy == nil {
-				lvl = plat.MaxIndex()
-			} else {
-				lvl = cfg.Policy.PickLevel(t, now, cur, ci)
-			}
-			if lvl < 0 || lvl >= len(lv) {
-				panic(fmt.Sprintf("sim: policy returned invalid level %d for task %q on class %q", lvl, t.Name, c.Name))
-			}
-			if lvl != cur {
-				changeT = cfg.Overheads.ChangeTime(lv[cur], lv[lvl])
-				res.SpeedChanges++
-			}
+		if lvl != cur {
+			changeT = cfg.Overheads.ChangeTime(lv[cur], lv[lvl])
+			res.SpeedChanges++
 		}
-		var execT float64
-		if t.WorkA > 0 {
-			execT = t.WorkA / c.Rate(lvl)
-		}
-		start := now + compT + changeT
-		finish := start + execT
-		if rs.tracer != nil {
-			if idle := now - rs.freeAt[proc]; idle > 0 {
-				rs.tracer.Event(obs.Event{
-					Kind: obs.EvIdle, Time: now, Proc: proc,
-					Task: -1, Node: -1, Value: idle,
-				})
-			}
-			rs.tracer.Event(obs.Event{
-				Kind: obs.EvTaskDispatch, Time: now, Proc: proc,
-				Task: ti, Node: t.Node, Name: t.Name,
-				Level: lvl, Prev: cur, Value: compT + changeT,
-			})
-			if lvl != cur {
-				rs.tracer.Event(obs.Event{
-					Kind: obs.EvSpeedChange, Time: now, Proc: proc,
-					Task: ti, Node: t.Node, Name: t.Name,
-					Level: lvl, Prev: cur, Value: changeT,
-				})
-			}
-		}
-		if rs.met != nil {
-			if t.Dummy {
-				rs.met.dummies.Inc()
-			} else {
-				rs.met.tasks.Inc()
-				rs.met.exec.Observe(execT)
-			}
-			if lvl != cur {
-				rs.met.changes.Inc()
-				rs.met.procChanges[proc].Inc()
-			}
-			if idle := now - rs.freeAt[proc]; idle > 0 {
-				rs.met.idle.Observe(idle)
-			}
-		}
-		res.Records = append(res.Records, Record{
-			Task: ti, Proc: proc,
-			Dispatch: now, Start: start, Finish: finish,
-			Level: lvl, CompOH: compT, ChangeOH: changeT,
-		})
-		res.BusyTime[proc] += execT
-		res.OverheadTime[proc] += compT + changeT
-		// Each energy term is added to the scalar and to the class total
-		// separately, so neither accumulation depends on the other's float
-		// association. Zero-duration terms are skipped: they add exactly
-		// +0 to a non-negative sum.
-		if execT != 0 {
-			active := plat.PowerAt(lvl) * execT
-			res.ActiveEnergy += active
-			res.ClassActiveEnergy[ci] += active
-		}
-		// The speed computation runs at the old level; the transition is
-		// charged at the higher-powered of the two levels (the paper does
-		// not specify transition power; this choice is conservative and
-		// documented in DESIGN.md).
-		if compT != 0 {
-			ohComp := plat.PowerAt(cur) * compT
-			res.OverheadEnergy += ohComp
-			res.ClassOverheadEnergy[ci] += ohComp
-		}
-		if changeT != 0 {
-			ohChange := math.Max(plat.PowerAt(cur), plat.PowerAt(lvl)) * changeT
-			res.OverheadEnergy += ohChange
-			res.ClassOverheadEnergy[ci] += ohChange
-		}
-		rs.levels[proc] = lvl
-		if finish == now {
-			// Instantaneous work (synchronization nodes): the paper's
-			// scheduler handles them and immediately looks for the
-			// next task, so the processor never appears busy.
-			rs.complete(proc, ti, now)
-			if rs.dispatchErr != nil {
-				return
-			}
-			continue
-		}
-		rs.busy[proc] = true
-		rs.events.push(event{time: finish, seq: rs.seq, proc: proc, task: ti})
-		rs.seq++
 	}
+	var execT float64
+	if t.WorkA > 0 {
+		execT = t.WorkA / c.Rate(lvl)
+	}
+	start := now + compT + changeT
+	finish := start + execT
+	if rs.tracer != nil {
+		if idle := now - rs.freeAt[proc]; idle > 0 {
+			rs.tracer.Event(obs.Event{
+				Kind: obs.EvIdle, Time: now, Proc: proc,
+				Task: -1, Node: -1, Value: idle,
+			})
+		}
+		rs.tracer.Event(obs.Event{
+			Kind: obs.EvTaskDispatch, Time: now, Proc: proc,
+			Task: ti, Node: t.Node, Name: t.Name,
+			Level: lvl, Prev: cur, Value: compT + changeT,
+		})
+		if lvl != cur {
+			rs.tracer.Event(obs.Event{
+				Kind: obs.EvSpeedChange, Time: now, Proc: proc,
+				Task: ti, Node: t.Node, Name: t.Name,
+				Level: lvl, Prev: cur, Value: changeT,
+			})
+		}
+	}
+	if rs.met != nil {
+		if t.Dummy {
+			rs.met.dummies.Inc()
+		} else {
+			rs.met.tasks.Inc()
+			rs.met.exec.Observe(execT)
+		}
+		if lvl != cur {
+			rs.met.changes.Inc()
+			rs.met.procChanges[proc].Inc()
+		}
+		if idle := now - rs.freeAt[proc]; idle > 0 {
+			rs.met.idle.Observe(idle)
+		}
+	}
+	res.Records = append(res.Records, Record{
+		Task: ti, Proc: proc,
+		Dispatch: now, Start: start, Finish: finish,
+		Level: lvl, CompOH: compT, ChangeOH: changeT,
+	})
+	res.BusyTime[proc] += execT
+	res.OverheadTime[proc] += compT + changeT
+	// Each energy term is added to the scalar and to the class total
+	// separately, so neither accumulation depends on the other's float
+	// association. Zero-duration terms are skipped: they add exactly
+	// +0 to a non-negative sum.
+	if execT != 0 {
+		active := plat.PowerAt(lvl) * execT
+		res.ActiveEnergy += active
+		res.ClassActiveEnergy[ci] += active
+	}
+	// The speed computation runs at the old level; the transition is
+	// charged at the higher-powered of the two levels (the paper does
+	// not specify transition power; this choice is conservative and
+	// documented in DESIGN.md).
+	if compT != 0 {
+		ohComp := plat.PowerAt(cur) * compT
+		res.OverheadEnergy += ohComp
+		res.ClassOverheadEnergy[ci] += ohComp
+	}
+	if changeT != 0 {
+		ohChange := math.Max(plat.PowerAt(cur), plat.PowerAt(lvl)) * changeT
+		res.OverheadEnergy += ohChange
+		res.ClassOverheadEnergy[ci] += ohChange
+	}
+	rs.levels[proc] = lvl
+	rs.freeAt[proc] = finish
+	return finish
 }
 
-func (rs *runState) checkTasks(cfg Config, tasks []*Task) error {
+// checkTasks validates the input and fills npreds and, in ByOrder mode,
+// byOrder.
+func (rs *runState) checkTasks(cfg *Config, tasks []*Task) error {
 	n := len(tasks)
+	rs.npreds = ensureInts(rs.npreds, n)
 	byOrder := cfg.Mode == ByOrder
 	if byOrder {
-		rs.seen = ensureBools(rs.seen, n)
+		rs.byOrder = ensureInts(rs.byOrder, n)
+		for i := range rs.byOrder {
+			rs.byOrder[i] = -1
+		}
 	}
 	nc := cfg.Hetero.NumClasses()
-	for _, t := range tasks {
+	for i, t := range tasks {
 		if byOrder {
-			if t.Order < 0 || t.Order >= n || rs.seen[t.Order] {
+			if t.Order < 0 || t.Order >= n || rs.byOrder[t.Order] >= 0 {
 				return fmt.Errorf("sim: task %q has invalid or duplicate order %d", t.Name, t.Order)
 			}
-			rs.seen[t.Order] = true
+			rs.byOrder[t.Order] = i
 			if !t.Dummy && (t.CanonClass < 0 || t.CanonClass >= nc) {
 				return fmt.Errorf("sim: task %q pinned to class %d of a %d-class machine", t.Name, t.CanonClass, nc)
 			}
@@ -460,6 +570,7 @@ func (rs *runState) checkTasks(cfg Config, tasks []*Task) error {
 		if !t.Dummy && t.WorkA > t.WorkW*(1+1e-9) {
 			return fmt.Errorf("sim: task %q actual work %g exceeds worst case %g", t.Name, t.WorkA, t.WorkW)
 		}
+		rs.npreds[i] = len(t.Preds)
 		for _, p := range t.Preds {
 			if p < 0 || p >= n {
 				return fmt.Errorf("sim: task %q has out-of-range predecessor %d", t.Name, p)
@@ -539,44 +650,24 @@ func (e *eventHeap) pop() (event, bool) {
 	return top, true
 }
 
-// readyQueue is the global ready queue. In ByOrder mode only the task with
-// the next expected execution order is dispatchable (the order gate); in
-// ByPriority mode the longest ready task goes first.
+// readyQueue is the ByPriority ready queue: the longest ready task goes
+// first. pq[pqHead:] is the sorted queue of ready task indices, longest
+// WCET first, ties by node ID then arrival. The head index replaces
+// re-slicing on pop so the backing array survives reuse.
 type readyQueue struct {
-	mode  Mode
-	tasks []*Task
-
-	// ByOrder: readyByOrder[o] is the index of the ready task with order o.
-	readyByOrder []int
-	nextOrder    int
-
-	// ByPriority: pq[pqHead:] is the sorted queue of ready task indices,
-	// longest WCET first, ties by node ID then arrival. The head index
-	// replaces re-slicing on pop so the backing array survives reuse.
+	tasks  []*Task
 	pq     []int
 	pqHead int
 }
 
 // reset prepares the queue for a new run, reusing buffers.
-func (rq *readyQueue) reset(mode Mode, tasks []*Task) {
-	rq.mode = mode
+func (rq *readyQueue) reset(tasks []*Task) {
 	rq.tasks = tasks
-	rq.nextOrder = 0
 	rq.pq = rq.pq[:0]
 	rq.pqHead = 0
-	if mode == ByOrder {
-		rq.readyByOrder = ensureInts(rq.readyByOrder, len(tasks))
-		for i := range rq.readyByOrder {
-			rq.readyByOrder[i] = -1
-		}
-	}
 }
 
 func (rq *readyQueue) push(ti int) {
-	if rq.mode == ByOrder {
-		rq.readyByOrder[rq.tasks[ti].Order] = ti
-		return
-	}
 	// Ordered insertion: place ti before the first queued task it must
 	// precede (strictly longer WCET, ties by lower node ID), after any
 	// equal tasks — exactly where a stable sort of the appended element
@@ -594,28 +685,12 @@ func (rq *readyQueue) push(ti int) {
 	rq.pq[pos] = ti
 }
 
-// peek returns the next dispatchable task, honoring the order gate.
+// peek returns the next task to dispatch.
 func (rq *readyQueue) peek() (int, bool) {
-	if rq.mode == ByOrder {
-		if rq.nextOrder >= len(rq.readyByOrder) {
-			return 0, false
-		}
-		ti := rq.readyByOrder[rq.nextOrder]
-		if ti < 0 {
-			return 0, false
-		}
-		return ti, true
-	}
 	if rq.pqHead >= len(rq.pq) {
 		return 0, false
 	}
 	return rq.pq[rq.pqHead], true
 }
 
-func (rq *readyQueue) pop() {
-	if rq.mode == ByOrder {
-		rq.nextOrder++
-		return
-	}
-	rq.pqHead++
-}
+func (rq *readyQueue) pop() { rq.pqHead++ }

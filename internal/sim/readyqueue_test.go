@@ -43,8 +43,8 @@ func TestReadyQueuePushMatchesLinear(t *testing.T) {
 		perm := rng.Perm(n)
 
 		var got, want readyQueue
-		got.reset(ByPriority, tasks)
-		want.reset(ByPriority, tasks)
+		got.reset(tasks)
+		want.reset(tasks)
 		for _, ti := range perm {
 			got.push(ti)
 			pushLinear(&want, ti)

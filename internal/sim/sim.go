@@ -1,24 +1,43 @@
 // Package sim implements the shared-memory multiprocessor machine model of
-// the paper (§2.3) as a deterministic discrete-event simulator.
+// the paper (§2.3) as a deterministic simulator of one program section.
 //
 // The simulated machine is a power.Hetero: processors grouped into
 // classes, each class with its own DVS table and speed multiplier. The
 // paper's m identical DVS processors are the single class at Speed 1
-// (power.Homogeneous); there is one dispatch loop for every machine. A
-// global ready queue is kept in shared memory. Each processor runs the
-// scheduler independently: when idle it tries to fetch the next task from
-// the queue; if the task it expects is not ready yet it goes to sleep and
-// is woken when the task becomes available (the wait()/signal() protocol
-// of the paper's Figure 2). The engine supports two dispatch disciplines:
+// (power.Homogeneous); there is one engine for every machine. A global
+// ready queue is kept in shared memory. Each processor runs the scheduler
+// independently: when idle it tries to fetch the next task from the queue;
+// if the task it expects is not ready yet it goes to sleep and is woken
+// when the task becomes available (the wait()/signal() protocol of the
+// paper's Figure 2). The engine supports two dispatch disciplines, each
+// with one code path:
 //
 //   - ByPriority: tasks are dequeued highest-priority-first (longest task
 //     first) as soon as they are ready, on the processor a PlacementPolicy
-//     picks — used by the off-line phase to build canonical schedules;
+//     picks — used by the off-line phase to build canonical schedules. It
+//     runs as a discrete-event loop over task completions.
 //   - ByOrder: tasks are dequeued strictly in a precomputed execution
 //     order — the on-line discipline that makes greedy slack sharing safe
 //     on multiprocessors (a processor sleeps while the next expected task
 //     is not ready, even if later-ordered tasks are). Each computation
 //     task is pinned to the class its canonical schedule ran it on.
+//
+// ByOrder runs as a recurrence, one pass over the tasks in order: task k
+// is dispatched at
+//
+//	max(dispatch of task k−1, latest predecessor finish, earliest free time of its processors)
+//
+// on its class's processor with the lowest free time (ties by index); a
+// dummy may use any processor, and the placement picks among those free
+// by then. This is exactly the wait()/signal() protocol. Under the order
+// gate, a processor wakes only when a task completes or the previous task
+// is taken, so every dispatch instant is an event instant, and each of the
+// three terms is one: task k is dispatched at the first instant all three
+// conditions hold. A processor is idle at t exactly when its last task
+// finished by t, so among the idle processors of a class the one idle
+// longest is the argmin of the free times: every busy one frees later.
+// Predecessors count as finished only when released through Succs, as in
+// the event loop, so malformed precedence fails the same way in both.
 //
 // Speed selection is delegated to a Policy; the engine charges the speed
 // computation overhead (cycles at the current effective rate) and, when the
@@ -139,7 +158,7 @@ const (
 	// task first, ties by node ID): the canonical-schedule discipline.
 	ByPriority Mode = iota
 	// ByOrder dispatches tasks strictly in Task.Order: the on-line
-	// discipline.
+	// discipline, run as the order-gate recurrence.
 	ByOrder
 )
 
