@@ -334,8 +334,8 @@ func putCmpChunkBuf(b *cmpChunkBuf) {
 }
 
 // runCompare executes a common-random-numbers comparison of schemes in
-// nchunks chunks (core.CompareFrames over each chunk's frames), then
-// reduces the buffered samples in frame order.
+// nchunks chunks (core.CompareFrames over each chunk's frames, one exec.mc
+// span each), then reduces the buffered samples in frame order.
 func (s *Server) runCompare(w http.ResponseWriter, r *http.Request, plan *core.Plan, peeked bool,
 	schemes []core.Scheme, deadline float64, runs int, seed uint64, nchunks int) {
 	bufs := make([]*cmpChunkBuf, nchunks)
@@ -354,7 +354,14 @@ func (s *Server) runCompare(w http.ResponseWriter, r *http.Request, plan *core.P
 		return func(ctx context.Context, wk *Worker) error {
 			var base float64
 			cfg := core.RunConfig{Deadline: deadline, Sampler: wk.Sampler}
+			// One exec.mc span per chunk, counting its simulations: the
+			// baseline and every scheme of each frame.
+			rec := obs.TraceFromContext(ctx)
+			done := 0
+			t0 := rec.SinceStart()
+			defer func() { rec.RecordOffsetN(PhaseExecMC, t0, int64(done)) }()
 			return core.CompareFrames(plan, cfg, schemes, seed, lo, hi, wk.Arena, wk.Src, func(f, si int, res *core.RunResult) error {
+				done++
 				if si < 0 {
 					base = res.Energy()
 					b.base[f-lo] = base

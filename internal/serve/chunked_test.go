@@ -519,34 +519,43 @@ func TestRetryAfterCountsUnits(t *testing.T) {
 }
 
 // TestChunkedTraceSpans is the S3 check for the default fan-out: a traced
-// chunked run must record one exec.mc span per chunk with its run count,
+// chunked run or compare must record one exec.mc span per chunk with its
+// simulation count (a compare frame counts its baseline and every scheme),
 // and drop nothing at default chunk widths.
 func TestChunkedTraceSpans(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 4, QueueSize: 64})
-	w := post(t, s, "/v1/run", `{"workload":"atr","scheme":"GSS","runs":1000,"seed":3,"chunks":8}`)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", w.Code, w.Body.String())
-	}
-	id := w.Header().Get("X-Trace-Id")
-	rt, ok := s.flight.Get(id)
-	if !ok {
-		t.Fatalf("trace %s not retained", id)
-	}
-	if rt.DroppedSpans != 0 {
-		t.Errorf("default chunked fan-out dropped %d spans", rt.DroppedSpans)
-	}
-	mcSpans, mcRuns := 0, int64(0)
-	for _, sp := range rt.Spans {
-		if sp.Phase == PhaseExecMC {
-			mcSpans++
-			mcRuns += sp.N
+	for _, tc := range []struct {
+		path, body     string
+		chunks, mcRuns int
+	}{
+		{"/v1/run", `{"workload":"atr","scheme":"GSS","runs":1000,"seed":3,"chunks":8}`, 8, 1000},
+		{"/v1/compare", `{"workload":"atr","runs":200,"schemes":["NPM","GSS","ORA"],"seed":3,"chunks":4}`, 4, 200 * 4},
+	} {
+		w := post(t, s, tc.path, tc.body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.path, w.Code, w.Body.String())
 		}
-	}
-	if mcSpans != 8 {
-		t.Errorf("exec.mc spans = %d, want one per chunk (8)", mcSpans)
-	}
-	if mcRuns != 1000 {
-		t.Errorf("exec.mc span run counts total %d, want 1000", mcRuns)
+		id := w.Header().Get("X-Trace-Id")
+		rt, ok := s.flight.Get(id)
+		if !ok {
+			t.Fatalf("%s: trace %s not retained", tc.path, id)
+		}
+		if rt.DroppedSpans != 0 {
+			t.Errorf("%s: default chunked fan-out dropped %d spans", tc.path, rt.DroppedSpans)
+		}
+		mcSpans, mcRuns := 0, int64(0)
+		for _, sp := range rt.Spans {
+			if sp.Phase == PhaseExecMC {
+				mcSpans++
+				mcRuns += sp.N
+			}
+		}
+		if mcSpans != tc.chunks {
+			t.Errorf("%s: exec.mc spans = %d, want one per chunk (%d)", tc.path, mcSpans, tc.chunks)
+		}
+		if mcRuns != int64(tc.mcRuns) {
+			t.Errorf("%s: exec.mc span run counts total %d, want %d", tc.path, mcRuns, tc.mcRuns)
+		}
 	}
 	if got := s.flight.DroppedSpans(); got != 0 {
 		t.Errorf("recorder-lifetime dropped spans = %d, want 0", got)
