@@ -800,3 +800,43 @@ func BenchmarkServeRunWarmParallel(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkServeTextChurn measures the plan-cache miss path of .andor text
+// requests: single-run /v1/run requests cycle round-robin over twice as
+// many distinct random applications as the default plan cache holds, so
+// after the first cycle every request finds its text in the text memo,
+// misses the plan cache, parses, compiles and evicts. B/op and allocs/op
+// are the per-miss garbage the collector has to clear.
+func BenchmarkServeTextChurn(b *testing.B) {
+	const cacheSize = 128
+	s := serve.New(serve.Config{
+		Workers: 1, QueueSize: 8, CacheSize: cacheSize,
+		Trace: serve.TraceConfig{Disabled: true},
+	})
+	defer s.Close()
+	bodies := make([]string, 2*cacheSize)
+	for i := range bodies {
+		text := andor.FormatText(workload.Random(uint64(i+1), andor.DefaultRandomOpts()))
+		bodies[i] = fmt.Sprintf(`{"text":%q,"scheme":"GSS","seed":%d}`, text, i)
+	}
+	rd := strings.NewReader("")
+	req := httptest.NewRequest(http.MethodPost, "/v1/run", rd)
+	w := &benchRecorder{hdr: make(http.Header, 4)}
+	do := func(i int) {
+		rd.Reset(bodies[i%len(bodies)])
+		w.body.Reset()
+		w.status = 0
+		s.Handler().ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d: %s", w.status, w.body.String())
+		}
+	}
+	for i := range bodies {
+		do(i) // memoize every text and fill the plan cache
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		do(i)
+	}
+}

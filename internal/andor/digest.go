@@ -31,6 +31,12 @@ func (s *Section) Digest() SectionDigest {
 }
 
 func (s *Section) computeDigest() SectionDigest {
+	return sha256.Sum256(s.digestInput())
+}
+
+// digestInput is the byte string the digest hashes, in a buffer sized to
+// fit it exactly.
+func (s *Section) digestInput() []byte {
 	// Local index of each member node, in Nodes order (the order the
 	// off-line phase enumerates tasks in).
 	local := make(map[*Node]int, len(s.Nodes))
@@ -51,7 +57,18 @@ func (s *Section) computeDigest() SectionDigest {
 		idRank[i] = rank
 	}
 
-	buf := make([]byte, 0, 8+len(s.Nodes)*48)
+	// Six words per node plus one per in-section edge end: two per edge,
+	// once among the head's successors and once among the tail's
+	// predecessors.
+	words := 1 + 6*len(s.Nodes)
+	for _, n := range s.Nodes {
+		for _, m := range n.succ {
+			if _, ok := local[m]; ok {
+				words += 2
+			}
+		}
+	}
+	buf := make([]byte, 0, 8*words)
 	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	u64(uint64(len(s.Nodes)))
 	for i, n := range s.Nodes {
@@ -65,7 +82,7 @@ func (s *Section) computeDigest() SectionDigest {
 		buf = appendLocalEdges(buf, local, n.pred)
 		buf = appendLocalEdges(buf, local, n.succ)
 	}
-	return sha256.Sum256(buf)
+	return buf
 }
 
 // wcetBits and acetBits return the exact IEEE-754 bit patterns the off-line

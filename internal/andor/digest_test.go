@@ -1,7 +1,11 @@
 package andor
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
+
+	"andorsched/internal/exectime"
 )
 
 // digestTestSections builds A → O1 ─→ (B → {C, D} → And → E) / (F) → O2 → G:
@@ -138,5 +142,46 @@ func TestSectionDigestSensitivity(t *testing.T) {
 				t.Fatalf("serialized diamond collides with base section %d", i)
 			}
 		}
+	}
+}
+
+// TestSectionDigestInputSized: the digest's input buffer is sized from
+// the section's in-section edges, so writing it never regrows it.
+func TestSectionDigestInputSized(t *testing.T) {
+	secs := digestTestSections(t, 0.5)
+	for seed := uint64(1); seed <= 20; seed++ {
+		g := RandomGraph(exectime.NewSource(seed), DefaultRandomOpts())
+		s, err := Decompose(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs = append(secs, s.All...)
+	}
+	for i, sec := range secs {
+		if b := sec.digestInput(); len(b) != cap(b) {
+			t.Errorf("section %d (%d nodes): digest input is %d bytes in a buffer of %d", i, len(sec.Nodes), len(b), cap(b))
+		}
+	}
+}
+
+// TestSectionDigestFrozen pins the digests of every section of
+// workload.Random seeds 1–20, hashed together. Digests key the
+// section-schedule cache, so they must not change when the way they are
+// computed does.
+func TestSectionDigestFrozen(t *testing.T) {
+	const want = "90a81245deada96c26333744f04f0832fa88bc3630ed3120bb0eb90925274e94"
+	h := sha256.New()
+	for seed := uint64(1); seed <= 20; seed++ {
+		s, err := Decompose(RandomGraph(exectime.NewSource(seed), DefaultRandomOpts()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sec := range s.All {
+			d := sec.Digest()
+			h.Write(d[:])
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("section digests of Random seeds 1–20 hash to %s, want %s", got, want)
 	}
 }

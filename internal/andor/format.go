@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 	"unicode/utf8"
 )
 
@@ -52,15 +53,24 @@ func stripComment(line string) string {
 
 // ParseText parses the .andor format. The returned graph is validated.
 func ParseText(src string) (*Graph, error) {
+	// A node takes a line of its own and most nodes have an edge line, so
+	// half the line count sizes the node list and name table of a typical
+	// text without regrowing them.
+	hint := strings.Count(src, "\n")/2 + 1
 	g := NewGraph("unnamed")
-	p := &textParser{g: g, nodes: map[string]*Node{}}
-	for i, raw := range strings.Split(src, "\n") {
-		fields := strings.Fields(stripComment(raw))
+	g.nodes = make([]*Node, 0, hint)
+	p := &textParser{g: g, nodes: make(map[string]*Node, hint)}
+	fields := p.fieldBuf[:0]
+	rest, more := src, true
+	for lineNo := 1; more; lineNo++ {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
+		fields = appendFields(fields[:0], stripComment(line))
 		if len(fields) == 0 {
 			continue
 		}
 		if err := p.directive(fields); err != nil {
-			return nil, fmt.Errorf("andor: line %d: %w", i+1, err)
+			return nil, fmt.Errorf("andor: line %d: %w", lineNo, err)
 		}
 	}
 	if err := g.Validate(); err != nil {
@@ -69,9 +79,46 @@ func ParseText(src string) (*Graph, error) {
 	return g, nil
 }
 
+// asciiSpace marks the ASCII bytes unicode.IsSpace reports as space.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// appendFields appends the fields of s to dst, exactly as strings.Fields
+// splits them: maximal runs of characters that are not unicode.IsSpace.
+// Each field is a substring of s.
+func appendFields(dst []string, s string) []string {
+	start := -1 // start of the current field, or -1 between fields
+	for i := 0; i < len(s); {
+		c, size := rune(s[i]), 1
+		space := false
+		if c < utf8.RuneSelf {
+			space = asciiSpace[c]
+		} else {
+			c, size = utf8.DecodeRuneInString(s[i:])
+			space = unicode.IsSpace(c)
+		}
+		switch {
+		case space && start >= 0:
+			dst = append(dst, s[start:i])
+			start = -1
+		case !space && start < 0:
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
+}
+
 type textParser struct {
 	g     *Graph
 	nodes map[string]*Node
+	// fieldBuf backs the fields of each line; a line with more fields
+	// than it holds grows a slice that the following lines reuse.
+	fieldBuf [8]string
+	// probs is a prob line's scratch; SetBranchProbs keeps a copy.
+	probs []float64
 }
 
 // validName rejects names that cannot survive a format round-trip: invalid
@@ -221,14 +268,15 @@ func (p *textParser) directive(f []string) error {
 		if or.Kind != Or {
 			return fmt.Errorf("%q is not an OR node", f[1])
 		}
-		probs := make([]float64, len(f)-2)
-		for i, tok := range f[2:] {
+		probs := p.probs[:0]
+		for _, tok := range f[2:] {
 			v, err := parseProb(tok)
 			if err != nil {
 				return err
 			}
-			probs[i] = v
+			probs = append(probs, v)
 		}
+		p.probs = probs
 		if len(probs) != len(or.Succs()) {
 			return fmt.Errorf("%q has %d successors but %d probabilities (declare edges first)",
 				f[1], len(or.Succs()), len(probs))

@@ -12,8 +12,10 @@ func (g *Graph) TopoOrder() ([]*Node, bool) {
 	}
 	// A simple ordered frontier. Graph sizes here are small (at most a few
 	// thousand nodes), so an O(V²) scan would also do; we keep a sorted
-	// insertion for determinism with O(V·width) behaviour.
-	var frontier []*Node
+	// insertion for determinism with O(V·width) behaviour. Every node is
+	// pushed at most once and pops only advance the start, so the
+	// frontier never outgrows a backing array of n.
+	frontier := make([]*Node, 0, n)
 	push := func(v *Node) {
 		i := len(frontier)
 		frontier = append(frontier, nil)

@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -103,9 +105,10 @@ func (r *reusableRecorder) reset() {
 // ServeHTTP path — middleware, decode, plan-cache hit, pool round trip,
 // simulation, pooled encode — with a reusable request and recorder so only
 // the server's own allocations are counted. The irreducible floor is
-// request plumbing (context.WithTimeout, WithContext, MaxBytesReader,
-// json.NewDecoder) and the pool handoff, not response encoding: the
-// encoder pool removed that term (measured ~45 allocs/op before pooling).
+// request plumbing (context.WithTimeout, WithContext, MaxBytesReader) and
+// the pool handoff, not request decoding or response encoding: the body
+// is read into a pooled buffer, and the encoder pool removed the encoding
+// term (measured ~45 allocs/op before pooling).
 //
 // Measured twice — tracing off and on — to pin the tracing budget: the
 // traced path may add at most 8 allocations (it actually adds ~4: the
@@ -190,5 +193,51 @@ func TestRunRequestAllocsPerRun(t *testing.T) {
 	if large-small > 12 {
 		t.Errorf("runs=2000 allocates %.1f more times than runs=200 (%.1f vs %.1f); want <= 12, independent of runs",
 			large-small, large, small)
+	}
+}
+
+// TestTextMissBytesIndependentOfCacheSize: a text request that misses the
+// plan cache allocates the same at any cache size. The owner republishes
+// only the buckets of the keys it inserts and evicts, never a copy of the
+// whole shard, so the miss cost must not grow with -cache: the bytes per
+// miss at a cache of 128 plans stay within 10% of those at 8. Both
+// servers cycle over the same 256 texts, so every request misses.
+func TestTextMissBytesIndependentOfCacheSize(t *testing.T) {
+	bodies := make([]string, 256)
+	for i := range bodies {
+		text := andor.FormatText(workload.Random(uint64(i+1), andor.DefaultRandomOpts()))
+		bodies[i] = fmt.Sprintf(`{"text":%q,"scheme":"GSS","seed":%d}`, text, i)
+	}
+	missBytes := func(cacheSize int) float64 {
+		s := newTestServer(t, Config{Workers: 1, QueueSize: 8, CacheSize: cacheSize,
+			Trace: TraceConfig{Disabled: true}})
+		rd := strings.NewReader("")
+		req := httptest.NewRequest(http.MethodPost, "/v1/run", rd)
+		w := newReusableRecorder()
+		pass := func() {
+			for _, body := range bodies {
+				rd.Reset(body)
+				w.reset()
+				s.Handler().ServeHTTP(w, req)
+				if w.status != http.StatusOK {
+					t.Fatalf("status %d: %s", w.status, w.body.String())
+				}
+			}
+		}
+		pass() // memoize the texts, fill the plan cache
+		misses := s.pool.PlanCacheStats().Misses
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pass()
+		runtime.ReadMemStats(&after)
+		if n := s.pool.PlanCacheStats().Misses - misses; n != int64(len(bodies)) {
+			t.Fatalf("cache %d: %d of %d requests missed", cacheSize, n, len(bodies))
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(bodies))
+	}
+	small, large := missBytes(8), missBytes(128)
+	t.Logf("bytes per text miss: %.0f at -cache 8, %.0f at -cache 128", small, large)
+	if math.Abs(large-small) > 0.10*small {
+		t.Errorf("a text miss allocates %.0f B at -cache 128 and %.0f B at -cache 8; want within 10%%", large, small)
 	}
 }

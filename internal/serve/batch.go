@@ -63,7 +63,7 @@ const batchSeedBase = 0x8f1c_33d9_5b24_a6e7
 // failed with its error line.
 type batchItem struct {
 	plan   *core.Plan
-	peeked bool // snapshot plan hit, credited by the executing worker
+	peeked bool // plan hit by peek, credited by the executing worker
 	cfg    core.RunConfig
 	runs   int
 	seed   uint64

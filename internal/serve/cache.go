@@ -67,6 +67,22 @@ func (m *textMemo) slot(text *[sha256.Size]byte) *atomic.Pointer[textMemoEntry] 
 	return &m.slots[binary.LittleEndian.Uint64(text[:8])&m.mask]
 }
 
+// textKey is the SHA-256 of a request's text, the memo's key. It feeds
+// the text through a stack chunk: sha256.Sum256 takes bytes, and
+// converting a ~1.5 KB text to them would copy it on the heap on every
+// text request.
+func textKey(text string) (sum [sha256.Size]byte) {
+	var chunk [512]byte
+	h := sha256.New()
+	for len(text) > 0 {
+		n := copy(chunk[:], text)
+		h.Write(chunk[:n])
+		text = text[n:]
+	}
+	h.Sum(sum[:0])
+	return sum
+}
+
 // lookup returns the graph digest memoized for the text hash.
 func (m *textMemo) lookup(text [sha256.Size]byte) ([sha256.Size]byte, bool) {
 	if e := m.slot(&text).Load(); e != nil && e.text == text {

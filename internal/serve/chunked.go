@@ -211,9 +211,9 @@ func monteCarloOn(ctx context.Context, wk *Worker, plan *core.Plan, cfg core.Run
 // execChunks executes a Monte-Carlo request of `runs` runs (or frames),
 // each worth perRun simulations, as nchunks chunk jobs (Pool.fanOut);
 // job(c, lo, hi) builds chunk c's function. Chunk 0 credits the request's
-// snapshot plan hit (peeked). One handler-side exec span brackets the
-// whole fan-out — chunk buffer preparation, admission and the wait for
-// the last chunk — so the trace stays gap-free; the chunks' own
+// peeked plan hit. One handler-side exec span brackets the whole fan-out
+// — chunk buffer preparation, admission and the wait for the last chunk
+// — so the trace stays gap-free; the chunks' own
 // queue/exec/exec.mc spans nest inside it. On failure the error response
 // is written and execChunks returns false.
 func (s *Server) execChunks(w http.ResponseWriter, r *http.Request, peeked bool, runs, nchunks int, perRun int64,

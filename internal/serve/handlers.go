@@ -14,8 +14,8 @@ import (
 )
 
 // planFor resolves spec to its compiled plan. A warm key is found by a
-// counter-free peek at the owning shard's published snapshot (a lock-free
-// read); peeked reports such a hit, which the caller credits in-job to the
+// counter-free peek at the owning shard's published view (a lock-free
+// read of one bucket); peeked reports such a hit, which the caller credits in-job to the
 // worker executing the request (wk.pw.hits), so the warm path writes no
 // counter another goroutine writes. A cold key is resolved by routePlan,
 // which first parses any text the memo let resolveApp skip.
@@ -107,7 +107,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	// /v1/plan runs no job a snapshot hit could be credited in, so it
+	// /v1/plan runs no job a peek hit could be credited in, so it
 	// resolves on the shard owner directly, which counts the hit itself.
 	ra, apiErr := s.resolveApp(&req.AppSpec)
 	if apiErr != nil {

@@ -155,3 +155,18 @@ func TestTextRequestsConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestTextKey: the memo key is the SHA-256 of the text, at chunk
+// boundaries too, and hashing it allocates nothing.
+func TestTextKey(t *testing.T) {
+	for _, n := range []int{0, 1, 511, 512, 513, 1024, 1500} {
+		text := strings.Repeat("x", n)
+		if textKey(text) != sha256.Sum256([]byte(text)) {
+			t.Errorf("textKey of %d bytes differs from sha256.Sum256", n)
+		}
+	}
+	text := andor.FormatText(workload.Random(4, andor.DefaultRandomOpts()))
+	if allocs := testing.AllocsPerRun(100, func() { textKey(text) }); allocs != 0 {
+		t.Errorf("textKey of a %d-byte text allocates %.1f times, want 0", len(text), allocs)
+	}
+}

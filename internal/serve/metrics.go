@@ -41,7 +41,7 @@ const (
 	MetricRuns = "serve.runs"
 	// MetricCacheHits counts plan-cache lookups that found an entry
 	// (counter); a request queued behind an owner's compile of the same
-	// key counts as a hit. A snapshot hit is counted by the worker that
+	// key counts as a hit. A peek hit is counted by the worker that
 	// executes the request.
 	MetricCacheHits = "serve.cache.hits"
 	// MetricCacheMisses counts plan-cache lookups that triggered a compile
@@ -63,6 +63,14 @@ const (
 	// MetricSchedCacheSize is the section-schedule cache's current entry
 	// count (gauge).
 	MetricSchedCacheSize = "core.schedcache.size"
+
+	// MetricGCCycles and MetricAllocBytes are the process's cumulative
+	// completed GC cycles and heap bytes allocated, read from
+	// runtime/metrics at scrape time (gauges, so they add nothing to the
+	// request path). The growth of either between two scrapes, divided by
+	// the growth of MetricRequests, is the GC cycles or bytes per request.
+	MetricGCCycles   = "serve.runtime.gc_cycles"
+	MetricAllocBytes = "serve.runtime.alloc_bytes"
 )
 
 // Phase names used for request trace spans and the MetricPhaseLatency

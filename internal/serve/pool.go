@@ -120,57 +120,111 @@ func (r *ageRing) age(nowNanos int64) time.Duration {
 	return time.Duration(nowNanos - t)
 }
 
-// planEntry is one shard slot. lastHit is a plain owner-advanced tick:
-// only the owning worker reads or writes it, so the recency bookkeeping
-// needs no atomics at all.
+// planEntry is one shard slot. key and plan never change once the entry
+// is published; lastHit is a plain owner-advanced tick: only the owning
+// worker reads or writes it, so the recency bookkeeping needs no atomics
+// at all.
 type planEntry struct {
+	key     cacheKey
 	plan    *core.Plan
 	lastHit uint64
-}
-
-// planSnapshot is an immutable epoch of one shard's contents, published
-// by the owner after every mutation. Request plan resolution and stats
-// look plans up here without any lock; they see the shard as of some
-// recent generation, never a torn map. Snapshot reads do not refresh LRU
-// recency — only owner-routed traffic does.
-type planSnapshot struct {
-	gen   uint64
-	plans map[cacheKey]*core.Plan
 }
 
 // planShard is one worker's private plan cache. The entries map is
 // owner-only mutable state: every insert, hit-stamp and eviction happens
 // on the owning worker goroutine, serialized by that worker's job loop,
 // which is what makes the warmed request path run without a single lock
-// or contended atomic. Everyone else reads the published snapshot.
+// or contended atomic.
+//
+// Everyone else reads the published view: a fixed array of buckets, each
+// an atomic pointer to an immutable slice of entries. The owner publishes
+// per bucket, copy-on-write: an insert or eviction replaces only the
+// bucket of the key it touches, so a miss costs one small slice copy
+// however large the shard is. Request plan resolution and stats read the
+// view without any lock; a bucket is always some complete recent version,
+// never torn. View reads do not refresh LRU recency — only owner-routed
+// traffic does.
 type planShard struct {
 	cap     int
 	tick    uint64
 	entries map[cacheKey]*planEntry
-	gen     uint64
-	snap    atomic.Pointer[planSnapshot]
+	mask    uint64
+	buckets []atomic.Pointer[[]*planEntry]
+	size    atomic.Int64 // len(entries) as of the last publish; owner-written
 }
 
+// newPlanShard sizes the view to the power of two at or above a quarter
+// of the capacity, so a full shard averages at most four entries per
+// bucket.
 func newPlanShard(capacity int) *planShard {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &planShard{cap: capacity, entries: make(map[cacheKey]*planEntry, capacity)}
+	n := 1
+	for 4*n < capacity {
+		n <<= 1
+	}
+	return &planShard{
+		cap:     capacity,
+		entries: make(map[cacheKey]*planEntry, capacity),
+		mask:    uint64(n - 1),
+		buckets: make([]atomic.Pointer[[]*planEntry], n),
+	}
 }
 
-// publish installs a fresh immutable snapshot of the shard. Owner-only.
-func (sh *planShard) publish() {
-	m := make(map[cacheKey]*core.Plan, len(sh.entries))
-	for k, e := range sh.entries {
-		m[k] = e.plan
+// bucket returns key's bucket. It is picked by graph digest bits 64–127:
+// homeFor starts from bits 0–63, so the keys one shard owns still spread
+// over all of its buckets.
+func (sh *planShard) bucket(key *cacheKey) *atomic.Pointer[[]*planEntry] {
+	return &sh.buckets[binary.LittleEndian.Uint64(key.graph[8:16])&sh.mask]
+}
+
+// lookup scans key's bucket in the published view. Safe from any
+// goroutine.
+func (sh *planShard) lookup(key *cacheKey) (*core.Plan, bool) {
+	if b := sh.bucket(key).Load(); b != nil {
+		for _, e := range *b {
+			if e.key == *key {
+				return e.plan, true
+			}
+		}
 	}
-	sh.gen++
-	sh.snap.Store(&planSnapshot{gen: sh.gen, plans: m})
+	return nil, false
+}
+
+// publishAdd republishes e's bucket with e appended. Owner-only.
+func (sh *planShard) publishAdd(e *planEntry) {
+	slot := sh.bucket(&e.key)
+	var old []*planEntry
+	if b := slot.Load(); b != nil {
+		old = *b
+	}
+	next := make([]*planEntry, len(old)+1)
+	copy(next, old)
+	next[len(old)] = e
+	slot.Store(&next)
+}
+
+// publishRemove republishes e's bucket without e. Owner-only.
+func (sh *planShard) publishRemove(e *planEntry) {
+	slot := sh.bucket(&e.key)
+	old := *slot.Load()
+	if len(old) == 1 {
+		slot.Store(nil)
+		return
+	}
+	next := make([]*planEntry, 0, len(old)-1)
+	for _, o := range old {
+		if o != e {
+			next = append(next, o)
+		}
+	}
+	slot.Store(&next)
 }
 
 // poolWorker is one worker goroutine's identity: its private queue, its
 // plan and section-schedule shards, and its stat counters. The counters
-// are written only by the owner — a snapshot hit is credited by the worker
+// are written only by the owner — a peek hit is credited by the worker
 // executing the request — and merged into the registry's instruments only
 // on the metrics/debug read paths.
 type poolWorker struct {
@@ -636,24 +690,20 @@ func (p *Pool) homeFor(key cacheKey) int {
 	return int(h % uint64(len(p.workers)))
 }
 
-// planPeek looks key up in the owning shard's published snapshot — a
-// lock-free read usable from any goroutine. It counts nothing and does
-// not refresh the entry's LRU recency (only owner-routed traffic does):
-// the request's executing worker credits the hit to its own counter, so
-// the warm path never writes a cache line another goroutine writes.
+// planPeek looks key up in the owning shard's published view — a
+// lock-free read of one bucket, usable from any goroutine. It counts
+// nothing and does not refresh the entry's LRU recency (only
+// owner-routed traffic does): the request's executing worker credits the
+// hit to its own counter, so the warm path never writes a cache line
+// another goroutine writes.
 func (p *Pool) planPeek(key cacheKey) (*core.Plan, bool) {
-	if snap := p.workers[p.homeFor(key)].plans.snap.Load(); snap != nil {
-		if plan, ok := snap.plans[key]; ok {
-			return plan, true
-		}
-	}
-	return nil, false
+	return p.workers[p.homeFor(key)].plans.lookup(&key)
 }
 
 // OwnerPlan resolves key in the worker's own plan shard, compiling on a
 // miss. It must be called from a job routed to the shard's owner (submit
-// with home homeFor(key)): entries, recency ticks and the snapshot
-// epoch are all mutated without synchronization on the owner's goroutine.
+// with home homeFor(key)): entries, recency ticks and the published view
+// are all mutated without synchronization on the owner's goroutine.
 // The boolean reports a hit; a second routed request for a key whose
 // compile just finished counts as a hit (the owner queue serializes
 // compiles, so duplicate-compile suppression is structural). Failed
@@ -672,24 +722,27 @@ func (wk *Worker) OwnerPlan(key cacheKey, compile func(sched *schedcache.Cache) 
 	if err != nil {
 		return nil, false, err
 	}
-	sh.entries[key] = &planEntry{plan: plan, lastHit: sh.tick}
+	added := &planEntry{key: key, plan: plan, lastHit: sh.tick}
+	sh.entries[key] = added
+	sh.publishAdd(added)
 	for len(sh.entries) > sh.cap {
-		var victim cacheKey
-		oldest := uint64(math.MaxUint64)
-		for k, e := range sh.entries {
-			if e.lastHit < oldest {
-				oldest, victim = e.lastHit, k
+		var victim *planEntry
+		for _, e := range sh.entries {
+			if victim == nil || e.lastHit < victim.lastHit {
+				victim = e
 			}
 		}
-		delete(sh.entries, victim)
+		delete(sh.entries, victim.key)
+		sh.publishRemove(victim)
 		w.evictions.Add(1)
 	}
-	sh.publish()
+	sh.size.Store(int64(len(sh.entries)))
 	return plan, false, nil
 }
 
 // PlanCacheStats is the merged view of the per-worker plan-shard counters
-// plus the close-time graveyard. Size counts live snapshot entries.
+// plus the close-time graveyard. Size counts the plans in the live shards'
+// published views.
 type PlanCacheStats struct {
 	Hits, Misses, Evictions, Size int64
 }
@@ -708,9 +761,7 @@ func (p *Pool) PlanCacheStats() PlanCacheStats {
 		s.Hits += w.hits.Load()
 		s.Misses += w.misses.Load()
 		s.Evictions += w.evictions.Load()
-		if snap := w.plans.snap.Load(); snap != nil {
-			s.Size += int64(len(snap.plans))
-		}
+		s.Size += w.plans.size.Load()
 	}
 	return s
 }
@@ -729,15 +780,13 @@ func (p *Pool) SchedCacheStats() schedcache.Stats {
 	return sum
 }
 
-// CachedPlans counts plans across all live shard snapshots.
+// CachedPlans counts plans across all live shards' published views.
 func (p *Pool) CachedPlans() int {
-	n := 0
+	n := int64(0)
 	for _, w := range p.workers {
-		if snap := w.plans.snap.Load(); snap != nil {
-			n += len(snap.plans)
-		}
+		n += w.plans.size.Load()
 	}
-	return n
+	return int(n)
 }
 
 // Close stops accepting jobs, lets queued and running jobs finish, waits

@@ -272,8 +272,8 @@ func (s *Server) resolveApp(spec *AppSpec) (resolvedApp, *apiError) {
 		}
 		ra.g, key.graph = g, graphDigest(g)
 	case spec.Text != "":
-		textKey := sha256.Sum256([]byte(spec.Text))
-		if digest, ok := s.texts.lookup(textKey); ok {
+		sum := textKey(spec.Text)
+		if digest, ok := s.texts.lookup(sum); ok {
 			ra.text, key.graph = spec.Text, digest
 			break
 		}
@@ -285,7 +285,7 @@ func (s *Server) resolveApp(spec *AppSpec) (resolvedApp, *apiError) {
 			return ra, apiErr
 		}
 		ra.g, key.graph = g, graphDigest(g)
-		s.texts.insert(textKey, key.graph)
+		s.texts.insert(sum, key.graph)
 	default:
 		var err error
 		ra.g, key.graph, err = memoBuiltinWorkload(spec.Workload)

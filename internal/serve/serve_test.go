@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -327,5 +329,53 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %s", want)
 		}
+	}
+}
+
+// TestRuntimeGauges: /metrics carries the process's cumulative GC cycles
+// and allocated bytes, and both grow between scrapes that bracket
+// allocation and a collection.
+func TestRuntimeGauges(t *testing.T) {
+	s := newTestServer(t, Config{})
+	scrape := func() (gc, alloc float64) {
+		req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d", w.Code)
+		}
+		found := 0
+		for _, line := range strings.Split(w.Body.String(), "\n") {
+			name, val, ok := strings.Cut(line, " ")
+			if !ok {
+				continue
+			}
+			var dst *float64
+			switch name {
+			case "serve_runtime_gc_cycles":
+				dst = &gc
+			case "serve_runtime_alloc_bytes":
+				dst = &alloc
+			default:
+				continue
+			}
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			*dst = v
+			found++
+		}
+		if found != 2 {
+			t.Fatalf("/metrics lacks the runtime gauges:\n%s", w.Body.String())
+		}
+		return gc, alloc
+	}
+	gc0, alloc0 := scrape()
+	post(t, s, "/v1/run", `{"workload":"synthetic"}`)
+	runtime.GC()
+	gc1, alloc1 := scrape()
+	if gc1 <= gc0 || alloc1 <= alloc0 {
+		t.Errorf("runtime gauges did not grow: gc_cycles %g -> %g, alloc_bytes %g -> %g", gc0, gc1, alloc0, alloc1)
 	}
 }

@@ -19,26 +19,30 @@ import (
 	"andorsched/internal/core/schedcache"
 )
 
-// TestSnapshotPublicationRace stress-tests the epoch-published shard
-// snapshots under concurrent eviction: owners churn small shards (every
-// insert evicts and republished) while cross-shard readers loop over the
-// snapshots. Run under -race this proves the publication protocol; the
-// explicit assertions pin that generations only move forward and a
-// snapshot never yields a nil plan for a present key.
+// TestSnapshotPublicationRace stress-tests the per-bucket publication of
+// the plan shards under constant eviction. Owners churn shards of 12
+// plans (4 buckets each) over 64 keys, while readers peek at random keys
+// and scan whole buckets. Run under -race this proves the publication
+// protocol. The readers assert that a peek never returns a nil plan. After
+// each routed compile returns, the test asserts that the published views
+// hold exactly the owners' entries: every key the owner holds (the one
+// just compiled among them) is visible to peeks, every evicted key is
+// gone, and the published sizes match.
 func TestSnapshotPublicationRace(t *testing.T) {
-	p := NewPool(2, 16, 6) // 3 plans per shard: constant eviction
+	p := NewPool(2, 16, 24)
 	defer p.Close()
 	mk := compilePlan(t)
 
-	const nKeys = 24
+	const nKeys = 64
 	keys := make([]cacheKey, nKeys)
 	for i := range keys {
-		keys[i] = testKey(i)
+		keys[i] = testKey(i / 2)
+		keys[i].procs = 2 + i%2 // pairs share a graph digest, so a bucket
+		keys[i].graph[8] = byte(i / 2 * 7)
 	}
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	lastGen := make([]atomic.Uint64, len(p.workers))
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -46,33 +50,13 @@ func TestSnapshotPublicationRace(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(r)))
 			for !stop.Load() {
 				k := keys[rng.Intn(nKeys)]
-				home := p.homeFor(k)
-				if snap := p.workers[home].plans.snap.Load(); snap != nil {
-					for sk, plan := range snap.plans {
-						if plan == nil {
-							t.Errorf("snapshot of worker %d holds nil plan for %v", home, sk)
+				if b := p.workers[p.homeFor(k)].plans.bucket(&k).Load(); b != nil {
+					for _, e := range *b {
+						if e.plan == nil {
+							t.Errorf("bucket holds a nil plan for %v", e.key)
 							stop.Store(true)
 							return
 						}
-					}
-					for {
-						g := lastGen[home].Load()
-						if snap.gen > g {
-							if !lastGen[home].CompareAndSwap(g, snap.gen) {
-								continue
-							}
-						} else if snap.gen < g && snap.gen != 0 {
-							// A reader may observe an older snapshot than a
-							// faster reader did (Load races publish), but the
-							// pointer itself must never be replaced with an
-							// earlier generation; re-load to check.
-							if cur := p.workers[home].plans.snap.Load(); cur != nil && cur.gen < g {
-								t.Errorf("worker %d snapshot generation went backwards: %d after %d", home, cur.gen, g)
-								stop.Store(true)
-								return
-							}
-						}
-						break
 					}
 				}
 				if plan, ok := p.planPeek(k); ok && plan == nil {
@@ -84,16 +68,39 @@ func TestSnapshotPublicationRace(t *testing.T) {
 		}(r)
 	}
 
+	held := make([]bool, nKeys) // the owners' entries after the last compile
 	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 1500; i++ {
-		k := keys[rng.Intn(nKeys)]
+	for i := 0; i < 1500 && !t.Failed(); i++ {
+		ki := rng.Intn(nKeys)
+		k := keys[ki]
 		err := p.submit(context.Background(), p.homeFor(k), true, 1, func(ctx context.Context, wk *Worker) {
 			if _, _, err := wk.OwnerPlan(k, func(*schedcache.Cache) (*core.Plan, error) { return mk() }); err != nil {
 				t.Errorf("OwnerPlan: %v", err)
 			}
+			// The owner's map may be read here, on the owner's goroutine.
+			for j := range keys {
+				if p.homeFor(keys[j]) == wk.pw.id {
+					_, held[j] = wk.pw.plans.entries[keys[j]]
+				}
+			}
 		}, nil)
 		if err != nil {
 			t.Fatalf("routed submit: %v", err)
+		}
+		if !held[ki] {
+			t.Fatalf("key %d not held by its owner right after its compile", ki)
+		}
+		want := 0
+		for j := range keys {
+			if _, ok := p.planPeek(keys[j]); ok != held[j] {
+				t.Errorf("after compile %d: peek of key %d = %v, owner holds it: %v", i, j, ok, held[j])
+			}
+			if held[j] {
+				want++
+			}
+		}
+		if got := p.CachedPlans(); got != want {
+			t.Errorf("after compile %d: CachedPlans = %d, owners hold %d", i, got, want)
 		}
 	}
 	stop.Store(true)
