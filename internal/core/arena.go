@@ -4,7 +4,7 @@ import "andorsched/internal/sim"
 
 // Arena owns the per-run scratch state of the on-line phase: the engine's
 // sim.Arena plus this layer's resolved script, task instantiation buffers,
-// processor-level carries, branch-probability scratch, the reusable policy,
+// the run's initial levels, branch-probability scratch, the reusable policy,
 // the clairvoyant probe result, the engine configuration and the Monte-Carlo
 // loops' result holder. One Arena per worker goroutine, reused
 // across runs, makes steady-state Plan.RunInto calls allocation-free (with
@@ -29,7 +29,7 @@ type Arena struct {
 
 	simCfg sim.Config // the engine configuration of the run in progress
 
-	levels    []int     // per-section level carry
+	levels    []int     // the run's initial levels, handed to the engine
 	clvLevels []int     // clairvoyant initial levels
 	probs     []float64 // chooseBranch scratch
 	busyP     []float64 // per-processor busy seconds (per-class idle energy)

@@ -96,9 +96,14 @@ type secPlan struct {
 	// length plus its own remainder. Zero for terminal sections. These are
 	// the per-path PMP values of §2.2.
 	remWorst, remAvg float64
-	// tasks are the section's schedulable units in canonical dispatch
-	// order; templates[i] lacks only the run-specific WorkA and LFT.
+	// tasks are the section's schedulable units in section-node order
+	// (tasks[i] is sec.Nodes[i]); each template's Order is the task's
+	// canonical dispatch position.
 	tasks []taskPlan
+	// prog is the section's engine program, compiled from the templates
+	// once their orders and classes are final; read-only, shared by every
+	// run of the plan.
+	prog sim.Program
 	// computeIdx indexes the Compute entries of tasks, in task order, and
 	// wcets/acets hold their execution-time parameters contiguously — the
 	// layout exectime.Sampler.SampleBatch consumes when the on-line phase
@@ -110,18 +115,13 @@ type secPlan struct {
 // taskPlan pairs a graph node with its engine-task template.
 type taskPlan struct {
 	node *andor.Node
-	// tmpl has Node, Name, Dummy, WorkW (padded worst-case cycles), Order,
-	// Preds and Succs filled in.
+	// tmpl has every field but the run-specific WorkA and LFT filled in.
 	tmpl sim.Task
 	// relLFT is the task's latest finish time minus the deadline (always
 	// ≤ 0): LFT = D + relLFT. It equals the task's finish time in the
 	// section's canonical schedule minus the worst-case time from the
 	// section's start to the application's end.
 	relLFT float64
-	// worstOnClass is a compute task's padded worst case in seconds on its
-	// canonical class, WorkW over the class's effective f_max: its latest
-	// start time is LFT − worstOnClass.
-	worstOnClass float64
 }
 
 // DefaultScheduleCacheCapacity bounds the process-wide section-schedule
@@ -272,15 +272,18 @@ func compile(g *andor.Graph, hp *power.Hetero, platform *power.Platform, ov powe
 	for _, sp := range p.secs {
 		base := sp.remWorst + sp.lenW // worst time from section start to app end
 		for i := range sp.tasks {
-			tp := &sp.tasks[i]
-			tp.relLFT -= base
-			if !tp.tmpl.Dummy {
-				tp.worstOnClass = tp.tmpl.WorkW / hp.Class(tp.tmpl.CanonClass).EffFmax()
-			}
+			sp.tasks[i].relLFT -= base
 		}
 	}
 	p.CTWorst = p.secs[secs.First.ID].lenW + p.secs[secs.First.ID].remWorst
 	p.CTAvg = p.secs[secs.First.ID].lenA + p.secs[secs.First.ID].remAvg
+	if !finite(p.CTWorst) || !finite(p.CTAvg) {
+		return nil, fmt.Errorf("core: canonical completion times %g (worst case) and %g (average) are not both finite",
+			p.CTWorst, p.CTAvg)
+	}
+	if err := p.compilePrograms(); err != nil {
+		return nil, err
+	}
 	var sumW, sumA float64
 	for _, sp := range p.secs {
 		for j := range sp.wcets {
@@ -293,6 +296,29 @@ func compile(g *andor.Graph, hp *power.Hetero, platform *power.Platform, ov powe
 	}
 	return p, nil
 }
+
+// compilePrograms compiles every section's engine program from its
+// templates, all into one backing array.
+func (p *Plan) compilePrograms() error {
+	buf := make([]int, 2*p.numTasks)
+	// The engine takes a section as task pointers; sections of up to 64
+	// tasks point from a stack array.
+	var stack [64]*sim.Task
+	for _, sp := range p.secs {
+		ptrs := stack[:0]
+		for i := range sp.tasks {
+			ptrs = append(ptrs, &sp.tasks[i].tmpl)
+		}
+		var err error
+		if buf, err = sim.CompileInto(&sp.prog, p.Hetero, ptrs, buf); err != nil {
+			return fmt.Errorf("core: section %d: %w", sp.sec.ID, err)
+		}
+	}
+	return nil
+}
+
+// finite reports whether x is neither infinite nor NaN.
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 
 // compileScratch is what the section compiles of one plan share.
 type compileScratch struct {
@@ -329,6 +355,12 @@ func (p *Plan) planSection(sec *andor.Section, cc *compileScratch) (*secPlan, er
 		t := sim.Task{Node: n.ID, Name: n.Name, Dummy: n.Kind == andor.And}
 		if n.Kind == andor.Compute {
 			t.WorkW = (n.WCET + pad) * p.fmax
+			// Cycle counts that overflow would enter the canonical runs
+			// and the schedule cache as infinite schedules.
+			if w, a := t.WorkW, (n.ACET+pad)*p.fmax; !finite(w) || !finite(a) {
+				return nil, fmt.Errorf("core: task %q: padded times (%gs worst, %gs average) overflow at %g cycles/s",
+					n.Name, n.WCET+pad, n.ACET+pad, p.fmax)
+			}
 			if p.Platform == nil && n.Class != "" {
 				ci := p.Hetero.ClassIndex(n.Class)
 				if ci < 0 {
@@ -408,6 +440,9 @@ func (p *Plan) planSection(sec *andor.Section, cc *compileScratch) (*secPlan, er
 		return nil, fmt.Errorf("core: canonical schedule of section %d: %w", sec.ID, err)
 	}
 	sp.lenW = resW.Finish
+	if !finite(sp.lenW) {
+		return nil, fmt.Errorf("core: canonical schedule of section %d: length %g not finite", sec.ID, sp.lenW)
+	}
 	for k, rec := range resW.Records {
 		sp.tasks[rec.Task].tmpl.Order = k
 		sp.tasks[rec.Task].relLFT = rec.Finish // made deadline-relative by NewPlan
@@ -428,6 +463,9 @@ func (p *Plan) planSection(sec *andor.Section, cc *compileScratch) (*secPlan, er
 		return nil, fmt.Errorf("core: average canonical schedule of section %d: %w", sec.ID, err)
 	}
 	sp.lenA = resA.Finish
+	if !finite(sp.lenA) {
+		return nil, fmt.Errorf("core: average canonical schedule of section %d: length %g not finite", sec.ID, sp.lenA)
+	}
 	// Per-task remaining average-case time within the section (the PMP
 	// statistic the per-PMP speculation scheme reads): the average
 	// canonical length minus the task's average canonical dispatch time.

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"andorsched/internal/andor"
+	"andorsched/internal/core/schedcache"
 	"andorsched/internal/power"
 )
 
@@ -224,4 +226,38 @@ func TestSPMLevel(t *testing.T) {
 
 func closeTo(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-12+1e-9*math.Abs(b)
+}
+
+// TestNewPlanRejectsOverflowingTimes: a task whose padded cycles at f_max
+// overflow a float64 is a compile error naming the task, on identical
+// and heterogeneous machines, and leaves the section cache empty; a huge
+// but representable time compiles to finite completion times.
+func TestNewPlanRejectsOverflowingTimes(t *testing.T) {
+	graph := func(wcet float64) *andor.Graph {
+		g := andor.NewGraph("huge")
+		a := g.AddTask("A", 1e-3, 1e-3)
+		b := g.AddTask("big", wcet, wcet)
+		g.AddEdge(a, b)
+		return g
+	}
+	const want = `core: task "big": padded times`
+	cache := schedcache.New(64)
+	if _, err := NewPlanWithCache(graph(1e300), 2, power.Transmeta5400(), power.DefaultOverheads(), cache); err == nil ||
+		!strings.HasPrefix(err.Error(), want) {
+		t.Errorf("NewPlan: error %v, want %q…", err, want)
+	}
+	if _, err := NewHeteroPlanWithCache(graph(1e300), power.BigLittle(), power.DefaultOverheads(), nil, cache); err == nil ||
+		!strings.HasPrefix(err.Error(), want) {
+		t.Errorf("NewHeteroPlan: error %v, want %q…", err, want)
+	}
+	if n := cache.Stats().Size; n != 0 {
+		t.Errorf("failed compiles left %d cached schedules", n)
+	}
+	p, err := NewPlanWithCache(graph(1e200), 2, power.Transmeta5400(), power.DefaultOverheads(), cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsInf(p.CTWorst, 0) || math.IsInf(p.CTAvg, 0) || p.CTWorst < 1e200 {
+		t.Errorf("CTWorst %g, CTAvg %g: want finite, at least 1e200", p.CTWorst, p.CTAvg)
+	}
 }

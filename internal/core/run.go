@@ -83,7 +83,7 @@ type RunResult struct {
 	// MetDeadline reports Finish ≤ Deadline (up to rounding).
 	MetDeadline bool
 	// LSTViolations counts tasks dispatched after their latest start time.
-	// Theorem 1 guarantees zero; the run driver verifies it.
+	// Theorem 1 guarantees zero; the engine counts them at dispatch.
 	LSTViolations int
 
 	// ActiveEnergy is the energy (joules) spent executing task work;
@@ -264,7 +264,6 @@ func (p *Plan) execute(cfg *RunConfig, a *Arena, sc *script, pol *policy, levels
 			a.levels[i] = pol.initialLevel(hp.ClassOf(i))
 		}
 	}
-	levels := a.levels
 	// Idle energy on several classes is per processor (classes idle at
 	// their own platform's idle power), so busy/overhead time also
 	// accumulates per processor.
@@ -306,9 +305,9 @@ func (p *Plan) execute(cfg *RunConfig, a *Arena, sc *script, pol *policy, levels
 		cSections = cfg.Metrics.Counter(MetricSections)
 		cOR = cfg.Metrics.Counter(MetricORResolves)
 	}
-	// One engine configuration serves every section of the run; only the
-	// start time changes. The engine reads the processors' initial levels
-	// from levels, which carries each section's final levels to the next.
+	// One engine configuration serves every section of the run: the
+	// engine starts the processors at a.levels, carries each section's final
+	// levels to the next and adds every execution's time to LevelTime.
 	simCfg := &a.simCfg
 	*simCfg = sim.Config{
 		Hetero:        hp,
@@ -316,11 +315,15 @@ func (p *Plan) execute(cfg *RunConfig, a *Arena, sc *script, pol *policy, levels
 		Overheads:     ov,
 		Mode:          sim.ByOrder,
 		Policy:        pol,
-		InitialLevels: levels,
+		InitialLevels: a.levels,
 		Tracer:        cfg.Tracer,
 		Metrics:       cfg.Metrics,
 	}
+	if err := a.sim.Begin(simCfg, lt); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	now := 0.0
+	var sr *sim.Result
 	for step, sp := range sc.sections {
 		pol.resetSection(sp.sec.ID, now)
 		if tracer != nil {
@@ -334,8 +337,8 @@ func (p *Plan) execute(cfg *RunConfig, a *Arena, sc *script, pol *policy, levels
 			cSections.Inc()
 		}
 		tasks := p.runtimeTasks(a, sp, d, sc.works[step])
-		simCfg.Start = now
-		sr, err := a.sim.Run(simCfg, tasks)
+		var err error
+		sr, err = a.sim.Section(&sp.prog, tasks, now)
 		if err != nil {
 			return fmt.Errorf("core: section %d: %w", sp.sec.ID, err)
 		}
@@ -368,35 +371,25 @@ func (p *Plan) execute(cfg *RunConfig, a *Arena, sc *script, pol *policy, levels
 			classGross[c] += sr.ClassActiveEnergy[c] + sr.ClassOverheadEnergy[c]
 		}
 		out.SpeedChanges += sr.SpeedChanges
+		// The engine counts latest-start-time violations at dispatch;
+		// the clairvoyant bound's replay is not held to them.
+		if cfg.Scheme != CLV {
+			out.LSTViolations += sr.LSTViolations
+		}
 		for i := range sr.BusyTime {
 			out.BusyTime += sr.BusyTime[i]
 			out.OverheadTime += sr.OverheadTime[i]
 			a.busyP[i] += sr.BusyTime[i]
 			a.ovhP[i] += sr.OverheadTime[i]
 		}
-		for _, rec := range sr.Records {
-			t := tasks[rec.Task]
-			out.LevelTime[rec.Level] += rec.Finish - rec.Start
-			if !t.Dummy && cfg.Scheme != CLV {
-				// The latest start time is class-relative; online, a
-				// computation task runs on its canonical class.
-				lst := t.LFT - sp.tasks[rec.Task].worstOnClass
-				if rec.Dispatch > lst*(1+feasTol)+feasTol {
-					out.LSTViolations++
-				}
-			}
-		}
 		if cfg.CollectTrace {
 			out.Trace = append(out.Trace, sim.Entries(tasks, sr.Records)...)
 		}
 		pol.observeSection(sp, sc.works[step])
 		now = sr.Finish
-		// sr.FinalLevels is owned by the engine arena and recycled by the
-		// next section's run; carry the values, not the slice.
-		copy(levels, sr.FinalLevels)
 	}
 	out.Path = append(out.Path, sc.choices...)
-	out.FinalLevels = append(out.FinalLevels, levels...)
+	out.FinalLevels = append(out.FinalLevels, sr.FinalLevels...)
 
 	out.Finish = now
 	out.MetDeadline = now <= d*(1+feasTol)

@@ -316,6 +316,9 @@ func FuzzBatchEndpoint(f *testing.F) {
 	f.Add([]byte(`{"items":[{"workload":"atr","scheme":"GSS","runs":2,"load":0.5}]}`))
 	f.Add([]byte(`{"items":[{"workload":"atr"},{"workload":"synthetic","scheme":"AS","seed":3}]}`))
 	f.Add([]byte(`{"items":[{"text":"task A 1ms 1ms"}]}`))
+	for _, body := range hugeTimeBodies {
+		f.Add([]byte(`{"items":[` + body + `]}`))
+	}
 	f.Add([]byte(`{"items":[{"workload":"atr","runs":1000000}]}`))
 	f.Add([]byte(`{"items":[]}`))
 	f.Add([]byte(`{"items":[{},{},{},{},{}]}`))

@@ -75,6 +75,9 @@ func FuzzRunEndpoint(f *testing.F) {
 	for _, body := range nonFiniteBodies {
 		f.Add([]byte(body))
 	}
+	for _, body := range hugeTimeBodies {
+		f.Add([]byte(body))
+	}
 
 	panicsBefore, _ := s.Metrics().Snapshot().Counter(MetricPanics)
 	if panicsBefore != 0 {
@@ -116,6 +119,9 @@ func FuzzCompareEndpoint(f *testing.F) {
 	f.Add([]byte(`{"workload":"atr","schemes":["NPM","GSS","AS"],"runs":2,"load":0.5,"seed":5}`))
 	f.Add([]byte(`{"workload":"synthetic","schemes":["GSS","AS"],"runs":4,"chunks":2}`))
 	f.Add([]byte(`{"text":"task A 1ms 1ms\ntask B 2ms","schemes":["ORA"],"runs":4}`))
+	for _, body := range hugeTimeBodies {
+		f.Add([]byte(body))
+	}
 	f.Add([]byte(`{"workload":"atr","schemes":["bogus"]}`))
 	f.Add([]byte(`{"workload":"atr","runs":-9223372036854775808}`))
 	f.Add([]byte(`{"workload":"atr","schemes":[],"chunks":65}`))

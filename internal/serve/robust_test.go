@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -28,6 +29,55 @@ func TestNonFiniteApplicationsRejected(t *testing.T) {
 	}
 	if n, _ := s.Metrics().Snapshot().Counter(MetricPanics); n != 0 {
 		t.Errorf("%d recovered panics", n)
+	}
+}
+
+// hugeTimeBodies are applications with finite task times on two
+// processors: 1e300 s is more cycles at f_max than a float64 holds and
+// must be refused at compile time, 1e200 s fits and runs.
+var hugeTimeBodies = []string{
+	`{"text":"task A 1e300s 1e300s","procs":2}`,
+	`{"text":"task A 1e200s 1e200s","procs":2}`,
+}
+
+// TestHugeTaskTimes: a task whose padded cycles overflow is a 400 naming
+// the task on every endpoint, and the same text as a batch item's error;
+// it used to compile into a plan whose answers failed to encode (500). A
+// huge but representable time still answers 200.
+func TestHugeTaskTimes(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	const overflowErr = "plan: core: task \"A\": padded times"
+	for _, tc := range []struct{ path, extra string }{
+		{"/v1/plan", ""},
+		{"/v1/run", ""},
+		{"/v1/run", `,"runs":4`},
+		{"/v1/compare", ""},
+	} {
+		for k, body := range hugeTimeBodies {
+			body = body[:len(body)-1] + tc.extra + "}"
+			w := post(t, s, tc.path, body)
+			var e struct {
+				Error string `json:"error"`
+			}
+			if k == 1 {
+				if w.Code != http.StatusOK {
+					t.Errorf("%s %s: status %d, want 200: %s", tc.path, body, w.Code, w.Body.String())
+				}
+				continue
+			}
+			decodeBody(t, w, &e)
+			if w.Code != http.StatusBadRequest || !strings.HasPrefix(e.Error, overflowErr) {
+				t.Errorf("%s %s: status %d, error %q; want 400 %q…", tc.path, body, w.Code, e.Error, overflowErr)
+			}
+		}
+	}
+	w := post(t, s, "/v1/batch", `{"items":[`+hugeTimeBodies[0]+`,`+hugeTimeBodies[1]+`]}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", w.Code, w.Body.String())
+	}
+	items, _ := parseBatchBody(t, w.Body.String())
+	if len(items) != 2 || !strings.HasPrefix(items[0].Error, overflowErr) || items[1].Error != "" {
+		t.Errorf("batch items %+v: want item 0 to fail with %q…, item 1 to run", items, overflowErr)
 	}
 }
 
@@ -86,8 +136,9 @@ func TestPoolJobPanicRecovered(t *testing.T) {
 }
 
 // overflowApp is a finite application whose results overflow to +Inf:
-// JSON cannot carry them.
-const overflowApp = `"text":"task A 1e308s 1e308s\ntask B 2ms 1ms\nedge A -> B","procs":2`
+// two processors idle for most of a 1e308 s deadline, so the idle energy
+// does, and JSON cannot carry it.
+const overflowApp = `"text":"task A 3ms 1ms\ntask B 2ms 1ms\nedge A -> B","procs":2,"deadline":1e308`
 
 // TestNonFiniteResultIs500: a result JSON cannot carry is answered with a
 // clean 500 before any status line, for a single run, for a Monte-Carlo

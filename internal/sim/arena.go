@@ -1,17 +1,23 @@
 package sim
 
-// Arena owns every piece of per-run scratch state the engine needs: the
-// processor tables (levels, freeAt), the dependence counters, the dispatch
-// order, the ByPriority ready queue and event heap, and the Result's
-// record/timeline buffers.
+// Arena owns every piece of the engine's scratch state: the processor
+// tables (levels, freeAt), the dependence counters, the ByPriority ready
+// queue and event heap, and the Result's record/timeline buffers.
 // Acquiring one Arena per worker and reusing it across runs makes
 // steady-state engine runs allocation-free: after a warm-up run on the
-// largest section, (*Arena).Run performs zero heap allocations as long as
-// Config.Tracer and Config.Metrics are nil.
+// largest section, Run, Begin and Section perform zero heap allocations as
+// long as Config.Tracer and Config.Metrics are nil.
 //
-// An Arena is not safe for concurrent use; use one per goroutine. Results
-// are bit-identical to the package-level Run for any reuse pattern: the
-// arena only recycles memory, never state.
+// A run of several sections has two steps. Begin, once per run, checks and
+// stores the configuration and sets the processors' levels; Section, once
+// per section, runs a compiled Program from a start time, carrying the
+// levels over from the previous section. Run is Begin, the full input
+// checks and one Section.
+//
+// An Arena is not safe for concurrent use; use one per goroutine. It never
+// writes into a Program, so one program may serve many arenas at once.
+// Results are bit-identical to the package-level Run for any reuse
+// pattern: the arena only recycles memory, never state.
 type Arena struct {
 	rs runState
 }
@@ -24,13 +30,40 @@ func NewArena() *Arena { return &Arena{} }
 // semantics and bit-identical results (ByOrder the order-gate recurrence,
 // ByPriority the event loop), but all scratch state comes from the arena.
 // cfg is read, never copied or modified, and must not change during the
-// call; callers running many sections keep one Config and update only what
-// differs, such as Start. The returned Result and every slice it
-// references (Records, BusyTime, OverheadTime, FinalLevels) are owned by
-// the arena and valid only until the next Run on the same arena; callers
-// that need the data longer must copy it.
+// call. The returned Result and every slice it references (Records,
+// BusyTime, OverheadTime, FinalLevels) are owned by the arena and valid
+// only until the next Run, Begin or Section on the same arena; callers
+// that need the data longer must copy it. Run ends any run begun with
+// Begin.
 func (a *Arena) Run(cfg *Config, tasks []*Task) (*Result, error) {
 	return a.rs.run(cfg, tasks)
+}
+
+// Begin starts a run of one or more sections on cfg: it checks
+// cfg.InitialLevels, sizes the arena's buffers, stores cfg (read by every
+// Section until the next Begin or Run, so it must stay unchanged until
+// then) and sets each processor's level. cfg.Start is not used; each
+// Section brings its start. levelTime, if non-nil, is an output buffer
+// with an entry per level of the machine's largest DVS table: every
+// execution of the run adds its finish − start to the entry of its level,
+// in dispatch order.
+func (a *Arena) Begin(cfg *Config, levelTime []float64) error {
+	return a.rs.begin(cfg, levelTime)
+}
+
+// Section runs the next section of the run begun: the tasks of prog,
+// dispatched from start in the configured mode, with each processor at
+// the level the previous section left it (Begin's levels for the first).
+// tasks must be the section prog was compiled from, with only the per-run
+// fields (WorkA, LFT, SpecRemain) rewritten; Section checks each
+// computation task's actual work against its worst case. The Result is
+// arena-owned, as Run's; its FinalLevels are the levels the next Section
+// starts from.
+func (a *Arena) Section(prog *Program, tasks []*Task, start float64) (*Result, error) {
+	if err := a.rs.checkSection(prog, tasks); err != nil {
+		return nil, err
+	}
+	return a.rs.section(prog, tasks, start)
 }
 
 // ensureInts returns buf resized to n, reusing its backing array when the

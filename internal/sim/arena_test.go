@@ -107,6 +107,9 @@ func assertResultsIdentical(t *testing.T, want, got *Result) {
 	if want.SpeedChanges != got.SpeedChanges {
 		t.Errorf("SpeedChanges: %d vs %d", want.SpeedChanges, got.SpeedChanges)
 	}
+	if want.LSTViolations != got.LSTViolations {
+		t.Errorf("LSTViolations: %d vs %d", want.LSTViolations, got.LSTViolations)
+	}
 	for i := range want.BusyTime {
 		if want.BusyTime[i] != got.BusyTime[i] || want.OverheadTime[i] != got.OverheadTime[i] {
 			t.Errorf("proc %d busy/overhead differ", i)
@@ -367,12 +370,14 @@ func encodeSectionWorkload(tb testing.TB, g *andor.Graph, sec *andor.Section,
 // must be equal, every task must finish once, and finish events must come
 // in (time, dispatch order) order — the event heap's (time, seq). Raw-link
 // workloads (malformed precedence) may fail, but Run and Arena.Run must
-// fail alike. The corpus is seeded with the paper's Figure-3 synthetic
-// application and the radar.andor workload, section by section, plus the
-// ATR application — each section in both its raw and its overhead-padded
-// form, the latter being exactly the workload the compile cache's
-// canonical runs see — with multi-class variants of some of them, and
-// with the malformed-precedence cases of TestMalformedPrecedence.
+// fail alike. A chained arm (checkChained) runs each workload as several
+// sections through Begin and Section on the reused arena against
+// per-section Arena.Run calls. The corpus is seeded with the paper's
+// Figure-3 synthetic application and the radar.andor workload, section by
+// section, plus the ATR application — each section in both its raw and its
+// overhead-padded form, the latter being exactly the workload the compile
+// cache's canonical runs see — with multi-class variants of some of them,
+// and with the malformed-precedence cases of TestMalformedPrecedence.
 func FuzzEngineArenaDifferential(f *testing.F) {
 	for _, g := range []*andor.Graph{workload.Synthetic(), workload.ATR(workload.DefaultATRConfig())} {
 		for _, m := range []int{2, 4} {
@@ -443,6 +448,7 @@ func FuzzEngineArenaDifferential(f *testing.F) {
 			if _, aerr := NewArena().Run(&cfg, tasks); aerr == nil || aerr.Error() != err.Error() {
 				t.Fatalf("Run failed with %v, Arena.Run with %v", err, aerr)
 			}
+			checkChained(t, NewArena(), cfg, tasks)
 			return
 		}
 		if !raw {
@@ -507,5 +513,69 @@ func FuzzEngineArenaDifferential(f *testing.F) {
 		if finishes != len(tasks) {
 			t.Fatalf("%d finish events for %d tasks", finishes, len(tasks))
 		}
+		checkChained(t, a, cfg, tasks)
 	})
+}
+
+// checkChained runs tasks as three consecutive sections, each with its own
+// actual work, twice: compiled once and run through Begin and Section on
+// arena a, and as per-section Arena.Run calls on a second arena with Start
+// and InitialLevels carried over by hand. Records, energies, final levels
+// and errors must agree exactly, and Begin's level-time buffer must equal
+// the per-level sums of the second run's records in dispatch order. The
+// tasks' actual work is restored on return.
+func checkChained(t *testing.T, a *Arena, cfg Config, tasks []*Task) {
+	t.Helper()
+	works := make([]float64, len(tasks))
+	for i, tk := range tasks {
+		works[i] = tk.WorkA
+	}
+	defer func() {
+		for i, tk := range tasks {
+			tk.WorkA = works[i]
+		}
+	}()
+	h := cfg.Hetero
+	levelTime := make([]float64, h.MaxLevels())
+	want := make([]float64, h.MaxLevels())
+	chained := cfg
+	prog, progErr := Compile(h, tasks)
+	if progErr == nil {
+		if err := a.Begin(&chained, levelTime); err != nil {
+			t.Fatalf("Begin: %v", err)
+		}
+	}
+	ref, refCfg := NewArena(), cfg
+	start := cfg.Start
+	for s, scale := range []float64{1, 0.5, 0.125} {
+		for i, tk := range tasks {
+			tk.WorkA = works[i] * scale
+		}
+		wantRes, wantErr := ref.Run(&refCfg, tasks)
+		got, err := (*Result)(nil), progErr
+		if progErr == nil {
+			got, err = a.Section(prog, tasks, start)
+		}
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("section %d: chained error %v, per-section Run error %v", s, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		assertResultsIdentical(t, wantRes, got)
+		if t.Failed() {
+			t.Fatalf("section %d: chained run diverged from per-section Run", s)
+		}
+		for _, r := range wantRes.Records {
+			want[r.Level] += r.Finish - r.Start
+		}
+		refCfg.Start = wantRes.Finish
+		refCfg.InitialLevels = append([]int(nil), wantRes.FinalLevels...)
+		start = got.Finish
+	}
+	for l := range want {
+		if math.Float64bits(levelTime[l]) != math.Float64bits(want[l]) {
+			t.Fatalf("level %d: level time %v, records sum %v", l, levelTime[l], want[l])
+		}
+	}
 }

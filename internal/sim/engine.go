@@ -53,30 +53,40 @@ func Run(cfg Config, tasks []*Task) (*Result, error) {
 	return rs.run(&cfg, tasks)
 }
 
-// runState is the engine's complete per-run scratch state. A fresh zero
-// value is used by the package-level Run; an Arena retains one across runs
-// so that its buffers are reused. All slices are resized (never shrunk) at
-// the start of each run.
+// runState is the engine's complete scratch state. A fresh zero value is
+// used by the package-level Run; an Arena retains one across runs so that
+// its buffers are reused. begin sets the per-run part (machine, hooks,
+// levels) and sizes the buffers; section resets the per-section part.
 type runState struct {
 	cfg    *Config
 	tasks  []*Task
 	hp     *power.Hetero
+	multi  bool // more than one class: dummies consult the placement
 	place  PlacementPolicy
 	views  []ProcView // placement scratch
 	tracer obs.Tracer
 	met    *engineMetrics
+	// levelTime, if non-nil, accumulates each execution's finish − start
+	// at its level index, across the run's sections.
+	levelTime []float64
 
+	// levels carries each processor's level from section to section.
 	levels []int
 	// freeAt is each processor's free time: the finish of the last task
-	// issued on it (the run's Start before any). A processor is idle at t
-	// exactly when freeAt ≤ t.
+	// issued on it (the section's start before any). A processor is idle
+	// at t exactly when freeAt ≤ t.
 	freeAt []float64
 	npreds []int // predecessors not yet released through Succs
 
-	// ByOrder: byOrder[o] is the task with dispatch order o; readyAt[i] is
-	// the latest finish of task i's released predecessors. errAt is the
-	// finish of the completion that raised err.
-	byOrder []int
+	// prog is the section's program, read-only and possibly shared with
+	// other arenas; own is the one Run compiles, into npreds and ownOrder.
+	prog     *Program
+	own      Program
+	ownOrder []int
+	start    float64
+
+	// ByOrder: readyAt[i] is the latest finish of task i's released
+	// predecessors. errAt is the finish of the completion that raised err.
 	readyAt []float64
 	errAt   float64
 
@@ -92,15 +102,39 @@ type runState struct {
 	err error
 }
 
+// run is one whole run of one section: begin, the full input checks (one
+// pass in task order, so the error reported is the first offending
+// task's, whatever the fault) and the section.
 func (rs *runState) run(cfg *Config, tasks []*Task) (*Result, error) {
+	if err := rs.begin(cfg, nil); err != nil {
+		return nil, err
+	}
+	// The arena's own program counts predecessors directly in the working
+	// counters; section's copy of them onto themselves is then a no-op.
+	n := len(tasks)
+	ordered := cfg.Mode == ByOrder
+	rs.npreds = ensureInts(rs.npreds, n)
+	if ordered {
+		rs.ownOrder = ensureInts(rs.ownOrder, n)
+	}
+	if err := rs.own.compile(cfg.Hetero, tasks, ordered, true, rs.npreds, rs.ownOrder); err != nil {
+		return nil, err
+	}
+	return rs.section(&rs.own, tasks, cfg.Start)
+}
+
+// begin starts a run on cfg's machine: it checks the initial levels, sizes
+// the per-processor and per-class buffers, stores the configuration and
+// its hooks, and sets every processor's level.
+func (rs *runState) begin(cfg *Config, levelTime []float64) error {
 	hp := cfg.Hetero
 	if hp == nil {
-		return nil, fmt.Errorf("sim: no machine configured (Config.Hetero is nil)")
+		return fmt.Errorf("sim: no machine configured (Config.Hetero is nil)")
 	}
 	m := hp.NumProcs()
 	if cfg.InitialLevels != nil {
 		if len(cfg.InitialLevels) != m {
-			return nil, fmt.Errorf("sim: processor count %d disagrees with len(InitialLevels)=%d",
+			return fmt.Errorf("sim: processor count %d disagrees with len(InitialLevels)=%d",
 				m, len(cfg.InitialLevels))
 		}
 		for ci := 0; ci < hp.NumClasses(); ci++ {
@@ -108,19 +142,20 @@ func (rs *runState) run(cfg *Config, tasks []*Task) (*Result, error) {
 			first, end := c.Procs()
 			for i, lv := range cfg.InitialLevels[first:end] {
 				if n := c.Plat.NumLevels(); lv < 0 || lv >= n {
-					return nil, fmt.Errorf("sim: InitialLevels[%d]=%d outside the platform's %d levels (class %q)",
+					return fmt.Errorf("sim: InitialLevels[%d]=%d outside the platform's %d levels (class %q)",
 						first+i, lv, n, c.Name)
 				}
 			}
 		}
 	}
-	if err := rs.checkTasks(cfg, tasks); err != nil {
-		return nil, err
+	if levelTime != nil && len(levelTime) < hp.MaxLevels() {
+		return fmt.Errorf("sim: level-time buffer has %d entries, the machine has %d levels",
+			len(levelTime), hp.MaxLevels())
 	}
 
 	rs.cfg = cfg
-	rs.tasks = tasks
 	rs.hp = hp
+	rs.multi = hp.NumClasses() > 1
 	rs.place = cfg.Placement
 	if rs.place == nil {
 		rs.place = FastestFirst
@@ -128,10 +163,11 @@ func (rs *runState) run(cfg *Config, tasks []*Task) (*Result, error) {
 	if cap(rs.views) < m {
 		rs.views = make([]ProcView, 0, m)
 	}
+	rs.levelTime = levelTime
 
-	// Processor state. The copy below is safe even when InitialLevels
-	// aliases a previous run's FinalLevels from this same arena: ensureInts
-	// preserves the backing array's contents.
+	// The copy below is safe even when InitialLevels aliases a previous
+	// run's FinalLevels from this same arena: ensureInts preserves the
+	// backing array's contents.
 	rs.levels = ensureInts(rs.levels, m)
 	if cfg.InitialLevels != nil {
 		copy(rs.levels, cfg.InitialLevels)
@@ -141,31 +177,12 @@ func (rs *runState) run(cfg *Config, tasks []*Task) (*Result, error) {
 		}
 	}
 	rs.freeAt = ensureFloats(rs.freeAt, m)
-	for i := range rs.freeAt {
-		rs.freeAt[i] = cfg.Start
-	}
-
 	res := &rs.res
-	res.Records = res.Records[:0]
 	res.BusyTime = ensureFloats(res.BusyTime, m)
 	res.OverheadTime = ensureFloats(res.OverheadTime, m)
-	for i := 0; i < m; i++ {
-		res.BusyTime[i] = 0
-		res.OverheadTime[i] = 0
-	}
-	res.Finish = cfg.Start
-	res.ActiveEnergy = 0
-	res.OverheadEnergy = 0
 	nc := hp.NumClasses()
 	res.ClassActiveEnergy = ensureFloats(res.ClassActiveEnergy, nc)
 	res.ClassOverheadEnergy = ensureFloats(res.ClassOverheadEnergy, nc)
-	for i := 0; i < nc; i++ {
-		res.ClassActiveEnergy[i] = 0
-		res.ClassOverheadEnergy[i] = 0
-	}
-	res.SpeedChanges = 0
-	res.FinalLevels = nil
-	res.Metrics = nil
 
 	// Observability: both hooks are nil-gated so the default run pays one
 	// pointer comparison per hook point and allocates nothing.
@@ -174,6 +191,63 @@ func (rs *runState) run(cfg *Config, tasks []*Task) (*Result, error) {
 	if cfg.Metrics != nil {
 		rs.met = newEngineMetrics(cfg.Metrics, m)
 	}
+	return nil
+}
+
+// checkSection reports why prog and tasks cannot run as a section of the
+// run begun: no run begun, a program of another size or machine, or a
+// task whose actual work exceeds its worst case.
+func (rs *runState) checkSection(prog *Program, tasks []*Task) error {
+	if rs.cfg == nil {
+		return fmt.Errorf("sim: Section called before Begin")
+	}
+	if len(prog.npreds) != len(tasks) {
+		return fmt.Errorf("sim: program compiled for %d tasks, section has %d", len(prog.npreds), len(tasks))
+	}
+	if nc := rs.hp.NumClasses(); prog.classes != nc {
+		return fmt.Errorf("sim: program compiled for a %d-class machine, run is on %d classes", prog.classes, nc)
+	}
+	for _, t := range tasks {
+		if err := checkWork(t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// section runs one section of the begun run from start: it resets the
+// section's accumulators and processor free times, seeds the dependence
+// counters from prog and runs the configured discipline. Levels carry over
+// from the previous section.
+func (rs *runState) section(prog *Program, tasks []*Task, start float64) (*Result, error) {
+	cfg := rs.cfg
+	m := rs.hp.NumProcs()
+	rs.prog = prog
+	rs.tasks = tasks
+	rs.start = start
+	rs.npreds = ensureInts(rs.npreds, len(tasks))
+	copy(rs.npreds, prog.npreds)
+	for i := range rs.freeAt {
+		rs.freeAt[i] = start
+	}
+
+	res := &rs.res
+	res.Records = res.Records[:0]
+	for i := 0; i < m; i++ {
+		res.BusyTime[i] = 0
+		res.OverheadTime[i] = 0
+	}
+	res.Finish = start
+	res.ActiveEnergy = 0
+	res.OverheadEnergy = 0
+	for i := range res.ClassActiveEnergy {
+		res.ClassActiveEnergy[i] = 0
+		res.ClassOverheadEnergy[i] = 0
+	}
+	res.SpeedChanges = 0
+	res.LSTViolations = 0
+	res.FinalLevels = nil
+	res.Metrics = nil
 
 	rs.events.h = rs.events.h[:0]
 	rs.seq = 0
@@ -213,14 +287,14 @@ func (rs *runState) run(cfg *Config, tasks []*Task) (*Result, error) {
 // their time, reproducing its event stream.
 func (rs *runState) runByOrder() {
 	tasks := rs.tasks
-	start := rs.cfg.Start
+	start := rs.start
 	rs.readyAt = ensureFloats(rs.readyAt, len(tasks))
 	for i := range rs.readyAt {
 		rs.readyAt[i] = start
 	}
 	m := rs.hp.NumProcs()
 	gate := start
-	for k, ti := range rs.byOrder {
+	for k, ti := range rs.prog.byOrder {
 		if rs.npreds[ti] != 0 {
 			if rs.err == nil {
 				rs.err = fmt.Errorf("sim: deadlock with %d tasks unfinished (bad precedence or order gating)", len(tasks)-k)
@@ -239,12 +313,15 @@ func (rs *runState) runByOrder() {
 		// while others idle. Every placement policy ranks identical
 		// processors by idle time alone, so the pick is the class's
 		// idle-longest processor and the policy is not consulted. Zero-work
-		// dummy barrier tasks admit every processor, and the placement
-		// picks among those free at the dispatch instant.
+		// dummy barrier tasks admit every processor, and on several classes
+		// the placement picks among those free at the dispatch instant; on
+		// one class every processor is identical and the pick is again the
+		// idle-longest one, the argmin below.
 		t := tasks[ti]
-		ci := t.CanonClass
+		ci := 0
 		first, end := 0, m
 		if !t.Dummy {
+			ci = t.CanonClass
 			first, end = rs.hp.Class(ci).Procs()
 		}
 		proc := first
@@ -263,7 +340,7 @@ func (rs *runState) runByOrder() {
 		if rs.err != nil && rs.errAt <= now {
 			break
 		}
-		if t.Dummy {
+		if t.Dummy && rs.multi {
 			proc, ci = rs.placeProc(t, now)
 		}
 		if rs.tracer != nil {
@@ -322,7 +399,7 @@ func (rs *runState) runByPriority() {
 		}
 	}
 	rs.remaining = len(rs.tasks)
-	rs.now = rs.cfg.Start
+	rs.now = rs.start
 	rs.dispatch()
 	for rs.remaining > 0 && rs.err == nil {
 		ev, ok := rs.events.pop()
@@ -474,6 +551,14 @@ func (rs *runState) issue(ti, proc, ci int, now float64) float64 {
 	}
 	start := now + compT + changeT
 	finish := start + execT
+	// Theorem 1's latest start time is class-relative; online, a
+	// computation task runs on its canonical class.
+	if cfg.Mode == ByOrder && !t.Dummy && now > (t.LFT-t.WorkW/c.EffFmax())*(1+lstTol)+lstTol {
+		res.LSTViolations++
+	}
+	if rs.levelTime != nil {
+		rs.levelTime[lvl] += finish - start
+	}
 	if rs.tracer != nil {
 		if idle := now - rs.freeAt[proc]; idle > 0 {
 			rs.tracer.Event(obs.Event{
@@ -542,47 +627,6 @@ func (rs *runState) issue(ti, proc, ci int, now float64) float64 {
 	rs.levels[proc] = lvl
 	rs.freeAt[proc] = finish
 	return finish
-}
-
-// checkTasks validates the input and fills npreds and, in ByOrder mode,
-// byOrder.
-func (rs *runState) checkTasks(cfg *Config, tasks []*Task) error {
-	n := len(tasks)
-	rs.npreds = ensureInts(rs.npreds, n)
-	byOrder := cfg.Mode == ByOrder
-	if byOrder {
-		rs.byOrder = ensureInts(rs.byOrder, n)
-		for i := range rs.byOrder {
-			rs.byOrder[i] = -1
-		}
-	}
-	nc := cfg.Hetero.NumClasses()
-	for i, t := range tasks {
-		if byOrder {
-			if t.Order < 0 || t.Order >= n || rs.byOrder[t.Order] >= 0 {
-				return fmt.Errorf("sim: task %q has invalid or duplicate order %d", t.Name, t.Order)
-			}
-			rs.byOrder[t.Order] = i
-			if !t.Dummy && (t.CanonClass < 0 || t.CanonClass >= nc) {
-				return fmt.Errorf("sim: task %q pinned to class %d of a %d-class machine", t.Name, t.CanonClass, nc)
-			}
-		}
-		if !t.Dummy && t.WorkA > t.WorkW*(1+1e-9) {
-			return fmt.Errorf("sim: task %q actual work %g exceeds worst case %g", t.Name, t.WorkA, t.WorkW)
-		}
-		rs.npreds[i] = len(t.Preds)
-		for _, p := range t.Preds {
-			if p < 0 || p >= n {
-				return fmt.Errorf("sim: task %q has out-of-range predecessor %d", t.Name, p)
-			}
-		}
-		for _, s := range t.Succs {
-			if s < 0 || s >= n {
-				return fmt.Errorf("sim: task %q has out-of-range successor %d", t.Name, s)
-			}
-		}
-	}
-	return nil
 }
 
 // event is a task-completion event.

@@ -1,13 +1,19 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"andorsched/internal/power"
+)
 
 var modeNames = map[Mode]string{ByOrder: "ByOrder", ByPriority: "ByPriority"}
 
 // TestMalformedPrecedence pins the engine's error contract on inconsistent
 // Preds/Succs and on order gates that contradict precedence, in both
 // dispatch modes, with exact error strings. Every case starts from the
-// well-formed chain a→b→c on two processors and breaks one link.
+// well-formed chain a→b→c on two processors and breaks one link. The
+// ByOrder cases also run compiled, through Compile, Begin and Section,
+// which must fail the same way.
 func TestMalformedPrecedence(t *testing.T) {
 	const (
 		deadlock2 = "sim: deadlock with 2 tasks unfinished (bad precedence or order gating)"
@@ -54,7 +60,29 @@ func TestMalformedPrecedence(t *testing.T) {
 				if got != want {
 					t.Errorf("error = %q, want %q", got, want)
 				}
+				if mode == ByOrder {
+					if got := compiledError(machine(testPlat(), 2), tasks); got != want {
+						t.Errorf("compiled: error = %q, want %q", got, want)
+					}
+				}
 			})
 		}
 	}
+}
+
+// compiledError runs tasks as one ByOrder section through Compile, Begin
+// and Section on a fresh arena and returns the first error's text, or ""
+// when the section runs.
+func compiledError(h *power.Hetero, tasks []*Task) string {
+	prog, err := Compile(h, tasks)
+	if err == nil {
+		a := NewArena()
+		if err = a.Begin(&Config{Hetero: h, Mode: ByOrder, Policy: fixedPolicy(1)}, nil); err == nil {
+			_, err = a.Section(prog, tasks, 0)
+		}
+	}
+	if err != nil {
+		return err.Error()
+	}
+	return ""
 }

@@ -26,10 +26,12 @@ type ProcView struct {
 // the pluggable queue-selection axis of the machine model: the engine keeps
 // one logical ready queue per processor group and asks the policy which
 // group's head processor takes the next task. The engine consults it in
-// canonical (ByPriority) runs and for dummy tasks; online computation tasks
-// are pinned to their canonical class, whose processors are identical, and
-// every policy's ranking reduces there to idle-longest-first, which the
-// engine applies directly.
+// canonical (ByPriority) runs and for online dummy tasks on machines of
+// more than one class. Among identical processors every policy must rank
+// idle-longest-first (lowest free time, ties by index), and the engine
+// applies that ranking directly where the choice is among identical
+// processors only: for online computation tasks, pinned to their canonical
+// class, and for online dummies on a one-class machine.
 //
 // Policies must be deterministic pure functions of their arguments —
 // schedules are replayed and differential-tested bit-for-bit.

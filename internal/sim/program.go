@@ -1,0 +1,105 @@
+package sim
+
+import (
+	"fmt"
+
+	"andorsched/internal/power"
+)
+
+// lstTol is the tolerance of the latest-start-time check, relative and
+// absolute, absorbing floating-point noise in the shifted schedule.
+const lstTol = 1e-9
+
+// Program is one section's fixed structure, checked once and compiled for
+// the order-gate recurrence: the dispatch permutation and each task's
+// predecessor count. Everything a program holds is a function of the
+// tasks' Order, Preds, Succs, Dummy and CanonClass fields, which must not
+// change while the program is in use; the per-run fields (WorkA, LFT,
+// SpecRemain) may. A Program is read-only once compiled and may be shared
+// by any number of arenas and goroutines: an arena copies what it mutates.
+type Program struct {
+	byOrder []int // byOrder[o] is the task with dispatch order o
+	npreds  []int // each task's predecessor count
+	classes int   // class count of the machine compiled for
+}
+
+// Compile checks tasks' structure for ByOrder runs on machine hp — Order a
+// permutation of 0..n-1, every computation task pinned to one of hp's
+// classes, Preds and Succs in range — and returns the section's program.
+// Its errors are those Run reports for the same input.
+func Compile(hp *power.Hetero, tasks []*Task) (*Program, error) {
+	prog := new(Program)
+	if _, err := CompileInto(prog, hp, tasks, make([]int, 2*len(tasks))); err != nil {
+		return nil, err
+	}
+	return prog, nil
+}
+
+// CompileInto is Compile into caller-owned storage: the program's tables
+// are carved from the front of buf, which must hold at least 2·len(tasks)
+// ints, and the unused rest of buf is returned, so that the sections of a
+// plan can share one backing array.
+func CompileInto(prog *Program, hp *power.Hetero, tasks []*Task, buf []int) ([]int, error) {
+	n := len(tasks)
+	if len(buf) < 2*n {
+		return buf, fmt.Errorf("sim: program buffer holds %d ints, %d tasks need %d", len(buf), n, 2*n)
+	}
+	if err := prog.compile(hp, tasks, true, false, buf[:n:n], buf[n:2*n:2*n]); err != nil {
+		return buf, err
+	}
+	return buf[2*n:], nil
+}
+
+// compile checks tasks on machine hp and fills p's tables into npreds and,
+// when ordered, byOrder (len(tasks) ints each), in one pass in task order
+// so that the first error is the first offending task's. ordered checks
+// and records the dispatch permutation and the class pins (ByOrder runs);
+// work also checks each computation task's actual work against its worst
+// case, the one per-run check.
+func (p *Program) compile(hp *power.Hetero, tasks []*Task, ordered, work bool, npreds, byOrder []int) error {
+	n := len(tasks)
+	p.npreds, p.byOrder, p.classes = npreds[:n], nil, hp.NumClasses()
+	if ordered {
+		p.byOrder = byOrder[:n]
+		for i := range p.byOrder {
+			p.byOrder[i] = -1
+		}
+	}
+	for i, t := range tasks {
+		if ordered {
+			if t.Order < 0 || t.Order >= n || p.byOrder[t.Order] >= 0 {
+				return fmt.Errorf("sim: task %q has invalid or duplicate order %d", t.Name, t.Order)
+			}
+			p.byOrder[t.Order] = i
+			if !t.Dummy && (t.CanonClass < 0 || t.CanonClass >= p.classes) {
+				return fmt.Errorf("sim: task %q pinned to class %d of a %d-class machine", t.Name, t.CanonClass, p.classes)
+			}
+		}
+		if work {
+			if err := checkWork(t); err != nil {
+				return err
+			}
+		}
+		p.npreds[i] = len(t.Preds)
+		for _, pr := range t.Preds {
+			if pr < 0 || pr >= n {
+				return fmt.Errorf("sim: task %q has out-of-range predecessor %d", t.Name, pr)
+			}
+		}
+		for _, s := range t.Succs {
+			if s < 0 || s >= n {
+				return fmt.Errorf("sim: task %q has out-of-range successor %d", t.Name, s)
+			}
+		}
+	}
+	return nil
+}
+
+// checkWork reports a computation task whose actual work exceeds its worst
+// case.
+func checkWork(t *Task) error {
+	if !t.Dummy && t.WorkA > t.WorkW*(1+1e-9) {
+		return fmt.Errorf("sim: task %q actual work %g exceeds worst case %g", t.Name, t.WorkA, t.WorkW)
+	}
+	return nil
+}

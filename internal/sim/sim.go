@@ -28,8 +28,9 @@
 //	max(dispatch of task k−1, latest predecessor finish, earliest free time of its processors)
 //
 // on its class's processor with the lowest free time (ties by index); a
-// dummy may use any processor, and the placement picks among those free
-// by then. This is exactly the wait()/signal() protocol. Under the order
+// dummy may use any processor, and on several classes the placement picks
+// among those free by then (on one class it is again the lowest free
+// time). This is exactly the wait()/signal() protocol. Under the order
 // gate, a processor wakes only when a task completes or the previous task
 // is taken, so every dispatch instant is an event instant, and each of the
 // three terms is one: task k is dispatched at the first instant all three
@@ -39,6 +40,16 @@
 // Predecessors count as finished only when released through Succs, as in
 // the event loop, so malformed precedence fails the same way in both.
 //
+// A run of several sections does its fixed work once. Compile checks a
+// section's structure and keeps its dispatch permutation and predecessor
+// counts as a read-only Program, which any number of arenas may share;
+// (*Arena).Begin checks and stores the run's configuration once;
+// (*Arena).Section runs one program from a start time, carrying the
+// processors' levels over from the previous section. Run is Begin, the
+// full input checks and one Section. The issue step also accounts the
+// run's level residency and counts latest-start-time violations, so
+// callers need no second pass over the records.
+//
 // Speed selection is delegated to a Policy; the engine charges the speed
 // computation overhead (cycles at the current effective rate) and, when the
 // chosen level differs from the processor's current one, the voltage/speed
@@ -46,8 +57,9 @@
 // each class's power model.
 //
 // The engine simulates one program section at a time (between Or
-// synchronization barriers); the driver in internal/core chains sections
-// together and resolves Or branches.
+// synchronization barriers); the driver in internal/core compiles each
+// section's program once per plan, chains sections together through
+// Begin and Section, and resolves Or branches.
 package sim
 
 import (
@@ -141,6 +153,11 @@ type Result struct {
 	ClassActiveEnergy, ClassOverheadEnergy []float64
 	// SpeedChanges counts voltage/speed transitions.
 	SpeedChanges int
+	// LSTViolations counts computation tasks dispatched after their latest
+	// start time, LFT − WorkW/EffFmax of their class (with a 1e-9
+	// relative and absolute tolerance). Counted in ByOrder runs only;
+	// ByPriority runs report 0.
+	LSTViolations int
 	// FinalLevels is each processor's level index after the run, to carry
 	// into the next section.
 	FinalLevels []int
@@ -180,10 +197,11 @@ type Config struct {
 	// the single class at Speed 1 (power.Homogeneous). Required.
 	Hetero *power.Hetero
 	// Placement picks the processor each ready task is dispatched on in
-	// ByPriority runs and for dummy tasks; nil defaults to FastestFirst.
-	// Online computation tasks are pinned to their canonical class, whose
-	// processors are identical, and go to its idle-longest processor
-	// without consulting the policy.
+	// ByPriority runs and for dummy tasks on machines of more than one
+	// class; nil defaults to FastestFirst. Online computation tasks are
+	// pinned to their canonical class, whose processors are identical, and
+	// go to its idle-longest processor without consulting the policy, as
+	// do dummies on a one-class machine.
 	Placement PlacementPolicy
 	// Overheads are the power-management costs. Zero values disable them
 	// (used for canonical schedules and for the static schemes, which
@@ -194,7 +212,8 @@ type Config struct {
 	// Policy chooses levels; nil runs everything at each class's maximum
 	// level (canonical schedules, NPM).
 	Policy Policy
-	// Start is the simulation start time (the section's begin).
+	// Start is the simulation start time (the section's begin) of Run;
+	// Arena.Section takes each section's start instead.
 	Start float64
 	// InitialLevels, if non-nil, gives each processor's level at Start, one
 	// entry per processor of the machine; nil starts every processor at

@@ -25,7 +25,10 @@ const valTol = 1e-9
 //   - in ByOrder mode, dispatch times are non-decreasing in task order
 //     (the order-gate discipline) and every computation task ran on its
 //     canonical class;
-//   - the per-processor busy/overhead totals match the records.
+//   - the per-processor busy/overhead totals match the records;
+//   - the reported LST violations are the records' count: in ByOrder
+//     mode the computation tasks dispatched after LFT − WorkW/EffFmax of
+//     their class (with the engine's tolerance), and none in ByPriority.
 func ValidateResult(h *power.Hetero, mode Mode, start float64, tasks []*Task, res *Result) error {
 	if len(res.BusyTime) != h.NumProcs() {
 		return fmt.Errorf("sim: result covers %d processors, machine has %d", len(res.BusyTime), h.NumProcs())
@@ -34,6 +37,7 @@ func ValidateResult(h *power.Hetero, mode Mode, start float64, tasks []*Task, re
 		return fmt.Errorf("sim: %d records for %d tasks", len(res.Records), len(tasks))
 	}
 	byTask := make([]*Record, len(tasks))
+	lstViolations := 0
 	for i := range res.Records {
 		r := &res.Records[i]
 		if r.Task < 0 || r.Task >= len(tasks) {
@@ -67,6 +71,13 @@ func ValidateResult(h *power.Hetero, mode Mode, start float64, tasks []*Task, re
 			return fmt.Errorf("sim: task %q duration %g ≠ work/freq %g",
 				tasks[r.Task].Name, r.Finish-r.Start, wantDur)
 		}
+		if t := tasks[r.Task]; mode == ByOrder && !t.Dummy &&
+			r.Dispatch > (t.LFT-t.WorkW/h.Class(ci).EffFmax())*(1+lstTol)+lstTol {
+			lstViolations++
+		}
+	}
+	if res.LSTViolations != lstViolations {
+		return fmt.Errorf("sim: result reports %d LST violations, records show %d", res.LSTViolations, lstViolations)
 	}
 
 	// Processor occupancy: records on one processor must not overlap.

@@ -51,6 +51,8 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		{"duration math", func(ts []*Task, r *Result) { r.Records[0].Finish += 1; r.BusyTime[r.Records[0].Proc] += 1 }, "work/freq"},
 		{"busy totals", func(ts []*Task, r *Result) { r.BusyTime[0] += 5 }, "totals disagree"},
 		{"class pin", func(ts []*Task, r *Result) { ts[0].CanonClass = 1 }, "pinned to class 1"},
+		{"LST count", func(ts []*Task, r *Result) { r.LSTViolations++ }, "LST violations"},
+		{"LST deadline", func(ts []*Task, r *Result) { ts[3].LFT = 0 }, "LST violations"},
 		{"order gate", func(ts []*Task, r *Result) {
 			// Swap the order fields of b (dispatched first) and c
 			// (dispatched last): the recorded dispatch sequence now
