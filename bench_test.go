@@ -12,6 +12,7 @@
 package andorsched
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -806,19 +807,52 @@ func BenchmarkServeRunWarmParallel(b *testing.B) {
 // many distinct random applications as the default plan cache holds, so
 // after the first cycle every request finds its text in the text memo,
 // misses the plan cache, parses, compiles and evicts. B/op and allocs/op
-// are the per-miss garbage the collector has to clear.
+// are the per-miss garbage the collector has to clear. The bodies quote
+// the text with %q, which escapes no '>'; the Marshal variant spells it as
+// json.Marshal and HTTP clients do, with \u003e escapes.
 func BenchmarkServeTextChurn(b *testing.B) {
-	const cacheSize = 128
+	benchServeText(b, textBodies(256, func(text string) string { return fmt.Sprintf("%q", text) }))
+}
+
+func BenchmarkServeTextChurnMarshal(b *testing.B) {
+	benchServeText(b, textBodies(256, marshalText))
+}
+
+// BenchmarkServeTextHit measures a warm .andor text request, spelled as
+// json.Marshal spells it: the text memo and the plan cache both hit, so
+// nothing is parsed or compiled, and B/op is the garbage a warm text
+// request leaves.
+func BenchmarkServeTextHit(b *testing.B) {
+	benchServeText(b, textBodies(1, marshalText))
+}
+
+// textBodies renders single-run /v1/run bodies for n distinct random
+// applications, quoting each text with quote.
+func textBodies(n int, quote func(string) string) []string {
+	bodies := make([]string, n)
+	for i := range bodies {
+		text := andor.FormatText(workload.Random(uint64(i+1), andor.DefaultRandomOpts()))
+		bodies[i] = fmt.Sprintf(`{"text":%s,"scheme":"GSS","seed":%d}`, quote(text), i)
+	}
+	return bodies
+}
+
+func marshalText(text string) string {
+	q, err := json.Marshal(text)
+	if err != nil {
+		panic(err)
+	}
+	return string(q)
+}
+
+// benchServeText cycles round-robin over bodies on a one-worker server
+// with the default plan cache of 128 plans, after one warm-up cycle.
+func benchServeText(b *testing.B, bodies []string) {
 	s := serve.New(serve.Config{
-		Workers: 1, QueueSize: 8, CacheSize: cacheSize,
+		Workers: 1, QueueSize: 8, CacheSize: 128,
 		Trace: serve.TraceConfig{Disabled: true},
 	})
 	defer s.Close()
-	bodies := make([]string, 2*cacheSize)
-	for i := range bodies {
-		text := andor.FormatText(workload.Random(uint64(i+1), andor.DefaultRandomOpts()))
-		bodies[i] = fmt.Sprintf(`{"text":%q,"scheme":"GSS","seed":%d}`, text, i)
-	}
 	rd := strings.NewReader("")
 	req := httptest.NewRequest(http.MethodPost, "/v1/run", rd)
 	w := &benchRecorder{hdr: make(http.Header, 4)}

@@ -1,10 +1,11 @@
 package andor
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 )
 
 // SectionDigest is a structural fingerprint of a program section: two
@@ -30,59 +31,75 @@ func (s *Section) Digest() SectionDigest {
 	return d
 }
 
+// computeDigest hashes the section's structure: the node count, then per
+// node (in Nodes order, the order the off-line phase enumerates tasks in)
+// its kind, WCET and ACET bits, the rank of its ID within the section, and
+// the count and local indices of its in-section predecessors and then
+// successors, every word a little-endian uint64. The words stream into the
+// hash through a stack chunk; the in-section lookups run on the section's
+// local indices sorted by node ID, on the stack for sections of up to 64
+// nodes.
 func (s *Section) computeDigest() SectionDigest {
-	return sha256.Sum256(s.digestInput())
-}
-
-// digestInput is the byte string the digest hashes, in a buffer sized to
-// fit it exactly.
-func (s *Section) digestInput() []byte {
-	// Local index of each member node, in Nodes order (the order the
-	// off-line phase enumerates tasks in).
-	local := make(map[*Node]int, len(s.Nodes))
-	for i, n := range s.Nodes {
-		local[n] = i
+	// byID holds the local indices sorted by node ID. A node's position in
+	// it is the rank of its ID: the canonical scheduler breaks priority
+	// ties by node ID, and only the relative order matters, so hashing
+	// ranks instead of raw IDs keeps the digest stable when the same
+	// structure appears at different ID offsets. Binary search by ID then
+	// finds an edge end's local index, or reports it outside the section.
+	var stack [64]int32
+	byID := stack[:0]
+	if len(s.Nodes) > len(stack) {
+		byID = make([]int32, 0, len(s.Nodes))
 	}
-	// Rank of each node's ID within the section. The canonical scheduler
-	// breaks priority ties by node ID; only the relative order matters, so
-	// hashing ranks instead of raw IDs keeps the digest stable when the
-	// same structure appears at different ID offsets.
-	idRank := make([]int, len(s.Nodes))
-	byID := make([]int, len(s.Nodes))
-	for i := range byID {
-		byID[i] = i
+	for i := range s.Nodes {
+		byID = append(byID, int32(i))
 	}
-	sort.Slice(byID, func(a, b int) bool { return s.Nodes[byID[a]].ID < s.Nodes[byID[b]].ID })
-	for rank, i := range byID {
-		idRank[i] = rank
+	slices.SortFunc(byID, func(a, b int32) int { return cmp.Compare(s.Nodes[a].ID, s.Nodes[b].ID) })
+	rank := func(n *Node) (int, bool) {
+		k, found := slices.BinarySearchFunc(byID, n.ID, func(i int32, id int) int { return cmp.Compare(s.Nodes[i].ID, id) })
+		return k, found && s.Nodes[byID[k]] == n
 	}
 
-	// Six words per node plus one per in-section edge end: two per edge,
-	// once among the head's successors and once among the tail's
-	// predecessors.
-	words := 1 + 6*len(s.Nodes)
-	for _, n := range s.Nodes {
-		for _, m := range n.succ {
-			if _, ok := local[m]; ok {
-				words += 2
-			}
+	h := sha256.New()
+	var chunk [512]byte
+	used := 0
+	u64 := func(v uint64) {
+		if used == len(chunk) {
+			h.Write(chunk[:])
+			used = 0
 		}
+		binary.LittleEndian.PutUint64(chunk[used:], v)
+		used += 8
 	}
-	buf := make([]byte, 0, 8*words)
-	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	u64(uint64(len(s.Nodes)))
-	for i, n := range s.Nodes {
+	for _, n := range s.Nodes {
+		r, _ := rank(n)
 		u64(uint64(n.Kind))
 		u64(wcetBits(n))
 		u64(acetBits(n))
-		u64(uint64(idRank[i]))
+		u64(uint64(r))
 		// Intra-section edges only: predecessors outside the section are
 		// Or entries the barrier discipline satisfies implicitly, exactly
 		// as the off-line phase treats them.
-		buf = appendLocalEdges(buf, local, n.pred)
-		buf = appendLocalEdges(buf, local, n.succ)
+		for _, ends := range [2][]*Node{n.pred, n.succ} {
+			cnt := 0
+			for _, m := range ends {
+				if _, in := rank(m); in {
+					cnt++
+				}
+			}
+			u64(uint64(cnt))
+			for _, m := range ends {
+				if k, in := rank(m); in {
+					u64(uint64(byID[k]))
+				}
+			}
+		}
 	}
-	return buf
+	h.Write(chunk[:used])
+	var d SectionDigest
+	h.Sum(d[:0])
+	return d
 }
 
 // wcetBits and acetBits return the exact IEEE-754 bit patterns the off-line
@@ -101,22 +118,4 @@ func acetBits(n *Node) uint64 {
 		return 0
 	}
 	return math.Float64bits(n.ACET)
-}
-
-// appendLocalEdges appends the count and local indices of the edge
-// endpoints that lie inside the section, in declaration order.
-func appendLocalEdges(buf []byte, local map[*Node]int, nodes []*Node) []byte {
-	cnt := 0
-	for _, m := range nodes {
-		if _, ok := local[m]; ok {
-			cnt++
-		}
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(cnt))
-	for _, m := range nodes {
-		if j, ok := local[m]; ok {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(j))
-		}
-	}
-	return buf
 }

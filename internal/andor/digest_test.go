@@ -145,9 +145,10 @@ func TestSectionDigestSensitivity(t *testing.T) {
 	}
 }
 
-// TestSectionDigestInputSized: the digest's input buffer is sized from
-// the section's in-section edges, so writing it never regrows it.
-func TestSectionDigestInputSized(t *testing.T) {
+// TestSectionDigestAllocs: hashing a section of up to 64 nodes allocates
+// nothing. Its input streams into the hash through a stack chunk, and its
+// in-section lookups run on a stack array of local indices.
+func TestSectionDigestAllocs(t *testing.T) {
 	secs := digestTestSections(t, 0.5)
 	for seed := uint64(1); seed <= 20; seed++ {
 		g := RandomGraph(exectime.NewSource(seed), DefaultRandomOpts())
@@ -158,8 +159,11 @@ func TestSectionDigestInputSized(t *testing.T) {
 		secs = append(secs, s.All...)
 	}
 	for i, sec := range secs {
-		if b := sec.digestInput(); len(b) != cap(b) {
-			t.Errorf("section %d (%d nodes): digest input is %d bytes in a buffer of %d", i, len(sec.Nodes), len(b), cap(b))
+		if len(sec.Nodes) > 64 {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(10, func() { sec.computeDigest() }); allocs != 0 {
+			t.Errorf("section %d (%d nodes): computing its digest allocates %.0f times", i, len(sec.Nodes), allocs)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -54,12 +55,13 @@ func stripComment(line string) string {
 // ParseText parses the .andor format. The returned graph is validated.
 func ParseText(src string) (*Graph, error) {
 	// A node takes a line of its own and most nodes have an edge line, so
-	// half the line count sizes the node list and name table of a typical
-	// text without regrowing them.
-	hint := strings.Count(src, "\n")/2 + 1
+	// half the line count sizes the node list of a typical text without
+	// regrowing it.
 	g := NewGraph("unnamed")
-	g.nodes = make([]*Node, 0, hint)
-	p := &textParser{g: g, nodes: make(map[string]*Node, hint)}
+	g.nodes = make([]*Node, 0, strings.Count(src, "\n")/2+1)
+	p := parserPool.Get().(*textParser)
+	defer p.release()
+	p.g = g
 	fields := p.fieldBuf[:0]
 	rest, more := src, true
 	for lineNo := 1; more; lineNo++ {
@@ -112,13 +114,34 @@ func appendFields(dst []string, s string) []string {
 }
 
 type textParser struct {
-	g     *Graph
+	g *Graph
+	// nodes is the name table, emptied and reused by the next parse.
 	nodes map[string]*Node
 	// fieldBuf backs the fields of each line; a line with more fields
 	// than it holds grows a slice that the following lines reuse.
 	fieldBuf [8]string
 	// probs is a prob line's scratch; SetBranchProbs keeps a copy.
 	probs []float64
+}
+
+// parserPool recycles parsers, so a parse reuses an earlier one's name
+// table.
+var parserPool = sync.Pool{New: func() any { return &textParser{nodes: make(map[string]*Node)} }}
+
+// maxPooledNames bounds the name tables parserPool keeps: a rare huge
+// application should not pin its table for the life of the process.
+const maxPooledNames = 1024
+
+// release empties p, which must not reference the parsed graph or its
+// text afterwards, and returns it to the pool.
+func (p *textParser) release() {
+	if len(p.nodes) > maxPooledNames {
+		return
+	}
+	clear(p.nodes)
+	clear(p.fieldBuf[:])
+	p.g = nil
+	parserPool.Put(p)
 }
 
 // validName rejects names that cannot survive a format round-trip: invalid

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -148,6 +149,7 @@ func TestCompareFramesErrorsMatchPerSchemeRuns(t *testing.T) {
 	bad := map[string]RunConfig{
 		"infeasible":   {Deadline: plan.CTWorst / 2, Sampler: sampler},
 		"non-positive": {Deadline: 0, Sampler: sampler},
+		"unbounded":    {Deadline: math.MaxFloat64, Sampler: sampler},
 		"no sampler":   {Deadline: plan.CTWorst * 2},
 		"ora weight":   {Deadline: plan.CTWorst * 2, Sampler: sampler, ORAWeight: 1.5},
 	}

@@ -118,9 +118,11 @@ var ExtendedSchemes = []Scheme{CLV, ASP, ORA}
 // String) to a Scheme. The extended schemes CLV, ASP and ORA are accepted
 // in addition to the paper's six.
 func ParseScheme(name string) (Scheme, error) {
-	for _, s := range append(append([]Scheme(nil), Schemes...), ExtendedSchemes...) {
-		if s.String() == name {
-			return s, nil
+	for _, list := range [...][]Scheme{Schemes, ExtendedSchemes} {
+		for _, s := range list {
+			if s.String() == name {
+				return s, nil
+			}
 		}
 	}
 	return 0, fmt.Errorf("core: unknown scheme %q (want one of NPM SPM GSS SS1 SS2 AS CLV ASP ORA)", name)

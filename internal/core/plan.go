@@ -73,6 +73,8 @@ type Plan struct {
 	// change, which the dynamic schemes budget before the target level
 	// (and thus the actual voltage swing) is known.
 	maxChange []float64
+	// maxPower is the highest maximum power of any class (EnergyBound).
+	maxPower float64
 	// alphaTask is the work-weighted mean ACET/WCET ratio over all compute
 	// tasks (Σ ACET / Σ WCET), each section counted once: the task-level
 	// static workload assumption ORA's online estimator is seeded from and
@@ -249,6 +251,7 @@ func compile(g *andor.Graph, hp *power.Hetero, platform *power.Platform, ov powe
 	p.maxChange = make([]float64, hp.NumClasses())
 	for c := range p.maxChange {
 		p.maxChange[c] = ov.MaxChangeTime(hp.Class(c).Plat)
+		p.maxPower = math.Max(p.maxPower, hp.Class(c).Plat.MaxPower())
 	}
 	cc := &compileScratch{pad: ov.PadTimeHetero(hp), cache: cache}
 	// The schedule-cache key's machine part, computed once per compile:
@@ -333,6 +336,10 @@ type compileScratch struct {
 	// first cache miss; each result is consumed before the next run.
 	arena *sim.Arena
 	canon sim.Config
+	// tasks and ptrs hold the section the next canonical run schedules
+	// (canonicalTasks), reused across runs.
+	tasks []sim.Task
+	ptrs  []*sim.Task
 }
 
 // planSection builds one section's canonical schedules and task templates.
@@ -434,7 +441,7 @@ func (p *Plan) planSection(sec *andor.Section, cc *compileScratch) (*secPlan, er
 		cc.arena = sim.NewArena()
 		cc.canon = sim.Config{Mode: sim.ByPriority, Hetero: p.Hetero, Placement: p.Placement}
 	}
-	worst := p.canonicalTasks(sp, func(tp *taskPlan) float64 { return tp.tmpl.WorkW })
+	worst := cc.canonicalTasks(sp, func(tp *taskPlan) float64 { return tp.tmpl.WorkW })
 	resW, err := cc.arena.Run(&cc.canon, worst)
 	if err != nil {
 		return nil, fmt.Errorf("core: canonical schedule of section %d: %w", sec.ID, err)
@@ -452,7 +459,7 @@ func (p *Plan) planSection(sec *andor.Section, cc *compileScratch) (*secPlan, er
 	// Average-case canonical schedule: same heuristic with padded ACETs.
 	// Only its length is kept (the paper's T*_k PMP values for
 	// speculation).
-	avg := p.canonicalTasks(sp, func(tp *taskPlan) float64 {
+	avg := cc.canonicalTasks(sp, func(tp *taskPlan) float64 {
 		if tp.node.Kind != andor.Compute {
 			return 0
 		}
@@ -511,16 +518,20 @@ func classAffinityBits(tasks []taskPlan) uint64 {
 	return h
 }
 
-// canonicalTasks copies the section's task templates with WorkA set by
-// dur (cycles), for an off-line engine run.
-func (p *Plan) canonicalTasks(sp *secPlan, dur func(*taskPlan) float64) []*sim.Task {
-	out := make([]*sim.Task, len(sp.tasks))
-	for i := range sp.tasks {
-		t := sp.tasks[i].tmpl // copy
-		t.WorkA = dur(&sp.tasks[i])
-		out[i] = &t
+// canonicalTasks copies the section's task templates into cc's scratch
+// with WorkA set by dur (cycles), for an off-line engine run. The tasks
+// are rewritten by the next call.
+func (cc *compileScratch) canonicalTasks(sp *secPlan, dur func(*taskPlan) float64) []*sim.Task {
+	if n := len(sp.tasks); cap(cc.tasks) < n {
+		cc.tasks, cc.ptrs = make([]sim.Task, n), make([]*sim.Task, n)
 	}
-	return out
+	tasks, ptrs := cc.tasks[:len(sp.tasks)], cc.ptrs[:len(sp.tasks)]
+	for i := range sp.tasks {
+		tasks[i] = sp.tasks[i].tmpl
+		tasks[i].WorkA = dur(&sp.tasks[i])
+		ptrs[i] = &tasks[i]
+	}
+	return ptrs
 }
 
 // aggregate fills remWorst/remAvg by memoized recursion over the section
@@ -564,6 +575,19 @@ func (p *Plan) Feasible(deadline float64) bool {
 
 // MinDeadline returns the smallest feasible deadline, CTWorst.
 func (p *Plan) MinDeadline() float64 { return p.CTWorst }
+
+// EnergyBound bounds the energy of any run of p under the given deadline:
+// every processor drawing the highest maximum power of any class for
+// max(deadline, CTWorst) seconds. It is +Inf when that bound or the
+// processor time it multiplies overflows; a run's energies could then
+// overflow too, so RunConfig checks refuse such a deadline.
+func (p *Plan) EnergyBound(deadline float64) float64 {
+	t := float64(p.Procs) * math.Max(deadline, p.CTWorst)
+	if math.IsInf(t, 0) {
+		return t
+	}
+	return p.maxPower * t
+}
 
 // SectionAvgRemaining returns, for the section with the given ID, the
 // average-case time to complete the application from that section's start:

@@ -209,8 +209,8 @@ func (p *Plan) RunInto(cfg RunConfig, a *Arena, out *RunResult) error {
 }
 
 // check reports why cfg cannot run on p: a non-positive or infeasible
-// deadline, a missing sampler, or an out-of-range ORA weight. None of the
-// checks depends on the scheme.
+// deadline, one whose energy bound overflows, a missing sampler, or an
+// out-of-range ORA weight. None of the checks depends on the scheme.
 func (p *Plan) check(cfg *RunConfig) error {
 	d := cfg.Deadline
 	if d <= 0 {
@@ -218,6 +218,9 @@ func (p *Plan) check(cfg *RunConfig) error {
 	}
 	if !p.Feasible(d) {
 		return fmt.Errorf("core: infeasible deadline %g < canonical worst case %g", d, p.CTWorst)
+	}
+	if math.IsInf(p.EnergyBound(d), 0) {
+		return fmt.Errorf("core: deadline %g too long: the energy bound over it is not finite", d)
 	}
 	if cfg.Sampler == nil && !cfg.WorstCase {
 		return fmt.Errorf("core: RunConfig needs a Sampler unless WorstCase is set")

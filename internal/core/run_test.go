@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -223,6 +225,11 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := plan.Run(RunConfig{Scheme: GSS, Deadline: plan.CTWorst}); err == nil {
 		t.Error("want sampler error")
+	}
+	// Over a deadline this long the idle energy would overflow to +Inf.
+	if _, err := plan.Run(RunConfig{Scheme: GSS, Deadline: math.MaxFloat64, WorstCase: true}); err == nil ||
+		!strings.Contains(err.Error(), "energy bound") {
+		t.Errorf("deadline %g: error %v, want the energy-bound error", math.MaxFloat64, err)
 	}
 }
 

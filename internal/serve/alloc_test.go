@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -101,14 +102,37 @@ func (r *reusableRecorder) reset() {
 	r.status = 0
 }
 
+// minPerRun measures the allocations and bytes per call of f as
+// testing.AllocsPerRun measures allocations — one warm-up call, then runs
+// calls at GOMAXPROCS 1 — reps times, and keeps the least of each. Under
+// the race detector sync.Pool drops entries at random, and a request
+// whose pooled state was dropped rebuilds it; the minimum is the cost
+// with the pools warm.
+func minPerRun(reps, runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	allocs, bytes = math.Inf(1), math.Inf(1)
+	var before, after runtime.MemStats
+	for i := 0; i < reps; i++ {
+		runtime.ReadMemStats(&before)
+		for j := 0; j < runs; j++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		allocs = math.Min(allocs, float64(after.Mallocs-before.Mallocs)/float64(runs))
+		bytes = math.Min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/float64(runs))
+	}
+	return allocs, bytes
+}
+
 // TestRunRequestWarmAllocs bounds the whole warmed single-run /v1/run
 // ServeHTTP path — middleware, decode, plan-cache hit, pool round trip,
 // simulation, pooled encode — with a reusable request and recorder so only
 // the server's own allocations are counted. The irreducible floor is
-// request plumbing (context.WithTimeout, WithContext, MaxBytesReader) and
-// the pool handoff, not request decoding or response encoding: the body
-// is read into a pooled buffer, and the encoder pool removed the encoding
-// term (measured ~45 allocs/op before pooling).
+// request plumbing (context.WithTimeout, WithContext, MaxBytesReader):
+// the body is read into a pooled buffer and decoded in one pass, the
+// handler's request state and the pool job are pooled, and the encoder
+// pool removed the encoding term (measured ~45 allocs/op before pooling).
 //
 // Measured twice — tracing off and on — to pin the tracing budget: the
 // traced path may add at most 8 allocations (it actually adds ~4: the
@@ -117,9 +141,12 @@ func (r *reusableRecorder) reset() {
 //
 // A warmed .andor text body must stay within 6 allocations of the
 // workload body: the text memo keys it without parsing (ParseText alone
-// allocates ~250 times on this graph) or rendering it.
+// allocates ~250 times on this graph) or rendering it. Spelled as
+// json.Marshal spells it, with \u003e escapes, the text may add at most 64
+// bytes per request: it is unescaped into a pooled buffer and hashed
+// there, never copied into a string.
 func TestRunRequestWarmAllocs(t *testing.T) {
-	measure := func(cfg Config, body string) float64 {
+	measure := func(cfg Config, body string) (allocs, bytes float64) {
 		s := newTestServer(t, cfg)
 		rd := strings.NewReader(body)
 		req := httptest.NewRequest(http.MethodPost, "/v1/run", rd)
@@ -135,13 +162,13 @@ func TestRunRequestWarmAllocs(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			run() // compile the plan, warm the worker arena and the pools
 		}
-		return testing.AllocsPerRun(100, run)
+		return minPerRun(20, 1, run)
 	}
 	const body = `{"workload":"atr","scheme":"GSS","seed":11}`
 	untraced := Config{Workers: 1, QueueSize: 8, Trace: TraceConfig{Disabled: true}}
-	off := measure(untraced, body)
-	on := measure(Config{Workers: 1, QueueSize: 8}, body)
-	t.Logf("warmed /v1/run ServeHTTP: %.1f allocs/op untraced, %.1f traced", off, on)
+	off, offBytes := measure(untraced, body)
+	on, _ := measure(Config{Workers: 1, QueueSize: 8}, body)
+	t.Logf("warmed /v1/run ServeHTTP: %.1f allocs/op (%.0f B) untraced, %.1f traced", off, offBytes, on)
 	if off > 32 {
 		t.Errorf("warmed untraced /v1/run allocates %.1f times per op, want <= 32", off)
 	}
@@ -152,11 +179,24 @@ func TestRunRequestWarmAllocs(t *testing.T) {
 
 	text := andor.FormatText(workload.Random(4, andor.DefaultRandomOpts())) // 24 nodes, ~1.5 KB
 	textBody := fmt.Sprintf(`{"text":%q,"scheme":"GSS","seed":11}`, text)
-	textOff := measure(untraced, textBody)
+	textOff, _ := measure(untraced, textBody)
 	t.Logf("warmed /v1/run ServeHTTP with a %d-byte text: %.1f allocs/op untraced", len(text), textOff)
 	if textOff > off+6 {
 		t.Errorf("warmed text body allocates %.1f times per op, workload body %.1f; budget is +6",
 			textOff, off)
+	}
+	marshalled, err := json.Marshal(map[string]any{"text": text, "scheme": "GSS", "seed": 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(marshalled), `\u003e`) {
+		t.Fatalf("json.Marshal'd body has no \\u003e escape: %s", marshalled)
+	}
+	_, marshalledBytes := measure(untraced, string(marshalled))
+	t.Logf("warmed /v1/run ServeHTTP with the json.Marshal'd text: %.0f B/op untraced", marshalledBytes)
+	if marshalledBytes > offBytes+64 {
+		t.Errorf("warmed json.Marshal'd text body allocates %.0f B per op, workload body %.0f B; budget is +64",
+			marshalledBytes, offBytes)
 	}
 }
 
@@ -185,7 +225,8 @@ func TestRunRequestAllocsPerRun(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			run() // compile, warm the arenas, size the pooled chunk buffers
 		}
-		return testing.AllocsPerRun(10, run)
+		allocs, _ := minPerRun(3, 10, run)
+		return allocs
 	}
 	large := measure(2000) // first, so the pooled buffers fit both sizes
 	small := measure(200)

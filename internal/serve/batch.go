@@ -150,7 +150,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			it.res.Error = apiErr.msg
 			continue
 		}
-		deadline, apiErr := resolveDeadline(plan.CTWorst, spec.Deadline, spec.Load)
+		deadline, apiErr := resolveDeadline(plan, spec.Deadline, spec.Load)
 		if apiErr != nil {
 			it.res.Error = apiErr.msg
 			continue

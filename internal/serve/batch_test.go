@@ -319,6 +319,8 @@ func FuzzBatchEndpoint(f *testing.F) {
 	for _, body := range hugeTimeBodies {
 		f.Add([]byte(`{"items":[` + body + `]}`))
 	}
+	accepted, refused := deadlineEdgeBodies(f)
+	f.Add([]byte(`{"items":[` + accepted + `,` + refused + `]}`))
 	f.Add([]byte(`{"items":[{"workload":"atr","runs":1000000}]}`))
 	f.Add([]byte(`{"items":[]}`))
 	f.Add([]byte(`{"items":[{},{},{},{},{}]}`))

@@ -78,7 +78,7 @@ func refPlan(t testing.TB, s *Server, spec AppSpec) (*core.Plan, float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline, apiErr := resolveDeadline(plan.CTWorst, 0, 0)
+	deadline, apiErr := resolveDeadline(plan, 0, 0)
 	if apiErr != nil {
 		t.Fatal(apiErr.msg)
 	}

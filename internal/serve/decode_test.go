@@ -11,6 +11,10 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+
+	"andorsched/internal/andor"
+	"andorsched/internal/core"
+	"andorsched/internal/workload"
 )
 
 // decodeLimit is the body limit of the decode tests: small enough that an
@@ -174,5 +178,171 @@ func TestReadJSONDoesNotAliasBuffer(t *testing.T) {
 		if !reflect.DeepEqual(req, want) {
 			t.Errorf("%s: after overwriting the buffer the request is %+v, want %+v", body, req, want)
 		}
+	}
+}
+
+// decodeRunVia runs the server's decodeRun on body as decodeVia runs
+// decodeJSON, and returns the decoded request with its text built.
+func decodeRunVia(s *Server, body io.Reader) (int, string, RunRequest) {
+	r := httptest.NewRequest(http.MethodPost, "/v1/run", body)
+	r.Body = http.MaxBytesReader(httptest.NewRecorder(), r.Body, s.cfg.MaxBodyBytes)
+	var rs runState
+	status, msg := 0, ""
+	if apiErr := s.decodeRun(r, &rs); apiErr != nil {
+		status, msg = apiErr.status, apiErr.msg
+	}
+	return status, msg, withTextBuilt(rs.req)
+}
+
+// withTextBuilt returns req with a text left in rawText moved to Text.
+func withTextBuilt(req RunRequest) RunRequest {
+	if req.rawText != nil {
+		req.Text, req.rawText = string(req.rawText), nil
+	}
+	return req
+}
+
+// FuzzDecodeRequestFast holds /v1/run's one-pass decoder to
+// encoding/json. Wherever decodeRunFast accepts a body, the request it
+// decodes, with its text built, must equal what json.Unmarshal decodes,
+// and json.Unmarshal must accept the body too. And decodeRun, fast path
+// or fallback, must answer every body with the status, message and
+// request of the json.Decoder path (decodeOracle), read whole or a few
+// bytes at a time.
+func FuzzDecodeRequestFast(f *testing.F) {
+	const limit = 256
+	s := &Server{cfg: Config{MaxBodyBytes: limit}}
+	for _, body := range []string{
+		`{"text":"task A 1ms 1ms\ntask B 2ms 1ms\nedge A -> B","scheme":"GSS","seed":11}`,
+		`{"workload":"atr","scheme":"AS","runs":3,"seed":7,"procs":4,"platform":"xscale","worst":true}`,
+		`{"text":"task \ud83d\ude00 1ms 1ms","load":0.25}`, // a surrogate pair
+		`{"text":"task \ud83d 1ms 1ms"}`,                   // a lone surrogate
+		`{"scheme":"\udc00é\/\"\\\b\f\n\r\t"}`,
+		`{"seed":1,"seed":2,"text":"a","text":"b"}`,            // duplicate keys
+		`{"Text":"task A 1ms 1ms"}`, `{"TEXT":"x","text":"y"}`, // case variants
+		`{"procs":-0,"deadline":-0,"load":-0.0e-0}`, `{"seed":-0}`,
+		`{"runs":01}`, `{"deadline":1e400}`, `{"load":.5}`, `{"load":1.}`, `{"runs":1e2}`,
+		`{"seed":18446744073709551615}`, `{"seed":18446744073709551616}`,
+		`{"runs":9223372036854775808}`,
+		`{"scheme":null}`, `null`, `{}`, ` { } `, `{"runs":1,}`, `{,}`,
+		`{"runs":1} x`, `{"runs":1}}`, `{"runs":1} {"runs":2}`,
+		`{"hetero":"biglittle","placement":"energy-greedy"}`, `{"hetero":{"classes":[]}}`,
+		`{"graph":"x"}`, `{"graph":{"nodes":[]}}`, `{"overheads":{"speed_change_us":1}}`,
+		`{"worst":false,"worst":1}`, `{"unknown":1}`, `{"text":"a\u0000b"}`,
+		"{\"text\":\"\xff\"}", "{\"text\":\"a\tb\"}", `{"text":"\x"}`, `{"text":"\u12"}`,
+		`{"text":"` + strings.Repeat("x", limit) + `"}`,
+	} {
+		f.Add([]byte(body), false)
+		f.Add([]byte(body), true)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, trickle bool) {
+		var fast RunRequest
+		if _, ok := decodeRunFast(body, &fast, nil); ok {
+			var want RunRequest
+			if err := json.Unmarshal(body, &want); err != nil {
+				t.Fatalf("body %q: the fast path accepted what json.Unmarshal refuses: %v", body, err)
+			}
+			if got := withTextBuilt(fast); !reflect.DeepEqual(got, want) {
+				t.Fatalf("body %q: fast path decoded %+v, json.Unmarshal %+v", body, got, want)
+			}
+		}
+		reader := func() io.Reader {
+			if trickle {
+				return iotest.HalfReader(bytes.NewReader(body))
+			}
+			return bytes.NewReader(body)
+		}
+		var want RunRequest
+		gotStatus, gotMsg, got := decodeRunVia(s, reader())
+		wantStatus, wantMsg := decodeOracle(reader(), limit, &want)
+		if gotStatus != wantStatus || gotMsg != wantMsg {
+			t.Fatalf("body %q: got %d %q, want %d %q", body, gotStatus, gotMsg, wantStatus, wantMsg)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("body %q: decoded %+v, want %+v", body, got, want)
+		}
+	})
+}
+
+// TestDecodeRunFastScope pins which bodies the one-pass decoder takes and
+// which it leaves to encoding/json.
+func TestDecodeRunFastScope(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		ok   bool
+	}{
+		{`{"text":"edge A -\u003e B\n","scheme":"GSS","seed":3,"platform":"transmeta","procs":2}`, true},
+		{`{"text":"\ud83d\ude00","hetero":"biglittle","load":1e-3,"worst":true,"runs":2,"chunks":1}`, true},
+		{` {"seed":1,"seed":2} ` + "\n", true},
+		{`{}`, true},
+		{`{"text":"\ud83d"}`, false},
+		{"{\"text\":\"\xff\"}", false},
+		{`{"Text":"a"}`, false},
+		{`{"scheme":null}`, false},
+		{`{"hetero":{"classes":[]}}`, false},
+		{`{"runs":01}`, false},
+		{`{"deadline":1e400}`, false},
+		{`{"seed":18446744073709551616}`, false},
+		{`{"runs":1}}`, false},
+		{`{"unknown":1}`, false},
+	} {
+		var req RunRequest
+		if _, ok := decodeRunFast([]byte(tc.body), &req, nil); ok != tc.ok {
+			t.Errorf("%s: fast path took it %v, want %v", tc.body, ok, tc.ok)
+		}
+	}
+}
+
+// TestLazyTextDoesNotAliasBuffer: a text decodeRunFast left in its buffer
+// is copied out before it is parsed, on a text-memo miss and by
+// parseDeferred after a memo hit. Scribbling over the buffer afterwards —
+// as the next request using it would — changes neither the plan's node
+// names nor its graph digest.
+func TestLazyTextDoesNotAliasBuffer(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	text := andor.FormatText(workload.Random(4, andor.DefaultRandomOpts()))
+	body, err := json.Marshal(map[string]any{"text": text, "seed": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req RunRequest
+	buf, ok := decodeRunFast(body, &req, nil)
+	if !ok || string(req.rawText) != text {
+		t.Fatalf("fast path: ok %v, text %q", ok, req.rawText)
+	}
+	var plans []*core.Plan
+	for _, pass := range []string{"memo miss", "memo hit"} {
+		ra, apiErr := s.resolveApp(&req.AppSpec)
+		if apiErr == nil {
+			apiErr = ra.parseDeferred()
+		}
+		if apiErr != nil {
+			t.Fatalf("%s: %v", pass, apiErr.msg)
+		}
+		if (pass == "memo hit") != (ra.spec != nil) {
+			t.Fatalf("%s: the text was parsed eagerly %v", pass, ra.spec == nil)
+		}
+		plan, err := buildPlan(ra, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, plan)
+	}
+	snapshot := func() (names []string, digests [][32]byte) {
+		for _, p := range plans {
+			for _, n := range p.Graph.Nodes() {
+				names = append(names, strings.Clone(n.Name))
+			}
+			digests = append(digests, graphDigest(p.Graph))
+		}
+		return names, digests
+	}
+	names, digests := snapshot()
+	b := buf[:cap(buf)]
+	for i := range b {
+		b[i] = 'Z'
+	}
+	if afterNames, afterDigests := snapshot(); !reflect.DeepEqual(afterNames, names) || !reflect.DeepEqual(afterDigests, digests) {
+		t.Errorf("overwriting the text buffer changed the plans: names %q -> %q", names, afterNames)
 	}
 }

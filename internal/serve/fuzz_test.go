@@ -78,6 +78,9 @@ func FuzzRunEndpoint(f *testing.F) {
 	for _, body := range hugeTimeBodies {
 		f.Add([]byte(body))
 	}
+	accepted, refused := deadlineEdgeBodies(f)
+	f.Add([]byte(accepted))
+	f.Add([]byte(refused))
 
 	panicsBefore, _ := s.Metrics().Snapshot().Counter(MetricPanics)
 	if panicsBefore != 0 {
@@ -121,6 +124,12 @@ func FuzzCompareEndpoint(f *testing.F) {
 	f.Add([]byte(`{"text":"task A 1ms 1ms\ntask B 2ms","schemes":["ORA"],"runs":4}`))
 	for _, body := range hugeTimeBodies {
 		f.Add([]byte(body))
+	}
+	// The largest deadline accepted for a small application, and the next
+	// value up, over a compare small enough to run.
+	accepted, refused := deadlineEdgeBodies(f)
+	for _, body := range []string{accepted, refused} {
+		f.Add([]byte(body[:len(body)-1] + `,"schemes":["NPM","GSS"],"runs":2}`))
 	}
 	f.Add([]byte(`{"workload":"atr","schemes":["bogus"]}`))
 	f.Add([]byte(`{"workload":"atr","runs":-9223372036854775808}`))

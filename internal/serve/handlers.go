@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"andorsched/internal/core"
@@ -178,6 +179,54 @@ func mcSummary(mc *core.MCStats, cfg core.RunConfig) RunSummary {
 	return rs
 }
 
+// runState is one /v1/run request's reusable state: the decoded request
+// and its text buffer, and, for a single run, the pool job's inputs and
+// outputs. handleRun takes one from runStatePool and puts it back when it
+// is done, so a warm single run allocates none of these. exec is run
+// bound once, so submitting it allocates no closure either.
+type runState struct {
+	req  RunRequest
+	text []byte // backs req.rawText
+	exec func(context.Context, *Worker)
+
+	plan   *core.Plan
+	peeked bool
+	cfg    core.RunConfig
+	row    RunRow
+	runErr error
+}
+
+var runStatePool = sync.Pool{New: func() any {
+	rs := new(runState)
+	rs.exec = rs.run
+	return rs
+}}
+
+// run is a single run's pool job.
+func (rs *runState) run(_ context.Context, wk *Worker) {
+	if rs.peeked {
+		wk.pw.hits.Add(1)
+	}
+	cfg := rs.cfg
+	if !cfg.WorstCase {
+		cfg.Sampler = wk.Sampler
+	}
+	// A single run draws its random stream from the seed itself.
+	wk.Src.Reseed(rs.req.Seed)
+	if rs.runErr = rs.plan.RunInto(cfg, wk.Arena, &wk.Res); rs.runErr == nil {
+		fillRow(&rs.row, 0, &wk.Res)
+	}
+}
+
+// release empties rs and puts it back in the pool, unless its text buffer
+// or row path grew past what the pool retains.
+func (rs *runState) release() {
+	rs.req, rs.plan, rs.cfg, rs.runErr = RunRequest{}, nil, core.RunConfig{}, nil
+	if cap(rs.text) <= jsonBufMaxRetained && 8*cap(rs.row.Path) <= jsonBufMaxRetained {
+		runStatePool.Put(rs)
+	}
+}
+
 // handleRun executes an application once (JSON response) or runs=N times
 // (NDJSON: one row per run, then a summary row). The simulation itself
 // runs on pool workers' arenas, which also encode a Monte-Carlo request's
@@ -187,8 +236,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !s.requirePost(w, r) {
 		return
 	}
-	var req RunRequest
-	if apiErr := s.decodeJSON(r, &req); apiErr != nil {
+	rs := runStatePool.Get().(*runState)
+	defer rs.release()
+	req := &rs.req
+	if apiErr := s.decodeRun(r, rs); apiErr != nil {
 		s.writeError(w, apiErr.status, apiErr.msg)
 		return
 	}
@@ -225,7 +276,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, apiErr.status, apiErr.msg)
 		return
 	}
-	deadline, apiErr := resolveDeadline(plan.CTWorst, req.Deadline, req.Load)
+	deadline, apiErr := resolveDeadline(plan, req.Deadline, req.Load)
 	if apiErr != nil {
 		s.writeError(w, apiErr.status, apiErr.msg)
 		return
@@ -237,31 +288,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// A single run draws its random stream from the seed itself.
-	var row RunRow
-	var runErr error
-	err = s.pool.submit(r.Context(), anyWorker, false, 1, func(ctx context.Context, wk *Worker) {
-		if peeked {
-			wk.pw.hits.Add(1)
-		}
-		cfg := cfg
-		if !cfg.WorstCase {
-			cfg.Sampler = wk.Sampler
-		}
-		wk.Src.Reseed(req.Seed)
-		if runErr = plan.RunInto(cfg, wk.Arena, &wk.Res); runErr == nil {
-			fillRow(&row, 0, &wk.Res)
-		}
-	}, nil)
-	if !s.checkPoolErr(w, err) {
+	rs.plan, rs.peeked, rs.cfg = plan, peeked, cfg
+	if !s.checkPoolErr(w, s.pool.submit(r.Context(), anyWorker, false, 1, rs.exec, nil)) {
 		return
 	}
-	if runErr != nil {
-		s.writeError(w, http.StatusInternalServerError, runErr.Error())
+	if rs.runErr != nil {
+		s.writeError(w, http.StatusInternalServerError, rs.runErr.Error())
 		return
 	}
 	s.runs.Inc()
-	s.writeRowTraced(w, r, &row)
+	s.writeRowTraced(w, r, &rs.row)
 }
 
 // handleCompare runs every requested scheme over the same random numbers
@@ -316,7 +352,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, apiErr.status, apiErr.msg)
 		return
 	}
-	deadline, apiErr := resolveDeadline(plan.CTWorst, req.Deadline, req.Load)
+	deadline, apiErr := resolveDeadline(plan, req.Deadline, req.Load)
 	if apiErr != nil {
 		s.writeError(w, apiErr.status, apiErr.msg)
 		return

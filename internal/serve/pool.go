@@ -43,10 +43,13 @@ type Worker struct {
 }
 
 type job struct {
-	ctx  context.Context
-	fn   func(ctx context.Context, w *Worker)
+	ctx context.Context
+	fn  func(ctx context.Context, w *Worker)
+	// done receives one value once the worker is finished with the job.
+	// It is buffered and never closed, so that receive also resets it and
+	// the job can be reused (jobPool).
 	done chan struct{}
-	ran  bool // set by the worker before closing done
+	ran  bool // set by the worker before signalling done
 	// recovered holds what fn panicked with, recovered by the worker and
 	// returned by submit to the waiting handler.
 	recovered *jobPanic
@@ -66,11 +69,16 @@ type job struct {
 	rec *obs.TraceRec
 	enq time.Time
 	// pickup is stamped by the worker just before running fn. The exec
-	// span is recorded by the submitter after done closes, so it covers
+	// span is recorded by the submitter after done is signalled, so it covers
 	// the whole pool round trip the request experienced — execution plus
 	// the handoff back to the handler's goroutine.
 	pickup time.Time
 }
+
+// jobPool recycles jobs and their done channels. submit takes one per
+// call and puts it back once done has been received, after which the
+// worker no longer touches it.
+var jobPool = sync.Pool{New: func() any { return &job{done: make(chan struct{}, 1)} }}
 
 // ageRing approximates per-queue wait ages without any lock: senders
 // record enqueue times into a ring indexed by a post-send sequence number,
@@ -374,7 +382,7 @@ func (p *Pool) run(w *poolWorker, wk *Worker, j *job, ring *ageRing) {
 		j.ran = true
 		w.observeService(time.Since(j.pickup), j.units)
 	}
-	close(j.done)
+	j.done <- struct{}{}
 	p.inFlight.Add(-1)
 }
 
@@ -517,8 +525,12 @@ func (p *Pool) submit(ctx context.Context, home int, wait bool, units int64, fn 
 	if units < 1 {
 		units = 1
 	}
-	j := &job{ctx: ctx, fn: fn, done: make(chan struct{}), enq: time.Now(), units: units}
-	j.rec = obs.TraceFromContext(ctx)
+	j := jobPool.Get().(*job)
+	*j = job{ctx: ctx, fn: fn, done: j.done, enq: time.Now(), units: units, rec: obs.TraceFromContext(ctx)}
+	defer func() {
+		*j = job{done: j.done}
+		jobPool.Put(j)
+	}()
 	// Dekker handshake with Close: count the submission first, then check
 	// the closed flag (both sequentially consistent). Close stores the
 	// flag first, then reads the count — so either this submitter sees
@@ -564,7 +576,7 @@ func (p *Pool) submit(ctx context.Context, home int, wait bool, units int64, fn 
 		return ErrPoolClosed
 	}
 	// The exec span closes here, on the submitter's side of the handoff:
-	// close(done) ordered j.pickup, and stamping the end after the wakeup
+	// signalling done ordered j.pickup, and stamping the end after the wakeup
 	// charges the worker→handler scheduling latency to exec rather than
 	// leaving it an unattributed gap in the trace.
 	j.rec.Record(PhaseExec, j.pickup)

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"andorsched/internal/andor"
 	"andorsched/internal/cli"
+	"andorsched/internal/core"
 	"andorsched/internal/power"
 	"andorsched/internal/sim"
 	"andorsched/internal/workload"
@@ -47,6 +49,31 @@ type AppSpec struct {
 	Placement string `json:"placement,omitempty"`
 	// Overheads overrides the paper's default power-management costs.
 	Overheads *OverheadsSpec `json:"overheads,omitempty"`
+
+	// rawText is the text of a body decodeRunFast decoded, unescaped into
+	// a buffer the handler owns; Text is then empty. resolveApp hashes it
+	// and copies it into a string only to parse it, so nothing outlives
+	// the request aliasing the buffer.
+	rawText []byte
+}
+
+// hasText reports whether the spec carries a text.
+func (spec *AppSpec) hasText() bool { return spec.Text != "" || len(spec.rawText) > 0 }
+
+// textSum is the text memo's key: the SHA-256 of the text.
+func (spec *AppSpec) textSum() [sha256.Size]byte {
+	if spec.rawText != nil {
+		return sha256.Sum256(spec.rawText)
+	}
+	return textKey(spec.Text)
+}
+
+// textString returns the text, copying it out of rawText if it is there.
+func (spec *AppSpec) textString() string {
+	if spec.rawText != nil {
+		return string(spec.rawText)
+	}
+	return spec.Text
 }
 
 // OverheadsSpec is the wire form of power.Overheads.
@@ -211,10 +238,11 @@ func checkGraphSize(g *andor.Graph) *apiError {
 // and — for heterogeneous requests — the parsed platform and the placement
 // policy compiled into the plan. hp == nil means identical processors. A
 // text request whose digest came from the text memo leaves g nil and
-// keeps its text for parseDeferred.
+// keeps its spec, whose text parseDeferred parses; the spec outlives every
+// use of the resolvedApp, which ends with the request.
 type resolvedApp struct {
 	g     *andor.Graph
-	text  string
+	spec  *AppSpec
 	key   cacheKey
 	hp    *power.Hetero
 	place sim.PlacementPolicy
@@ -227,7 +255,7 @@ func (ra *resolvedApp) parseDeferred() *apiError {
 	if ra.g != nil {
 		return nil
 	}
-	g, err := andor.ParseText(ra.text)
+	g, err := andor.ParseText(ra.spec.textString())
 	if err != nil {
 		return errf(http.StatusBadRequest, "text: %v", err)
 	}
@@ -246,7 +274,7 @@ func (s *Server) resolveApp(spec *AppSpec) (resolvedApp, *apiError) {
 	key := &ra.key
 
 	given := 0
-	for _, ok := range []bool{len(spec.Graph) > 0, spec.Text != "", spec.Workload != ""} {
+	for _, ok := range []bool{len(spec.Graph) > 0, spec.hasText(), spec.Workload != ""} {
 		if ok {
 			given++
 		}
@@ -271,13 +299,13 @@ func (s *Server) resolveApp(spec *AppSpec) (resolvedApp, *apiError) {
 			return ra, apiErr
 		}
 		ra.g, key.graph = g, graphDigest(g)
-	case spec.Text != "":
-		sum := textKey(spec.Text)
+	case spec.hasText():
+		sum := spec.textSum()
 		if digest, ok := s.texts.lookup(sum); ok {
-			ra.text, key.graph = spec.Text, digest
+			ra.spec, key.graph = spec, digest
 			break
 		}
-		g, err := andor.ParseText(spec.Text)
+		g, err := andor.ParseText(spec.textString())
 		if err != nil {
 			return ra, errf(http.StatusBadRequest, "text: %v", err)
 		}
@@ -464,8 +492,12 @@ func builtinWorkload(name string) (*andor.Graph, error) {
 
 // resolveDeadline applies the deadline/load convention shared by run and
 // compare requests: an explicit deadline wins; otherwise load (default
-// 0.5) stretches the plan's canonical worst case.
-func resolveDeadline(ctWorst, deadline, load float64) (float64, *apiError) {
+// 0.5) stretches the plan's canonical worst case. A deadline so long that
+// the plan's energy bound over it overflows is refused, naming the field
+// that set it: its runs' energies could overflow too, and JSON cannot
+// carry an infinity.
+func resolveDeadline(plan *core.Plan, deadline, load float64) (float64, *apiError) {
+	ctWorst := plan.CTWorst
 	if deadline != 0 {
 		if deadline < 0 {
 			return 0, errf(http.StatusBadRequest, "negative deadline %g", deadline)
@@ -473,6 +505,10 @@ func resolveDeadline(ctWorst, deadline, load float64) (float64, *apiError) {
 		if ctWorst > deadline {
 			return 0, errf(http.StatusBadRequest,
 				"infeasible deadline %gs < canonical worst case %gs", deadline, ctWorst)
+		}
+		if math.IsInf(plan.EnergyBound(deadline), 0) {
+			return 0, errf(http.StatusBadRequest,
+				"deadline %gs too long: the plan's energy bound over it is not finite", deadline)
 		}
 		return deadline, nil
 	}
@@ -482,5 +518,10 @@ func resolveDeadline(ctWorst, deadline, load float64) (float64, *apiError) {
 	if load < 0 || load > 1 {
 		return 0, errf(http.StatusBadRequest, "load %g outside (0, 1]", load)
 	}
-	return ctWorst / load, nil
+	d := ctWorst / load
+	if math.IsInf(plan.EnergyBound(d), 0) {
+		return 0, errf(http.StatusBadRequest,
+			"load %g too small: the plan's energy bound over the deadline it sets is not finite", load)
+	}
+	return d, nil
 }

@@ -2,10 +2,17 @@ package serve
 
 import (
 	"context"
+	"math"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"andorsched/internal/andor"
+	"andorsched/internal/core"
+	"andorsched/internal/power"
 )
 
 // nonFiniteBodies are application specs whose task times or branch
@@ -135,38 +142,113 @@ func TestPoolJobPanicRecovered(t *testing.T) {
 	}
 }
 
-// overflowApp is a finite application whose results overflow to +Inf:
-// two processors idle for most of a 1e308 s deadline, so the idle energy
-// does, and JSON cannot carry it.
+// overflowApp is a finite application whose results would overflow to
+// +Inf: two processors idle for most of a 1e308 s deadline, so the idle
+// energy would.
 const overflowApp = `"text":"task A 3ms 1ms\ntask B 2ms 1ms\nedge A -> B","procs":2,"deadline":1e308`
 
-// TestNonFiniteResultIs500: a result JSON cannot carry is answered with a
-// clean 500 before any status line, for a single run, for a Monte-Carlo
-// request of any size and chunking, and for a compare — never a 200 with
-// a cut NDJSON body.
-func TestNonFiniteResultIs500(t *testing.T) {
+// TestHugeDeadlineIs400: a deadline whose energy bound overflows is
+// refused with a 400 naming the field that set it — an explicit deadline
+// or a load small enough that CT_worst/load overflows — for a single run,
+// a Monte-Carlo request of any size and chunking, and a compare.
+func TestHugeDeadlineIs400(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
-	for _, tc := range []struct{ path, body string }{
-		{"/v1/run", `{` + overflowApp + `}`},
-		{"/v1/run", `{` + overflowApp + `,"runs":3}`},
-		{"/v1/run", `{` + overflowApp + `,"runs":300}`},
-		{"/v1/run", `{` + overflowApp + `,"runs":300,"chunks":5}`},
-		{"/v1/compare", `{` + overflowApp + `}`},
+	withLoad := strings.Replace(overflowApp, `"deadline":1e308`, `"load":1e-320`, 1)
+	for _, tc := range []struct{ path, body, field string }{
+		{"/v1/run", `{` + overflowApp + `}`, "deadline"},
+		{"/v1/run", `{` + overflowApp + `,"runs":3}`, "deadline"},
+		{"/v1/run", `{` + overflowApp + `,"runs":300}`, "deadline"},
+		{"/v1/run", `{` + overflowApp + `,"runs":300,"chunks":5}`, "deadline"},
+		{"/v1/compare", `{` + overflowApp + `}`, "deadline"},
+		{"/v1/run", `{` + withLoad + `}`, "load"},
+		{"/v1/compare", `{` + withLoad + `}`, "load"},
 	} {
 		w := post(t, s, tc.path, tc.body)
-		if w.Code != http.StatusInternalServerError || w.Body.String() != "{\"error\":\"response encoding failed\"}\n" {
-			t.Errorf("%s %s: status %d, body %q; want 500 response encoding failed", tc.path, tc.body, w.Code, w.Body.String())
+		var e struct {
+			Error string `json:"error"`
+		}
+		decodeBody(t, w, &e)
+		if w.Code != http.StatusBadRequest || !strings.HasPrefix(e.Error, tc.field+" ") {
+			t.Errorf("%s %s: status %d, error %q; want 400 naming %s", tc.path, tc.body, w.Code, e.Error, tc.field)
 		}
 	}
-	// The pool is not left holding anything: the next request answers.
-	if w := post(t, s, "/v1/run", `{"workload":"atr","runs":300}`); w.Code != http.StatusOK {
-		t.Fatalf("after the failures: status %d", w.Code)
+	// The largest accepted deadline runs and encodes; the next one up is
+	// refused.
+	accepted, refused := deadlineEdgeBodies(t)
+	for _, path := range []string{"/v1/run", "/v1/compare"} {
+		for _, body := range []string{accepted, accepted[:len(accepted)-1] + `,"runs":3}`} {
+			if w := post(t, s, path, body); w.Code != http.StatusOK {
+				t.Errorf("%s %s: status %d, want 200: %s", path, body, w.Code, w.Body.String())
+			}
+		}
+		if w := post(t, s, path, refused); w.Code != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400: %s", path, refused, w.Code, w.Body.String())
+		}
 	}
 }
 
-// TestBatchNonFiniteItemIsItsError: in a batch, an item whose summary is
-// not finite becomes that item's error line, counted in the summary's
-// errors; the other items keep their results.
+// deadlineEdgeBodies returns overflowApp's application at the largest
+// deadline its plan's energy bound allows, and at the next float64 up.
+func deadlineEdgeBodies(tb testing.TB) (accepted, refused string) {
+	g, err := andor.ParseText("task A 3ms 1ms\ntask B 2ms 1ms\nedge A -> B")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plan, err := core.NewPlan(g, 2, power.Transmeta5400(), power.DefaultOverheads())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// Positive floats order as their bits do: search the bits for the last
+	// deadline whose bound is finite.
+	lo, hi := math.Float64bits(plan.CTWorst), math.Float64bits(math.MaxFloat64)
+	for lo < hi {
+		mid := lo + (hi-lo+1)/2
+		if math.IsInf(plan.EnergyBound(math.Float64frombits(mid)), 0) {
+			hi = mid - 1
+		} else {
+			lo = mid
+		}
+	}
+	body := func(d float64) string {
+		return strings.Replace(`{`+overflowApp+`}`, "1e308", strconv.FormatFloat(d, 'g', -1, 64), 1)
+	}
+	max := math.Float64frombits(lo)
+	return body(max), body(math.Nextafter(max, math.Inf(1)))
+}
+
+// TestNonFiniteResultEncodeFails: a result JSON cannot carry — which the
+// deadline checks keep a client from causing — still fails cleanly: a
+// Monte-Carlo chunk's add returns errNonFinite, which checkPoolErr
+// answers with a 500, and the single-run encoder answers a 500 itself,
+// before any status line.
+func TestNonFiniteResultEncodeFails(t *testing.T) {
+	res := core.RunResult{Scheme: core.GSS, Deadline: 1, Finish: 0.5, IdleEnergy: math.Inf(1)}
+	var b runChunkBuf
+	b.prepare(1)
+	if err := b.add(0, &res); err != errNonFinite {
+		t.Errorf("runChunkBuf.add: error %v, want errNonFinite", err)
+	}
+	s := newTestServer(t, Config{Workers: 1})
+	const want = "{\"error\":\"response encoding failed\"}\n"
+	w := httptest.NewRecorder()
+	if s.checkPoolErr(w, errNonFinite) {
+		t.Error("checkPoolErr reported errNonFinite as success")
+	}
+	if w.Code != http.StatusInternalServerError || w.Body.String() != want {
+		t.Errorf("checkPoolErr(errNonFinite): status %d, body %q", w.Code, w.Body.String())
+	}
+	var row RunRow
+	fillRow(&row, 0, &res)
+	w = httptest.NewRecorder()
+	s.writeRowTraced(w, httptest.NewRequest(http.MethodPost, "/v1/run", nil), &row)
+	if w.Code != http.StatusInternalServerError || w.Body.String() != want {
+		t.Errorf("writeRowTraced: status %d, body %q", w.Code, w.Body.String())
+	}
+}
+
+// TestBatchNonFiniteItemIsItsError: in a batch, an item whose deadline's
+// energy bound overflows fails with the 400's message as its error,
+// counted in the summary's errors; the other items keep their results.
 func TestBatchNonFiniteItemIsItsError(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	w := post(t, s, "/v1/batch", `{"items":[{"workload":"atr","runs":2,"seed":3},{`+overflowApp+`,"runs":2},{"workload":"atr","seed":4}]}`)
@@ -174,8 +256,8 @@ func TestBatchNonFiniteItemIsItsError(t *testing.T) {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
 	items, sum := parseBatchBody(t, w.Body.String())
-	if len(items) != 3 || items[0].Error != "" || items[1].Error == "" || items[2].Error != "" {
-		t.Fatalf("items %+v: want item 1 alone failed", items)
+	if len(items) != 3 || items[0].Error != "" || !strings.HasPrefix(items[1].Error, "deadline ") || items[2].Error != "" {
+		t.Fatalf("items %+v: want item 1 alone failed, on its deadline", items)
 	}
 	if items[1].Item != 1 || items[1].Runs != 0 || items[0].Runs != 2 {
 		t.Errorf("item lines %+v", items)

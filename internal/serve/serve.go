@@ -499,7 +499,13 @@ func (s *Server) decodeJSON(r *http.Request, v any) *apiError {
 	defer rec.Mark(PhaseDecode)
 	b := jsonBufPool.Get().(*jsonBuf)
 	defer putJSONBuf(b)
-	switch err := readJSON(&b.buf, r.Body, v); {
+	return s.bodyError(readJSON(&b.buf, r.Body, v))
+}
+
+// bodyError maps a body decoding error onto the client's answer; nil
+// stays nil.
+func (s *Server) bodyError(err error) *apiError {
+	switch {
 	case err == nil:
 		return nil
 	case errors.Is(err, errTrailingData):
@@ -517,17 +523,22 @@ func (s *Server) decodeJSON(r *http.Request, v any) *apiError {
 // ignored.
 var errTrailingData = errors.New("trailing data after JSON body")
 
-// readJSON reads body whole into buf and decodes it into v. A body that
-// reads cleanly and holds exactly one JSON value is decoded straight from
-// buf. Anything else — a read error such as the size limit, a syntax
-// error, trailing data — is decoded again by a json.Decoder over the bytes
-// read followed by the read's error, with More() deciding on trailing
-// data, so every body is accepted or refused with exactly the error a
-// json.Decoder reading the body itself reports. Decoding copies strings
-// and raw messages, so nothing in v aliases buf.
+// readJSON reads body whole into buf and decodes it into v (decodeRead).
 func readJSON(buf *bytes.Buffer, body io.Reader, v any) error {
 	buf.Reset()
 	_, readErr := buf.ReadFrom(body)
+	return decodeRead(buf, readErr, v)
+}
+
+// decodeRead decodes into v the body read into buf, whose read ended with
+// readErr. A body that read cleanly and holds exactly one JSON value is
+// decoded straight from buf. Anything else — a read error such as the
+// size limit, a syntax error, trailing data — is decoded again by a
+// json.Decoder over the bytes read followed by the read's error, with
+// More() deciding on trailing data, so every body is accepted or refused
+// with exactly the error a json.Decoder reading the body itself reports.
+// Decoding copies strings and raw messages, so nothing in v aliases buf.
+func decodeRead(buf *bytes.Buffer, readErr error, v any) error {
 	if readErr == nil && json.Unmarshal(buf.Bytes(), v) == nil {
 		return nil
 	}
