@@ -66,6 +66,8 @@ type Node struct {
 	Name string
 	// Kind is the vertex kind.
 	Kind Kind
+	// nsucc counts the successors at the front of adj.
+	nsucc int32
 	// WCET is the worst-case execution time in seconds at maximum processor
 	// speed. Zero for synchronization nodes.
 	WCET float64
@@ -78,21 +80,31 @@ type Node struct {
 	// Graph.SetClass so the graph's memoized analyses are invalidated.
 	Class string
 
-	succ []*Node
-	pred []*Node
+	// adj holds the successors, then the predecessors, each in the order
+	// their edges were added.
+	adj []*Node
 	// prob, on an Or node, holds the branch probability of each successor,
-	// parallel to succ. Nil on other kinds and on Or nodes with a single
-	// successor (implicitly probability 1).
-	prob []float64
+	// parallel to the successors. Nil on other kinds and on Or nodes with a
+	// single successor (implicitly probability 1). Few nodes have any, so
+	// the slice is held by a pointer, which keeps Node a word smaller.
+	prob *[]float64
+}
+
+// probs returns the node's branch probabilities, nil if it has none.
+func (n *Node) probs() []float64 {
+	if n.prob == nil {
+		return nil
+	}
+	return *n.prob
 }
 
 // Succs returns the node's successors. The returned slice is owned by the
 // graph and must not be modified.
-func (n *Node) Succs() []*Node { return n.succ }
+func (n *Node) Succs() []*Node { return n.adj[:n.nsucc:n.nsucc] }
 
 // Preds returns the node's predecessors. The returned slice is owned by the
 // graph and must not be modified.
-func (n *Node) Preds() []*Node { return n.pred }
+func (n *Node) Preds() []*Node { return n.adj[n.nsucc:len(n.adj):len(n.adj)] }
 
 // BranchProb returns the probability that successor i is taken after this
 // Or node. It panics if the node is not an Or node or i is out of range.
@@ -101,20 +113,20 @@ func (n *Node) BranchProb(i int) float64 {
 	if n.Kind != Or {
 		panic(fmt.Sprintf("andor: BranchProb on %s node %q", n.Kind, n.Name))
 	}
-	if i < 0 || i >= len(n.succ) {
+	if i < 0 || i >= len(n.Succs()) {
 		panic(fmt.Sprintf("andor: BranchProb index %d out of range on %q", i, n.Name))
 	}
 	if n.prob == nil {
 		return 1
 	}
-	return n.prob[i]
+	return (*n.prob)[i]
 }
 
 // IsSource reports whether the node has no predecessors.
-func (n *Node) IsSource() bool { return len(n.pred) == 0 }
+func (n *Node) IsSource() bool { return len(n.Preds()) == 0 }
 
 // IsSink reports whether the node has no successors.
-func (n *Node) IsSink() bool { return len(n.succ) == 0 }
+func (n *Node) IsSink() bool { return len(n.Succs()) == 0 }
 
 // String returns a compact description such as "B(5ms/3ms)" or "O1[or]".
 func (n *Node) String() string {

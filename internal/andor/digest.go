@@ -23,12 +23,8 @@ type SectionDigest [sha256.Size]byte
 // SectionDigest). Zero-length sections all share the zero problem and hash
 // to the same digest. The result is memoized on the (immutable) section.
 func (s *Section) Digest() SectionDigest {
-	if d := s.digest.Load(); d != nil {
-		return *d
-	}
-	d := s.computeDigest()
-	s.digest.Store(&d)
-	return d
+	s.digestOnce.Do(func() { s.digest = s.computeDigest() })
+	return s.digest
 }
 
 // computeDigest hashes the section's structure: the node count, then per
@@ -81,7 +77,7 @@ func (s *Section) computeDigest() SectionDigest {
 		// Intra-section edges only: predecessors outside the section are
 		// Or entries the barrier discipline satisfies implicitly, exactly
 		// as the off-line phase treats them.
-		for _, ends := range [2][]*Node{n.pred, n.succ} {
+		for _, ends := range [2][]*Node{n.Preds(), n.Succs()} {
 			cnt := 0
 			for _, m := range ends {
 				if _, in := rank(m); in {

@@ -25,8 +25,8 @@ func (g *Graph) DOT() string {
 		}
 	}
 	for _, n := range g.nodes {
-		for i, s := range n.succ {
-			if n.Kind == Or && len(n.succ) > 1 {
+		for i, s := range n.Succs() {
+			if n.Kind == Or && len(n.Succs()) > 1 {
 				fmt.Fprintf(&b, "  n%d -> n%d [label=\"%.0f%%\"];\n", n.ID, s.ID, n.BranchProb(i)*100)
 			} else {
 				fmt.Fprintf(&b, "  n%d -> n%d;\n", n.ID, s.ID)

@@ -74,7 +74,7 @@ func ExpandLoopFunc(g *Graph, name string, iterProbs []float64,
 		prevOr = or
 		// prob for [exit, continue]; continue edge appended next turn, so
 		// record now and rely on SetBranchProbs length check afterwards.
-		or.prob = []float64{pStop, 1 - pStop}
+		or.prob = &[]float64{pStop, 1 - pStop}
 	}
 	return first, join
 }

@@ -53,15 +53,27 @@ func stripComment(line string) string {
 }
 
 // ParseText parses the .andor format. The returned graph is validated.
+// Neither the graph nor an error keeps a reference to src, so src may be
+// a view of a buffer that is reused once ParseText returns.
 func ParseText(src string) (*Graph, error) {
-	// A node takes a line of its own and most nodes have an edge line, so
-	// half the line count sizes the node list of a typical text without
-	// regrowing it.
-	g := NewGraph("unnamed")
-	g.nodes = make([]*Node, 0, strings.Count(src, "\n")/2+1)
+	g, err := parseText(src)
+	if err != nil {
+		return nil, err
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// parseText is ParseText without the validation. The directives build a
+// pooled scratch graph, whose names are substrings of src; the returned
+// graph is its Clone, built in slabs with the names copied, so that it
+// keeps no reference to src.
+func parseText(src string) (*Graph, error) {
 	p := parserPool.Get().(*textParser)
 	defer p.release()
-	p.g = g
+	p.g.Name = "unnamed"
 	fields := p.fieldBuf[:0]
 	rest, more := src, true
 	for lineNo := 1; more; lineNo++ {
@@ -75,10 +87,7 @@ func ParseText(src string) (*Graph, error) {
 			return nil, fmt.Errorf("andor: line %d: %w", lineNo, err)
 		}
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return p.g.Clone(), nil
 }
 
 // asciiSpace marks the ASCII bytes unicode.IsSpace reports as space.
@@ -114,18 +123,25 @@ func appendFields(dst []string, s string) []string {
 }
 
 type textParser struct {
-	g *Graph
+	// g is the scratch graph the directives build. Its nodes come from
+	// spare, whose nodes keep their edge lists' capacity for the next
+	// parse.
+	g     Graph
+	spare []*Node
+	used  int // spare nodes in g
 	// nodes is the name table, emptied and reused by the next parse.
 	nodes map[string]*Node
 	// fieldBuf backs the fields of each line; a line with more fields
 	// than it holds grows a slice that the following lines reuse.
 	fieldBuf [8]string
-	// probs is a prob line's scratch; SetBranchProbs keeps a copy.
+	// probs backs the branch probabilities of the prob lines, and rows
+	// the Or nodes' slices of them.
 	probs []float64
+	rows  [][]float64
 }
 
-// parserPool recycles parsers, so a parse reuses an earlier one's name
-// table.
+// parserPool recycles parsers, so a parse reuses an earlier one's scratch
+// graph and name table.
 var parserPool = sync.Pool{New: func() any { return &textParser{nodes: make(map[string]*Node)} }}
 
 // maxPooledNames bounds the name tables parserPool keeps: a rare huge
@@ -140,8 +156,26 @@ func (p *textParser) release() {
 	}
 	clear(p.nodes)
 	clear(p.fieldBuf[:])
-	p.g = nil
+	clear(p.g.nodes)
+	p.g.Name, p.g.nodes = "", p.g.nodes[:0]
+	for _, n := range p.spare[:p.used] {
+		clear(n.adj)
+		*n = Node{adj: n.adj[:0]}
+	}
+	clear(p.rows)
+	p.used, p.probs, p.rows = 0, p.probs[:0], p.rows[:0]
 	parserPool.Put(p)
+}
+
+// node adds a node to the scratch graph, reusing a spare node.
+func (p *textParser) node(kind Kind, name string, wcet, acet float64) *Node {
+	if p.used == len(p.spare) {
+		p.spare = append(p.spare, new(Node))
+	}
+	n := p.spare[p.used]
+	p.used++
+	n.Name, n.Kind, n.WCET, n.ACET = name, kind, wcet, acet
+	return p.g.add(n)
 }
 
 // validName rejects names that cannot survive a format round-trip: invalid
@@ -200,7 +234,7 @@ func (p *textParser) directive(f []string) error {
 		if !validTimes(w, a) {
 			return fmt.Errorf("task %q needs 0 < ACET ≤ WCET, got %v/%v", f[1], f[2], f[3])
 		}
-		n := p.g.AddTask(f[1], w, a)
+		n := p.node(Compute, f[1], w, a)
 		if len(f) == 5 {
 			// Optional processor-class affinity tag for heterogeneous
 			// platforms: "@accel" prefers the class named "accel".
@@ -211,7 +245,7 @@ func (p *textParser) directive(f []string) error {
 			if err := validName(class); err != nil {
 				return err
 			}
-			p.g.SetClass(n, class)
+			n.Class = class
 		}
 		return p.define(f[1], n)
 
@@ -219,13 +253,13 @@ func (p *textParser) directive(f []string) error {
 		if len(f) != 2 {
 			return fmt.Errorf("and wants one name")
 		}
-		return p.define(f[1], p.g.AddAnd(f[1]))
+		return p.define(f[1], p.node(And, f[1], 0, 0))
 
 	case "or":
 		if len(f) != 2 {
 			return fmt.Errorf("or wants one name")
 		}
-		return p.define(f[1], p.g.AddOr(f[1]))
+		return p.define(f[1], p.node(Or, f[1], 0, 0))
 
 	case "edge":
 		// edge A [B C] -> X [Y Z]: full bipartite between sources and
@@ -291,20 +325,21 @@ func (p *textParser) directive(f []string) error {
 		if or.Kind != Or {
 			return fmt.Errorf("%q is not an OR node", f[1])
 		}
-		probs := p.probs[:0]
+		start := len(p.probs)
 		for _, tok := range f[2:] {
 			v, err := parseProb(tok)
 			if err != nil {
 				return err
 			}
-			probs = append(probs, v)
+			p.probs = append(p.probs, v)
 		}
-		p.probs = probs
+		probs := p.probs[start:len(p.probs):len(p.probs)]
 		if len(probs) != len(or.Succs()) {
 			return fmt.Errorf("%q has %d successors but %d probabilities (declare edges first)",
 				f[1], len(or.Succs()), len(probs))
 		}
-		p.g.SetBranchProbs(or, probs...)
+		p.rows = append(p.rows, probs)
+		or.prob = &p.rows[len(p.rows)-1]
 		return nil
 
 	case "loop":
@@ -345,7 +380,7 @@ func (p *textParser) directive(f []string) error {
 		if !validTimes(w, a) {
 			return fmt.Errorf("loop %q needs 0 < ACET ≤ WCET", f[1])
 		}
-		entry, exit := ExpandLoop(p.g, f[1], w, a, probs)
+		ExpandLoop(&p.g, f[1], w, a, probs)
 		// Register the generated names so edges can target them.
 		for _, n := range p.g.Nodes() {
 			if strings.HasPrefix(n.Name, f[1]+"#") || strings.HasPrefix(n.Name, f[1]+".") {
@@ -354,8 +389,6 @@ func (p *textParser) directive(f []string) error {
 				}
 			}
 		}
-		_ = entry
-		_ = exit
 		return nil
 	}
 	return fmt.Errorf("unknown directive %q", f[0])

@@ -45,7 +45,9 @@ func FuzzGraphJSON(f *testing.F) {
 
 // FuzzDecompose drives the decomposition with structured inputs: random
 // node kinds and edges from fuzz bytes. Decompose must either reject the
-// graph with an error or produce a consistent section cover — never panic.
+// graph with an error or produce a consistent section cover — never panic
+// — and Decompose and Validate must answer exactly as the reference
+// decomposition does.
 func FuzzDecompose(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 0, 0, 0})
@@ -92,6 +94,7 @@ func FuzzDecompose(f *testing.F) {
 				g.SetBranchProbs(nd, probs...)
 			}
 		}
+		checkAgainstReference(t, g)
 		s, err := Decompose(g)
 		if err != nil {
 			return // rejected: fine
@@ -108,7 +111,10 @@ func FuzzDecompose(f *testing.F) {
 // FuzzParseText drives arbitrary bytes through the .andor text parser —
 // the same path the serve package exposes over the network — and checks
 // the round-trip property on everything that parses: FormatText must
-// render a form that reparses to a graph of identical shape.
+// render a form that reparses to a graph of identical shape. Every text
+// that parses must validate and decompose exactly as the reference
+// decomposition does, and every valid one must equal its rebuild through
+// the builder API.
 func FuzzParseText(f *testing.F) {
 	f.Add("task A 1ms 0.5ms\ntask B 2ms 1ms\nedge A -> B")
 	f.Add(FormatText(RandomGraph(&fakeRand{state: 3}, DefaultRandomOpts())))
@@ -123,7 +129,11 @@ func FuzzParseText(f *testing.F) {
 	for _, src := range nonFiniteTexts {
 		f.Add(src)
 	}
+	f.Add(crossingText)
 	f.Fuzz(func(t *testing.T, src string) {
+		if ug, err := parseText(src); err == nil {
+			checkAgainstReference(t, ug)
+		}
 		g, err := ParseText(src)
 		if err != nil {
 			return // rejected input: fine
@@ -173,6 +183,7 @@ func FuzzParseText(f *testing.F) {
 		if w, bw := g.TotalWCET(), back.TotalWCET(); bw < w*(1-1e-12) || bw > w*(1+1e-12) {
 			t.Fatalf("round-trip changed total WCET: %g vs %g", w, bw)
 		}
+		checkBuilderEquivalent(t, g)
 	})
 }
 

@@ -2,6 +2,8 @@ package andor
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 )
 
@@ -97,13 +99,14 @@ func (g *Graph) AddEdge(from, to *Node) {
 	if from == to {
 		panic(fmt.Sprintf("andor: self-loop on %q", from.Name))
 	}
-	for _, s := range from.succ {
+	for _, s := range from.Succs() {
 		if s == to {
 			panic(fmt.Sprintf("andor: duplicate edge %q -> %q", from.Name, to.Name))
 		}
 	}
-	from.succ = append(from.succ, to)
-	to.pred = append(to.pred, from)
+	from.adj = slices.Insert(from.adj, int(from.nsucc), to)
+	from.nsucc++
+	to.adj = append(to.adj, from)
 }
 
 // Chain adds edges linking each node to the next: Chain(a,b,c) adds a→b and
@@ -122,12 +125,13 @@ func (g *Graph) SetBranchProbs(or *Node, probs ...float64) {
 	if or.Kind != Or {
 		panic(fmt.Sprintf("andor: SetBranchProbs on %s node %q", or.Kind, or.Name))
 	}
-	if len(probs) != len(or.succ) {
+	if len(probs) != len(or.Succs()) {
 		panic(fmt.Sprintf("andor: SetBranchProbs on %q: %d probs for %d successors",
-			or.Name, len(probs), len(or.succ)))
+			or.Name, len(probs), len(or.Succs())))
 	}
 	g.invalidate()
-	or.prob = append([]float64(nil), probs...)
+	p := append([]float64(nil), probs...)
+	or.prob = &p
 }
 
 // SetClass tags a computation node with a preferred processor class for
@@ -213,21 +217,55 @@ func (g *Graph) ScaleACET(alpha float64) {
 // IDs, names, kinds, attributes and edges as the original's, so analyses
 // performed on the clone (e.g. ACET scaling sweeps) do not disturb the
 // original.
+//
+// The copy is built as a few slabs: one array of nodes, one array of node
+// pointers that also backs every node's successors and predecessors, one
+// array of branch probabilities and one of the Or nodes' slices of them,
+// and one string holding every name. Each node's part is carved with a
+// full slice expression, so a later AddEdge reallocates the list it grows
+// instead of overwriting a neighbour's.
 func (g *Graph) Clone() *Graph {
-	c := NewGraph(g.Name)
-	for _, n := range g.nodes {
-		c.add(&Node{Name: n.Name, Kind: n.Kind, WCET: n.WCET, ACET: n.ACET, Class: n.Class})
+	n, ends, ors, probs, size := len(g.nodes), 0, 0, 0, len(g.Name)
+	for _, v := range g.nodes {
+		ends += len(v.adj)
+		if p := v.probs(); len(p) > 0 {
+			ors, probs = ors+1, probs+len(p)
+		}
+		size += len(v.Name) + len(v.Class)
 	}
-	for _, n := range g.nodes {
-		cn := c.nodes[n.ID]
-		for _, s := range n.succ {
-			cn.succ = append(cn.succ, c.nodes[s.ID])
+	var names strings.Builder
+	names.Grow(size)
+	names.WriteString(g.Name)
+	for _, v := range g.nodes {
+		names.WriteString(v.Name)
+		names.WriteString(v.Class)
+	}
+	text := names.String()
+	cut := func(k int) string {
+		s := text[:k]
+		text = text[k:]
+		return s
+	}
+
+	c := &Graph{Name: cut(len(g.Name))}
+	slab, ptrs := make([]Node, n), make([]*Node, n+ends)
+	rows, probBuf := make([][]float64, ors), make([]float64, probs)
+	c.nodes = carve(&ptrs, n)
+	for i := range slab {
+		c.nodes[i] = &slab[i]
+	}
+	for i, v := range g.nodes {
+		slab[i] = Node{ID: i, Name: cut(len(v.Name)), Kind: v.Kind, WCET: v.WCET, ACET: v.ACET,
+			Class: cut(len(v.Class)), nsucc: v.nsucc}
+		slab[i].adj = carve(&ptrs, len(v.adj))
+		for j, e := range v.adj {
+			slab[i].adj[j] = c.nodes[e.ID]
 		}
-		for _, p := range n.pred {
-			cn.pred = append(cn.pred, c.nodes[p.ID])
-		}
-		if n.prob != nil {
-			cn.prob = append([]float64(nil), n.prob...)
+		if p := v.probs(); len(p) > 0 {
+			row := carve(&rows, 1)
+			row[0] = carve(&probBuf, len(p))
+			copy(row[0], p)
+			slab[i].prob = &row[0]
 		}
 	}
 	return c

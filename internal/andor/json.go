@@ -31,9 +31,9 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 		jg.Nodes[n.ID] = jsonNode{
 			Name: n.Name, Kind: n.Kind.String(),
 			WCET: n.WCET, ACET: n.ACET, Class: n.Class,
-			Probs: n.prob,
+			Probs: n.probs(),
 		}
-		for _, s := range n.succ {
+		for _, s := range n.Succs() {
 			jg.Edges = append(jg.Edges, [2]int{n.ID, s.ID})
 		}
 	}
@@ -65,8 +65,9 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 		default:
 			return fmt.Errorf("andor: node %d (%q): unknown kind %q", i, jn.Name, jn.Kind)
 		}
-		if jn.Probs != nil {
-			n.prob = append([]float64(nil), jn.Probs...)
+		if len(jn.Probs) > 0 {
+			p := append([]float64(nil), jn.Probs...)
+			n.prob = &p
 		}
 	}
 	for _, e := range jg.Edges {

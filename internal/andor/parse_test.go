@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"andorsched/internal/exectime"
 )
@@ -70,4 +71,38 @@ func FuzzAppendFields(f *testing.F) {
 			t.Fatalf("appendFields clobbered dst: %q", got)
 		}
 	})
+}
+
+// TestParseTextKeepsNoReference parses texts that are views of a byte
+// buffer, then overwrites the buffer: the graph, its rendering and the
+// errors must not change, since a server parses request bodies in place.
+func TestParseTextKeepsNoReference(t *testing.T) {
+	for _, src := range []string{
+		randomText(4),
+		"app A\ntask T 1ms 1ms @big\nloop L 1ms 1ms : 0.5 0.5\nedge T -> L#1",
+		crossingText,
+		"task A 1ms 1ms\nedge A -> B",
+	} {
+		buf := []byte(src)
+		view := unsafe.String(unsafe.SliceData(buf), len(buf))
+		g, err := ParseText(view)
+		var text, msg string
+		if err != nil {
+			msg = err.Error()
+		} else {
+			text = FormatText(g)
+		}
+		for i := range buf {
+			buf[i] = 'Z'
+		}
+		if err != nil {
+			if err.Error() != msg {
+				t.Errorf("overwriting the text changed the error %q to %q", msg, err)
+			}
+			continue
+		}
+		if after := FormatText(g); after != text {
+			t.Errorf("overwriting the text changed the graph\nbefore:\n%s\nafter:\n%s", text, after)
+		}
+	}
 }

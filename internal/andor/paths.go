@@ -65,7 +65,7 @@ func (s *Sections) Paths(limit int) ([]*Path, error) {
 	var walk func(sec *Section, secs []*Section, choices []Choice, prob float64) error
 	walk = func(sec *Section, secs []*Section, choices []Choice, prob float64) error {
 		secs = append(secs, sec)
-		if sec.Exit == nil || len(sec.Exit.succ) == 0 {
+		if sec.Exit == nil || len(sec.Exit.Succs()) == 0 {
 			if limit > 0 && len(out) >= limit {
 				return ErrTooManyPaths
 			}
@@ -100,7 +100,7 @@ func (s *Sections) NumPaths() int {
 		if c, ok := memo[sec]; ok {
 			return c
 		}
-		if sec.Exit == nil || len(sec.Exit.succ) == 0 {
+		if sec.Exit == nil || len(sec.Exit.Succs()) == 0 {
 			memo[sec] = 1
 			return 1
 		}

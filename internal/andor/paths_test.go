@@ -148,10 +148,8 @@ func TestTopoOrder(t *testing.T) {
 	bad := NewGraph("cyc")
 	a := bad.AddTask("a", 1, 1)
 	b := bad.AddTask("b", 1, 1)
-	a.succ = append(a.succ, b)
-	b.pred = append(b.pred, a)
-	b.succ = append(b.succ, a)
-	a.pred = append(a.pred, b)
+	g.AddEdge(a, b)
+	g.AddEdge(b, a)
 	if _, ok := bad.TopoOrder(); ok {
 		t.Error("cycle not detected")
 	}

@@ -123,7 +123,7 @@ func (gen *randomGen) section(entry *Node, multiRoot bool) []*Node {
 	// they are sinks too.
 	var sinks []*Node
 	for _, n := range created {
-		if len(n.succ) == 0 {
+		if len(n.Succs()) == 0 {
 			sinks = append(sinks, n)
 		}
 	}

@@ -2,8 +2,8 @@ package andor
 
 import (
 	"fmt"
-	"sort"
-	"sync/atomic"
+	"slices"
+	"sync"
 )
 
 // Section is a maximal AND-only program section: the computation and And
@@ -26,10 +26,11 @@ type Section struct {
 	// section ends the application.
 	Exit *Node
 
-	// digest memoizes Digest(). Sections are immutable once Decompose
-	// returns, so the first computed value is final; the atomic makes the
-	// benign compute-twice race safe under concurrent compiles.
-	digest atomic.Pointer[SectionDigest]
+	// digest memoizes Digest(), computed once under digestOnce: sections
+	// are immutable once Decompose returns, and concurrent compiles may
+	// ask for the digest of one section together.
+	digestOnce sync.Once
+	digest     SectionDigest
 }
 
 // WCETSum returns the total worst-case work (seconds at maximum speed) of
@@ -83,195 +84,240 @@ type Sections struct {
 //     reference a sibling branch that never executes);
 //   - the successor of an Or branch must have that Or node as its only
 //     predecessor (it is the entry of a fresh section).
+//
+// A successful decomposition is memoized on the graph (discarded by any
+// mutating Graph method): Sections are immutable, so every compile of an
+// unchanged graph can share one instance.
 func Decompose(g *Graph) (*Sections, error) {
-	// A successful decomposition is memoized on the graph (discarded by any
-	// mutating Graph method): Sections are immutable, so every compile of
-	// an unchanged graph can share one instance.
 	if s := g.secs.Load(); s != nil {
 		return s, nil
 	}
+	return g.decompose(nil)
+}
+
+// decompose decomposes g and memoizes the result. check, if not nil, runs
+// once g is known to be acyclic and before the structural checks: Validate
+// passes its per-node checks, so that it sorts g once for both.
+func (g *Graph) decompose(check func() error) (*Sections, error) {
 	if g.Len() == 0 {
 		return nil, fmt.Errorf("andor: graph %q is empty", g.Name)
 	}
-	topo, ok := g.TopoOrder()
-	if !ok {
-		return nil, fmt.Errorf("andor: graph %q contains a cycle", g.Name)
-	}
-	topoIdx := make([]int, g.Len())
-	for i, n := range topo {
-		topoIdx[n.ID] = i
-	}
-
-	s := &Sections{
-		Graph:     g,
-		Branch:    make([][]*Section, g.Len()),
-		SectionOf: make([]*Section, g.Len()),
-	}
-	// Memoize sections by their single entry node (branch sections) and
-	// zero-length sections by their exit Or node, so joins share sections.
-	byEntry := make(map[*Node]*Section)
-	byEmptyExit := make(map[*Node]*Section)
-
-	var build func(entries []*Node) (*Section, error)
-	build = func(entries []*Node) (*Section, error) {
-		sec := &Section{ID: len(s.All), Entries: entries}
-		s.All = append(s.All, sec)
-
-		entrySet := make(map[*Node]bool, len(entries))
-		for _, e := range entries {
-			entrySet[e] = true
-		}
-		members := make(map[*Node]bool)
-		var exits []*Node
-		stack := append([]*Node(nil), entries...)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if v.Kind == Or {
-				dup := false
-				for _, e := range exits {
-					if e == v {
-						dup = true
-					}
-				}
-				if !dup {
-					exits = append(exits, v)
-				}
-				continue
-			}
-			if members[v] {
-				continue
-			}
-			members[v] = true
-			stack = append(stack, v.succ...)
-		}
-		if len(exits) > 1 {
-			names := make([]string, len(exits))
-			for i, e := range exits {
-				names[i] = e.Name
-			}
-			return nil, fmt.Errorf("andor: section starting at %v reaches %d OR nodes %v; processors can only synchronize at one",
-				sectionEntryNames(entries), len(exits), names)
-		}
-		if len(exits) == 1 {
-			sec.Exit = exits[0]
-		}
-
-		// Membership checks: non-entry nodes must depend only on section
-		// members; entry nodes are checked by the caller.
-		for v := range members {
-			if entrySet[v] {
-				continue
-			}
-			for _, p := range v.pred {
-				if !members[p] {
-					return nil, fmt.Errorf("andor: edge %q -> %q crosses a section boundary",
-						p.Name, v.Name)
-				}
-			}
-		}
-
-		sec.Nodes = make([]*Node, 0, len(members))
-		for v := range members {
-			sec.Nodes = append(sec.Nodes, v)
-		}
-		sort.Slice(sec.Nodes, func(i, j int) bool {
-			return topoIdx[sec.Nodes[i].ID] < topoIdx[sec.Nodes[j].ID]
-		})
-		for _, v := range sec.Nodes {
-			if s.SectionOf[v.ID] != nil {
-				return nil, fmt.Errorf("andor: node %q belongs to two sections", v.Name)
-			}
-			s.SectionOf[v.ID] = sec
-		}
-
-		if sec.Exit != nil {
-			if err := buildBranches(sec.Exit, s, byEntry, byEmptyExit, build); err != nil {
-				return nil, err
-			}
-		}
-		return sec, nil
-	}
-
-	roots := g.Sources()
-	if len(roots) == 0 {
-		return nil, fmt.Errorf("andor: graph %q has no source nodes", g.Name)
-	}
-	for _, r := range roots {
-		if r.Kind == Or {
-			return nil, fmt.Errorf("andor: root node %q is an OR node; the application must start with computation or AND nodes", r.Name)
-		}
-	}
-	first, err := build(roots)
+	d := decomposerPool.Get().(*decomposer)
+	defer d.release()
+	s, err := d.run(g, check)
 	if err != nil {
 		return nil, err
-	}
-	s.First = first
-
-	// Every node must be covered: non-Or nodes by a section, Or nodes by
-	// having their branches resolved.
-	for _, n := range g.nodes {
-		if n.Kind == Or {
-			if s.Branch[n.ID] == nil && len(n.succ) > 0 {
-				return nil, fmt.Errorf("andor: OR node %q is unreachable from the roots", n.Name)
-			}
-			continue
-		}
-		if s.SectionOf[n.ID] == nil {
-			return nil, fmt.Errorf("andor: node %q is unreachable from the roots", n.Name)
-		}
 	}
 	g.secs.Store(s)
 	return s, nil
 }
 
-// buildBranches resolves the sections reached by each successor branch of an
-// Or node, memoizing shared join sections.
-func buildBranches(or *Node, s *Sections, byEntry, byEmptyExit map[*Node]*Section,
-	build func([]*Node) (*Section, error)) error {
+// decomposer is one decomposition's working state: the graph's topological
+// order and node-ID-indexed scratch, pooled, and the slabs the sections
+// are carved from.
+type decomposer struct {
+	order []*Node // topological order
+	// pos[id] is node id's index in order; mark[id] is 1 + the section
+	// whose traversal last reached the node; entry[id] is 1 + the section
+	// node id starts as a branch entry or as an empty section's exit Or.
+	pos, mark, entry []int32
+	stack, exits     []*Node
+	members          []int32 // a section's members, as positions in order
+
+	s     *Sections
+	slab  []Section  // the sections, by ID
+	nodes []*Node    // the unused rest of the Entries and Nodes backing
+	rows  []*Section // the unused rest of the Branch rows backing
+}
+
+var decomposerPool = sync.Pool{New: func() any { return new(decomposer) }}
+
+// release drops d's references to the graph and returns it to the pool.
+func (d *decomposer) release() {
+	clear(d.order)
+	clear(d.stack[:cap(d.stack)])
+	clear(d.exits[:cap(d.exits)])
+	d.s, d.slab, d.nodes, d.rows = nil, nil, nil, nil
+	decomposerPool.Put(d)
+}
+
+// run sorts g, runs check and builds the sections into slabs sized up
+// front. Every section but the first starts at an Or node's successor, so
+// the Or nodes' successor counts bound the sections and their entries and
+// size the Branch rows exactly.
+func (d *decomposer) run(g *Graph, check func() error) (*Sections, error) {
+	n := g.Len()
+	d.order = slices.Grow(d.order[:0], n)[:n]
+	d.pos = slices.Grow(d.pos[:0], n)[:n]
+	d.mark = slices.Grow(d.mark[:0], n)[:n]
+	d.entry = slices.Grow(d.entry[:0], n)[:n]
+	clear(d.mark)
+	clear(d.entry)
+	if g.topoInto(d.order, d.pos) < n {
+		return nil, fmt.Errorf("andor: graph %q contains a cycle", g.Name)
+	}
+	if check != nil {
+		if err := check(); err != nil {
+			return nil, err
+		}
+	}
+	nodes, rows, roots := 0, 0, 0
+	for i, v := range d.order {
+		d.pos[v.ID] = int32(i)
+		if v.Kind == Or {
+			rows += len(v.Succs())
+		} else {
+			nodes++
+		}
+		if len(v.Preds()) == 0 {
+			roots++
+		}
+	}
+	ptrs := make([]*Section, n+2*rows+1)
+	d.s = &Sections{Graph: g, All: ptrs[n+rows : n+rows], Branch: make([][]*Section, n), SectionOf: ptrs[:n:n]}
+	d.slab, d.rows = make([]Section, rows+1), ptrs[n:n+rows]
+	d.nodes = make([]*Node, nodes+roots+rows)
+
+	entries := carve(&d.nodes, roots)[:0]
+	for _, v := range g.nodes {
+		if len(v.Preds()) == 0 {
+			if v.Kind == Or {
+				return nil, fmt.Errorf("andor: root node %q is an OR node; the application must start with computation or AND nodes", v.Name)
+			}
+			entries = append(entries, v)
+		}
+	}
+	s := d.s
+	var err error
+	if s.First, err = d.build(entries); err != nil {
+		return nil, err
+	}
+	// Every node must be covered: non-Or nodes by a section, Or nodes by
+	// having their branches resolved.
+	for _, v := range g.nodes {
+		if v.Kind == Or {
+			if s.Branch[v.ID] == nil && len(v.Succs()) > 0 {
+				return nil, fmt.Errorf("andor: OR node %q is unreachable from the roots", v.Name)
+			}
+		} else if s.SectionOf[v.ID] == nil {
+			return nil, fmt.Errorf("andor: node %q is unreachable from the roots", v.Name)
+		}
+	}
+	return s, nil
+}
+
+// newSection appends the next section of the slab to Sections.All.
+func (d *decomposer) newSection() *Section {
+	sec := &d.slab[len(d.s.All)]
+	sec.ID = len(d.s.All)
+	d.s.All = append(d.s.All, sec)
+	return sec
+}
+
+// build adds the section starting at entries, then the sections its exit's
+// branches lead to.
+func (d *decomposer) build(entries []*Node) (*Section, error) {
+	sec := d.newSection()
+	sec.Entries = entries
+	stamp := int32(sec.ID + 1)
+	members, exits := d.members[:0], d.exits[:0]
+	stack := append(d.stack[:0], entries...)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if v.Kind == Or {
+			if !slices.Contains(exits, v) {
+				exits = append(exits, v)
+			}
+		} else if d.mark[v.ID] != stamp {
+			d.mark[v.ID] = stamp
+			members = append(members, d.pos[v.ID])
+			stack = append(stack, v.Succs()...)
+		}
+	}
+	d.stack, d.exits, d.members = stack, exits, members
+	if len(exits) > 1 {
+		return nil, fmt.Errorf("andor: section starting at %v reaches %d OR nodes %v; processors can only synchronize at one",
+			nodeNames(entries), len(exits), nodeNames(exits))
+	}
+	if len(exits) == 1 {
+		sec.Exit = exits[0]
+	}
+	// Membership checks, in topological order: non-entry nodes must depend
+	// only on section members. Entries are exempt: the first section's are
+	// roots, and a branch section's only entry depends on its Or node. A
+	// section that passes owns its nodes: an entry is in no other section.
+	slices.Sort(members)
+	sec.Nodes = carve(&d.nodes, len(members))
+	for i, k := range members {
+		v := d.order[k]
+		for _, p := range v.Preds() {
+			if v != entries[0] && d.mark[p.ID] != stamp {
+				return nil, fmt.Errorf("andor: edge %q -> %q crosses a section boundary", p.Name, v.Name)
+			}
+		}
+		sec.Nodes[i] = v
+		d.s.SectionOf[v.ID] = sec
+	}
+	if sec.Exit == nil {
+		return sec, nil
+	}
+	return sec, d.branches(sec.Exit)
+}
+
+// branches resolves the sections reached by each successor branch of an Or
+// node, sharing join sections.
+func (d *decomposer) branches(or *Node) error {
+	s := d.s
 	if s.Branch[or.ID] != nil {
 		return nil
 	}
-	branches := make([]*Section, len(or.succ))
-	s.Branch[or.ID] = branches // set before recursing; DAG guarantees no revisit loop
-	for i, succ := range or.succ {
+	row := carve(&d.rows, len(or.Succs()))
+	s.Branch[or.ID] = row // set before recursing; DAG guarantees no revisit loop
+	for i, succ := range or.Succs() {
+		if e := d.entry[succ.ID]; e != 0 {
+			row[i] = s.All[e-1]
+			continue
+		}
 		if succ.Kind == Or {
 			// Zero-length section: the branch leads directly to another
 			// barrier.
-			sec, ok := byEmptyExit[succ]
-			if !ok {
-				sec = &Section{ID: len(s.All), Exit: succ}
-				s.All = append(s.All, sec)
-				byEmptyExit[succ] = sec
-				if err := buildBranches(succ, s, byEntry, byEmptyExit, build); err != nil {
-					return err
-				}
+			sec := d.newSection()
+			sec.Exit, row[i] = succ, sec
+			d.entry[succ.ID] = int32(sec.ID + 1)
+			if err := d.branches(succ); err != nil {
+				return err
 			}
-			branches[i] = sec
 			continue
 		}
-		if sec, ok := byEntry[succ]; ok {
-			branches[i] = sec
-			continue
-		}
-		if len(succ.pred) != 1 {
+		if len(succ.Preds()) != 1 {
 			return fmt.Errorf("andor: node %q follows OR node %q but has %d predecessors; a branch entry may only depend on its OR node",
-				succ.Name, or.Name, len(succ.pred))
+				succ.Name, or.Name, len(succ.Preds()))
 		}
-		sec, err := build([]*Node{succ})
+		entries := carve(&d.nodes, 1)
+		entries[0] = succ
+		sec, err := d.build(entries)
 		if err != nil {
 			return err
 		}
-		byEntry[succ] = sec
-		branches[i] = sec
+		d.entry[succ.ID], row[i] = int32(sec.ID+1), sec
 	}
 	return nil
 }
 
-func sectionEntryNames(entries []*Node) []string {
-	names := make([]string, len(entries))
-	for i, e := range entries {
-		names[i] = e.Name
+func nodeNames(nodes []*Node) []string {
+	names := make([]string, len(nodes))
+	for i, n := range nodes {
+		names[i] = n.Name
 	}
 	return names
+}
+
+// carve cuts the next k elements off the front of the slab *buf, with a
+// full slice expression, so that appending to the carved slice reallocates
+// it instead of overwriting the slab's next piece.
+func carve[T any](buf *[]T, k int) []T {
+	out := (*buf)[:k:k]
+	*buf = (*buf)[k:]
+	return out
 }

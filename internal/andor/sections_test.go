@@ -2,6 +2,8 @@ package andor
 
 import (
 	"testing"
+
+	"andorsched/internal/exectime"
 )
 
 func TestDecomposeSingleSection(t *testing.T) {
@@ -158,10 +160,8 @@ func TestDecomposeErrors(t *testing.T) {
 		g := NewGraph("cycle")
 		a := g.AddTask("a", 1, 1)
 		b := g.AddTask("b", 1, 1)
-		a.succ = append(a.succ, b)
-		b.pred = append(b.pred, a)
-		b.succ = append(b.succ, a)
-		a.pred = append(a.pred, b)
+		g.AddEdge(a, b)
+		g.AddEdge(b, a)
 		if _, err := Decompose(g); err == nil {
 			t.Error("want cycle error")
 		}
@@ -225,4 +225,45 @@ func TestDecomposeErrors(t *testing.T) {
 			t.Error("want cross-section error")
 		}
 	})
+}
+
+// crossingText has two edges, C -> D and C -> E, that enter the first
+// section from the branch after O.
+const crossingText = `task A 1ms 1ms
+task B 1ms 1ms
+or O
+task C 1ms 1ms
+task D 1ms 1ms
+task E 1ms 1ms
+edge A -> O
+edge A -> B
+edge O -> C
+edge C -> D
+edge C -> E
+edge B -> D
+edge B -> E`
+
+// TestCrossingEdgeErrorIsDeterministic: a graph with several
+// boundary-crossing edges is refused for the first of them in the
+// section's topological order, every time.
+func TestCrossingEdgeErrorIsDeterministic(t *testing.T) {
+	const want = `andor: edge "C" -> "D" crosses a section boundary`
+	for i := 0; i < 100; i++ {
+		_, err := ParseText(crossingText)
+		if err == nil || err.Error() != want {
+			t.Fatalf("parse %d: error %v, want %s", i, err, want)
+		}
+	}
+}
+
+// TestDecomposeMatchesReference holds Decompose and Validate to the
+// reference decomposition on random applications and on every graph the
+// other tests of this file build.
+func TestDecomposeMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 50; seed++ {
+		checkAgainstReference(t, RandomGraph(exectime.NewSource(seed), DefaultRandomOpts()).Clone())
+	}
+	g, _, _, _, _, _ := diamond(t)
+	checkAgainstReference(t, g)
+	checkAgainstReference(t, orFork(t))
 }

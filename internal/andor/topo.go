@@ -5,65 +5,44 @@ package andor
 // whose predecessors are all placed, the one with the smallest ID goes
 // first. It returns false if the graph contains a cycle.
 func (g *Graph) TopoOrder() ([]*Node, bool) {
-	n := len(g.nodes)
-	indeg := make([]int, n)
-	for _, v := range g.nodes {
-		indeg[v.ID] = len(v.pred)
-	}
-	// A simple ordered frontier. Graph sizes here are small (at most a few
-	// thousand nodes), so an O(V²) scan would also do; we keep a sorted
-	// insertion for determinism with O(V·width) behaviour. Every node is
-	// pushed at most once and pops only advance the start, so the
-	// frontier never outgrows a backing array of n.
-	frontier := make([]*Node, 0, n)
+	order := make([]*Node, len(g.nodes))
+	placed := g.topoInto(order, make([]int32, len(g.nodes)))
+	return order[:placed], placed == len(g.nodes)
+}
+
+// topoInto writes TopoOrder's order into order, which holds len(g.nodes)
+// nodes, with indeg as in-degree scratch of the same length, and returns
+// the number of nodes placed: all of them unless the graph has a cycle.
+// The frontier lives in order behind the placed nodes, sorted by ID; every
+// node is pushed at most once, so it never outgrows the array.
+func (g *Graph) topoInto(order []*Node, indeg []int32) int {
+	head, tail := 0, 0
 	push := func(v *Node) {
-		i := len(frontier)
-		frontier = append(frontier, nil)
-		for i > 0 && frontier[i-1].ID > v.ID {
-			frontier[i] = frontier[i-1]
+		i := tail
+		tail++
+		for i > head && order[i-1].ID > v.ID {
+			order[i] = order[i-1]
 			i--
 		}
-		frontier[i] = v
+		order[i] = v
 	}
 	for _, v := range g.nodes {
-		if indeg[v.ID] == 0 {
+		indeg[v.ID] = int32(len(v.Preds()))
+		if len(v.Preds()) == 0 {
 			push(v)
 		}
 	}
-	order := make([]*Node, 0, n)
-	for len(frontier) > 0 {
-		v := frontier[0]
-		frontier = frontier[1:]
-		order = append(order, v)
-		for _, s := range v.succ {
+	for head < tail {
+		v := order[head]
+		head++
+		for _, s := range v.Succs() {
 			indeg[s.ID]--
 			if indeg[s.ID] == 0 {
 				push(s)
 			}
 		}
 	}
-	return order, len(order) == n
-}
-
-// reachableForward returns the set of nodes reachable from the given seeds
-// (inclusive), optionally stopping traversal at Or nodes (the Or node itself
-// is included but its successors are not followed).
-func reachableForward(seeds []*Node, stopAtOr bool) map[*Node]bool {
-	seen := make(map[*Node]bool)
-	stack := append([]*Node(nil), seeds...)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		if stopAtOr && v.Kind == Or {
-			continue
-		}
-		stack = append(stack, v.succ...)
-	}
-	return seen
+	return head
 }
 
 // CriticalPathWCET returns the length in seconds of the longest
@@ -81,7 +60,7 @@ func (g *Graph) CriticalPathWCET() float64 {
 	var longest float64
 	for _, v := range order {
 		var start float64
-		for _, p := range v.pred {
+		for _, p := range v.Preds() {
 			if finish[p.ID] > start {
 				start = finish[p.ID]
 			}

@@ -27,12 +27,16 @@ func (g *Graph) Validate() error {
 	if g.validated.Load() {
 		return nil
 	}
-	if g.Len() == 0 {
-		return fmt.Errorf("andor: graph %q is empty", g.Name)
+	if _, err := g.decompose(g.checkNodes); err != nil {
+		return err
 	}
-	if _, ok := g.TopoOrder(); !ok {
-		return fmt.Errorf("andor: graph %q contains a cycle", g.Name)
-	}
+	g.validated.Store(true)
+	return nil
+}
+
+// checkNodes runs Validate's per-node checks and returns the first
+// violation.
+func (g *Graph) checkNodes() error {
 	for _, n := range g.nodes {
 		switch n.Kind {
 		case Compute:
@@ -43,21 +47,21 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("andor: task %q has ACET %g outside (0, WCET=%g]", n.Name, n.ACET, n.WCET)
 			}
 		case And:
-			if len(n.pred) == 0 || len(n.succ) == 0 {
+			if len(n.Preds()) == 0 || len(n.Succs()) == 0 {
 				return fmt.Errorf("andor: AND node %q must have predecessors and successors (has %d/%d)",
-					n.Name, len(n.pred), len(n.succ))
+					n.Name, len(n.Preds()), len(n.Succs()))
 			}
 		case Or:
-			if len(n.pred) == 0 {
+			if len(n.Preds()) == 0 {
 				return fmt.Errorf("andor: OR node %q has no predecessors", n.Name)
 			}
-			if len(n.succ) > 1 {
+			if len(n.Succs()) > 1 {
 				if n.prob == nil {
 					return fmt.Errorf("andor: OR node %q has %d successors but no branch probabilities",
-						n.Name, len(n.succ))
+						n.Name, len(n.Succs()))
 				}
 				var sum float64
-				for i, p := range n.prob {
+				for i, p := range *n.prob {
 					if !(p >= 0 && p <= 1) {
 						return fmt.Errorf("andor: OR node %q branch %d has probability %g outside [0, 1]", n.Name, i, p)
 					}
@@ -71,10 +75,6 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("andor: node %q has unknown kind %d", n.Name, n.Kind)
 		}
 	}
-	if _, err := Decompose(g); err != nil {
-		return err
-	}
-	g.validated.Store(true)
 	return nil
 }
 

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
+	"andorsched/internal/andor"
+	"andorsched/internal/core/schedcache"
 	"andorsched/internal/exectime"
 	"andorsched/internal/power"
 	"andorsched/internal/workload"
@@ -73,4 +76,55 @@ func TestRunStreamArenaAllocs(t *testing.T) {
 	if long > short+1 { // per-stream constant, independent of frame count
 		t.Errorf("allocations scale with frames: %.1f at 100 frames vs %.1f at 400", short, long)
 	}
+}
+
+// TestCachedPlanRetainedObjects bounds the heap objects a cached plan of a
+// parsed text keeps alive — its graph, sections and compiled plan — since
+// every one of them is work for each collection while the plan is cached.
+// 128 workload.Random texts are parsed and compiled twice against one
+// schedule cache; the second round, all cache hits, is held and counted.
+func TestCachedPlanRetainedObjects(t *testing.T) {
+	const plans = 128
+	texts := make([]string, plans)
+	for i := range texts {
+		texts[i] = andor.FormatText(workload.Random(uint64(i+1), andor.DefaultRandomOpts()))
+	}
+	cache := schedcache.New(DefaultScheduleCacheCapacity)
+	compileTexts(t, texts, cache) // fill the schedule cache
+	// Two collections empty the sync.Pools too.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	held := compileTexts(t, texts, cache)
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(held)
+	runtime.KeepAlive(cache)
+	objects := (float64(after.HeapObjects) - float64(before.HeapObjects)) / plans
+	bytes := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / plans
+	t.Logf("a cached text plan retains %.1f heap objects, %.0f B", objects, bytes)
+	if objects > 16 {
+		t.Errorf("a cached text plan retains %.1f heap objects, want <= 16", objects)
+	}
+}
+
+// compileTexts parses and compiles every text on two processors against
+// cache. The plans share one platform, as a server's do.
+//
+//go:noinline
+func compileTexts(t *testing.T, texts []string, cache *schedcache.Cache) []*Plan {
+	plans := make([]*Plan, len(texts))
+	plat := power.Transmeta5400()
+	for i, text := range texts {
+		g, err := andor.ParseText(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plans[i], err = NewPlanWithCache(g, 2, plat, power.DefaultOverheads(), cache); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return plans
 }

@@ -25,12 +25,12 @@ func TestASPFloorExact(t *testing.T) {
 	// (remain 4ms), T3 at 4ms (remain 2ms) in the average canonical.
 	wants := map[string]float64{"T1": 6e-3, "T2": 4e-3, "T3": 2e-3}
 	for _, tp := range sp.tasks {
-		if w := wants[tp.node.Name]; !closeTo(tp.tmpl.SpecRemain, w) {
-			t.Errorf("SpecRemain[%s] = %g, want %g", tp.node.Name, tp.tmpl.SpecRemain, w)
+		if w := wants[tp.Name]; !closeTo(tp.SpecRemain, w) {
+			t.Errorf("SpecRemain[%s] = %g, want %g", tp.Name, tp.SpecRemain, w)
 		}
 	}
 	// Floor for T1 at t=0: 250 MHz (level 1).
-	t1 := sp.tasks[0].tmpl
+	t1 := sp.tasks[0]
 	t1.LFT = 24e-3
 	if got := pol.floorAt(&t1, 0, 0); got != 1 {
 		t.Errorf("ASP floor = %d, want 1 (250MHz)", got)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"andorsched/internal/andor"
@@ -40,26 +41,26 @@ func eqPlans(a, b *Plan) string {
 		}
 		for i := range as.tasks {
 			at, bt := &as.tasks[i], &bs.tasks[i]
-			if at.relLFT != bt.relLFT {
-				return fmt.Sprintf("section %d task %d relLFT: %v vs %v", s, i, at.relLFT, bt.relLFT)
+			if at.LFT != bt.LFT {
+				return fmt.Sprintf("section %d task %d relLFT: %v vs %v", s, i, at.LFT, bt.LFT)
 			}
-			if at.tmpl.Node != bt.tmpl.Node || at.tmpl.Dummy != bt.tmpl.Dummy ||
-				at.tmpl.WorkW != bt.tmpl.WorkW || at.tmpl.Order != bt.tmpl.Order ||
-				at.tmpl.SpecRemain != bt.tmpl.SpecRemain ||
-				at.tmpl.CanonClass != bt.tmpl.CanonClass ||
-				at.tmpl.Affinity != bt.tmpl.Affinity {
-				return fmt.Sprintf("section %d task %d template: %+v vs %+v", s, i, at.tmpl, bt.tmpl)
+			if at.Node != bt.Node || at.Dummy != bt.Dummy ||
+				at.WorkW != bt.WorkW || at.Order != bt.Order ||
+				at.SpecRemain != bt.SpecRemain ||
+				at.CanonClass != bt.CanonClass ||
+				at.Affinity != bt.Affinity {
+				return fmt.Sprintf("section %d task %d template: %+v vs %+v", s, i, at, bt)
 			}
 		}
-		if len(as.computeIdx) != len(bs.computeIdx) {
-			return fmt.Sprintf("section %d computeIdx: %d vs %d", s, len(as.computeIdx), len(bs.computeIdx))
+		ai, aw, aa := a.computes(&as)
+		bi, bw, ba := b.computes(&bs)
+		if len(ai) != len(bi) {
+			return fmt.Sprintf("section %d computeIdx: %d vs %d", s, len(ai), len(bi))
 		}
-		for i := range as.computeIdx {
-			if as.computeIdx[i] != bs.computeIdx[i] ||
-				as.wcets[i] != bs.wcets[i] || as.acets[i] != bs.acets[i] {
+		for i := range ai {
+			if ai[i] != bi[i] || aw[i] != bw[i] || aa[i] != ba[i] {
 				return fmt.Sprintf("section %d compute %d: (%d,%v,%v) vs (%d,%v,%v)", s, i,
-					as.computeIdx[i], as.wcets[i], as.acets[i],
-					bs.computeIdx[i], bs.wcets[i], bs.acets[i])
+					ai[i], aw[i], aa[i], bi[i], bw[i], ba[i])
 			}
 		}
 	}
@@ -243,4 +244,51 @@ func FuzzNewPlanCacheDifferential(f *testing.F) {
 			t.Fatalf("seed %d m=%d: frozen ORA diverged from AS: %s", seed, m, diff)
 		}
 	})
+}
+
+// TestCompileSharedGraphConcurrently compiles one parsed graph, not yet
+// validated, from several goroutines at once, on one platform and one
+// schedule cache: the graph's validation and decomposition memos, the
+// sections' digest memos, the platform's machine memo and the pooled parse
+// and decomposition scratch are all reached concurrently. Every plan must
+// equal a lone uncached compile of a clone.
+func TestCompileSharedGraphConcurrently(t *testing.T) {
+	plat, ov := power.Transmeta5400(), power.DefaultOverheads()
+	for seed := uint64(1); seed <= 8; seed++ {
+		text := andor.FormatText(workload.Random(seed, andor.DefaultRandomOpts()))
+		g, err := andor.ParseText(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewPlanWithCache(g.Clone(), 2, plat, ov, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g = g.Clone() // drop the memos ParseText left
+		cache := schedcache.New(64)
+		plans := make([]*Plan, 8)
+		var wg sync.WaitGroup
+		for w := range plans {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := andor.ParseText(text); err != nil {
+					t.Error(err)
+				}
+				var err error
+				if plans[w], err = NewPlanWithCache(g, 2, plat, ov, cache); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		for w, p := range plans {
+			if p == nil {
+				t.Fatalf("seed %d: goroutine %d failed to compile", seed, w)
+			}
+			if d := eqPlans(p, want); d != "" {
+				t.Fatalf("seed %d: goroutine %d: %s", seed, w, d)
+			}
+		}
+	}
 }

@@ -34,7 +34,8 @@ func (p *Plan) Describe(deadline float64) string {
 			p.SPMLevel(deadline), p.SpeculativeSpeed(deadline)/1e6)
 	}
 
-	for _, sp := range p.secs {
+	for i := range p.secs {
+		sp := &p.secs[i]
 		exit := "END"
 		if sp.sec.Exit != nil {
 			exit = sp.sec.Exit.Name
@@ -46,21 +47,22 @@ func (p *Plan) Describe(deadline float64) string {
 			continue
 		}
 		// Print tasks in canonical dispatch order.
-		byOrder := make([]*taskPlan, len(sp.tasks))
-		for i := range sp.tasks {
-			byOrder[sp.tasks[i].tmpl.Order] = &sp.tasks[i]
+		byOrder := make([]int, len(sp.tasks))
+		for k := range sp.tasks {
+			byOrder[sp.tasks[k].Order] = k
 		}
 		fmt.Fprintf(&b, "  %-4s %-14s %10s %10s %10s\n", "ord", "task", "wcet", "LST", "LFT")
-		for _, tp := range byOrder {
-			lft := deadline + tp.relLFT
-			if tp.tmpl.Dummy {
+		for _, k := range byOrder {
+			tp := &sp.tasks[k]
+			lft := deadline + tp.LFT
+			if tp.Dummy {
 				fmt.Fprintf(&b, "  %-4d %-14s %10s %10s %9.3fms\n",
-					tp.tmpl.Order, tp.node.Name, "-", "-", lft*1e3)
+					tp.Order, tp.Name, "-", "-", lft*1e3)
 				continue
 			}
-			lst := lft - tp.tmpl.WorkW/p.fmax
+			lst := lft - tp.WorkW/p.fmax
 			fmt.Fprintf(&b, "  %-4d %-14s %8.3fms %8.3fms %8.3fms\n",
-				tp.tmpl.Order, tp.node.Name, tp.node.WCET*1e3, lst*1e3, lft*1e3)
+				tp.Order, tp.Name, sp.sec.Nodes[k].WCET*1e3, lst*1e3, lft*1e3)
 		}
 	}
 	return b.String()

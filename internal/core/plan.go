@@ -65,10 +65,14 @@ type Plan struct {
 	// schemes.
 	CTAvg float64
 
-	secs []*secPlan // indexed by section ID
+	secs []secPlan // indexed by section ID
 	// numTasks counts the tasks of all sections.
 	numTasks int
-	fmax     float64
+	// computeIdx holds every section's compute tasks, in section order,
+	// and times their WCETs and then their ACETs (see computes).
+	computeIdx []int
+	times      []float64
+	fmax       float64
 	// maxChange is each class's worst-case cost of one voltage/speed
 	// change, which the dynamic schemes budget before the target level
 	// (and thus the actual voltage swing) is known.
@@ -98,32 +102,32 @@ type secPlan struct {
 	// length plus its own remainder. Zero for terminal sections. These are
 	// the per-path PMP values of §2.2.
 	remWorst, remAvg float64
-	// tasks are the section's schedulable units in section-node order
-	// (tasks[i] is sec.Nodes[i]); each template's Order is the task's
-	// canonical dispatch position.
-	tasks []taskPlan
+	// tasks are the engine-task templates of the section's schedulable
+	// units in section-node order (tasks[i] is sec.Nodes[i]), carved from
+	// the plan-wide numbering at taskOff. Each template's Order is the
+	// task's canonical dispatch position, and it has every field but the
+	// run-specific WorkA filled in; its LFT holds the task's latest finish
+	// time minus the deadline (always ≤ 0), which runtimeTasks resolves
+	// against each run's deadline. That relative LFT equals the task's
+	// finish time in the section's canonical schedule minus the worst-case
+	// time from the section's start to the application's end.
+	tasks []sim.Task
 	// prog is the section's engine program, compiled from the templates
 	// once their orders and classes are final; read-only, shared by every
 	// run of the plan.
 	prog sim.Program
-	// computeIdx indexes the Compute entries of tasks, in task order, and
-	// wcets/acets hold their execution-time parameters contiguously — the
-	// layout exectime.Sampler.SampleBatch consumes when the on-line phase
-	// draws a whole section's actual times in one call.
-	computeIdx   []int
-	wcets, acets []float64
+	// c0 and c1 bound the section's compute tasks in the plan-wide
+	// numbering of Plan.computeIdx (see Plan.computes).
+	c0, c1 int32
 }
 
-// taskPlan pairs a graph node with its engine-task template.
-type taskPlan struct {
-	node *andor.Node
-	// tmpl has every field but the run-specific WorkA and LFT filled in.
-	tmpl sim.Task
-	// relLFT is the task's latest finish time minus the deadline (always
-	// ≤ 0): LFT = D + relLFT. It equals the task's finish time in the
-	// section's canonical schedule minus the worst-case time from the
-	// section's start to the application's end.
-	relLFT float64
+// computes returns the section's compute tasks: their indices in sp.tasks,
+// in task order, and their WCETs and ACETs, contiguous — the layout
+// exectime.Sampler.SampleBatch consumes when the on-line phase draws a
+// whole section's actual times in one call.
+func (p *Plan) computes(sp *secPlan) (idx []int, wcets, acets []float64) {
+	n := int32(len(p.computeIdx))
+	return p.computeIdx[sp.c0:sp.c1], p.times[sp.c0:sp.c1], p.times[n+sp.c0 : n+sp.c1]
 }
 
 // DefaultScheduleCacheCapacity bounds the process-wide section-schedule
@@ -246,14 +250,38 @@ func compile(g *andor.Graph, hp *power.Hetero, platform *power.Platform, ov powe
 		Placement: place,
 		Overheads: ov,
 		fmax:      hp.RefFmax(),
-		secs:      make([]*secPlan, len(secs.All)),
+		secs:      make([]secPlan, len(secs.All)),
 	}
-	p.maxChange = make([]float64, hp.NumClasses())
+	// Size the plan's slabs: every node but the Or nodes is a task, and
+	// every edge between tasks lies within a section.
+	tasks, computes, ends := 0, 0, 0
+	for _, n := range g.Nodes() {
+		if n.Kind == andor.Or {
+			continue
+		}
+		tasks++
+		if n.Kind == andor.Compute {
+			computes++
+		}
+		for _, pr := range n.Preds() {
+			if pr.Kind != andor.Or {
+				ends += 2 // pr's successor entry and n's predecessor entry
+			}
+		}
+	}
+	most := 0 // the largest section's task count
+	for _, sec := range secs.All {
+		most = max(most, len(sec.Nodes))
+	}
+	cc := &compileScratch{pad: ov.PadTimeHetero(hp), cache: cache, ptrs: make([]*sim.Task, 0, most),
+		tmpls: make([]sim.Task, tasks), ints: make([]int, computes+ends+2*tasks),
+		floats: make([]float64, hp.NumClasses()+2*computes)}
+	p.maxChange = carve(&cc.floats, hp.NumClasses())
+	p.computeIdx, p.times = carve(&cc.ints, computes), carve(&cc.floats, 2*computes)
 	for c := range p.maxChange {
 		p.maxChange[c] = ov.MaxChangeTime(hp.Class(c).Plat)
 		p.maxPower = math.Max(p.maxPower, hp.Class(c).Plat.MaxPower())
 	}
-	cc := &compileScratch{pad: ov.PadTimeHetero(hp), cache: cache}
 	// The schedule-cache key's machine part, computed once per compile:
 	// canonical schedules on identical processors are fully determined by
 	// the section, m, f_max and the pad, so identical-processor plans share
@@ -262,62 +290,54 @@ func compile(g *andor.Graph, hp *power.Hetero, platform *power.Platform, ov powe
 	if cache != nil && platform == nil {
 		cc.machine = hp.Key() + "/" + place.Name()
 	}
-	for _, sec := range secs.All {
-		sp, err := p.planSection(sec, cc)
-		if err != nil {
+	// local[id] is node id's index in its section, written by planSection;
+	// graphs of up to 128 nodes keep it on the stack.
+	var stack [128]int32
+	local := stack[:]
+	if g.Len() > len(stack) {
+		local = make([]int32, g.Len())
+	}
+	var c int32
+	for i, sec := range secs.All {
+		sp := &p.secs[i]
+		sp.sec, sp.taskOff, sp.tasks = sec, p.numTasks, carve(&cc.tmpls, len(sec.Nodes))
+		sp.c0, sp.c1 = c, c
+		p.numTasks += len(sec.Nodes)
+		if err := p.planSection(sp, cc, local); err != nil {
 			return nil, err
 		}
-		sp.taskOff = p.numTasks
-		p.numTasks += len(sp.tasks)
-		p.secs[sec.ID] = sp
-	}
-	p.aggregate()
-	for _, sp := range p.secs {
-		base := sp.remWorst + sp.lenW // worst time from section start to app end
-		for i := range sp.tasks {
-			sp.tasks[i].relLFT -= base
+		c = sp.c1
+		// The engine program, from the final templates; WorkA is reset,
+		// as it is set per run.
+		ptrs := cc.taskPtrs(sp, func(int) float64 { return 0 })
+		if _, err := sim.CompileInto(&sp.prog, hp, ptrs, carve(&cc.ints, 2*len(ptrs))); err != nil {
+			return nil, fmt.Errorf("core: section %d: %w", sec.ID, err)
 		}
 	}
-	p.CTWorst = p.secs[secs.First.ID].lenW + p.secs[secs.First.ID].remWorst
-	p.CTAvg = p.secs[secs.First.ID].lenA + p.secs[secs.First.ID].remAvg
+	p.aggregate()
+	for i := range p.secs {
+		sp := &p.secs[i]
+		base := sp.remWorst + sp.lenW // worst time from section start to app end
+		for i := range sp.tasks {
+			sp.tasks[i].LFT -= base
+		}
+	}
+	first := &p.secs[secs.First.ID]
+	p.CTWorst = first.lenW + first.remWorst
+	p.CTAvg = first.lenA + first.remAvg
 	if !finite(p.CTWorst) || !finite(p.CTAvg) {
 		return nil, fmt.Errorf("core: canonical completion times %g (worst case) and %g (average) are not both finite",
 			p.CTWorst, p.CTAvg)
 	}
-	if err := p.compilePrograms(); err != nil {
-		return nil, err
-	}
 	var sumW, sumA float64
-	for _, sp := range p.secs {
-		for j := range sp.wcets {
-			sumW += sp.wcets[j]
-			sumA += sp.acets[j]
-		}
+	for j := range computes {
+		sumW += p.times[j]
+		sumA += p.times[computes+j]
 	}
 	if sumW > 0 {
 		p.alphaTask = sumA / sumW
 	}
 	return p, nil
-}
-
-// compilePrograms compiles every section's engine program from its
-// templates, all into one backing array.
-func (p *Plan) compilePrograms() error {
-	buf := make([]int, 2*p.numTasks)
-	// The engine takes a section as task pointers; sections of up to 64
-	// tasks point from a stack array.
-	var stack [64]*sim.Task
-	for _, sp := range p.secs {
-		ptrs := stack[:0]
-		for i := range sp.tasks {
-			ptrs = append(ptrs, &sp.tasks[i].tmpl)
-		}
-		var err error
-		if buf, err = sim.CompileInto(&sp.prog, p.Hetero, ptrs, buf); err != nil {
-			return fmt.Errorf("core: section %d: %w", sp.sec.ID, err)
-		}
-	}
-	return nil
 }
 
 // finite reports whether x is neither infinite nor NaN.
@@ -332,14 +352,43 @@ type compileScratch struct {
 	// its key's machine part (empty on identical processors).
 	cache   *schedcache.Cache
 	machine string
-	// arena runs the canonical schedules under canon, allocated on the
-	// first cache miss; each result is consumed before the next run.
+	// arena runs the canonical schedules under canon, both allocated on
+	// the first cache miss; each result is consumed before the next run.
+	// ptrs points at the templates of one section (taskPtrs).
 	arena *sim.Arena
-	canon sim.Config
-	// tasks and ptrs hold the section the next canonical run schedules
-	// (canonicalTasks), reused across runs.
-	tasks []sim.Task
+	canon *sim.Config
 	ptrs  []*sim.Task
+
+	// The plan's slabs, minus what the plan has carved so far: tmpls holds
+	// every task template, ints the plan's computeIdx and then each
+	// section's templates' Preds and Succs and its engine program, floats
+	// the classes' maxChange and the plan's times.
+	tmpls  []sim.Task
+	ints   []int
+	floats []float64
+}
+
+// localIDs carves the section-local indices, looked up in local, of the
+// ends that are not Or nodes from the plan's slab: a valid decomposition
+// keeps every other edge within a section, and a section's Or entry and
+// exit are satisfied implicitly by the barrier discipline.
+func (cc *compileScratch) localIDs(ends []*andor.Node, local []int32) []int {
+	out := cc.ints[:0]
+	for _, e := range ends {
+		if e.Kind != andor.Or {
+			out = append(out, int(local[e.ID]))
+		}
+	}
+	return carve(&cc.ints, len(out))
+}
+
+// carve cuts the next k elements off the front of the slab *buf, with a
+// full slice expression, so that appending to the carved slice reallocates
+// it instead of overwriting the slab's next piece.
+func carve[T any](buf *[]T, k int) []T {
+	out := (*buf)[:k:k]
+	*buf = (*buf)[k:]
+	return out
 }
 
 // planSection builds one section's canonical schedules and task templates.
@@ -347,54 +396,39 @@ type compileScratch struct {
 // section's structural digest and the machine key: a hit reuses the cached
 // dispatch orders, finish times, lengths and canonical classes
 // (bit-identical to recomputing them) and skips both simulations.
-func (p *Plan) planSection(sec *andor.Section, cc *compileScratch) (*secPlan, error) {
-	pad, machine, cache := cc.pad, cc.machine, cc.cache
-	sp := &secPlan{sec: sec}
+func (p *Plan) planSection(sp *secPlan, cc *compileScratch, local []int32) error {
+	sec, pad, machine, cache := sp.sec, cc.pad, cc.machine, cc.cache
 	if len(sec.Nodes) == 0 {
-		return sp, nil // zero-length section (Or chained to Or)
+		return nil // zero-length section (Or chained to Or)
 	}
-	local := make(map[*andor.Node]int, len(sec.Nodes))
 	for i, n := range sec.Nodes {
-		local[n] = i
+		local[n.ID] = int32(i)
 	}
-	sp.tasks = make([]taskPlan, len(sec.Nodes))
 	for i, n := range sec.Nodes {
 		t := sim.Task{Node: n.ID, Name: n.Name, Dummy: n.Kind == andor.And}
 		if n.Kind == andor.Compute {
+			c := sp.c1
+			p.computeIdx[c], p.times[c], p.times[len(p.computeIdx)+int(c)] = i, n.WCET, n.ACET
+			sp.c1++
 			t.WorkW = (n.WCET + pad) * p.fmax
 			// Cycle counts that overflow would enter the canonical runs
 			// and the schedule cache as infinite schedules.
 			if w, a := t.WorkW, (n.ACET+pad)*p.fmax; !finite(w) || !finite(a) {
-				return nil, fmt.Errorf("core: task %q: padded times (%gs worst, %gs average) overflow at %g cycles/s",
+				return fmt.Errorf("core: task %q: padded times (%gs worst, %gs average) overflow at %g cycles/s",
 					n.Name, n.WCET+pad, n.ACET+pad, p.fmax)
 			}
 			if p.Platform == nil && n.Class != "" {
 				ci := p.Hetero.ClassIndex(n.Class)
 				if ci < 0 {
-					return nil, fmt.Errorf("core: task %q: platform %q has no processor class %q",
+					return fmt.Errorf("core: task %q: platform %q has no processor class %q",
 						n.Name, p.Hetero.Name, n.Class)
 				}
 				t.Affinity = ci + 1
 			}
 		}
-		for _, pr := range n.Preds() {
-			if j, ok := local[pr]; ok {
-				t.Preds = append(t.Preds, j)
-			}
-			// Predecessors outside the section are Or nodes (entries);
-			// the barrier discipline satisfies them implicitly.
-		}
-		for _, su := range n.Succs() {
-			if j, ok := local[su]; ok {
-				t.Succs = append(t.Succs, j)
-			}
-		}
-		sp.tasks[i] = taskPlan{node: n, tmpl: t}
-		if n.Kind == andor.Compute {
-			sp.computeIdx = append(sp.computeIdx, i)
-			sp.wcets = append(sp.wcets, n.WCET)
-			sp.acets = append(sp.acets, n.ACET)
-		}
+		t.Preds = cc.localIDs(n.Preds(), local)
+		t.Succs = cc.localIDs(n.Succs(), local)
+		sp.tasks[i] = t
 	}
 
 	var key schedcache.Key
@@ -420,14 +454,14 @@ func (p *Plan) planSection(sec *andor.Section, cc *compileScratch) (*secPlan, er
 			(cs.Classes != nil) == (machine != "") {
 			sp.lenW, sp.lenA = cs.LenW, cs.LenA
 			for i := range sp.tasks {
-				sp.tasks[i].tmpl.Order = cs.Order[i]
-				sp.tasks[i].relLFT = cs.FinishW[i] // made deadline-relative by NewPlan
-				sp.tasks[i].tmpl.SpecRemain = cs.SpecRemain[i]
+				sp.tasks[i].Order = cs.Order[i]
+				sp.tasks[i].LFT = cs.FinishW[i] // made deadline-relative by NewPlan
+				sp.tasks[i].SpecRemain = cs.SpecRemain[i]
 				if cs.Classes != nil {
-					sp.tasks[i].tmpl.CanonClass = cs.Classes[i]
+					sp.tasks[i].CanonClass = cs.Classes[i]
 				}
 			}
-			return sp, nil
+			return nil
 		}
 	}
 
@@ -439,45 +473,45 @@ func (p *Plan) planSection(sec *andor.Section, cc *compileScratch) (*secPlan, er
 	// online feasibility guard pins the task there.
 	if cc.arena == nil {
 		cc.arena = sim.NewArena()
-		cc.canon = sim.Config{Mode: sim.ByPriority, Hetero: p.Hetero, Placement: p.Placement}
+		cc.canon = &sim.Config{Mode: sim.ByPriority, Hetero: p.Hetero, Placement: p.Placement}
 	}
-	worst := cc.canonicalTasks(sp, func(tp *taskPlan) float64 { return tp.tmpl.WorkW })
-	resW, err := cc.arena.Run(&cc.canon, worst)
+	worst := cc.taskPtrs(sp, func(i int) float64 { return sp.tasks[i].WorkW })
+	resW, err := cc.arena.Run(cc.canon, worst)
 	if err != nil {
-		return nil, fmt.Errorf("core: canonical schedule of section %d: %w", sec.ID, err)
+		return fmt.Errorf("core: canonical schedule of section %d: %w", sec.ID, err)
 	}
 	sp.lenW = resW.Finish
 	if !finite(sp.lenW) {
-		return nil, fmt.Errorf("core: canonical schedule of section %d: length %g not finite", sec.ID, sp.lenW)
+		return fmt.Errorf("core: canonical schedule of section %d: length %g not finite", sec.ID, sp.lenW)
 	}
 	for k, rec := range resW.Records {
-		sp.tasks[rec.Task].tmpl.Order = k
-		sp.tasks[rec.Task].relLFT = rec.Finish // made deadline-relative by NewPlan
-		sp.tasks[rec.Task].tmpl.CanonClass = p.Hetero.ClassOf(rec.Proc)
+		sp.tasks[rec.Task].Order = k
+		sp.tasks[rec.Task].LFT = rec.Finish // made deadline-relative by NewPlan
+		sp.tasks[rec.Task].CanonClass = p.Hetero.ClassOf(rec.Proc)
 	}
 
 	// Average-case canonical schedule: same heuristic with padded ACETs.
 	// Only its length is kept (the paper's T*_k PMP values for
 	// speculation).
-	avg := cc.canonicalTasks(sp, func(tp *taskPlan) float64 {
-		if tp.node.Kind != andor.Compute {
-			return 0
+	avg := cc.taskPtrs(sp, func(i int) float64 {
+		if n := sec.Nodes[i]; n.Kind == andor.Compute {
+			return (n.ACET + pad) * p.fmax
 		}
-		return (tp.node.ACET + pad) * p.fmax
+		return 0
 	})
-	resA, err := cc.arena.Run(&cc.canon, avg)
+	resA, err := cc.arena.Run(cc.canon, avg)
 	if err != nil {
-		return nil, fmt.Errorf("core: average canonical schedule of section %d: %w", sec.ID, err)
+		return fmt.Errorf("core: average canonical schedule of section %d: %w", sec.ID, err)
 	}
 	sp.lenA = resA.Finish
 	if !finite(sp.lenA) {
-		return nil, fmt.Errorf("core: average canonical schedule of section %d: length %g not finite", sec.ID, sp.lenA)
+		return fmt.Errorf("core: average canonical schedule of section %d: length %g not finite", sec.ID, sp.lenA)
 	}
 	// Per-task remaining average-case time within the section (the PMP
 	// statistic the per-PMP speculation scheme reads): the average
 	// canonical length minus the task's average canonical dispatch time.
 	for _, rec := range resA.Records {
-		sp.tasks[rec.Task].tmpl.SpecRemain = sp.lenA - rec.Dispatch
+		sp.tasks[rec.Task].SpecRemain = sp.lenA - rec.Dispatch
 	}
 
 	if cache != nil {
@@ -492,25 +526,25 @@ func (p *Plan) planSection(sec *andor.Section, cc *compileScratch) (*secPlan, er
 			cs.Classes = make([]int, len(sp.tasks))
 		}
 		for i := range sp.tasks {
-			cs.Order[i] = sp.tasks[i].tmpl.Order
-			cs.FinishW[i] = sp.tasks[i].relLFT
-			cs.SpecRemain[i] = sp.tasks[i].tmpl.SpecRemain
+			cs.Order[i] = sp.tasks[i].Order
+			cs.FinishW[i] = sp.tasks[i].LFT
+			cs.SpecRemain[i] = sp.tasks[i].SpecRemain
 			if cs.Classes != nil {
-				cs.Classes[i] = sp.tasks[i].tmpl.CanonClass
+				cs.Classes[i] = sp.tasks[i].CanonClass
 			}
 		}
 		cache.Put(key, cs)
 	}
-	return sp, nil
+	return nil
 }
 
 // classAffinityBits hashes a section's per-task class affinities (local
 // index, resolved class index) into the schedule-cache key. FNV-1a over the
 // tagged tasks only: untagged sections of equal shape still share entries.
-func classAffinityBits(tasks []taskPlan) uint64 {
+func classAffinityBits(tasks []sim.Task) uint64 {
 	h := uint64(0xcbf29ce484222325)
 	for i := range tasks {
-		if a := tasks[i].tmpl.Affinity; a != 0 {
+		if a := tasks[i].Affinity; a != 0 {
 			h = (h ^ uint64(i)) * 0x100000001b3
 			h = (h ^ uint64(a)) * 0x100000001b3
 		}
@@ -518,20 +552,16 @@ func classAffinityBits(tasks []taskPlan) uint64 {
 	return h
 }
 
-// canonicalTasks copies the section's task templates into cc's scratch
-// with WorkA set by dur (cycles), for an off-line engine run. The tasks
-// are rewritten by the next call.
-func (cc *compileScratch) canonicalTasks(sp *secPlan, dur func(*taskPlan) float64) []*sim.Task {
-	if n := len(sp.tasks); cap(cc.tasks) < n {
-		cc.tasks, cc.ptrs = make([]sim.Task, n), make([]*sim.Task, n)
-	}
-	tasks, ptrs := cc.tasks[:len(sp.tasks)], cc.ptrs[:len(sp.tasks)]
+// taskPtrs sets the section's templates' WorkA by work (cycles) and
+// returns pointers to them, for an off-line engine run, which only reads
+// them, or the section's program.
+func (cc *compileScratch) taskPtrs(sp *secPlan, work func(i int) float64) []*sim.Task {
+	cc.ptrs = cc.ptrs[:0]
 	for i := range sp.tasks {
-		tasks[i] = sp.tasks[i].tmpl
-		tasks[i].WorkA = dur(&sp.tasks[i])
-		ptrs[i] = &tasks[i]
+		sp.tasks[i].WorkA = work(i)
+		cc.ptrs = append(cc.ptrs, &sp.tasks[i])
 	}
-	return ptrs
+	return cc.ptrs
 }
 
 // aggregate fills remWorst/remAvg by memoized recursion over the section
@@ -551,7 +581,7 @@ func (p *Plan) aggregate() {
 		branches := p.Sections.Branch[exit.ID]
 		var worst, avg float64
 		for i, next := range branches {
-			nsp := p.secs[next.ID]
+			nsp := &p.secs[next.ID]
 			visit(nsp)
 			w := nsp.lenW + nsp.remWorst
 			if w > worst {
@@ -561,8 +591,8 @@ func (p *Plan) aggregate() {
 		}
 		sp.remWorst, sp.remAvg = worst, avg
 	}
-	for _, sp := range p.secs {
-		visit(sp)
+	for i := range p.secs {
+		visit(&p.secs[i])
 	}
 }
 
@@ -595,14 +625,14 @@ func (p *Plan) EnergyBound(deadline float64) float64 {
 // after its exit barrier. The adaptive speculation scheme divides this by
 // the time to the deadline.
 func (p *Plan) SectionAvgRemaining(sectionID int) float64 {
-	sp := p.secs[sectionID]
+	sp := &p.secs[sectionID]
 	return sp.lenA + sp.remAvg
 }
 
 // SectionWorstRemaining returns the worst-case analogue of
 // SectionAvgRemaining.
 func (p *Plan) SectionWorstRemaining(sectionID int) float64 {
-	sp := p.secs[sectionID]
+	sp := &p.secs[sectionID]
 	return sp.lenW + sp.remWorst
 }
 

@@ -76,8 +76,8 @@ func TestPlanDiamondCanonical(t *testing.T) {
 	orderByName := map[string]int{}
 	var relByName = map[string]float64{}
 	for _, tp := range sp.tasks {
-		orderByName[tp.node.Name] = tp.tmpl.Order
-		relByName[tp.node.Name] = tp.relLFT
+		orderByName[tp.Name] = tp.Order
+		relByName[tp.Name] = tp.LFT
 	}
 	if !(orderByName["A"] == 0 && orderByName["B"] == 1 && orderByName["C"] == 2 &&
 		orderByName["And"] == 3 && orderByName["D"] == 4) {
@@ -128,7 +128,7 @@ func TestPlanOrForkAggregates(t *testing.T) {
 	rel := map[string]float64{}
 	for _, sp := range plan.secs {
 		for _, tp := range sp.tasks {
-			rel[tp.node.Name] = tp.relLFT
+			rel[tp.Name] = tp.LFT
 		}
 	}
 	want := map[string]float64{"A": -10e-3, "B": -2e-3, "C": -2e-3, "D": 0}

@@ -191,8 +191,9 @@ func (pol *policy) observeSection(sp *secPlan, works []float64) {
 	if pol.scheme != ORA {
 		return
 	}
-	for j, ti := range sp.computeIdx {
-		w := sp.wcets[j] * pol.plan.fmax // worst-case cycles, unpadded
+	idx, wcets, _ := pol.plan.computes(sp)
+	for j, ti := range idx {
+		w := wcets[j] * pol.plan.fmax // worst-case cycles, unpadded
 		if w <= 0 {
 			continue
 		}

@@ -148,7 +148,7 @@ func (p *Plan) resolve(cfg *RunConfig, a *Arena) *script {
 	orCount := 0
 	step := 0
 	for {
-		sp := p.secs[sec.ID]
+		sp := &p.secs[sec.ID]
 		sc.sections = append(sc.sections, sp)
 		if step < len(sc.works) {
 			sc.works[step] = ensureFloats(sc.works[step], len(sp.tasks))
@@ -160,13 +160,14 @@ func (p *Plan) resolve(cfg *RunConfig, a *Arena) *script {
 		for i := range works {
 			works[i] = 0
 		}
-		times := sp.wcets
+		idx, wcets, acets := p.computes(sp)
+		times := wcets
 		if !cfg.WorstCase {
-			a.batch = ensureFloats(a.batch, len(sp.computeIdx))
-			cfg.Sampler.SampleBatch(sp.wcets, sp.acets, a.batch)
+			a.batch = ensureFloats(a.batch, len(idx))
+			cfg.Sampler.SampleBatch(wcets, acets, a.batch)
 			times = a.batch
 		}
-		for j, ti := range sp.computeIdx {
+		for j, ti := range idx {
 			works[ti] = times[j] * p.fmax
 		}
 		exit := sp.sec.Exit
@@ -448,7 +449,7 @@ func (p *Plan) runtimeTasks(a *Arena, sp *secPlan, d float64, works []float64) [
 		// the templates once; later runs only rewrite the run-specific
 		// fields below.
 		for i := range sp.tasks {
-			tasks[i] = sp.tasks[i].tmpl
+			tasks[i] = sp.tasks[i]
 			ptrs[i] = &tasks[i]
 		}
 		a.filled[sp.sec.ID] = true
@@ -456,7 +457,7 @@ func (p *Plan) runtimeTasks(a *Arena, sp *secPlan, d float64, works []float64) [
 	}
 	if a.lftD[sp.sec.ID] != d {
 		for i := range sp.tasks {
-			tasks[i].LFT = d + sp.tasks[i].relLFT
+			tasks[i].LFT = d + sp.tasks[i].LFT
 		}
 		a.lftD[sp.sec.ID] = d
 	}

@@ -130,11 +130,30 @@ func NewHetero(name string, classes []Class) (*Hetero, error) {
 // Homogeneous wraps an identical-processor platform as the degenerate
 // 1-class heterogeneous platform: m processors of one class at Speed 1 —
 // the machine every identical-processor plan and engine run uses.
+//
+// The machine is built once per platform and processor count and shared by
+// every later call: Hetero values are immutable.
 func Homogeneous(p *Platform, m int) (*Hetero, error) {
 	if p == nil {
 		return nil, fmt.Errorf("power: Homogeneous needs a platform")
 	}
-	return NewHetero(p.Name, []Class{{Name: "cpu", Count: m, Plat: p, Speed: 1}})
+	if p.homog == nil { // a Platform not made by NewPlatform
+		return NewHetero(p.Name, []Class{{Name: "cpu", Count: m, Plat: p, Speed: 1}})
+	}
+	p.homog.mu.Lock()
+	defer p.homog.mu.Unlock()
+	if h, ok := p.homog.m[m]; ok {
+		return h, nil
+	}
+	h, err := NewHetero(p.Name, []Class{{Name: "cpu", Count: m, Plat: p, Speed: 1}})
+	if err != nil {
+		return nil, err
+	}
+	if p.homog.m == nil {
+		p.homog.m = make(map[int]*Hetero)
+	}
+	p.homog.m[m] = h
+	return h, nil
 }
 
 // NumProcs returns the total processor count across all classes.

@@ -23,6 +23,7 @@ package power
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Level is one discrete operating point of a DVS processor.
@@ -58,6 +59,15 @@ type Platform struct {
 	IdleFrac float64
 
 	levels []Level // ascending by frequency
+	// homog holds the Homogeneous machines built on the platform, so that
+	// the plans of one platform share one machine per processor count.
+	homog *homogMemo
+}
+
+// homogMemo maps a processor count to its Homogeneous machine.
+type homogMemo struct {
+	mu sync.Mutex
+	m  map[int]*Hetero
 }
 
 // DefaultCef is the effective switching capacitance used when none is
@@ -92,7 +102,7 @@ func NewPlatform(name string, levels []Level) *Platform {
 			panic(fmt.Sprintf("power: platform %q has duplicate frequency %v", name, l))
 		}
 	}
-	return &Platform{Name: name, Cef: DefaultCef, IdleFrac: DefaultIdleFrac, levels: ls}
+	return &Platform{Name: name, Cef: DefaultCef, IdleFrac: DefaultIdleFrac, levels: ls, homog: new(homogMemo)}
 }
 
 // Levels returns the operating points in ascending frequency order. The
@@ -176,7 +186,7 @@ func (p *Platform) WithCef(cef float64) *Platform {
 		panic("power: non-positive Cef")
 	}
 	q := *p
-	q.Cef = cef
+	q.Cef, q.homog = cef, new(homogMemo)
 	return &q
 }
 
@@ -187,6 +197,6 @@ func (p *Platform) WithIdleFrac(frac float64) *Platform {
 		panic("power: idle fraction outside [0,1]")
 	}
 	q := *p
-	q.IdleFrac = frac
+	q.IdleFrac, q.homog = frac, new(homogMemo)
 	return &q
 }

@@ -141,7 +141,7 @@ func minPerRun(reps, runs int, f func()) (allocs, bytes float64) {
 //
 // A warmed .andor text body must stay within 6 allocations of the
 // workload body: the text memo keys it without parsing (ParseText alone
-// allocates ~250 times on this graph) or rendering it. Spelled as
+// allocates ~5.6 KB in ~11 allocations on this graph) or rendering it. Spelled as
 // json.Marshal spells it, with \u003e escapes, the text may add at most 64
 // bytes per request: it is unescaped into a pooled buffer and hashed
 // there, never copied into a string.
@@ -234,6 +234,48 @@ func TestRunRequestAllocsPerRun(t *testing.T) {
 	if large-small > 12 {
 		t.Errorf("runs=2000 allocates %.1f more times than runs=200 (%.1f vs %.1f); want <= 12, independent of runs",
 			large-small, large, small)
+	}
+}
+
+// TestTextMissAllocs bounds a text request that misses the plan cache:
+// parsing its text, validating and decomposing it and compiling its plan
+// build the graph, its sections and the plan in a few slabs each, so a
+// miss allocates at most 108 times (216 when each node, edge list,
+// section and task template was an object of its own). The server cycles
+// over twice as many texts as its plan cache holds, so every request
+// misses.
+func TestTextMissAllocs(t *testing.T) {
+	bodies := make([]string, 256)
+	for i := range bodies {
+		text := andor.FormatText(workload.Random(uint64(i+1), andor.DefaultRandomOpts()))
+		bodies[i] = fmt.Sprintf(`{"text":%q,"scheme":"GSS","seed":%d}`, text, i)
+	}
+	s := newTestServer(t, Config{Workers: 1, QueueSize: 8, CacheSize: 128,
+		Trace: TraceConfig{Disabled: true}})
+	rd := strings.NewReader("")
+	req := httptest.NewRequest(http.MethodPost, "/v1/run", rd)
+	w := newReusableRecorder()
+	next := 0
+	run := func() {
+		rd.Reset(bodies[next%len(bodies)])
+		next++
+		w.reset()
+		s.Handler().ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("status %d: %s", w.status, w.body.String())
+		}
+	}
+	for range bodies {
+		run() // memoize the texts, fill the plan cache
+	}
+	misses := s.pool.PlanCacheStats().Misses
+	allocs, bytes := minPerRun(3, len(bodies), run)
+	if n := s.pool.PlanCacheStats().Misses - misses; n != int64(1+3*len(bodies)) {
+		t.Fatalf("%d of %d requests missed the plan cache", n, 1+3*len(bodies))
+	}
+	t.Logf("a text miss: %.1f allocs, %.0f B", allocs, bytes)
+	if allocs > 108 {
+		t.Errorf("a text miss allocates %.1f times, want <= 108", allocs)
 	}
 }
 

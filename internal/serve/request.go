@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"unsafe"
 
 	"andorsched/internal/andor"
 	"andorsched/internal/cli"
@@ -52,8 +53,8 @@ type AppSpec struct {
 
 	// rawText is the text of a body decodeRunFast decoded, unescaped into
 	// a buffer the handler owns; Text is then empty. resolveApp hashes it
-	// and copies it into a string only to parse it, so nothing outlives
-	// the request aliasing the buffer.
+	// and parses it in place, and ParseText keeps no reference to its
+	// input, so nothing outlives the request aliasing the buffer.
 	rawText []byte
 }
 
@@ -68,12 +69,14 @@ func (spec *AppSpec) textSum() [sha256.Size]byte {
 	return textKey(spec.Text)
 }
 
-// textString returns the text, copying it out of rawText if it is there.
-func (spec *AppSpec) textString() string {
+// parseText parses the text. A raw text is parsed where it lies, without
+// a copy: the string is only read during the parse, and ParseText keeps no
+// reference to its input.
+func (spec *AppSpec) parseText() (*andor.Graph, error) {
 	if spec.rawText != nil {
-		return string(spec.rawText)
+		return andor.ParseText(unsafe.String(unsafe.SliceData(spec.rawText), len(spec.rawText)))
 	}
-	return spec.Text
+	return andor.ParseText(spec.Text)
 }
 
 // OverheadsSpec is the wire form of power.Overheads.
@@ -255,7 +258,7 @@ func (ra *resolvedApp) parseDeferred() *apiError {
 	if ra.g != nil {
 		return nil
 	}
-	g, err := andor.ParseText(ra.spec.textString())
+	g, err := ra.spec.parseText()
 	if err != nil {
 		return errf(http.StatusBadRequest, "text: %v", err)
 	}
@@ -305,7 +308,7 @@ func (s *Server) resolveApp(spec *AppSpec) (resolvedApp, *apiError) {
 			ra.spec, key.graph = spec, digest
 			break
 		}
-		g, err := andor.ParseText(spec.textString())
+		g, err := spec.parseText()
 		if err != nil {
 			return ra, errf(http.StatusBadRequest, "text: %v", err)
 		}

@@ -379,3 +379,38 @@ func TestRuntimeGauges(t *testing.T) {
 		t.Errorf("runtime gauges did not grow: gc_cycles %g -> %g, alloc_bytes %g -> %g", gc0, gc1, alloc0, alloc1)
 	}
 }
+
+// TestCrossingEdgeErrorBody: a text with several edges that cross a
+// section boundary is refused with one and the same 400 body every time,
+// naming the first crossing edge in the section's topological order.
+func TestCrossingEdgeErrorBody(t *testing.T) {
+	const text = "task A 1ms 1ms\ntask B 1ms 1ms\nor O\ntask C 1ms 1ms\ntask D 1ms 1ms\ntask E 1ms 1ms\n" +
+		"edge A -> O\nedge A -> B\nedge O -> C\nedge C -> D\nedge C -> E\nedge B -> D\nedge B -> E"
+	const want = `text: andor: edge "C" -> "D" crosses a section boundary`
+	s := newTestServer(t, Config{})
+	for _, path := range []string{"/v1/run", "/v1/plan"} {
+		body, err := json.Marshal(map[string]any{"text": text})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first string
+		for i := 0; i < 20; i++ {
+			w := post(t, s, path, string(body))
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("%s: status %d: %s", path, w.Code, w.Body.String())
+			}
+			if i == 0 {
+				first = w.Body.String()
+				var e struct {
+					Error string `json:"error"`
+				}
+				decodeBody(t, w, &e)
+				if e.Error != want {
+					t.Fatalf("%s: error %q, want %q", path, e.Error, want)
+				}
+			} else if w.Body.String() != first {
+				t.Fatalf("%s: request %d answered %q, the first %q", path, i, w.Body.String(), first)
+			}
+		}
+	}
+}
