@@ -130,6 +130,7 @@ func FuzzParseText(f *testing.F) {
 		f.Add(src)
 	}
 	f.Add(crossingText)
+	f.Add(shortProbText)
 	f.Fuzz(func(t *testing.T, src string) {
 		if ug, err := parseText(src); err == nil {
 			checkAgainstReference(t, ug)

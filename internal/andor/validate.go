@@ -12,7 +12,8 @@ import (
 //   - And nodes have at least one predecessor and one successor (a dummy
 //     node with neither would be an isolated vertex);
 //   - Or nodes with more than one successor carry branch probabilities that
-//     lie in [0, 1] and sum to 1 (within 1e-9);
+//     lie in [0, 1] and sum to 1 (within 1e-9), and an Or node with branch
+//     probabilities has exactly one per successor;
 //   - the graph decomposes into program sections (see Decompose for the
 //     structural rules that encode the paper's "all processors synchronize
 //     at an OR node" restriction).
@@ -54,6 +55,10 @@ func (g *Graph) checkNodes() error {
 		case Or:
 			if len(n.Preds()) == 0 {
 				return fmt.Errorf("andor: OR node %q has no predecessors", n.Name)
+			}
+			if n.prob != nil && len(*n.prob) != len(n.Succs()) {
+				return fmt.Errorf("andor: OR node %q has %d branch probabilities for %d successors",
+					n.Name, len(*n.prob), len(n.Succs()))
 			}
 			if len(n.Succs()) > 1 {
 				if n.prob == nil {

@@ -24,6 +24,23 @@ var nonFiniteTexts = []string{
 	"loop L 1ms 1ms : NaN 1",
 }
 
+// shortProbText gives the Or node O two branch probabilities and then a
+// third successor: it used to parse, and compiling it then panicked on the
+// missing probability.
+const shortProbText = "task A 1ms 1ms\nor O\ntask B 1ms 1ms\ntask C 1ms 1ms\ntask D 1ms 1ms\n" +
+	"edge A -> O\nedge O -> B C\nprob O 0.5 0.5\nedge O -> D"
+
+func TestParseTextRejectsShortBranchProbs(t *testing.T) {
+	g, err := ParseText(shortProbText)
+	if err == nil {
+		t.Fatalf("ParseText accepted %q:\n%s", shortProbText, FormatText(g))
+	}
+	const want = `andor: OR node "O" has 2 branch probabilities for 3 successors`
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not contain %q", err, want)
+	}
+}
+
 func TestParseTextRejectsNonFinite(t *testing.T) {
 	for _, src := range nonFiniteTexts {
 		if g, err := ParseText(src); err == nil {

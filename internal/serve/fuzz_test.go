@@ -81,6 +81,7 @@ func FuzzRunEndpoint(f *testing.F) {
 	accepted, refused := deadlineEdgeBodies(f)
 	f.Add([]byte(accepted))
 	f.Add([]byte(refused))
+	f.Add([]byte(shortProbBody))
 
 	panicsBefore, _ := s.Metrics().Snapshot().Counter(MetricPanics)
 	if panicsBefore != 0 {

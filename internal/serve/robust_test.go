@@ -39,6 +39,24 @@ func TestNonFiniteApplicationsRejected(t *testing.T) {
 	}
 }
 
+// shortProbBody's Or node O has two branch probabilities and three
+// successors; compiling it used to panic, and /v1/run answered 500.
+const shortProbBody = `{"text":"task A 1ms 1ms\nor O\ntask B 1ms 1ms\ntask C 1ms 1ms\ntask D 1ms 1ms\n` +
+	`edge A -> O\nedge O -> B C\nprob O 0.5 0.5\nedge O -> D","procs":2}`
+
+func TestShortBranchProbsRejected(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, path := range []string{"/v1/plan", "/v1/run", "/v1/compare"} {
+		w := post(t, s, path, shortProbBody)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `OR node \"O\"`) {
+			t.Errorf("%s: status %d, want 400 naming the OR node: %s", path, w.Code, w.Body.String())
+		}
+	}
+	if n, _ := s.Metrics().Snapshot().Counter(MetricPanics); n != 0 {
+		t.Errorf("%d recovered panics", n)
+	}
+}
+
 // hugeTimeBodies are applications with finite task times on two
 // processors: 1e300 s is more cycles at f_max than a float64 holds and
 // must be refused at compile time, 1e200 s fits and runs.
