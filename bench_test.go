@@ -199,7 +199,7 @@ func BenchmarkNewPlanCold(b *testing.B) {
 // BenchmarkNewPlanWarm measures the off-line phase with every memo layer
 // warm — the steady state of experiment grids, sizing probes and serve
 // plan-cache misses on recurring structures. Validation and decomposition
-// are answered by the graph memo, every canonical simulation by the
+// are answered by the graph memo, every canonical list schedule by the
 // section-schedule cache; what remains is plan assembly.
 func BenchmarkNewPlanWarm(b *testing.B) {
 	g := workload.ATR(workload.DefaultATRConfig())
@@ -369,7 +369,7 @@ func BenchmarkRunHeteroAS(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineScaling measures the ByOrder engine across section
+// BenchmarkEngineScaling measures the order-gate engine across section
 // sizes and processor counts (layered sections, 4-wide layers).
 func BenchmarkEngineScaling(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
@@ -385,7 +385,7 @@ func BenchmarkEngineScaling(b *testing.B) {
 					}
 					tasks[i] = t
 				}
-				cfg := sim.Config{Hetero: machine(plat, m), Mode: sim.ByOrder}
+				cfg := sim.Config{Hetero: machine(plat, m)}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := sim.Run(cfg, tasks); err != nil {
@@ -439,7 +439,7 @@ func BenchmarkStreamATR(b *testing.B) {
 	b.ReportMetric(float64(frames)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 
-// BenchmarkEngineSection measures the raw ByOrder engine on a
+// BenchmarkEngineSection measures the raw order-gate engine on a
 // 64-task AND-parallel section across 4 processors.
 func BenchmarkEngineSection(b *testing.B) {
 	plat := power.Transmeta5400()
@@ -454,7 +454,7 @@ func BenchmarkEngineSection(b *testing.B) {
 		t.LFT = 1 // ample
 		tasks[i] = t
 	}
-	cfg := sim.Config{Hetero: machine(plat, 4), Mode: sim.ByOrder}
+	cfg := sim.Config{Hetero: machine(plat, 4)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(cfg, tasks); err != nil {
@@ -478,7 +478,7 @@ func BenchmarkEngineSectionArena(b *testing.B) {
 		}
 		tasks[i] = t
 	}
-	cfg := sim.Config{Hetero: machine(plat, 4), Mode: sim.ByOrder}
+	cfg := sim.Config{Hetero: machine(plat, 4)}
 	arena := sim.NewArena()
 	if _, err := arena.Run(&cfg, tasks); err != nil { // warm-up
 		b.Fatal(err)
@@ -522,7 +522,7 @@ func BenchmarkEngineTracerOverhead(b *testing.B) {
 		}
 		tasks[i] = t
 	}
-	base := sim.Config{Hetero: machine(plat, 4), Mode: sim.ByOrder}
+	base := sim.Config{Hetero: machine(plat, 4)}
 
 	b.Run("off", func(b *testing.B) {
 		b.ReportAllocs()

@@ -317,7 +317,6 @@ func (p *Plan) execute(cfg *RunConfig, a *Arena, sc *script, pol *policy, levels
 		Hetero:        hp,
 		Placement:     p.Placement,
 		Overheads:     ov,
-		Mode:          sim.ByOrder,
 		Policy:        pol,
 		InitialLevels: a.levels,
 		Tracer:        cfg.Tracer,
@@ -365,7 +364,7 @@ func (p *Plan) execute(cfg *RunConfig, a *Arena, sc *script, pol *policy, levels
 			cOR.Inc()
 		}
 		if cfg.Validate {
-			if err := sim.ValidateResult(hp, sim.ByOrder, now, tasks, sr); err != nil {
+			if err := sim.ValidateResult(hp, now, tasks, sr); err != nil {
 				return fmt.Errorf("core: section %d: %w", sp.sec.ID, err)
 			}
 		}

@@ -1,11 +1,11 @@
 // Package schedcache memoizes the expensive artifact of the off-line phase:
 // the canonical per-section list schedules (paper §3.2). One cache entry
-// holds everything a section's two canonical engine runs produce — dispatch
-// orders, worst-case finish times, speculative remainders and the section
-// lengths — keyed by the section's structural digest plus the scheduling
-// parameters that reach the engine (processor count, maximum frequency,
-// overhead pad). The same (section, m, f_max, pad) problem therefore runs
-// through the simulator once per process, no matter how many times
+// holds everything a section's two canonical list schedules produce —
+// dispatch orders, worst-case finish times, speculative remainders and the
+// section lengths — keyed by the section's structural digest plus the
+// parameters that reach the list scheduler (processor count, maximum
+// frequency, overhead pad). The same (section, m, f_max, pad) problem is
+// therefore scheduled once per process, no matter how many times
 // core.NewPlan recompiles the surrounding application: experiment grids over
 // load, processor-sizing probes, serve-layer plan-cache misses on equivalent
 // graphs and the CLV ablations all collapse onto one computation.

@@ -43,7 +43,6 @@ func twoProcRun(t *testing.T) []obs.Event {
 	_, err = sim.Run(sim.Config{
 		Hetero:    machine,
 		Overheads: power.DefaultOverheads(),
-		Mode:      sim.ByOrder,
 		Policy:    levelHopPolicy{plat.NumLevels()},
 		Tracer:    col,
 	}, tasks)

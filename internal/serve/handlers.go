@@ -79,7 +79,7 @@ func (s *Server) routePlan(ctx context.Context, ra resolvedApp) (*core.Plan, boo
 // buildPlan compiles ra's plan against the given section-schedule cache
 // shard. A plan-cache miss on a graph whose sections were seen before
 // (same structure at a different procs/platform, or an evicted plan) then
-// skips the canonical simulations.
+// skips the canonical list schedules.
 func buildPlan(ra resolvedApp, sched *schedcache.Cache) (*core.Plan, error) {
 	if ra.hp != nil {
 		return core.NewHeteroPlanWithCache(ra.g, ra.hp, ra.key.ov, ra.place, sched)

@@ -1,8 +1,9 @@
 package sim
 
 // Arena owns every piece of the engine's scratch state: the processor
-// tables (levels, freeAt), the dependence counters, the ByPriority ready
-// queue and event heap, and the Result's record/timeline buffers.
+// tables (levels, freeAt), the dependence counters and ready times, a
+// traced run's finish-event heap, and the Result's record/timeline
+// buffers.
 // Acquiring one Arena per worker and reusing it across runs makes
 // steady-state engine runs allocation-free: after a warm-up run on the
 // largest section, Run, Begin and Section perform zero heap allocations as
@@ -27,8 +28,8 @@ type Arena struct {
 func NewArena() *Arena { return &Arena{} }
 
 // Run is the arena-threaded form of the package-level Run: identical
-// semantics and bit-identical results (ByOrder the order-gate recurrence,
-// ByPriority the event loop), but all scratch state comes from the arena.
+// semantics and bit-identical results, but all scratch state comes from
+// the arena.
 // cfg is read, never copied or modified, and must not change during the
 // call. The returned Result and every slice it references (Records,
 // BusyTime, OverheadTime, FinalLevels) are owned by the arena and valid
@@ -52,7 +53,7 @@ func (a *Arena) Begin(cfg *Config, levelTime []float64) error {
 }
 
 // Section runs the next section of the run begun: the tasks of prog,
-// dispatched from start in the configured mode, with each processor at
+// dispatched from start in their order, with each processor at
 // the level the previous section left it (Begin's levels for the first).
 // tasks must be the section prog was compiled from, with only the per-run
 // fields (WorkA, LFT, SpecRemain) rewritten; Section checks each

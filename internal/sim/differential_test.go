@@ -10,7 +10,7 @@ import (
 )
 
 // referenceRun is an independent, deliberately naive implementation of the
-// ByOrder dispatch semantics, used for differential testing against the
+// order-gate dispatch semantics, used for differential testing against the
 // engine. Because dispatch is strictly ordered, the schedule can be
 // computed sequentially: task k (in order) is dispatched at
 //
@@ -173,7 +173,6 @@ func TestEngineMatchesReference(t *testing.T) {
 				SpeedCompCycles: float64(rnd.next() % 2000),
 				SpeedChangeTime: rnd.float() * 1e-4,
 			},
-			Mode:   ByOrder,
 			Policy: fixedPolicy(int(rnd.next()) % plat.NumLevels()),
 			Start:  rnd.float(),
 		}
@@ -185,7 +184,7 @@ func TestEngineMatchesReference(t *testing.T) {
 			t.Logf("seed %d: engine: %v", seed, err)
 			return false
 		}
-		if err := ValidateResult(cfg.Hetero, cfg.Mode, cfg.Start, tasks, res); err != nil {
+		if err := ValidateResult(cfg.Hetero, cfg.Start, tasks, res); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}

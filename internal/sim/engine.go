@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"andorsched/internal/obs"
 	"andorsched/internal/power"
@@ -34,15 +33,14 @@ func newEngineMetrics(m *obs.Metrics, procs int) *engineMetrics {
 
 // Run simulates the execution of one program section's tasks on the
 // configured multiprocessor and returns the schedule and energy breakdown.
-// It is deterministic: identical inputs produce identical results.
-//
-// ByOrder runs are a single pass over the tasks in dispatch order (the
-// order-gate recurrence, see the package doc); ByPriority runs are a
-// discrete-event loop over task completions.
+// It is deterministic: identical inputs produce identical results. The
+// run is a single pass over the tasks in dispatch order (the order-gate
+// recurrence, see the package doc).
 //
 // It returns an error when the input cannot execute to completion —
-// cyclic dependences, an Order field that is not a permutation of 0..n-1
-// in ByOrder mode, or inconsistent Preds/Succs.
+// cyclic dependences, an Order field that is not a permutation of 0..n-1,
+// a computation task pinned to a class the machine lacks, or inconsistent
+// Preds/Succs.
 //
 // Run allocates fresh state per call, so the Result is independent of later
 // calls. Hot loops that run many simulations should hold an Arena and call
@@ -61,9 +59,8 @@ type runState struct {
 	cfg    *Config
 	tasks  []*Task
 	hp     *power.Hetero
-	multi  bool // more than one class: dummies consult the placement
-	place  PlacementPolicy
-	views  []ProcView // placement scratch
+	multi  bool   // more than one class: dummies consult the placement
+	pl     placer // the placement, for dummies
 	tracer obs.Tracer
 	met    *engineMetrics
 	// levelTime, if non-nil, accumulates each execution's finish − start
@@ -85,18 +82,13 @@ type runState struct {
 	ownOrder []int
 	start    float64
 
-	// ByOrder: readyAt[i] is the latest finish of task i's released
-	// predecessors. errAt is the finish of the completion that raised err.
+	// readyAt[i] is the latest finish of task i's released predecessors.
+	// errAt is the finish of the completion that raised err.
 	readyAt []float64
 	errAt   float64
 
-	// ByPriority: the ready queue and the completion clock. The event heap
-	// also holds a traced ByOrder run's pending finish events.
-	rq        readyQueue
-	events    eventHeap
-	seq       int
-	remaining int
-	now       float64
+	// events holds a traced run's pending finish events.
+	events eventHeap
 
 	res Result
 	err error
@@ -112,12 +104,9 @@ func (rs *runState) run(cfg *Config, tasks []*Task) (*Result, error) {
 	// The arena's own program counts predecessors directly in the working
 	// counters; section's copy of them onto themselves is then a no-op.
 	n := len(tasks)
-	ordered := cfg.Mode == ByOrder
 	rs.npreds = ensureInts(rs.npreds, n)
-	if ordered {
-		rs.ownOrder = ensureInts(rs.ownOrder, n)
-	}
-	if err := rs.own.compile(cfg.Hetero, tasks, ordered, true, rs.npreds, rs.ownOrder); err != nil {
+	rs.ownOrder = ensureInts(rs.ownOrder, n)
+	if err := rs.own.compile(cfg.Hetero, tasks, true, rs.npreds, rs.ownOrder); err != nil {
 		return nil, err
 	}
 	return rs.section(&rs.own, tasks, cfg.Start)
@@ -156,13 +145,7 @@ func (rs *runState) begin(cfg *Config, levelTime []float64) error {
 	rs.cfg = cfg
 	rs.hp = hp
 	rs.multi = hp.NumClasses() > 1
-	rs.place = cfg.Placement
-	if rs.place == nil {
-		rs.place = FastestFirst
-	}
-	if cap(rs.views) < m {
-		rs.views = make([]ProcView, 0, m)
-	}
+	rs.pl.reset(hp, cfg.Placement)
 	rs.levelTime = levelTime
 
 	// The copy below is safe even when InitialLevels aliases a previous
@@ -217,7 +200,7 @@ func (rs *runState) checkSection(prog *Program, tasks []*Task) error {
 
 // section runs one section of the begun run from start: it resets the
 // section's accumulators and processor free times, seeds the dependence
-// counters from prog and runs the configured discipline. Levels carry over
+// counters from prog and runs the order-gate recurrence. Levels carry over
 // from the previous section.
 func (rs *runState) section(prog *Program, tasks []*Task, start float64) (*Result, error) {
 	cfg := rs.cfg
@@ -250,13 +233,8 @@ func (rs *runState) section(prog *Program, tasks []*Task, start float64) (*Resul
 	res.Metrics = nil
 
 	rs.events.h = rs.events.h[:0]
-	rs.seq = 0
 	rs.err = nil
-	if cfg.Mode == ByOrder {
-		rs.runByOrder()
-	} else {
-		rs.runByPriority()
-	}
+	rs.runOrderGate()
 	if rs.err != nil {
 		return nil, rs.err
 	}
@@ -273,19 +251,19 @@ func (rs *runState) section(prog *Program, tasks []*Task, start float64) (*Resul
 	return res, nil
 }
 
-// runByOrder is the on-line discipline as a recurrence over the dispatch
+// runOrderGate is the on-line discipline as a recurrence over the dispatch
 // order. Task k is dispatched at the latest of task k−1's dispatch, its
 // released predecessors' finishes and the earliest free time of the
 // processors it may run on, on the one of them idle longest. A task whose
 // turn comes with unreleased predecessors deadlocks the order gate. The
 // first over-released successor in completion order (finish time, then
-// dispatch order) is the run's error, as in the event loop, which would
+// dispatch order) is the run's error, as in an event loop, which would
 // stop at that completion.
 //
-// With a tracer, finishes are held in the event heap under the keys the
-// event loop gives them and emitted before the first dispatch at or after
-// their time, reproducing its event stream.
-func (rs *runState) runByOrder() {
+// With a tracer, finishes are held in the event heap, keyed by finish time
+// and then dispatch order, and emitted before the first dispatch at or
+// after their time, as an event loop over completions would emit them.
+func (rs *runState) runOrderGate() {
 	tasks := rs.tasks
 	start := rs.start
 	rs.readyAt = ensureFloats(rs.readyAt, len(tasks))
@@ -341,7 +319,7 @@ func (rs *runState) runByOrder() {
 			break
 		}
 		if t.Dummy && rs.multi {
-			proc, ci = rs.placeProc(t, now)
+			proc, ci = rs.pl.pick(t, now, rs.freeAt)
 		}
 		if rs.tracer != nil {
 			rs.traceFinishes(now)
@@ -354,8 +332,7 @@ func (rs *runState) runByOrder() {
 			if finish == now {
 				rs.traceFinish(proc, ti, now)
 			} else {
-				rs.events.push(event{time: finish, seq: rs.seq, proc: proc, task: ti})
-				rs.seq++
+				rs.events.push(event{time: finish, seq: k, proc: proc, task: ti})
 			}
 		}
 		for _, s := range t.Succs {
@@ -388,92 +365,6 @@ func (rs *runState) traceFinishes(at float64) {
 	}
 }
 
-// runByPriority is the canonical discipline as a discrete-event loop:
-// whenever processors are idle, the longest ready task goes to the one the
-// placement picks; time advances to the next completion.
-func (rs *runState) runByPriority() {
-	rs.rq.reset(rs.tasks)
-	for i := range rs.tasks {
-		if rs.npreds[i] == 0 {
-			rs.rq.push(i)
-		}
-	}
-	rs.remaining = len(rs.tasks)
-	rs.now = rs.start
-	rs.dispatch()
-	for rs.remaining > 0 && rs.err == nil {
-		ev, ok := rs.events.pop()
-		if !ok {
-			rs.err = fmt.Errorf("sim: deadlock with %d tasks unfinished (bad precedence or order gating)", rs.remaining)
-			return
-		}
-		rs.now = ev.time
-		rs.complete(ev.proc, ev.task, ev.time)
-		// Drain every completion at this same instant before dispatching,
-		// so that simultaneously freed processors compete for the next
-		// task deterministically.
-		for {
-			next, ok := rs.events.peek()
-			if !ok || next.time != rs.now {
-				break
-			}
-			ev, _ = rs.events.pop()
-			rs.complete(ev.proc, ev.task, ev.time)
-		}
-		if rs.err == nil {
-			rs.dispatch()
-		}
-	}
-}
-
-// dispatch assigns ready tasks to idle processors until one side runs out.
-func (rs *runState) dispatch() {
-	for {
-		ti, ok := rs.rq.peek()
-		if !ok {
-			return
-		}
-		proc, ci := rs.placeProc(rs.tasks[ti], rs.now)
-		if proc < 0 {
-			return
-		}
-		rs.rq.pop()
-		finish := rs.issue(ti, proc, ci, rs.now)
-		if finish == rs.now {
-			// Instantaneous work (synchronization nodes): the paper's
-			// scheduler handles them and immediately looks for the
-			// next task, so the processor never appears busy.
-			rs.complete(proc, ti, rs.now)
-			if rs.err != nil {
-				return
-			}
-			continue
-		}
-		rs.events.push(event{time: finish, seq: rs.seq, proc: proc, task: ti})
-		rs.seq++
-	}
-}
-
-// complete marks task's execution on proc finished at time at, releasing
-// its successors.
-func (rs *runState) complete(proc, task int, at float64) {
-	tasks := rs.tasks
-	rs.traceFinish(proc, task, at)
-	if at > rs.res.Finish {
-		rs.res.Finish = at
-	}
-	for _, s := range tasks[task].Succs {
-		rs.npreds[s]--
-		if rs.npreds[s] == 0 {
-			rs.rq.push(s)
-		}
-		if rs.npreds[s] < 0 && rs.err == nil {
-			rs.err = fmt.Errorf("sim: task %q completed more predecessors than it has", tasks[s].Name)
-		}
-	}
-	rs.remaining--
-}
-
 // traceFinish emits task's finish event, if tracing.
 func (rs *runState) traceFinish(proc, task int, at float64) {
 	if rs.tracer == nil {
@@ -485,34 +376,6 @@ func (rs *runState) traceFinish(proc, task int, at float64) {
 		Task: task, Node: t.Node, Name: t.Name,
 		Level: rs.levels[proc], Prev: rs.levels[proc],
 	})
-}
-
-// placeProc asks the placement policy to pick among the processors idle
-// at now and returns the processor and its class, or -1 and class 0 when
-// none is idle.
-func (rs *runState) placeProc(t *Task, now float64) (proc, class int) {
-	views := rs.views[:0]
-	for ci := 0; ci < rs.hp.NumClasses(); ci++ {
-		c := rs.hp.Class(ci)
-		first, end := c.Procs()
-		for i := first; i < end; i++ {
-			if rs.freeAt[i] <= now {
-				views = append(views, ProcView{
-					Proc: i, Class: ci, FreeAt: rs.freeAt[i],
-					EffFmax: c.EffFmax(), EnergyPerCycle: c.EnergyPerCycle(),
-				})
-			}
-		}
-	}
-	rs.views = views
-	if len(views) == 0 {
-		return -1, 0
-	}
-	k := rs.place.Pick(t, now, views)
-	if k < 0 || k >= len(views) {
-		panic(fmt.Sprintf("sim: placement %q returned pick %d of %d eligible", rs.place.Name(), k, len(views)))
-	}
-	return views[k].Proc, views[k].Class
 }
 
 // issue dispatches task ti on processor proc of class ci at time now: it
@@ -553,7 +416,7 @@ func (rs *runState) issue(ti, proc, ci int, now float64) float64 {
 	finish := start + execT
 	// Theorem 1's latest start time is class-relative; online, a
 	// computation task runs on its canonical class.
-	if cfg.Mode == ByOrder && !t.Dummy && now > (t.LFT-t.WorkW/c.EffFmax())*(1+lstTol)+lstTol {
+	if !t.Dummy && now > (t.LFT-t.WorkW/c.EffFmax())*(1+lstTol)+lstTol {
 		res.LSTViolations++
 	}
 	if rs.levelTime != nil {
@@ -629,7 +492,8 @@ func (rs *runState) issue(ti, proc, ci int, now float64) float64 {
 	return finish
 }
 
-// event is a task-completion event.
+// event is a task-completion event: a traced run's pending finish, or a
+// list schedule's pending completion.
 type event struct {
 	time float64
 	seq  int // FIFO tie-break for simultaneous events
@@ -693,48 +557,3 @@ func (e *eventHeap) pop() (event, bool) {
 	}
 	return top, true
 }
-
-// readyQueue is the ByPriority ready queue: the longest ready task goes
-// first. pq[pqHead:] is the sorted queue of ready task indices, longest
-// WCET first, ties by node ID then arrival. The head index replaces
-// re-slicing on pop so the backing array survives reuse.
-type readyQueue struct {
-	tasks  []*Task
-	pq     []int
-	pqHead int
-}
-
-// reset prepares the queue for a new run, reusing buffers.
-func (rq *readyQueue) reset(tasks []*Task) {
-	rq.tasks = tasks
-	rq.pq = rq.pq[:0]
-	rq.pqHead = 0
-}
-
-func (rq *readyQueue) push(ti int) {
-	// Ordered insertion: place ti before the first queued task it must
-	// precede (strictly longer WCET, ties by lower node ID), after any
-	// equal tasks — exactly where a stable sort of the appended element
-	// would land it. The queue is sorted under this strict weak ordering,
-	// so "t precedes pq[i]" is monotone in i and sort.Search finds the
-	// same position the linear scan did, in O(log n) comparisons.
-	t := rq.tasks[ti]
-	n := len(rq.pq) - rq.pqHead
-	pos := rq.pqHead + sort.Search(n, func(i int) bool {
-		o := rq.tasks[rq.pq[rq.pqHead+i]]
-		return t.WorkW > o.WorkW || (t.WorkW == o.WorkW && t.Node < o.Node)
-	})
-	rq.pq = append(rq.pq, 0)
-	copy(rq.pq[pos+1:], rq.pq[pos:])
-	rq.pq[pos] = ti
-}
-
-// peek returns the next task to dispatch.
-func (rq *readyQueue) peek() (int, bool) {
-	if rq.pqHead >= len(rq.pq) {
-		return 0, false
-	}
-	return rq.pq[rq.pqHead], true
-}
-
-func (rq *readyQueue) pop() { rq.pqHead++ }

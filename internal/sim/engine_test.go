@@ -34,10 +34,18 @@ func task(name string, workW, workA float64, preds, succs []int) *Task {
 	return &Task{Name: name, WorkW: workW * 1e6, WorkA: workA * 1e6, Preds: preds, Succs: succs}
 }
 
+// inOrder gives tasks the identity dispatch order, for order-gate runs.
+func inOrder(tasks ...*Task) []*Task {
+	for i, t := range tasks {
+		t.Order = i
+	}
+	return tasks
+}
+
 func TestSingleTaskTimingAndEnergy(t *testing.T) {
 	p := testPlat()
 	// 400 mega-cycles at 400MHz → 1s.
-	res, err := Run(Config{Hetero: machine(p, 1), Mode: ByPriority}, []*Task{
+	res, err := Run(Config{Hetero: machine(p, 1)}, []*Task{
 		task("a", 400, 400, nil, nil),
 	})
 	if err != nil {
@@ -66,12 +74,12 @@ func TestPolicyLevelAndChangeOverhead(t *testing.T) {
 	ov := power.Overheads{SpeedCompCycles: 100e6, SpeedChangeTime: 0.25}
 	// Two sequential tasks at level 0 (100MHz). Processor starts at max
 	// (level 2, 400MHz).
-	tasks := []*Task{
+	tasks := inOrder(
 		task("a", 100, 100, nil, []int{1}),
 		task("b", 100, 100, []int{0}, nil),
-	}
+	)
 	res, err := Run(Config{
-		Hetero: machine(p, 1), Overheads: ov, Mode: ByPriority, Policy: fixedPolicy(0),
+		Hetero: machine(p, 1), Overheads: ov, Policy: fixedPolicy(0),
 	}, tasks)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +121,7 @@ func TestVoltageSlewCharged(t *testing.T) {
 	// One task forced from the max level (1.5V) to level 0 (1.0V):
 	// change = 0.1 + 1.0×0.5 = 0.6s; exec 100Mc at 100MHz = 1s.
 	res, err := Run(Config{
-		Hetero: machine(p, 1), Overheads: ov, Mode: ByPriority, Policy: fixedPolicy(0),
+		Hetero: machine(p, 1), Overheads: ov, Policy: fixedPolicy(0),
 	}, []*Task{task("a", 100, 100, nil, nil)})
 	if err != nil {
 		t.Fatal(err)
@@ -126,75 +134,9 @@ func TestVoltageSlewCharged(t *testing.T) {
 	}
 }
 
-func TestLTFPriority(t *testing.T) {
-	// Three ready tasks, one processor: longest goes first.
-	tasks := []*Task{
-		task("short", 100, 100, nil, nil),
-		task("long", 400, 400, nil, nil),
-		task("mid", 200, 200, nil, nil),
-	}
-	res, err := Run(Config{Hetero: machine(testPlat(), 1), Mode: ByPriority}, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := []string{}
-	for _, r := range res.Records {
-		got = append(got, tasks[r.Task].Name)
-	}
-	if strings.Join(got, ",") != "long,mid,short" {
-		t.Errorf("dispatch order = %v, want longest first", got)
-	}
-}
-
-func TestLTFTieBreakByNodeID(t *testing.T) {
-	tasks := []*Task{
-		{Node: 5, Name: "n5", WorkW: 100, WorkA: 100},
-		{Node: 2, Name: "n2", WorkW: 100, WorkA: 100},
-	}
-	res, err := Run(Config{Hetero: machine(testPlat(), 1), Mode: ByPriority}, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tasks[res.Records[0].Task].Name != "n2" {
-		t.Error("equal-length tie should break by node ID")
-	}
-}
-
-func TestTwoProcessorsRunInParallel(t *testing.T) {
-	tasks := []*Task{
-		task("a", 400, 400, nil, nil),
-		task("b", 400, 400, nil, nil),
-	}
-	res, err := Run(Config{Hetero: machine(testPlat(), 2), Mode: ByPriority}, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !closeTo(res.Finish, 1.0) {
-		t.Errorf("parallel Finish = %g, want 1", res.Finish)
-	}
-	if res.Records[0].Proc == res.Records[1].Proc {
-		t.Error("tasks should run on different processors")
-	}
-}
-
-func TestPrecedenceRespected(t *testing.T) {
-	// b depends on a; even with two processors, b starts after a ends.
-	tasks := []*Task{
-		task("a", 200, 200, nil, []int{1}),
-		task("b", 200, 200, []int{0}, nil),
-	}
-	res, err := Run(Config{Hetero: machine(testPlat(), 2), Mode: ByPriority}, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !closeTo(res.Finish, 1.0) { // 2×(200Mc at 400MHz = .5s)
-		t.Errorf("Finish = %g, want 1", res.Finish)
-	}
-}
-
 func TestOrderGateForcesSleep(t *testing.T) {
 	// Order 0 = "slowgate" (long), order 1 = "blocked" depends on nothing,
-	// order 2 = "after". With 2 processors and ByOrder: t0 dispatches
+	// order 2 = "after". With 2 processors under the order gate: t0 dispatches
 	// slowgate on P0; blocked (order 1) is ready and dispatches on P1.
 	// Make instead: order 1 NOT ready until slowgate finishes, while
 	// order 2 IS ready: P1 must sleep rather than run order 2 early.
@@ -203,7 +145,7 @@ func TestOrderGateForcesSleep(t *testing.T) {
 		{Name: "mid", WorkW: 100e6, WorkA: 100e6, Order: 1, Preds: []int{0}},
 		{Name: "free", WorkW: 100e6, WorkA: 100e6, Order: 2},
 	}
-	res, err := Run(Config{Hetero: machine(testPlat(), 2), Mode: ByOrder}, tasks)
+	res, err := Run(Config{Hetero: machine(testPlat(), 2)}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,24 +166,6 @@ func TestOrderGateForcesSleep(t *testing.T) {
 	}
 }
 
-func TestByPriorityWouldViolateOrder(t *testing.T) {
-	// Contrast with the above: ByPriority runs "free" immediately.
-	tasks := []*Task{
-		{Name: "gate", WorkW: 400e6, WorkA: 400e6, Succs: []int{1}},
-		{Name: "mid", WorkW: 100e6, WorkA: 100e6, Preds: []int{0}},
-		{Name: "free", WorkW: 100e6, WorkA: 100e6},
-	}
-	res, err := Run(Config{Hetero: machine(testPlat(), 2), Mode: ByPriority}, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res.Records {
-		if tasks[r.Task].Name == "free" && r.Dispatch != 0 {
-			t.Errorf("free should dispatch at 0 in priority mode, got %g", r.Dispatch)
-		}
-	}
-}
-
 func TestDummyTasksTakeNoTime(t *testing.T) {
 	// a → and → b: the And node is transparent.
 	tasks := []*Task{
@@ -251,7 +175,7 @@ func TestDummyTasksTakeNoTime(t *testing.T) {
 	}
 	ov := power.Overheads{SpeedCompCycles: 1e9, SpeedChangeTime: 10}
 	res, err := Run(Config{
-		Hetero: machine(testPlat(), 1), Overheads: ov, Mode: ByOrder, Policy: fixedPolicy(2),
+		Hetero: machine(testPlat(), 1), Overheads: ov, Policy: fixedPolicy(2),
 	}, tasks)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +196,7 @@ func TestStartTimeAndInitialLevels(t *testing.T) {
 	p := testPlat()
 	tasks := []*Task{task("a", 100, 100, nil, nil)}
 	res, err := Run(Config{
-		Hetero: machine(p, 1), Mode: ByPriority, Start: 5.0,
+		Hetero: machine(p, 1), Start: 5.0,
 		InitialLevels: []int{0}, // 100MHz
 		Policy:        fixedPolicy(0),
 	}, tasks)
@@ -296,10 +220,10 @@ func TestErrors(t *testing.T) {
 	})
 	t.Run("cyclic preds deadlock", func(t *testing.T) {
 		tasks := []*Task{
-			{Name: "a", WorkW: 1e6, WorkA: 1e6, Preds: []int{1}, Succs: []int{1}},
-			{Name: "b", WorkW: 1e6, WorkA: 1e6, Preds: []int{0}, Succs: []int{0}},
+			{Name: "a", WorkW: 1e6, WorkA: 1e6, Order: 0, Preds: []int{1}, Succs: []int{1}},
+			{Name: "b", WorkW: 1e6, WorkA: 1e6, Order: 1, Preds: []int{0}, Succs: []int{0}},
 		}
-		if _, err := Run(Config{Hetero: machine(p, 1), Mode: ByPriority}, tasks); err == nil {
+		if _, err := Run(Config{Hetero: machine(p, 1)}, tasks); err == nil {
 			t.Error("want deadlock error")
 		}
 	})
@@ -308,31 +232,31 @@ func TestErrors(t *testing.T) {
 			{Name: "a", WorkW: 1e6, WorkA: 1e6, Order: 0},
 			{Name: "b", WorkW: 1e6, WorkA: 1e6, Order: 0},
 		}
-		if _, err := Run(Config{Hetero: machine(p, 1), Mode: ByOrder}, tasks); err == nil {
+		if _, err := Run(Config{Hetero: machine(p, 1)}, tasks); err == nil {
 			t.Error("want order error")
 		}
 	})
 	t.Run("actual exceeds worst", func(t *testing.T) {
 		tasks := []*Task{{Name: "a", WorkW: 1e6, WorkA: 2e6}}
-		if _, err := Run(Config{Hetero: machine(p, 1), Mode: ByPriority}, tasks); err == nil {
+		if _, err := Run(Config{Hetero: machine(p, 1)}, tasks); err == nil {
 			t.Error("want work error")
 		}
 	})
 	t.Run("bad pred index", func(t *testing.T) {
 		tasks := []*Task{{Name: "a", WorkW: 1e6, WorkA: 1e6, Preds: []int{9}}}
-		if _, err := Run(Config{Hetero: machine(p, 1), Mode: ByPriority}, tasks); err == nil {
+		if _, err := Run(Config{Hetero: machine(p, 1)}, tasks); err == nil {
 			t.Error("want index error")
 		}
 	})
 	t.Run("empty task list", func(t *testing.T) {
-		res, err := Run(Config{Hetero: machine(p, 2), Mode: ByOrder, Start: 3}, nil)
+		res, err := Run(Config{Hetero: machine(p, 2), Start: 3}, nil)
 		if err != nil || res.Finish != 3 {
 			t.Errorf("empty run: %v finish=%v", err, res.Finish)
 		}
 	})
 	t.Run("procs disagree with initial levels", func(t *testing.T) {
 		tasks := []*Task{task("a", 100, 100, nil, nil)}
-		_, err := Run(Config{Hetero: machine(p, 3), Mode: ByPriority, InitialLevels: []int{0, 1}}, tasks)
+		_, err := Run(Config{Hetero: machine(p, 3), InitialLevels: []int{0, 1}}, tasks)
 		if err == nil || !strings.Contains(err.Error(), "disagrees with len(InitialLevels)") {
 			t.Errorf("want mismatch error, got %v", err)
 		}
@@ -340,7 +264,7 @@ func TestErrors(t *testing.T) {
 	t.Run("initial level out of range", func(t *testing.T) {
 		tasks := []*Task{task("a", 100, 100, nil, nil)}
 		for _, lv := range []int{-1, p.NumLevels()} {
-			_, err := Run(Config{Hetero: machine(p, 1), Mode: ByPriority, InitialLevels: []int{lv}}, tasks)
+			_, err := Run(Config{Hetero: machine(p, 1), InitialLevels: []int{lv}}, tasks)
 			if err == nil || !strings.Contains(err.Error(), "outside the platform") {
 				t.Errorf("InitialLevels=[%d]: want range error, got %v", lv, err)
 			}
@@ -348,7 +272,7 @@ func TestErrors(t *testing.T) {
 	})
 	t.Run("procs matching initial levels ok", func(t *testing.T) {
 		tasks := []*Task{task("a", 100, 100, nil, nil)}
-		res, err := Run(Config{Hetero: machine(p, 2), Mode: ByPriority, InitialLevels: []int{0, 1}}, tasks)
+		res, err := Run(Config{Hetero: machine(p, 2), InitialLevels: []int{0, 1}}, tasks)
 		if err != nil {
 			t.Fatalf("matching Procs/InitialLevels rejected: %v", err)
 		}
@@ -369,7 +293,7 @@ func TestTimeConservation(t *testing.T) {
 		{Name: "c", WorkW: 100e6, WorkA: 80e6, Order: 2, Preds: []int{0}},
 	}
 	res, err := Run(Config{
-		Hetero: machine(p, 2), Overheads: ov, Mode: ByOrder, Policy: fixedPolicy(1), Start: 1,
+		Hetero: machine(p, 2), Overheads: ov, Policy: fixedPolicy(1), Start: 1,
 	}, tasks)
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +319,7 @@ func TestTimeConservation(t *testing.T) {
 func TestGantt(t *testing.T) {
 	p := testPlat()
 	tasks := []*Task{task("alpha", 400, 400, nil, nil)}
-	res, err := Run(Config{Hetero: machine(p, 1), Mode: ByPriority}, tasks)
+	res, err := Run(Config{Hetero: machine(p, 1)}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func Example() {
 		fmt.Println(err)
 		return
 	}
-	res, err := sim.Run(sim.Config{Hetero: machine, Mode: sim.ByOrder}, tasks)
+	res, err := sim.Run(sim.Config{Hetero: machine}, tasks)
 	if err != nil {
 		fmt.Println(err)
 		return

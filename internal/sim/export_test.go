@@ -19,7 +19,7 @@ func exportEntries(t *testing.T) (*power.Hetero, []GanttEntry) {
 	}
 	h := machine(p, 2)
 	res, err := Run(Config{
-		Hetero: h, Overheads: ov, Mode: ByOrder, Policy: fixedPolicy(0),
+		Hetero: h, Overheads: ov, Policy: fixedPolicy(0),
 	}, tasks)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestRenderBigLittle(t *testing.T) {
 			WorkW: 40e6, WorkA: 40e6, LFT: 10, CanonClass: i % 2 * little,
 		})
 	}
-	res, err := Run(Config{Hetero: h, Mode: ByOrder}, tasks) // every class at its maximum
+	res, err := Run(Config{Hetero: h}, tasks) // every class at its maximum
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func (s slackPolicy) PickLevel(t *Task, now float64, _ int, class int) int {
 	return c.Plat.MaxIndex()
 }
 
-// goldenSection builds the i-th random ByOrder section of the engine
+// goldenSection builds the i-th random order-gated section of the engine
 // golden: 1–4 identical processors on three DVS tables, big.LITTLE and
 // accel-offload; every placement; fixed, slack-sharing and no policy; with
 // and without overheads and initial levels; dummies, zero-work tasks and
@@ -56,7 +56,6 @@ func goldenSection(i int) (Config, []*Task) {
 	nc := h.NumClasses()
 	cfg := Config{
 		Hetero:    h,
-		Mode:      ByOrder,
 		Placement: []PlacementPolicy{FastestFirst, EnergyGreedy, ClassAffinity}[rnd.next()%3],
 		Start:     float64(rnd.next()%8) / 4,
 	}
@@ -171,7 +170,7 @@ type goldenEntry struct {
 	Events string `json:"events"`
 }
 
-// TestByOrderGolden runs 200 random ByOrder sections (goldenSection) and
+// TestByOrderGolden runs 200 random order-gated sections (goldenSection) and
 // requires every result, and the event stream of a recording tracer,
 // to be bit-identical to the frozen digests. Each section also runs
 // untraced and on a reused arena, which must give the same result, and
@@ -193,7 +192,7 @@ func TestByOrderGolden(t *testing.T) {
 			t.Fatalf("section %d: %v", i, err)
 		}
 		got[i] = goldenEntry{Tasks: len(tasks), Result: digestResult(res), Events: digestEvents(col.Events())}
-		if err := ValidateResult(cfg.Hetero, cfg.Mode, cfg.Start, tasks, res); err != nil {
+		if err := ValidateResult(cfg.Hetero, cfg.Start, tasks, res); err != nil {
 			t.Errorf("section %d: %v", i, err)
 		}
 		if diff := matchReference(cfg, tasks, res); diff != "" {

@@ -6,14 +6,13 @@ import (
 	"andorsched/internal/power"
 )
 
-var modeNames = map[Mode]string{ByOrder: "ByOrder", ByPriority: "ByPriority"}
-
-// TestMalformedPrecedence pins the engine's error contract on inconsistent
-// Preds/Succs and on order gates that contradict precedence, in both
-// dispatch modes, with exact error strings. Every case starts from the
-// well-formed chain a→b→c on two processors and breaks one link. The
-// ByOrder cases also run compiled, through Compile, Begin and Section,
-// which must fail the same way.
+// TestMalformedPrecedence pins the error contract on inconsistent
+// Preds/Succs and on order gates that contradict precedence, with exact
+// error strings, for the engine's order gate (the ByOrder subtests) and
+// the canonical list scheduler (the ByPriority subtests, which ignore the
+// order). Every case starts from the well-formed chain a→b→c on two
+// processors and breaks one link. The order-gate cases also run compiled,
+// through Compile, Begin and Section, which must fail the same way.
 func TestMalformedPrecedence(t *testing.T) {
 	const (
 		deadlock2 = "sim: deadlock with 2 tasks unfinished (bad precedence or order gating)"
@@ -43,41 +42,43 @@ func TestMalformedPrecedence(t *testing.T) {
 			ts[0].Order, ts[2].Order = 2, 0
 		}, deadlock3, ""},
 	}
-	for _, tc := range cases {
-		for _, mode := range []Mode{ByOrder, ByPriority} {
-			want := tc.byOrder
-			if mode == ByPriority {
-				want = tc.byPr
-			}
-			t.Run(tc.name+"/"+modeNames[mode], func(t *testing.T) {
-				tasks := chain()
-				tc.mutate(tasks)
-				_, err := Run(Config{Hetero: machine(testPlat(), 2), Mode: mode, Policy: fixedPolicy(1)}, tasks)
-				got := ""
-				if err != nil {
-					got = err.Error()
-				}
-				if got != want {
-					t.Errorf("error = %q, want %q", got, want)
-				}
-				if mode == ByOrder {
-					if got := compiledError(machine(testPlat(), 2), tasks); got != want {
-						t.Errorf("compiled: error = %q, want %q", got, want)
-					}
-				}
-			})
+	errText := func(err error) string {
+		if err != nil {
+			return err.Error()
 		}
+		return ""
+	}
+	for _, tc := range cases {
+		t.Run(tc.name+"/ByOrder", func(t *testing.T) {
+			tasks := chain()
+			tc.mutate(tasks)
+			_, err := Run(Config{Hetero: machine(testPlat(), 2), Policy: fixedPolicy(1)}, tasks)
+			if got := errText(err); got != tc.byOrder {
+				t.Errorf("error = %q, want %q", got, tc.byOrder)
+			}
+			if got := compiledError(machine(testPlat(), 2), tasks); got != tc.byOrder {
+				t.Errorf("compiled: error = %q, want %q", got, tc.byOrder)
+			}
+		})
+		t.Run(tc.name+"/ByPriority", func(t *testing.T) {
+			tasks := chain()
+			tc.mutate(tasks)
+			_, err := listSchedule(machine(testPlat(), 2), nil, tasks)
+			if got := errText(err); got != tc.byPr {
+				t.Errorf("error = %q, want %q", got, tc.byPr)
+			}
+		})
 	}
 }
 
-// compiledError runs tasks as one ByOrder section through Compile, Begin
+// compiledError runs tasks as one section through Compile, Begin
 // and Section on a fresh arena and returns the first error's text, or ""
 // when the section runs.
 func compiledError(h *power.Hetero, tasks []*Task) string {
 	prog, err := Compile(h, tasks)
 	if err == nil {
 		a := NewArena()
-		if err = a.Begin(&Config{Hetero: h, Mode: ByOrder, Policy: fixedPolicy(1)}, nil); err == nil {
+		if err = a.Begin(&Config{Hetero: h, Policy: fixedPolicy(1)}, nil); err == nil {
 			_, err = a.Section(prog, tasks, 0)
 		}
 	}

@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // ProcView is the per-processor state the engine exposes to a placement
 // policy when it asks where to dispatch a task: the processor's identity
 // and class plus the class properties placements rank by. Views are only
@@ -23,15 +21,15 @@ type ProcView struct {
 }
 
 // PlacementPolicy picks the processor a ready task is dispatched on. It is
-// the pluggable queue-selection axis of the machine model: the engine keeps
-// one logical ready queue per processor group and asks the policy which
-// group's head processor takes the next task. The engine consults it in
-// canonical (ByPriority) runs and for online dummy tasks on machines of
-// more than one class. Among identical processors every policy must rank
-// idle-longest-first (lowest free time, ties by index), and the engine
-// applies that ranking directly where the choice is among identical
-// processors only: for online computation tasks, pinned to their canonical
-// class, and for online dummies on a one-class machine.
+// the pluggable queue-selection axis of the machine model: the scheduler
+// keeps one logical ready queue per processor group and asks the policy
+// which group's head processor takes the next task. ListScheduler consults
+// it for every task of a canonical schedule, and the engine for dummy
+// tasks on machines of more than one class. Among identical processors
+// every policy must rank idle-longest-first (lowest free time, ties by
+// index), and the engine applies that ranking directly where the choice is
+// among identical processors only: for computation tasks, pinned to their
+// canonical class, and for dummies on a one-class machine.
 //
 // Policies must be deterministic pure functions of their arguments —
 // schedules are replayed and differential-tested bit-for-bit.
@@ -134,21 +132,3 @@ var (
 	EnergyGreedy  PlacementPolicy = energyGreedy{}
 	ClassAffinity PlacementPolicy = classAffinity{}
 )
-
-// PlacementNames lists the recognized placement-policy names in display
-// order.
-var PlacementNames = []string{"fastest-first", "energy-greedy", "class-affinity"}
-
-// ParsePlacement resolves a placement policy by name; the empty string
-// selects the default (fastest-first).
-func ParsePlacement(name string) (PlacementPolicy, error) {
-	switch name {
-	case "", "fastest-first":
-		return FastestFirst, nil
-	case "energy-greedy":
-		return EnergyGreedy, nil
-	case "class-affinity":
-		return ClassAffinity, nil
-	}
-	return nil, fmt.Errorf("sim: unknown placement policy %q (want fastest-first, energy-greedy or class-affinity)", name)
-}

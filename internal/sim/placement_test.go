@@ -74,20 +74,20 @@ func TestPlacementPolicyRanking(t *testing.T) {
 	}
 }
 
-// TestHeteroFeasibilityGuard pins the per-class guard: online (ByOrder)
-// dispatch places every task only on its canonical class — even when the
-// placement policy would prefer another class, and even when the only idle
+// TestHeteroFeasibilityGuard pins the per-class guard: online dispatch
+// places every task only on its canonical class — even when the placement
+// policy would prefer another class, and even when the only idle
 // processors are elsewhere (the task waits; cross-class migration is what
-// admits timing anomalies). Canonical (ByPriority) runs admit every class:
+// admits timing anomalies). Canonical list schedules admit every class:
 // there the placement policy decides, and the classes it picks become the
 // tasks' pins.
 func TestHeteroFeasibilityGuard(t *testing.T) {
 	hp := bigLittlePair()
-	run := func(mode Mode, place PlacementPolicy, canon int) int {
+	run := func(place PlacementPolicy, canon int) int {
 		tk := onlineTask(400, 10.0) // 1 s at big f_max, 4 s on the little core
 		tk.CanonClass = canon
 		res, err := Run(Config{
-			Hetero: hp, Placement: place, Mode: mode,
+			Hetero: hp, Placement: place,
 			Policy: clampedPolicy{hp, testPlat().MaxIndex()},
 		}, []*Task{tk})
 		if err != nil {
@@ -96,15 +96,19 @@ func TestHeteroFeasibilityGuard(t *testing.T) {
 		return res.Records[0].Proc
 	}
 	// Online: pinned to the canonical class, whatever the policy prefers.
-	if proc := run(ByOrder, EnergyGreedy, 0); proc != 0 {
+	if proc := run(EnergyGreedy, 0); proc != 0 {
 		t.Errorf("online big-pinned task placed on proc %d, want big core 0", proc)
 	}
-	if proc := run(ByOrder, FastestFirst, 1); proc != 1 {
+	if proc := run(FastestFirst, 1); proc != 1 {
 		t.Errorf("online little-pinned task placed on proc %d, want little core 1", proc)
 	}
 	// Canonical: the policy decides freely.
-	if proc := run(ByPriority, EnergyGreedy, 0); proc != 1 {
-		t.Errorf("canonical energy-greedy run placed on proc %d, want little core 1", proc)
+	ls, err := listSchedule(hp, EnergyGreedy, []*Task{onlineTask(400, 10.0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if proc := ls.Proc[0]; proc != 1 {
+		t.Errorf("canonical energy-greedy schedule placed on proc %d, want little core 1", proc)
 	}
 
 	// A pinned task waits for its class even while the other class idles:
@@ -114,7 +118,7 @@ func TestHeteroFeasibilityGuard(t *testing.T) {
 	b := onlineTask(400, 10.0)
 	b.Node, b.Order = 1, 1
 	res, err := Run(Config{
-		Hetero: hp, Placement: FastestFirst, Mode: ByOrder,
+		Hetero: hp, Placement: FastestFirst,
 		Policy: clampedPolicy{hp, testPlat().MaxIndex()},
 	}, []*Task{a, b})
 	if err != nil {
@@ -147,7 +151,7 @@ func TestHeteroConfigErrors(t *testing.T) {
 	}
 	pinned := onlineTask(10, 1e9)
 	pinned.CanonClass = 2
-	if _, err := Run(Config{Hetero: hp, Mode: ByOrder}, []*Task{pinned}); err == nil ||
+	if _, err := Run(Config{Hetero: hp}, []*Task{pinned}); err == nil ||
 		!strings.Contains(err.Error(), "pinned to class 2 of a 2-class machine") {
 		t.Errorf("task pinned to a missing class: got %v", err)
 	}
@@ -165,7 +169,7 @@ func TestClassAffinitySteering(t *testing.T) {
 	w := 2e9 // 2 Gcycles: 1 s on the accelerator (4 × 500 MHz), ~2.9 s on a cpu
 	tagged := &Task{Name: "a", Node: 0, Order: 0, WorkW: w, WorkA: w, Affinity: ai + 1, CanonClass: ai}
 	plain := &Task{Name: "b", Node: 1, Order: 1, WorkW: w, WorkA: w}
-	res, err := Run(Config{Hetero: hp, Placement: ClassAffinity, Mode: ByOrder}, []*Task{tagged, plain})
+	res, err := Run(Config{Hetero: hp, Placement: ClassAffinity}, []*Task{tagged, plain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +183,7 @@ func TestClassAffinitySteering(t *testing.T) {
 			}
 		}
 	}
-	if err := ValidateResult(hp, ByOrder, 0, []*Task{tagged, plain}, res); err != nil {
+	if err := ValidateResult(hp, 0, []*Task{tagged, plain}, res); err != nil {
 		t.Error(err)
 	}
 }

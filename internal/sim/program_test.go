@@ -9,7 +9,7 @@ import (
 )
 
 // TestCompileErrorsMatchRun: Compile rejects the structural faults Run
-// rejects in ByOrder mode, with the same error text.
+// rejects, with the same error text.
 func TestCompileErrorsMatchRun(t *testing.T) {
 	h := power.BigLittle()
 	cases := map[string]func(ts []*Task){
@@ -29,7 +29,7 @@ func TestCompileErrorsMatchRun(t *testing.T) {
 				{Name: "c", WorkW: 3e6, WorkA: 3e6, Order: 2, Preds: []int{1}},
 			}
 			mutate(tasks)
-			_, runErr := Run(Config{Hetero: h, Mode: ByOrder}, tasks)
+			_, runErr := Run(Config{Hetero: h}, tasks)
 			_, compErr := Compile(h, tasks)
 			if runErr == nil || compErr == nil || runErr.Error() != compErr.Error() {
 				t.Fatalf("Run: %v; Compile: %v", runErr, compErr)
@@ -52,27 +52,27 @@ func TestSectionChecks(t *testing.T) {
 	if _, err := a.Section(prog, tasks, 0); err == nil {
 		t.Error("Section before Begin accepted")
 	}
-	if err := a.Begin(&Config{Hetero: h, Mode: ByOrder}, nil); err != nil {
+	if err := a.Begin(&Config{Hetero: h}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.Section(prog, tasks[:4], 0); err == nil {
 		t.Error("program of 8 tasks ran a section of 4")
 	}
-	if err := a.Begin(&Config{Hetero: power.BigLittle(), Mode: ByOrder}, nil); err != nil {
+	if err := a.Begin(&Config{Hetero: power.BigLittle()}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.Section(prog, tasks, 0); err == nil {
 		t.Error("1-class program ran on a 2-class machine")
 	}
-	if err := a.Begin(&Config{Hetero: h, Mode: ByOrder}, make([]float64, testPlat().NumLevels()-1)); err == nil {
+	if err := a.Begin(&Config{Hetero: h}, make([]float64, testPlat().NumLevels()-1)); err == nil {
 		t.Error("short level-time buffer accepted")
 	}
-	if err := a.Begin(&Config{Hetero: h, Mode: ByOrder}, nil); err != nil {
+	if err := a.Begin(&Config{Hetero: h}, nil); err != nil {
 		t.Fatal(err)
 	}
 	tasks[3].WorkA = 2 * tasks[3].WorkW
 	_, secErr := a.Section(prog, tasks, 0)
-	_, runErr := Run(Config{Hetero: h, Mode: ByOrder}, tasks)
+	_, runErr := Run(Config{Hetero: h}, tasks)
 	if secErr == nil || runErr == nil || secErr.Error() != runErr.Error() {
 		t.Errorf("over-long actual work: Section %v, Run %v", secErr, runErr)
 	}
@@ -88,9 +88,9 @@ func copyProgram(p *Program) Program {
 }
 
 // TestProgramImmutable: an arena never writes into a program. A section
-// runs, then the same arena runs other tasks through Run in both modes,
-// then the section runs again from the same levels: the program is
-// unchanged and both results are equal.
+// runs, then the same arena runs other tasks through Run, then the section
+// runs again from the same levels: the program is unchanged and both
+// results are equal.
 func TestProgramImmutable(t *testing.T) {
 	h := machine(power.IntelXScale(), 3)
 	tasks := reversedTasks(layeredTasks(24))
@@ -99,7 +99,7 @@ func TestProgramImmutable(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := copyProgram(prog)
-	cfg := Config{Hetero: h, Mode: ByOrder, Policy: fixedPolicy(2), Overheads: power.DefaultOverheads()}
+	cfg := Config{Hetero: h, Policy: fixedPolicy(2), Overheads: power.DefaultOverheads()}
 	a := NewArena()
 	section := func() *Result {
 		t.Helper()
@@ -113,10 +113,8 @@ func TestProgramImmutable(t *testing.T) {
 		return cloneResult(res)
 	}
 	first := section()
-	for _, mode := range []Mode{ByOrder, ByPriority} {
-		if _, err := a.Run(&Config{Hetero: h, Mode: mode, Policy: fixedPolicy(1)}, layeredTasks(40)); err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
-		}
+	if _, err := a.Run(&Config{Hetero: h, Policy: fixedPolicy(1)}, layeredTasks(40)); err != nil {
+		t.Fatal(err)
 	}
 	second := section()
 	if got := copyProgram(prog); !reflect.DeepEqual(got, want) {
@@ -166,7 +164,7 @@ func TestProgramSharedAcrossArenas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Hetero: h, Mode: ByOrder, Policy: clampedPolicy{h, 3}, Start: 1}
+	cfg := Config{Hetero: h, Policy: clampedPolicy{h, 3}, Start: 1}
 	want, err := Run(cfg, base)
 	if err != nil {
 		t.Fatal(err)
@@ -209,29 +207,30 @@ func TestDummyPlacementOneClassIsArgmin(t *testing.T) {
 	for _, place := range []PlacementPolicy{FastestFirst, EnergyGreedy, ClassAffinity} {
 		for trial := 0; trial < 500; trial++ {
 			m := 1 + int(rnd.next()%8)
-			rs := runState{hp: machine(power.Transmeta5400(), m), place: place}
-			rs.freeAt = make([]float64, m)
-			for i := range rs.freeAt {
-				rs.freeAt[i] = float64(rnd.next() % 4) // ties are common
+			var pl placer
+			pl.reset(machine(power.Transmeta5400(), m), place)
+			freeAt := make([]float64, m)
+			for i := range freeAt {
+				freeAt[i] = float64(rnd.next() % 4) // ties are common
 			}
 			argmin := 0
 			for i := 1; i < m; i++ {
-				if rs.freeAt[i] < rs.freeAt[argmin] {
+				if freeAt[i] < freeAt[argmin] {
 					argmin = i
 				}
 			}
 			dummy.Affinity = int(rnd.next() % 3)
-			now := rs.freeAt[argmin] + float64(rnd.next()%3)
-			if proc, class := rs.placeProc(dummy, now); proc != argmin || class != 0 {
+			now := freeAt[argmin] + float64(rnd.next()%3)
+			if proc, class := pl.pick(dummy, now, freeAt); proc != argmin || class != 0 {
 				t.Fatalf("%s, free times %v, now %v: pick %d (class %d), argmin %d",
-					place.Name(), rs.freeAt, now, proc, class, argmin)
+					place.Name(), freeAt, now, proc, class, argmin)
 			}
 		}
 	}
 }
 
-// TestLSTViolationsCounted: ByOrder runs count computation tasks
-// dispatched after LFT − WorkW/EffFmax; ByPriority runs report 0.
+// TestLSTViolationsCounted: runs count computation tasks dispatched after
+// LFT − WorkW/EffFmax.
 func TestLSTViolationsCounted(t *testing.T) {
 	h := machine(testPlat(), 1)
 	fmax := testPlat().Max().Freq
@@ -244,24 +243,14 @@ func TestLSTViolationsCounted(t *testing.T) {
 		{Name: "c", WorkW: fmax, WorkA: fmax, Order: 2, LFT: 3},
 		{Name: "and", Dummy: true, Order: 3},
 	}
-	res, err := Run(Config{Hetero: h, Mode: ByOrder}, tasks)
+	res, err := Run(Config{Hetero: h}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.LSTViolations != 1 {
-		t.Errorf("ByOrder: %d LST violations, want 1", res.LSTViolations)
+		t.Errorf("%d LST violations, want 1", res.LSTViolations)
 	}
-	if err := ValidateResult(h, ByOrder, 0, tasks, res); err != nil {
-		t.Error(err)
-	}
-	res, err = Run(Config{Hetero: h, Mode: ByPriority}, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LSTViolations != 0 {
-		t.Errorf("ByPriority: %d LST violations, want 0", res.LSTViolations)
-	}
-	if err := ValidateResult(h, ByPriority, 0, tasks, res); err != nil {
+	if err := ValidateResult(h, 0, tasks, res); err != nil {
 		t.Error(err)
 	}
 }

@@ -9,21 +9,15 @@
 // independently: when idle it tries to fetch the next task from the queue;
 // if the task it expects is not ready yet it goes to sleep and is woken
 // when the task becomes available (the wait()/signal() protocol of the
-// paper's Figure 2). The engine supports two dispatch disciplines, each
-// with one code path:
+// paper's Figure 2).
 //
-//   - ByPriority: tasks are dequeued highest-priority-first (longest task
-//     first) as soon as they are ready, on the processor a PlacementPolicy
-//     picks — used by the off-line phase to build canonical schedules. It
-//     runs as a discrete-event loop over task completions.
-//   - ByOrder: tasks are dequeued strictly in a precomputed execution
-//     order — the on-line discipline that makes greedy slack sharing safe
-//     on multiprocessors (a processor sleeps while the next expected task
-//     is not ready, even if later-ordered tasks are). Each computation
-//     task is pinned to the class its canonical schedule ran it on.
-//
-// ByOrder runs as a recurrence, one pass over the tasks in order: task k
-// is dispatched at
+// The engine has one dispatch discipline, the on-line one: tasks are
+// dequeued strictly in a precomputed execution order (Task.Order), which
+// makes greedy slack sharing safe on multiprocessors — a processor sleeps
+// while the next expected task is not ready, even if later-ordered tasks
+// are. Each computation task is pinned to the class its canonical schedule
+// ran it on. The engine runs it as a recurrence, one pass over the tasks in
+// order: task k is dispatched at
 //
 //	max(dispatch of task k−1, latest predecessor finish, earliest free time of its processors)
 //
@@ -38,7 +32,13 @@
 // finished by t, so among the idle processors of a class the one idle
 // longest is the argmin of the free times: every busy one frees later.
 // Predecessors count as finished only when released through Succs, as in
-// the event loop, so malformed precedence fails the same way in both.
+// an event loop over completions, so malformed precedence fails as it
+// would there.
+//
+// The orders and classes come from the off-line phase's canonical
+// schedules, which ListScheduler builds: a timing-only longest-task-first
+// list schedule, run as a discrete-event loop over task completions, that
+// charges no energy, level or overhead.
 //
 // A run of several sections does its fixed work once. Compile checks a
 // section's structure and keeps its dispatch permutation and predecessor
@@ -89,11 +89,11 @@ type Task struct {
 	WorkA float64
 	// LFT is the task's absolute latest finish time: the instant by which
 	// the task is guaranteed to finish in the shifted canonical schedule.
-	// Policies derive the slack-sharing allocation as LFT − now. Unused in
-	// ByPriority mode.
+	// Policies derive the slack-sharing allocation as LFT − now.
 	LFT float64
 	// Order is the task's canonical dispatch order within its section
-	// (0-based, unique). Used in ByOrder mode.
+	// (0-based, unique): the engine dispatches in this order. The list
+	// scheduler ignores it.
 	Order int
 	// SpecRemain is a policy-owned statistic the engine carries but never
 	// interprets: the off-line average-case time from this task's
@@ -105,11 +105,11 @@ type Task struct {
 	// it (assigned from `@class` tags in .andor workloads).
 	Affinity int
 	// CanonClass is the class the task ran on in the canonical schedule.
-	// The engine's feasibility guard pins online (ByOrder) dispatch of
-	// computation tasks to exactly this class: within a class processors
-	// are identical, which is what carries the Theorem-1 safety induction
-	// to unequal processors. Zero on a single-class machine; canonical
-	// (ByPriority) runs ignore it.
+	// The engine's feasibility guard pins the dispatch of computation
+	// tasks to exactly this class: within a class processors are
+	// identical, which is what carries the Theorem-1 safety induction to
+	// unequal processors. Zero on a single-class machine; the list
+	// scheduler, which builds the canonical schedule, ignores it.
 	CanonClass int
 	// Preds and Succs are indices into the engine's task slice.
 	Preds, Succs []int
@@ -155,8 +155,7 @@ type Result struct {
 	SpeedChanges int
 	// LSTViolations counts computation tasks dispatched after their latest
 	// start time, LFT − WorkW/EffFmax of their class (with a 1e-9
-	// relative and absolute tolerance). Counted in ByOrder runs only;
-	// ByPriority runs report 0.
+	// relative and absolute tolerance).
 	LSTViolations int
 	// FinalLevels is each processor's level index after the run, to carry
 	// into the next section.
@@ -166,18 +165,6 @@ type Result struct {
 	// across sections or runs the snapshot reflects the accumulated state.
 	Metrics *obs.Snapshot
 }
-
-// Mode selects the dispatch discipline.
-type Mode uint8
-
-const (
-	// ByPriority dispatches ready tasks highest-priority-first (longest
-	// task first, ties by node ID): the canonical-schedule discipline.
-	ByPriority Mode = iota
-	// ByOrder dispatches tasks strictly in Task.Order: the on-line
-	// discipline, run as the order-gate recurrence.
-	ByOrder
-)
 
 // Policy chooses the operating level for each computation task at dispatch
 // time. Implementations live in internal/core (the paper's schemes).
@@ -196,21 +183,20 @@ type Config struct {
 	// speed multipliers, and the processor count. Identical processors are
 	// the single class at Speed 1 (power.Homogeneous). Required.
 	Hetero *power.Hetero
-	// Placement picks the processor each ready task is dispatched on in
-	// ByPriority runs and for dummy tasks on machines of more than one
-	// class; nil defaults to FastestFirst. Online computation tasks are
-	// pinned to their canonical class, whose processors are identical, and
-	// go to its idle-longest processor without consulting the policy, as
-	// do dummies on a one-class machine.
+	// Placement picks the processor each dummy task is dispatched on, on
+	// machines of more than one class; nil defaults to FastestFirst.
+	// Computation tasks are pinned to their canonical class, whose
+	// processors are identical, and go to its idle-longest processor
+	// without consulting the policy, as do dummies on a one-class machine.
+	// (In the canonical schedules, which ListScheduler builds, the
+	// placement picks every task's processor.)
 	Placement PlacementPolicy
 	// Overheads are the power-management costs. Zero values disable them
-	// (used for canonical schedules and for the static schemes, which
-	// perform no run-time speed computation).
+	// (used for the static schemes, which perform no run-time speed
+	// computation).
 	Overheads power.Overheads
-	// Mode is the dispatch discipline.
-	Mode Mode
 	// Policy chooses levels; nil runs everything at each class's maximum
-	// level (canonical schedules, NPM).
+	// level (NPM).
 	Policy Policy
 	// Start is the simulation start time (the section's begin) of Run;
 	// Arena.Section takes each section's start instead.

@@ -22,14 +22,13 @@ const valTol = 1e-9
 //     Finish − Start = WorkA / (Speed·f(level)) on the processor's class;
 //   - no two records overlap on the same processor;
 //   - every task was dispatched only after all its predecessors finished;
-//   - in ByOrder mode, dispatch times are non-decreasing in task order
-//     (the order-gate discipline) and every computation task ran on its
-//     canonical class;
+//   - dispatch times are non-decreasing in task order (the order-gate
+//     discipline) and every computation task ran on its canonical class;
 //   - the per-processor busy/overhead totals match the records;
-//   - the reported LST violations are the records' count: in ByOrder
-//     mode the computation tasks dispatched after LFT − WorkW/EffFmax of
-//     their class (with the engine's tolerance), and none in ByPriority.
-func ValidateResult(h *power.Hetero, mode Mode, start float64, tasks []*Task, res *Result) error {
+//   - the reported LST violations are the records' count: the computation
+//     tasks dispatched after LFT − WorkW/EffFmax of their class (with the
+//     engine's tolerance).
+func ValidateResult(h *power.Hetero, start float64, tasks []*Task, res *Result) error {
 	if len(res.BusyTime) != h.NumProcs() {
 		return fmt.Errorf("sim: result covers %d processors, machine has %d", len(res.BusyTime), h.NumProcs())
 	}
@@ -55,7 +54,7 @@ func ValidateResult(h *power.Hetero, mode Mode, start float64, tasks []*Task, re
 		if r.Level < 0 || r.Level >= platform.NumLevels() {
 			return fmt.Errorf("sim: task %q ran at invalid level %d", tasks[r.Task].Name, r.Level)
 		}
-		if t := tasks[r.Task]; mode == ByOrder && !t.Dummy && ci != t.CanonClass {
+		if t := tasks[r.Task]; !t.Dummy && ci != t.CanonClass {
 			return fmt.Errorf("sim: task %q pinned to class %d ran on processor %d of class %d",
 				t.Name, t.CanonClass, r.Proc, ci)
 		}
@@ -71,7 +70,7 @@ func ValidateResult(h *power.Hetero, mode Mode, start float64, tasks []*Task, re
 			return fmt.Errorf("sim: task %q duration %g ≠ work/freq %g",
 				tasks[r.Task].Name, r.Finish-r.Start, wantDur)
 		}
-		if t := tasks[r.Task]; mode == ByOrder && !t.Dummy &&
+		if t := tasks[r.Task]; !t.Dummy &&
 			r.Dispatch > (t.LFT-t.WorkW/h.Class(ci).EffFmax())*(1+lstTol)+lstTol {
 			lstViolations++
 		}
@@ -120,16 +119,14 @@ func ValidateResult(h *power.Hetero, mode Mode, start float64, tasks []*Task, re
 	}
 
 	// Order gate: dispatch instants must be non-decreasing in task order.
-	if mode == ByOrder {
-		inOrder := make([]*Record, len(tasks))
-		for ti, t := range tasks {
-			inOrder[t.Order] = byTask[ti]
-		}
-		for i := 1; i < len(inOrder); i++ {
-			if inOrder[i].Dispatch < inOrder[i-1].Dispatch-valTol {
-				return fmt.Errorf("sim: order gate violated: order %d dispatched at %g before order %d at %g",
-					i, inOrder[i].Dispatch, i-1, inOrder[i-1].Dispatch)
-			}
+	inOrder := make([]*Record, len(tasks))
+	for ti, t := range tasks {
+		inOrder[t.Order] = byTask[ti]
+	}
+	for i := 1; i < len(inOrder); i++ {
+		if inOrder[i].Dispatch < inOrder[i-1].Dispatch-valTol {
+			return fmt.Errorf("sim: order gate violated: order %d dispatched at %g before order %d at %g",
+				i, inOrder[i].Dispatch, i-1, inOrder[i-1].Dispatch)
 		}
 	}
 	return nil

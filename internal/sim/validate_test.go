@@ -20,7 +20,7 @@ func runValid(t *testing.T) (*power.Hetero, []*Task, *Result) {
 	}
 	h := machine(p, 2)
 	res, err := Run(Config{
-		Hetero: h, Overheads: ov, Mode: ByOrder, Policy: fixedPolicy(1), Start: 2,
+		Hetero: h, Overheads: ov, Policy: fixedPolicy(1), Start: 2,
 	}, tasks)
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +30,7 @@ func runValid(t *testing.T) (*power.Hetero, []*Task, *Result) {
 
 func TestValidateAcceptsEngineOutput(t *testing.T) {
 	p, tasks, res := runValid(t)
-	if err := ValidateResult(p, ByOrder, 2, tasks, res); err != nil {
+	if err := ValidateResult(p, 2, tasks, res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -82,7 +82,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			p, tasks, res := runValid(t)
 			c.corrupt(tasks, res)
-			err := ValidateResult(p, ByOrder, 2, tasks, res)
+			err := ValidateResult(p, 2, tasks, res)
 			if err == nil {
 				t.Fatal("corruption not detected")
 			}
@@ -90,23 +90,5 @@ func TestValidateCatchesCorruption(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, c.wantSub)
 			}
 		})
-	}
-}
-
-// TestValidateByPrioritySkipsOrderGate: the order-gate check applies only
-// to ByOrder mode.
-func TestValidateByPrioritySkipsOrderGate(t *testing.T) {
-	p := testPlat()
-	tasks := []*Task{
-		task("long", 400, 400, nil, nil),
-		task("short", 100, 100, nil, nil),
-	}
-	h := machine(p, 1)
-	res, err := Run(Config{Hetero: h, Mode: ByPriority}, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateResult(h, ByPriority, 0, tasks, res); err != nil {
-		t.Fatal(err)
 	}
 }
