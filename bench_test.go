@@ -369,28 +369,53 @@ func BenchmarkRunHeteroAS(b *testing.B) {
 	}
 }
 
+// layeredSection builds the 4-wide layered section the engine benchmarks
+// run: n tasks, each depending on the task 4 positions earlier, each with
+// latest finish time lft.
+func layeredSection(n int, lft float64) []*sim.Task {
+	tasks := make([]*sim.Task, n)
+	for i := range tasks {
+		t := &sim.Task{Name: "t", WorkW: 5e6, WorkA: 4e6, Order: i, LFT: lft}
+		if i >= 4 {
+			t.Preds = []int{i - 4}
+			tasks[i-4].Succs = append(tasks[i-4].Succs, i)
+		}
+		tasks[i] = t
+	}
+	return tasks
+}
+
+// runEngineSection runs tasks as one section from time 0 on arena a,
+// compiling prog first when it is nil.
+func runEngineSection(b *testing.B, a *sim.Arena, cfg *sim.Config, prog *sim.Program, tasks []*sim.Task) *sim.Result {
+	if prog == nil {
+		var err error
+		if prog, err = sim.Compile(cfg.Hetero, tasks); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := a.Begin(cfg, nil); err != nil {
+		b.Fatal(err)
+	}
+	res, err := a.Section(prog, tasks, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkEngineScaling measures the order-gate engine across section
-// sizes and processor counts (layered sections, 4-wide layers).
+// sizes and processor counts (layered sections, 4-wide layers), each
+// iteration compiling the section and running it on a fresh arena.
 func BenchmarkEngineScaling(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		for _, m := range []int{2, 8} {
 			b.Run(fmt.Sprintf("tasks=%d/procs=%d", n, m), func(b *testing.B) {
-				plat := power.Transmeta5400()
-				tasks := make([]*sim.Task, n)
-				for i := range tasks {
-					t := &sim.Task{Name: "t", WorkW: 5e6, WorkA: 4e6, Order: i, LFT: 10}
-					if i >= 4 {
-						t.Preds = []int{i - 4}
-						tasks[i-4].Succs = append(tasks[i-4].Succs, i)
-					}
-					tasks[i] = t
-				}
-				cfg := sim.Config{Hetero: machine(plat, m)}
+				tasks := layeredSection(n, 10)
+				cfg := sim.Config{Hetero: machine(power.Transmeta5400(), m)}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := sim.Run(cfg, tasks); err != nil {
-						b.Fatal(err)
-					}
+					runEngineSection(b, sim.NewArena(), &cfg, nil, tasks)
 				}
 				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
 			})
@@ -439,122 +464,88 @@ func BenchmarkStreamATR(b *testing.B) {
 	b.ReportMetric(float64(frames)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 
-// BenchmarkEngineSection measures the raw order-gate engine on a
-// 64-task AND-parallel section across 4 processors.
+// BenchmarkEngineSection measures the raw order-gate engine on a 64-task
+// layered section across 4 processors, each iteration compiling the
+// section and running it on a fresh arena.
 func BenchmarkEngineSection(b *testing.B) {
-	plat := power.Transmeta5400()
 	const n = 64
-	tasks := make([]*sim.Task, n)
-	for i := range tasks {
-		t := &sim.Task{Name: "t", WorkW: 5e6, WorkA: 4e6, Order: i}
-		if i >= 4 {
-			t.Preds = []int{i - 4}
-			tasks[i-4].Succs = append(tasks[i-4].Succs, i)
-		}
-		t.LFT = 1 // ample
-		tasks[i] = t
-	}
-	cfg := sim.Config{Hetero: machine(plat, 4)}
+	tasks := layeredSection(n, 1) // ample latest finish times
+	cfg := sim.Config{Hetero: machine(power.Transmeta5400(), 4)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(cfg, tasks); err != nil {
-			b.Fatal(err)
-		}
+		runEngineSection(b, sim.NewArena(), &cfg, nil, tasks)
 	}
 	b.ReportMetric(float64(n), "tasks/run")
 }
 
-// BenchmarkEngineSectionArena is BenchmarkEngineSection through a warmed
-// sim.Arena — the raw engine's zero-allocation steady state.
+// BenchmarkEngineSectionArena is BenchmarkEngineSection with the section
+// compiled once and run through a warmed sim.Arena — the raw engine's
+// zero-allocation steady state.
 func BenchmarkEngineSectionArena(b *testing.B) {
-	plat := power.Transmeta5400()
 	const n = 64
-	tasks := make([]*sim.Task, n)
-	for i := range tasks {
-		t := &sim.Task{Name: "t", WorkW: 5e6, WorkA: 4e6, Order: i, LFT: 1}
-		if i >= 4 {
-			t.Preds = []int{i - 4}
-			tasks[i-4].Succs = append(tasks[i-4].Succs, i)
-		}
-		tasks[i] = t
-	}
-	cfg := sim.Config{Hetero: machine(plat, 4)}
-	arena := sim.NewArena()
-	if _, err := arena.Run(&cfg, tasks); err != nil { // warm-up
+	tasks := layeredSection(n, 1)
+	cfg := sim.Config{Hetero: machine(power.Transmeta5400(), 4)}
+	prog, err := sim.Compile(cfg.Hetero, tasks)
+	if err != nil {
 		b.Fatal(err)
 	}
+	arena := sim.NewArena()
+	runEngineSection(b, arena, &cfg, prog, tasks) // warm-up
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := arena.Run(&cfg, tasks); err != nil {
-			b.Fatal(err)
-		}
+		runEngineSection(b, arena, &cfg, prog, tasks)
 	}
 	b.ReportMetric(float64(n), "tasks/run")
 }
 
-// BenchmarkEngineTracerOverhead compares the engine with observability
-// disabled (the nil-tracer default), with a recording collector, and with a
-// live metrics registry, on the same workload as BenchmarkEngineSection.
-// The disabled case pays only one nil comparison per hook point, so "off"
-// must stay within 2% of BenchmarkEngineSection. Measured on the CI
-// container (linux/amd64, Xeon 2.10GHz, -benchtime 2s, median of 8):
-//
-//	EngineSection  ~5.9µs/op  19 allocs/op   (baseline, no hooks exercised)
-//	off            ~6.0µs/op  19 allocs/op   (within run-to-run noise: in
-//	                                          alternating isolated runs "off"
-//	                                          beats the baseline as often as
-//	                                          it trails it)
-//	collector      ~10.2µs/op               (records 128 events per run)
-//	metrics        ~13µs/op                 (atomic counters + histograms)
-//
-// Re-run with `go test -bench='EngineSection$|TracerOverhead' -count=10`
-// when touching the dispatch loop.
+// BenchmarkEngineTracerOverhead measures what observing a section costs.
+// The dispatch loop has no hooks; a run's events and metrics are derived
+// from its records after each section by a sim.Observer. On the workload
+// of BenchmarkEngineSectionArena (compiled once, warmed arena), "section"
+// times Section alone, and the other cases add the post-section pass:
+// "off" with neither a tracer nor a registry, "collector" recording every
+// event (128 per section) and "metrics" updating a live registry. An
+// unobserved core run skips the pass altogether. Re-run with
+// `go test -bench=TracerOverhead -count=10` when touching the pass.
 func BenchmarkEngineTracerOverhead(b *testing.B) {
 	plat := power.Transmeta5400()
-	const n = 64
-	tasks := make([]*sim.Task, n)
-	for i := range tasks {
-		t := &sim.Task{Name: "t", WorkW: 5e6, WorkA: 4e6, Order: i, LFT: 1}
-		if i >= 4 {
-			t.Preds = []int{i - 4}
-			tasks[i-4].Succs = append(tasks[i-4].Succs, i)
-		}
-		tasks[i] = t
+	tasks := layeredSection(64, 1)
+	cfg := sim.Config{Hetero: machine(plat, 4)}
+	prog, err := sim.Compile(cfg.Hetero, tasks)
+	if err != nil {
+		b.Fatal(err)
 	}
-	base := sim.Config{Hetero: machine(plat, 4)}
-
-	b.Run("off", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.Run(base, tasks); err != nil {
-				b.Fatal(err)
+	levels := []int{plat.MaxIndex(), plat.MaxIndex(), plat.MaxIndex(), plat.MaxIndex()}
+	arena := sim.NewArena()
+	runEngineSection(b, arena, &cfg, prog, tasks) // warm-up
+	bench := func(name string, observe bool, col *obs.Collector, m *obs.Metrics) {
+		b.Run(name, func(b *testing.B) {
+			var o sim.Observer
+			var tr obs.Tracer
+			if col != nil {
+				tr = col
 			}
-		}
-	})
-	b.Run("collector", func(b *testing.B) {
-		b.ReportAllocs()
-		col := obs.NewCollector()
-		cfg := base
-		cfg.Tracer = col
-		for i := 0; i < b.N; i++ {
-			col.Reset()
-			if _, err := sim.Run(cfg, tasks); err != nil {
-				b.Fatal(err)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res := runEngineSection(b, arena, &cfg, prog, tasks)
+				if observe {
+					if col != nil {
+						col.Reset()
+					}
+					o.Begin(cfg.Hetero, levels, tr, m)
+					o.Section(tasks, res, 0, nil)
+				}
 			}
-		}
-		b.ReportMetric(float64(col.Len()), "events/run")
-	})
-	b.Run("metrics", func(b *testing.B) {
-		b.ReportAllocs()
-		cfg := base
-		cfg.Metrics = obs.NewMetrics()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.Run(cfg, tasks); err != nil {
-				b.Fatal(err)
+			if col != nil {
+				b.ReportMetric(float64(col.Len()), "events/run")
 			}
-		}
-	})
+		})
+	}
+	bench("section", false, nil, nil)
+	bench("off", true, nil, nil)
+	bench("collector", true, obs.NewCollector(), nil)
+	bench("metrics", true, nil, obs.NewMetrics())
 }
 
 // BenchmarkServeRun measures one warmed POST /v1/run request through the

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"andorsched/internal/obs"
 	"andorsched/internal/power"
 	"andorsched/internal/sim"
 )
@@ -44,28 +43,6 @@ type policy struct {
 	// assumption. Part of the policy value, so it lives in the run's Arena
 	// and never touches the shared Plan.
 	ora oraEstimator
-
-	// Observability hooks, attached by the run driver; all nil by default
-	// so undecorated runs pay only nil checks.
-	tracer obs.Tracer
-	hSlack *obs.Histogram
-	cSteal *obs.Counter
-	gAlpha *obs.Gauge
-}
-
-// attachObs wires the run's tracer and metrics into the policy's pickup
-// path. The dynamic schemes emit a slack-share event per pickup and a
-// slack-steal event when a speculative floor overrides the greedy level.
-func (pol *policy) attachObs(tracer obs.Tracer, m *obs.Metrics) {
-	pol.tracer = tracer
-	if m != nil {
-		pol.hSlack = m.Histogram(MetricSlackShare, obs.DefaultTimeBuckets)
-		pol.cSteal = m.Counter(MetricSlackSteals)
-		if pol.scheme == ORA {
-			pol.gAlpha = m.Gauge(MetricORAAlpha)
-			pol.gAlpha.Set(pol.ora.alpha)
-		}
-	}
 }
 
 // newPolicy builds the scheme's policy for one run with deadline d.
@@ -199,9 +176,6 @@ func (pol *policy) observeSection(sp *secPlan, works []float64) {
 		}
 		pol.ora.observe(works[ti] / w)
 	}
-	if pol.gAlpha != nil {
-		pol.gAlpha.Set(pol.ora.alpha)
-	}
 }
 
 // floorAt returns the speculative floor level on class ci's table for
@@ -255,43 +229,7 @@ func (pol *policy) PickLevel(t *sim.Task, now float64, cur int, ci int) int {
 			}
 		}
 	}
-	if pol.tracer != nil || pol.hSlack != nil {
-		pol.observePick(t, now, g, lvl)
-	}
 	return lvl
-}
-
-// observePick emits the pickup's slack decision: the slack-sharing
-// allocation beyond the task's minimum need, and — when speculation pushed
-// the level above the greedy choice — a slack-steal event.
-func (pol *policy) observePick(t *sim.Task, now float64, g, lvl int) {
-	slack := t.LFT - now - t.WorkW/pol.plan.fmax
-	if slack < 0 {
-		slack = 0
-	}
-	if pol.hSlack != nil {
-		pol.hSlack.Observe(slack)
-	}
-	if pol.tracer != nil {
-		pol.tracer.Event(obs.Event{
-			Kind: obs.EvSlackShare, Time: now,
-			Proc: -1, Task: -1, Node: t.Node, Name: t.Name,
-			Level: g, Prev: g, Value: slack,
-		})
-	}
-	if lvl <= g {
-		return
-	}
-	if pol.cSteal != nil {
-		pol.cSteal.Inc()
-	}
-	if pol.tracer != nil {
-		pol.tracer.Event(obs.Event{
-			Kind: obs.EvSlackSteal, Time: now,
-			Proc: -1, Task: -1, Node: t.Node, Name: t.Name,
-			Level: lvl, Prev: g,
-		})
-	}
 }
 
 // gssPick is the greedy slack-sharing level choice with overhead
@@ -302,7 +240,8 @@ func (pol *policy) observePick(t *sim.Task, now float64, g, lvl int) {
 // selected. Work retires at Speed·f, so the needed frequency divides
 // through by the class speed before quantization. If no change can be
 // afforded the processor keeps its current speed when that is fast enough,
-// and falls back to maximum speed otherwise.
+// and falls back to maximum speed otherwise. It reads only the task and the
+// plan's constants, so the run's observer recomputes it from a record.
 func (pol *policy) gssPick(t *sim.Task, now float64, cur int, ci int) int {
 	cl := pol.hp.Class(ci)
 	plat := cl.Plat

@@ -24,7 +24,8 @@ func (p levelHopPolicy) PickLevel(t *sim.Task, _ float64, _ int, _ int) int {
 }
 
 // twoProcRun executes a small deterministic diamond (A → B,C → D with an
-// And join) on two processors and returns the recorded event stream.
+// And join) on two processors and returns the event stream an Observer
+// derives from it.
 func twoProcRun(t *testing.T) []obs.Event {
 	t.Helper()
 	plat := power.Transmeta5400()
@@ -39,16 +40,27 @@ func twoProcRun(t *testing.T) []obs.Event {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := obs.NewCollector()
-	_, err = sim.Run(sim.Config{
+	cfg := sim.Config{
 		Hetero:    machine,
 		Overheads: power.DefaultOverheads(),
 		Policy:    levelHopPolicy{plat.NumLevels()},
-		Tracer:    col,
-	}, tasks)
+	}
+	prog, err := sim.Compile(machine, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
+	arena := sim.NewArena()
+	if err := arena.Begin(&cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	col := obs.NewCollector()
+	var o sim.Observer
+	o.Begin(machine, []int{plat.MaxIndex(), plat.MaxIndex()}, col, nil)
+	res, err := arena.Section(prog, tasks, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Section(tasks, res, 0, nil)
 	return col.Events()
 }
 

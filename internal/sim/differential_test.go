@@ -23,7 +23,7 @@ import (
 // timing and energy arithmetic repeats the engine's operation by
 // operation, so the results must agree exactly. It returns each task's
 // record, indexed by task, and the active and overhead energies.
-func referenceRun(cfg Config, tasks []*Task) (recs []Record, active, overhead float64) {
+func referenceRun(cfg Config, start float64, tasks []*Task) (recs []Record, active, overhead float64) {
 	h := cfg.Hetero
 	m := h.NumProcs()
 	levels := make([]int, m)
@@ -35,7 +35,7 @@ func referenceRun(cfg Config, tasks []*Task) (recs []Record, active, overhead fl
 	}
 	freeAt := make([]float64, m)
 	for i := range freeAt {
-		freeAt[i] = cfg.Start
+		freeAt[i] = start
 	}
 	place := cfg.Placement
 	if place == nil {
@@ -47,11 +47,11 @@ func referenceRun(cfg Config, tasks []*Task) (recs []Record, active, overhead fl
 	for ti, t := range tasks {
 		byOrder[t.Order] = ti
 	}
-	prevDispatch := cfg.Start
+	prevDispatch := start
 	for k := 0; k < n; k++ {
 		ti := byOrder[k]
 		t := tasks[ti]
-		ready := cfg.Start
+		ready := start
 		for _, p := range t.Preds {
 			ready = math.Max(ready, recs[p].Finish)
 		}
@@ -97,8 +97,8 @@ func referenceRun(cfg Config, tasks []*Task) (recs []Record, active, overhead fl
 		if t.WorkA > 0 {
 			exec = t.WorkA / c.Rate(lvl)
 		}
-		start := d + compT + changeT
-		recs[ti] = Record{Task: ti, Proc: best, Dispatch: d, Start: start, Finish: start + exec,
+		begin := d + compT + changeT
+		recs[ti] = Record{Task: ti, Proc: best, Dispatch: d, Start: begin, Finish: begin + exec,
 			Level: lvl, CompOH: compT, ChangeOH: changeT}
 		if exec != 0 {
 			active += plat.PowerAt(lvl) * exec
@@ -117,8 +117,8 @@ func referenceRun(cfg Config, tasks []*Task) (recs []Record, active, overhead fl
 
 // matchReference reports how res differs from referenceRun on the same
 // input, or "" when every record and both energies agree exactly.
-func matchReference(cfg Config, tasks []*Task, res *Result) string {
-	want, active, overhead := referenceRun(cfg, tasks)
+func matchReference(cfg Config, start float64, tasks []*Task, res *Result) string {
+	want, active, overhead := referenceRun(cfg, start, tasks)
 	if len(res.Records) != len(want) {
 		return fmt.Sprintf("%d records, reference has %d", len(res.Records), len(want))
 	}
@@ -174,25 +174,25 @@ func TestEngineMatchesReference(t *testing.T) {
 				SpeedChangeTime: rnd.float() * 1e-4,
 			},
 			Policy: fixedPolicy(int(rnd.next()) % plat.NumLevels()),
-			Start:  rnd.float(),
 		}
+		start := rnd.float()
 		if cfg.Policy.(fixedPolicy) < 0 {
 			cfg.Policy = fixedPolicy(-int(cfg.Policy.(fixedPolicy)))
 		}
-		res, err := Run(cfg, tasks)
+		res, err := runSection(NewArena(), &cfg, start, tasks)
 		if err != nil {
 			t.Logf("seed %d: engine: %v", seed, err)
 			return false
 		}
-		if err := ValidateResult(cfg.Hetero, cfg.Start, tasks, res); err != nil {
+		if err := ValidateResult(cfg.Hetero, start, tasks, res); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		if diff := matchReference(cfg, tasks, res); diff != "" {
+		if diff := matchReference(cfg, start, tasks, res); diff != "" {
 			t.Logf("seed %d: %s", seed, diff)
 			return false
 		}
-		pooled, err := arena.Run(&cfg, tasks)
+		pooled, err := runSection(arena, &cfg, start, tasks)
 		if err != nil {
 			t.Logf("seed %d: arena: %v", seed, err)
 			return false

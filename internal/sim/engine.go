@@ -4,65 +4,19 @@ import (
 	"fmt"
 	"math"
 
-	"andorsched/internal/obs"
 	"andorsched/internal/power"
 )
 
-// engineMetrics holds the engine's pre-resolved instruments so the dispatch
-// loop never takes the registry lock or formats metric names.
-type engineMetrics struct {
-	tasks, dummies, changes *obs.Counter
-	exec, idle              *obs.Histogram
-	procChanges             []*obs.Counter
-}
-
-func newEngineMetrics(m *obs.Metrics, procs int) *engineMetrics {
-	em := &engineMetrics{
-		tasks:       m.Counter(MetricTasks),
-		dummies:     m.Counter(MetricDummies),
-		changes:     m.Counter(MetricSpeedChanges),
-		exec:        m.Histogram(MetricExecSeconds, obs.DefaultTimeBuckets),
-		idle:        m.Histogram(MetricIdleSeconds, obs.DefaultTimeBuckets),
-		procChanges: make([]*obs.Counter, procs),
-	}
-	for i := range em.procChanges {
-		em.procChanges[i] = m.Counter(MetricProcSpeedChanges(i))
-	}
-	return em
-}
-
-// Run simulates the execution of one program section's tasks on the
-// configured multiprocessor and returns the schedule and energy breakdown.
-// It is deterministic: identical inputs produce identical results. The
-// run is a single pass over the tasks in dispatch order (the order-gate
-// recurrence, see the package doc).
-//
-// It returns an error when the input cannot execute to completion —
-// cyclic dependences, an Order field that is not a permutation of 0..n-1,
-// a computation task pinned to a class the machine lacks, or inconsistent
-// Preds/Succs.
-//
-// Run allocates fresh state per call, so the Result is independent of later
-// calls. Hot loops that run many simulations should hold an Arena and call
-// (*Arena).Run, which reuses the scratch state and allocates nothing in the
-// steady state.
-func Run(cfg Config, tasks []*Task) (*Result, error) {
-	var rs runState
-	return rs.run(&cfg, tasks)
-}
-
-// runState is the engine's complete scratch state. A fresh zero value is
-// used by the package-level Run; an Arena retains one across runs so that
-// its buffers are reused. begin sets the per-run part (machine, hooks,
-// levels) and sizes the buffers; section resets the per-section part.
+// runState is the engine's complete scratch state; an Arena retains one
+// across runs so that its buffers are reused. begin sets the per-run part
+// (machine, levels) and sizes the buffers; section resets the per-section
+// part.
 type runState struct {
-	cfg    *Config
-	tasks  []*Task
-	hp     *power.Hetero
-	multi  bool   // more than one class: dummies consult the placement
-	pl     placer // the placement, for dummies
-	tracer obs.Tracer
-	met    *engineMetrics
+	cfg   *Config
+	tasks []*Task
+	hp    *power.Hetero
+	multi bool   // more than one class: dummies consult the placement
+	pl    placer // the placement, for dummies
 	// levelTime, if non-nil, accumulates each execution's finish − start
 	// at its level index, across the run's sections.
 	levelTime []float64
@@ -76,45 +30,22 @@ type runState struct {
 	npreds []int // predecessors not yet released through Succs
 
 	// prog is the section's program, read-only and possibly shared with
-	// other arenas; own is the one Run compiles, into npreds and ownOrder.
-	prog     *Program
-	own      Program
-	ownOrder []int
-	start    float64
+	// other arenas.
+	prog  *Program
+	start float64
 
 	// readyAt[i] is the latest finish of task i's released predecessors.
 	// errAt is the finish of the completion that raised err.
 	readyAt []float64
 	errAt   float64
 
-	// events holds a traced run's pending finish events.
-	events eventHeap
-
 	res Result
 	err error
 }
 
-// run is one whole run of one section: begin, the full input checks (one
-// pass in task order, so the error reported is the first offending
-// task's, whatever the fault) and the section.
-func (rs *runState) run(cfg *Config, tasks []*Task) (*Result, error) {
-	if err := rs.begin(cfg, nil); err != nil {
-		return nil, err
-	}
-	// The arena's own program counts predecessors directly in the working
-	// counters; section's copy of them onto themselves is then a no-op.
-	n := len(tasks)
-	rs.npreds = ensureInts(rs.npreds, n)
-	rs.ownOrder = ensureInts(rs.ownOrder, n)
-	if err := rs.own.compile(cfg.Hetero, tasks, true, rs.npreds, rs.ownOrder); err != nil {
-		return nil, err
-	}
-	return rs.section(&rs.own, tasks, cfg.Start)
-}
-
 // begin starts a run on cfg's machine: it checks the initial levels, sizes
 // the per-processor and per-class buffers, stores the configuration and
-// its hooks, and sets every processor's level.
+// sets every processor's level.
 func (rs *runState) begin(cfg *Config, levelTime []float64) error {
 	hp := cfg.Hetero
 	if hp == nil {
@@ -166,14 +97,6 @@ func (rs *runState) begin(cfg *Config, levelTime []float64) error {
 	nc := hp.NumClasses()
 	res.ClassActiveEnergy = ensureFloats(res.ClassActiveEnergy, nc)
 	res.ClassOverheadEnergy = ensureFloats(res.ClassOverheadEnergy, nc)
-
-	// Observability: both hooks are nil-gated so the default run pays one
-	// pointer comparison per hook point and allocates nothing.
-	rs.tracer = cfg.Tracer
-	rs.met = nil
-	if cfg.Metrics != nil {
-		rs.met = newEngineMetrics(cfg.Metrics, m)
-	}
 	return nil
 }
 
@@ -203,7 +126,6 @@ func (rs *runState) checkSection(prog *Program, tasks []*Task) error {
 // counters from prog and runs the order-gate recurrence. Levels carry over
 // from the previous section.
 func (rs *runState) section(prog *Program, tasks []*Task, start float64) (*Result, error) {
-	cfg := rs.cfg
 	m := rs.hp.NumProcs()
 	rs.prog = prog
 	rs.tasks = tasks
@@ -230,9 +152,7 @@ func (rs *runState) section(prog *Program, tasks []*Task, start float64) (*Resul
 	res.SpeedChanges = 0
 	res.LSTViolations = 0
 	res.FinalLevels = nil
-	res.Metrics = nil
 
-	rs.events.h = rs.events.h[:0]
 	rs.err = nil
 	rs.runOrderGate()
 	if rs.err != nil {
@@ -240,14 +160,6 @@ func (rs *runState) section(prog *Program, tasks []*Task, start float64) (*Resul
 	}
 
 	res.FinalLevels = rs.levels
-	if cfg.Metrics != nil {
-		for i := 0; i < m; i++ {
-			cfg.Metrics.Gauge(MetricProcBusy(i)).Add(res.BusyTime[i])
-			cfg.Metrics.Gauge(MetricProcOverhead(i)).Add(res.OverheadTime[i])
-		}
-		snap := cfg.Metrics.Snapshot()
-		res.Metrics = &snap
-	}
 	return res, nil
 }
 
@@ -259,10 +171,6 @@ func (rs *runState) section(prog *Program, tasks []*Task, start float64) (*Resul
 // first over-released successor in completion order (finish time, then
 // dispatch order) is the run's error, as in an event loop, which would
 // stop at that completion.
-//
-// With a tracer, finishes are held in the event heap, keyed by finish time
-// and then dispatch order, and emitted before the first dispatch at or
-// after their time, as an event loop over completions would emit them.
 func (rs *runState) runOrderGate() {
 	tasks := rs.tasks
 	start := rs.start
@@ -321,19 +229,9 @@ func (rs *runState) runOrderGate() {
 		if t.Dummy && rs.multi {
 			proc, ci = rs.pl.pick(t, now, rs.freeAt)
 		}
-		if rs.tracer != nil {
-			rs.traceFinishes(now)
-		}
 		finish := rs.issue(ti, proc, ci, now)
 		if finish > rs.res.Finish {
 			rs.res.Finish = finish
-		}
-		if rs.tracer != nil {
-			if finish == now {
-				rs.traceFinish(proc, ti, now)
-			} else {
-				rs.events.push(event{time: finish, seq: k, proc: proc, task: ti})
-			}
 		}
 		for _, s := range t.Succs {
 			rs.npreds[s]--
@@ -347,35 +245,6 @@ func (rs *runState) runOrderGate() {
 		}
 		gate = now
 	}
-	if rs.tracer != nil {
-		rs.traceFinishes(math.Inf(1))
-	}
-}
-
-// traceFinishes emits the pending finish events due by time at, in
-// (time, seq) order.
-func (rs *runState) traceFinishes(at float64) {
-	for {
-		ev, ok := rs.events.peek()
-		if !ok || ev.time > at {
-			return
-		}
-		rs.events.pop()
-		rs.traceFinish(ev.proc, ev.task, ev.time)
-	}
-}
-
-// traceFinish emits task's finish event, if tracing.
-func (rs *runState) traceFinish(proc, task int, at float64) {
-	if rs.tracer == nil {
-		return
-	}
-	t := rs.tasks[task]
-	rs.tracer.Event(obs.Event{
-		Kind: obs.EvTaskFinish, Time: at, Proc: proc,
-		Task: task, Node: t.Node, Name: t.Name,
-		Level: rs.levels[proc], Prev: rs.levels[proc],
-	})
 }
 
 // issue dispatches task ti on processor proc of class ci at time now: it
@@ -422,41 +291,6 @@ func (rs *runState) issue(ti, proc, ci int, now float64) float64 {
 	if rs.levelTime != nil {
 		rs.levelTime[lvl] += finish - start
 	}
-	if rs.tracer != nil {
-		if idle := now - rs.freeAt[proc]; idle > 0 {
-			rs.tracer.Event(obs.Event{
-				Kind: obs.EvIdle, Time: now, Proc: proc,
-				Task: -1, Node: -1, Value: idle,
-			})
-		}
-		rs.tracer.Event(obs.Event{
-			Kind: obs.EvTaskDispatch, Time: now, Proc: proc,
-			Task: ti, Node: t.Node, Name: t.Name,
-			Level: lvl, Prev: cur, Value: compT + changeT,
-		})
-		if lvl != cur {
-			rs.tracer.Event(obs.Event{
-				Kind: obs.EvSpeedChange, Time: now, Proc: proc,
-				Task: ti, Node: t.Node, Name: t.Name,
-				Level: lvl, Prev: cur, Value: changeT,
-			})
-		}
-	}
-	if rs.met != nil {
-		if t.Dummy {
-			rs.met.dummies.Inc()
-		} else {
-			rs.met.tasks.Inc()
-			rs.met.exec.Observe(execT)
-		}
-		if lvl != cur {
-			rs.met.changes.Inc()
-			rs.met.procChanges[proc].Inc()
-		}
-		if idle := now - rs.freeAt[proc]; idle > 0 {
-			rs.met.idle.Observe(idle)
-		}
-	}
 	res.Records = append(res.Records, Record{
 		Task: ti, Proc: proc,
 		Dispatch: now, Start: start, Finish: finish,
@@ -490,70 +324,4 @@ func (rs *runState) issue(ti, proc, ci int, now float64) float64 {
 	rs.levels[proc] = lvl
 	rs.freeAt[proc] = finish
 	return finish
-}
-
-// event is a task-completion event: a traced run's pending finish, or a
-// list schedule's pending completion.
-type event struct {
-	time float64
-	seq  int // FIFO tie-break for simultaneous events
-	proc int
-	task int
-}
-
-// eventHeap is a binary min-heap of events ordered by (time, seq).
-type eventHeap struct{ h []event }
-
-func (e *eventHeap) less(i, j int) bool {
-	if e.h[i].time != e.h[j].time {
-		return e.h[i].time < e.h[j].time
-	}
-	return e.h[i].seq < e.h[j].seq
-}
-
-func (e *eventHeap) push(ev event) {
-	e.h = append(e.h, ev)
-	i := len(e.h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(i, parent) {
-			break
-		}
-		e.h[i], e.h[parent] = e.h[parent], e.h[i]
-		i = parent
-	}
-}
-
-func (e *eventHeap) peek() (event, bool) {
-	if len(e.h) == 0 {
-		return event{}, false
-	}
-	return e.h[0], true
-}
-
-func (e *eventHeap) pop() (event, bool) {
-	if len(e.h) == 0 {
-		return event{}, false
-	}
-	top := e.h[0]
-	last := len(e.h) - 1
-	e.h[0] = e.h[last]
-	e.h = e.h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(e.h) && e.less(l, small) {
-			small = l
-		}
-		if r < len(e.h) && e.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		e.h[i], e.h[small] = e.h[small], e.h[i]
-		i = small
-	}
-	return top, true
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"andorsched/internal/obs"
 	"andorsched/internal/power"
 )
 
@@ -42,10 +43,45 @@ func inOrder(tasks ...*Task) []*Task {
 	return tasks
 }
 
+// runSection runs tasks as one section from start on arena a: Begin, then
+// Compile, then Section, so that Begin's errors come first, then the
+// structural ones, then actual work above the worst case.
+func runSection(a *Arena, cfg *Config, start float64, tasks []*Task) (*Result, error) {
+	if err := a.Begin(cfg, nil); err != nil {
+		return nil, err
+	}
+	prog, err := Compile(cfg.Hetero, tasks)
+	if err != nil {
+		return nil, err
+	}
+	return a.Section(prog, tasks, start)
+}
+
+// observeSection is runSection on a fresh arena followed by an Observer
+// over the section, emitting to tr and updating m.
+func observeSection(cfg *Config, start float64, tasks []*Task, tr obs.Tracer, m *obs.Metrics) (*Result, error) {
+	a := NewArena()
+	if err := a.Begin(cfg, nil); err != nil {
+		return nil, err
+	}
+	var o Observer
+	o.Begin(cfg.Hetero, a.rs.levels, tr, m)
+	prog, err := Compile(cfg.Hetero, tasks)
+	if err != nil {
+		return nil, err
+	}
+	res, err := a.Section(prog, tasks, start)
+	if err != nil {
+		return nil, err
+	}
+	o.Section(tasks, res, start, nil)
+	return res, nil
+}
+
 func TestSingleTaskTimingAndEnergy(t *testing.T) {
 	p := testPlat()
 	// 400 mega-cycles at 400MHz → 1s.
-	res, err := Run(Config{Hetero: machine(p, 1)}, []*Task{
+	res, err := runSection(NewArena(), &Config{Hetero: machine(p, 1)}, 0, []*Task{
 		task("a", 400, 400, nil, nil),
 	})
 	if err != nil {
@@ -78,9 +114,9 @@ func TestPolicyLevelAndChangeOverhead(t *testing.T) {
 		task("a", 100, 100, nil, []int{1}),
 		task("b", 100, 100, []int{0}, nil),
 	)
-	res, err := Run(Config{
+	res, err := runSection(NewArena(), &Config{
 		Hetero: machine(p, 1), Overheads: ov, Policy: fixedPolicy(0),
-	}, tasks)
+	}, 0, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +156,9 @@ func TestVoltageSlewCharged(t *testing.T) {
 	ov := power.Overheads{SpeedChangeTime: 0.1, VoltSlewTime: 1.0}
 	// One task forced from the max level (1.5V) to level 0 (1.0V):
 	// change = 0.1 + 1.0×0.5 = 0.6s; exec 100Mc at 100MHz = 1s.
-	res, err := Run(Config{
+	res, err := runSection(NewArena(), &Config{
 		Hetero: machine(p, 1), Overheads: ov, Policy: fixedPolicy(0),
-	}, []*Task{task("a", 100, 100, nil, nil)})
+	}, 0, []*Task{task("a", 100, 100, nil, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +181,7 @@ func TestOrderGateForcesSleep(t *testing.T) {
 		{Name: "mid", WorkW: 100e6, WorkA: 100e6, Order: 1, Preds: []int{0}},
 		{Name: "free", WorkW: 100e6, WorkA: 100e6, Order: 2},
 	}
-	res, err := Run(Config{Hetero: machine(testPlat(), 2)}, tasks)
+	res, err := runSection(NewArena(), &Config{Hetero: machine(testPlat(), 2)}, 0, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,9 +210,9 @@ func TestDummyTasksTakeNoTime(t *testing.T) {
 		{Name: "b", WorkW: 200e6, WorkA: 200e6, Order: 2, Preds: []int{1}},
 	}
 	ov := power.Overheads{SpeedCompCycles: 1e9, SpeedChangeTime: 10}
-	res, err := Run(Config{
+	res, err := runSection(NewArena(), &Config{
 		Hetero: machine(testPlat(), 1), Overheads: ov, Policy: fixedPolicy(2),
-	}, tasks)
+	}, 0, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +231,11 @@ func TestDummyTasksTakeNoTime(t *testing.T) {
 func TestStartTimeAndInitialLevels(t *testing.T) {
 	p := testPlat()
 	tasks := []*Task{task("a", 100, 100, nil, nil)}
-	res, err := Run(Config{
-		Hetero: machine(p, 1), Start: 5.0,
+	res, err := runSection(NewArena(), &Config{
+		Hetero:        machine(p, 1),
 		InitialLevels: []int{0}, // 100MHz
 		Policy:        fixedPolicy(0),
-	}, tasks)
+	}, 5.0, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +250,7 @@ func TestStartTimeAndInitialLevels(t *testing.T) {
 func TestErrors(t *testing.T) {
 	p := testPlat()
 	t.Run("no processors", func(t *testing.T) {
-		if _, err := Run(Config{}, nil); err == nil {
+		if _, err := runSection(NewArena(), &Config{}, 0, nil); err == nil {
 			t.Error("want error")
 		}
 	})
@@ -223,7 +259,7 @@ func TestErrors(t *testing.T) {
 			{Name: "a", WorkW: 1e6, WorkA: 1e6, Order: 0, Preds: []int{1}, Succs: []int{1}},
 			{Name: "b", WorkW: 1e6, WorkA: 1e6, Order: 1, Preds: []int{0}, Succs: []int{0}},
 		}
-		if _, err := Run(Config{Hetero: machine(p, 1)}, tasks); err == nil {
+		if _, err := runSection(NewArena(), &Config{Hetero: machine(p, 1)}, 0, tasks); err == nil {
 			t.Error("want deadlock error")
 		}
 	})
@@ -232,31 +268,31 @@ func TestErrors(t *testing.T) {
 			{Name: "a", WorkW: 1e6, WorkA: 1e6, Order: 0},
 			{Name: "b", WorkW: 1e6, WorkA: 1e6, Order: 0},
 		}
-		if _, err := Run(Config{Hetero: machine(p, 1)}, tasks); err == nil {
+		if _, err := runSection(NewArena(), &Config{Hetero: machine(p, 1)}, 0, tasks); err == nil {
 			t.Error("want order error")
 		}
 	})
 	t.Run("actual exceeds worst", func(t *testing.T) {
 		tasks := []*Task{{Name: "a", WorkW: 1e6, WorkA: 2e6}}
-		if _, err := Run(Config{Hetero: machine(p, 1)}, tasks); err == nil {
+		if _, err := runSection(NewArena(), &Config{Hetero: machine(p, 1)}, 0, tasks); err == nil {
 			t.Error("want work error")
 		}
 	})
 	t.Run("bad pred index", func(t *testing.T) {
 		tasks := []*Task{{Name: "a", WorkW: 1e6, WorkA: 1e6, Preds: []int{9}}}
-		if _, err := Run(Config{Hetero: machine(p, 1)}, tasks); err == nil {
+		if _, err := runSection(NewArena(), &Config{Hetero: machine(p, 1)}, 0, tasks); err == nil {
 			t.Error("want index error")
 		}
 	})
 	t.Run("empty task list", func(t *testing.T) {
-		res, err := Run(Config{Hetero: machine(p, 2), Start: 3}, nil)
+		res, err := runSection(NewArena(), &Config{Hetero: machine(p, 2)}, 3, nil)
 		if err != nil || res.Finish != 3 {
 			t.Errorf("empty run: %v finish=%v", err, res.Finish)
 		}
 	})
 	t.Run("procs disagree with initial levels", func(t *testing.T) {
 		tasks := []*Task{task("a", 100, 100, nil, nil)}
-		_, err := Run(Config{Hetero: machine(p, 3), InitialLevels: []int{0, 1}}, tasks)
+		_, err := runSection(NewArena(), &Config{Hetero: machine(p, 3), InitialLevels: []int{0, 1}}, 0, tasks)
 		if err == nil || !strings.Contains(err.Error(), "disagrees with len(InitialLevels)") {
 			t.Errorf("want mismatch error, got %v", err)
 		}
@@ -264,7 +300,7 @@ func TestErrors(t *testing.T) {
 	t.Run("initial level out of range", func(t *testing.T) {
 		tasks := []*Task{task("a", 100, 100, nil, nil)}
 		for _, lv := range []int{-1, p.NumLevels()} {
-			_, err := Run(Config{Hetero: machine(p, 1), InitialLevels: []int{lv}}, tasks)
+			_, err := runSection(NewArena(), &Config{Hetero: machine(p, 1), InitialLevels: []int{lv}}, 0, tasks)
 			if err == nil || !strings.Contains(err.Error(), "outside the platform") {
 				t.Errorf("InitialLevels=[%d]: want range error, got %v", lv, err)
 			}
@@ -272,7 +308,7 @@ func TestErrors(t *testing.T) {
 	})
 	t.Run("procs matching initial levels ok", func(t *testing.T) {
 		tasks := []*Task{task("a", 100, 100, nil, nil)}
-		res, err := Run(Config{Hetero: machine(p, 2), InitialLevels: []int{0, 1}}, tasks)
+		res, err := runSection(NewArena(), &Config{Hetero: machine(p, 2), InitialLevels: []int{0, 1}}, 0, tasks)
 		if err != nil {
 			t.Fatalf("matching Procs/InitialLevels rejected: %v", err)
 		}
@@ -292,9 +328,9 @@ func TestTimeConservation(t *testing.T) {
 		{Name: "b", WorkW: 300e6, WorkA: 200e6, Order: 1},
 		{Name: "c", WorkW: 100e6, WorkA: 80e6, Order: 2, Preds: []int{0}},
 	}
-	res, err := Run(Config{
-		Hetero: machine(p, 2), Overheads: ov, Policy: fixedPolicy(1), Start: 1,
-	}, tasks)
+	res, err := runSection(NewArena(), &Config{
+		Hetero: machine(p, 2), Overheads: ov, Policy: fixedPolicy(1),
+	}, 1, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +355,7 @@ func TestTimeConservation(t *testing.T) {
 func TestGantt(t *testing.T) {
 	p := testPlat()
 	tasks := []*Task{task("alpha", 400, 400, nil, nil)}
-	res, err := Run(Config{Hetero: machine(p, 1)}, tasks)
+	res, err := runSection(NewArena(), &Config{Hetero: machine(p, 1)}, 0, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}

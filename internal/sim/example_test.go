@@ -9,8 +9,9 @@ import (
 
 // Example runs the engine directly on a tiny order-gated section: two
 // parallel 200-megacycle tasks and a dependent 100-megacycle task, on two
-// 400 MHz processors (the higher layers in internal/core normally drive
-// this for you).
+// 400 MHz processors. The section is compiled once, a run is begun on the
+// machine, and the section runs from time 0 (the higher layers in
+// internal/core normally drive this for you).
 func Example() {
 	plat := power.NewPlatform("demo", []power.Level{power.MHz(400, 1.2)})
 	tasks := []*sim.Task{
@@ -23,7 +24,17 @@ func Example() {
 		fmt.Println(err)
 		return
 	}
-	res, err := sim.Run(sim.Config{Hetero: machine}, tasks)
+	prog, err := sim.Compile(machine, tasks)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	arena := sim.NewArena()
+	if err := arena.Begin(&sim.Config{Hetero: machine}, nil); err != nil {
+		fmt.Println(err)
+		return
+	}
+	res, err := arena.Section(prog, tasks, 0)
 	if err != nil {
 		fmt.Println(err)
 		return

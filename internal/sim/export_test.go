@@ -18,9 +18,9 @@ func exportEntries(t *testing.T) (*power.Hetero, []GanttEntry) {
 		{Name: "beta", WorkW: 300e6, WorkA: 200e6, Order: 1, LFT: 10},
 	}
 	h := machine(p, 2)
-	res, err := Run(Config{
+	res, err := runSection(NewArena(), &Config{
 		Hetero: h, Overheads: ov, Policy: fixedPolicy(0),
-	}, tasks)
+	}, 0, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestRenderBigLittle(t *testing.T) {
 			WorkW: 40e6, WorkA: 40e6, LFT: 10, CanonClass: i % 2 * little,
 		})
 	}
-	res, err := Run(Config{Hetero: h}, tasks) // every class at its maximum
+	res, err := runSection(NewArena(), &Config{Hetero: h}, 0, tasks) // every class at its maximum
 	if err != nil {
 		t.Fatal(err)
 	}

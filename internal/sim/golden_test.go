@@ -40,8 +40,8 @@ func (s slackPolicy) PickLevel(t *Task, now float64, _ int, class int) int {
 // and without overheads and initial levels; dummies, zero-work tasks and
 // few distinct work values, so equal finish times are common. Task indices
 // are a random permutation of the dispatch order. Every fifth section
-// also records metrics.
-func goldenSection(i int) (Config, []*Task) {
+// also records metrics, into the registry returned (nil otherwise).
+func goldenSection(i int) (cfg Config, start float64, m *obs.Metrics, tasks []*Task) {
 	rnd := newLCG(uint64(i) + 0x5eed)
 	var h *power.Hetero
 	switch i % 6 {
@@ -54,11 +54,11 @@ func goldenSection(i int) (Config, []*Task) {
 		h = machine(plats[rnd.next()%3], 1+i%4)
 	}
 	nc := h.NumClasses()
-	cfg := Config{
+	cfg = Config{
 		Hetero:    h,
 		Placement: []PlacementPolicy{FastestFirst, EnergyGreedy, ClassAffinity}[rnd.next()%3],
-		Start:     float64(rnd.next()%8) / 4,
 	}
+	start = float64(rnd.next()%8) / 4
 	if rnd.next()%2 == 0 {
 		cfg.Overheads = power.Overheads{
 			SpeedCompCycles: float64(rnd.next() % 1000),
@@ -78,7 +78,7 @@ func goldenSection(i int) (Config, []*Task) {
 		}
 	}
 	if i%5 == 0 {
-		cfg.Metrics = obs.NewMetrics()
+		m = obs.NewMetrics()
 	}
 	n := 1 + int(rnd.next()%30)
 	perm := make([]int, n) // perm[order] = task index
@@ -87,13 +87,13 @@ func goldenSection(i int) (Config, []*Task) {
 		perm[k] = perm[j]
 		perm[j] = k
 	}
-	tasks := make([]*Task, n)
+	tasks = make([]*Task, n)
 	for k := 0; k < n; k++ {
 		t := &Task{
 			Name: fmt.Sprintf("t%d", k), Node: k, Order: k,
 			CanonClass: int(rnd.next() % uint64(nc)),
 			Affinity:   int(rnd.next() % uint64(nc+1)),
-			LFT:        cfg.Start + float64(k+1+int(rnd.next()%8))*5e-3,
+			LFT:        start + float64(k+1+int(rnd.next()%8))*5e-3,
 		}
 		if rnd.next()%6 == 0 {
 			t.Dummy = true
@@ -115,12 +115,12 @@ func goldenSection(i int) (Config, []*Task) {
 		}
 		tasks[perm[k]] = t
 	}
-	return cfg, tasks
+	return cfg, start, m, tasks
 }
 
 // digestResult hashes every schedule, time and energy field of res bit for
-// bit, its final levels and, when metrics were recorded, the snapshot.
-func digestResult(res *Result) string {
+// bit, its final levels and, when metrics were recorded, their snapshot s.
+func digestResult(res *Result, s *obs.Snapshot) string {
 	h := sha256.New()
 	b := math.Float64bits
 	for _, r := range res.Records {
@@ -135,7 +135,7 @@ func digestResult(res *Result) string {
 	for c := range res.ClassActiveEnergy {
 		fmt.Fprintf(h, "class %d %x %x\n", c, b(res.ClassActiveEnergy[c]), b(res.ClassOverheadEnergy[c]))
 	}
-	if s := res.Metrics; s != nil {
+	if s != nil {
 		for _, c := range s.Counters {
 			fmt.Fprintf(h, "counter %s %d\n", c.Name, c.Value)
 		}
@@ -171,11 +171,11 @@ type goldenEntry struct {
 }
 
 // TestByOrderGolden runs 200 random order-gated sections (goldenSection) and
-// requires every result, and the event stream of a recording tracer,
-// to be bit-identical to the frozen digests. Each section also runs
-// untraced and on a reused arena, which must give the same result, and
-// against referenceRun, which must agree exactly. Regenerate, only when
-// the engine's output is meant to change, with
+// requires every result, and the event stream an Observer derives from
+// it, to be bit-identical to the frozen digests. Each section also runs
+// on a reused arena, which must give the same result, and against
+// referenceRun, which must agree exactly. Regenerate, only when the
+// engine's output is meant to change, with
 //
 //	go test ./internal/sim -run TestByOrderGolden -update
 func TestByOrderGolden(t *testing.T) {
@@ -183,30 +183,30 @@ func TestByOrderGolden(t *testing.T) {
 	arena := NewArena()
 	got := make([]goldenEntry, sections)
 	for i := range got {
-		cfg, tasks := goldenSection(i)
+		cfg, start, m, tasks := goldenSection(i)
 		col := obs.NewCollector()
-		traced := cfg
-		traced.Tracer = col
-		res, err := Run(traced, tasks)
+		res, err := observeSection(&cfg, start, tasks, col, m)
 		if err != nil {
 			t.Fatalf("section %d: %v", i, err)
 		}
-		got[i] = goldenEntry{Tasks: len(tasks), Result: digestResult(res), Events: digestEvents(col.Events())}
-		if err := ValidateResult(cfg.Hetero, cfg.Start, tasks, res); err != nil {
+		var snap *obs.Snapshot
+		if m != nil {
+			s := m.Snapshot()
+			snap = &s
+		}
+		got[i] = goldenEntry{Tasks: len(tasks), Result: digestResult(res, snap), Events: digestEvents(col.Events())}
+		if err := ValidateResult(cfg.Hetero, start, tasks, res); err != nil {
 			t.Errorf("section %d: %v", i, err)
 		}
-		if diff := matchReference(cfg, tasks, res); diff != "" {
+		if diff := matchReference(cfg, start, tasks, res); diff != "" {
 			t.Errorf("section %d: %s", i, diff)
 		}
-		if cfg.Metrics != nil {
-			continue // a second run would accumulate into the registry
-		}
-		pooled, err := arena.Run(&cfg, tasks)
+		pooled, err := runSection(arena, &cfg, start, tasks)
 		if err != nil {
 			t.Fatalf("section %d: arena: %v", i, err)
 		}
-		if d := digestResult(pooled); d != got[i].Result {
-			t.Errorf("section %d: untraced arena run differs from the traced run", i)
+		if d := digestResult(pooled, snap); d != got[i].Result {
+			t.Errorf("section %d: unobserved arena run differs from the observed run", i)
 		}
 	}
 	if *updateGolden {

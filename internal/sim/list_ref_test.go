@@ -366,7 +366,7 @@ func FuzzListScheduleDifferential(f *testing.F) {
 	}
 	var l ListScheduler
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, tasks, raw, ok := decodeWorkload(data)
+		cfg, _, tasks, raw, ok := decodeWorkload(data)
 		if !ok {
 			t.Skip()
 		}

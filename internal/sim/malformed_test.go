@@ -52,7 +52,7 @@ func TestMalformedPrecedence(t *testing.T) {
 		t.Run(tc.name+"/ByOrder", func(t *testing.T) {
 			tasks := chain()
 			tc.mutate(tasks)
-			_, err := Run(Config{Hetero: machine(testPlat(), 2), Policy: fixedPolicy(1)}, tasks)
+			_, err := runSection(NewArena(), &Config{Hetero: machine(testPlat(), 2), Policy: fixedPolicy(1)}, 0, tasks)
 			if got := errText(err); got != tc.byOrder {
 				t.Errorf("error = %q, want %q", got, tc.byOrder)
 			}

@@ -86,10 +86,10 @@ func TestHeteroFeasibilityGuard(t *testing.T) {
 	run := func(place PlacementPolicy, canon int) int {
 		tk := onlineTask(400, 10.0) // 1 s at big f_max, 4 s on the little core
 		tk.CanonClass = canon
-		res, err := Run(Config{
+		res, err := runSection(NewArena(), &Config{
 			Hetero: hp, Placement: place,
 			Policy: clampedPolicy{hp, testPlat().MaxIndex()},
-		}, []*Task{tk})
+		}, 0, []*Task{tk})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,10 +117,10 @@ func TestHeteroFeasibilityGuard(t *testing.T) {
 	a.Node, a.Order = 0, 0
 	b := onlineTask(400, 10.0)
 	b.Node, b.Order = 1, 1
-	res, err := Run(Config{
+	res, err := runSection(NewArena(), &Config{
 		Hetero: hp, Placement: FastestFirst,
 		Policy: clampedPolicy{hp, testPlat().MaxIndex()},
-	}, []*Task{a, b})
+	}, 0, []*Task{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,23 +139,23 @@ func TestHeteroFeasibilityGuard(t *testing.T) {
 func TestHeteroConfigErrors(t *testing.T) {
 	hp := bigLittlePair()
 	tk := onlineTask(10, 1e9)
-	if _, err := Run(Config{Hetero: hp, InitialLevels: []int{0, 0, 0}}, []*Task{tk}); err == nil {
+	if _, err := runSection(NewArena(), &Config{Hetero: hp, InitialLevels: []int{0, 0, 0}}, 0, []*Task{tk}); err == nil {
 		t.Error("long InitialLevels accepted")
 	}
-	if _, err := Run(Config{Hetero: hp, InitialLevels: []int{0}}, []*Task{tk}); err == nil {
+	if _, err := runSection(NewArena(), &Config{Hetero: hp, InitialLevels: []int{0}}, 0, []*Task{tk}); err == nil {
 		t.Error("short InitialLevels accepted")
 	}
 	// Level 1 is valid on the big core's table but not the little core's.
-	if _, err := Run(Config{Hetero: hp, InitialLevels: []int{1, 1}}, []*Task{tk}); err == nil {
+	if _, err := runSection(NewArena(), &Config{Hetero: hp, InitialLevels: []int{1, 1}}, 0, []*Task{tk}); err == nil {
 		t.Error("per-class out-of-range initial level accepted")
 	}
 	pinned := onlineTask(10, 1e9)
 	pinned.CanonClass = 2
-	if _, err := Run(Config{Hetero: hp}, []*Task{pinned}); err == nil ||
+	if _, err := runSection(NewArena(), &Config{Hetero: hp}, 0, []*Task{pinned}); err == nil ||
 		!strings.Contains(err.Error(), "pinned to class 2 of a 2-class machine") {
 		t.Errorf("task pinned to a missing class: got %v", err)
 	}
-	if _, err := Run(Config{Hetero: hp, InitialLevels: []int{2, 0}}, []*Task{tk}); err != nil {
+	if _, err := runSection(NewArena(), &Config{Hetero: hp, InitialLevels: []int{2, 0}}, 0, []*Task{tk}); err != nil {
 		t.Errorf("valid heterogeneous config rejected: %v", err)
 	}
 }
@@ -169,7 +169,7 @@ func TestClassAffinitySteering(t *testing.T) {
 	w := 2e9 // 2 Gcycles: 1 s on the accelerator (4 × 500 MHz), ~2.9 s on a cpu
 	tagged := &Task{Name: "a", Node: 0, Order: 0, WorkW: w, WorkA: w, Affinity: ai + 1, CanonClass: ai}
 	plain := &Task{Name: "b", Node: 1, Order: 1, WorkW: w, WorkA: w}
-	res, err := Run(Config{Hetero: hp, Placement: ClassAffinity}, []*Task{tagged, plain})
+	res, err := runSection(NewArena(), &Config{Hetero: hp, Placement: ClassAffinity}, 0, []*Task{tagged, plain})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,10 +45,13 @@
 // counts as a read-only Program, which any number of arenas may share;
 // (*Arena).Begin checks and stores the run's configuration once;
 // (*Arena).Section runs one program from a start time, carrying the
-// processors' levels over from the previous section. Run is Begin, the
-// full input checks and one Section. The issue step also accounts the
-// run's level residency and counts latest-start-time violations, so
-// callers need no second pass over the records.
+// processors' levels over from the previous section. The issue step also
+// accounts the run's level residency and counts latest-start-time
+// violations, so callers need no second pass over the records.
+//
+// The dispatch loop carries no observation hooks: the records are the
+// truth, and an Observer derives a run's structured events and engine
+// metrics from them after each section.
 //
 // Speed selection is delegated to a Policy; the engine charges the speed
 // computation overhead (cycles at the current effective rate) and, when the
@@ -65,7 +68,6 @@ package sim
 import (
 	"fmt"
 
-	"andorsched/internal/obs"
 	"andorsched/internal/power"
 )
 
@@ -160,10 +162,6 @@ type Result struct {
 	// FinalLevels is each processor's level index after the run, to carry
 	// into the next section.
 	FinalLevels []int
-	// Metrics is a snapshot of Config.Metrics taken when the run finished;
-	// nil unless a registry was configured. When the registry is shared
-	// across sections or runs the snapshot reflects the accumulated state.
-	Metrics *obs.Snapshot
 }
 
 // Policy chooses the operating level for each computation task at dispatch
@@ -198,24 +196,13 @@ type Config struct {
 	// Policy chooses levels; nil runs everything at each class's maximum
 	// level (NPM).
 	Policy Policy
-	// Start is the simulation start time (the section's begin) of Run;
-	// Arena.Section takes each section's start instead.
-	Start float64
-	// InitialLevels, if non-nil, gives each processor's level at Start, one
-	// entry per processor of the machine; nil starts every processor at
-	// its class's maximum level.
+	// InitialLevels, if non-nil, gives each processor's level at the first
+	// section's start, one entry per processor of the machine; nil starts
+	// every processor at its class's maximum level.
 	InitialLevels []int
-	// Tracer, if non-nil, receives structured events (task dispatch/finish,
-	// speed changes, idle intervals) as the simulation progresses. The nil
-	// default keeps the hot path free of tracing work and allocations.
-	Tracer obs.Tracer
-	// Metrics, if non-nil, is updated with engine counters and histograms
-	// (see the sim.Metric* name helpers); a snapshot is attached to the
-	// Result. Sharing one registry across sections accumulates.
-	Metrics *obs.Metrics
 }
 
-// Metrics names used by the engine. Per-processor instruments embed the
+// Metrics names the Observer updates. Per-processor instruments embed the
 // processor index; use the helper functions to construct them.
 const (
 	// MetricTasks counts non-dummy task dispatches (counter).
