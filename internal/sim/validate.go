@@ -29,8 +29,9 @@ const valTol = 1e-9
 //     tasks dispatched after LFT − WorkW/EffFmax of their class (with the
 //     engine's tolerance).
 func ValidateResult(h *power.Hetero, start float64, tasks []*Task, res *Result) error {
-	if len(res.BusyTime) != h.NumProcs() {
-		return fmt.Errorf("sim: result covers %d processors, machine has %d", len(res.BusyTime), h.NumProcs())
+	if len(res.BusyTime) != h.NumProcs() || len(res.OverheadTime) != h.NumProcs() {
+		return fmt.Errorf("sim: result covers %d/%d processors, machine has %d",
+			len(res.BusyTime), len(res.OverheadTime), h.NumProcs())
 	}
 	if len(res.Records) != len(tasks) {
 		return fmt.Errorf("sim: %d records for %d tasks", len(res.Records), len(tasks))
@@ -79,30 +80,27 @@ func ValidateResult(h *power.Hetero, start float64, tasks []*Task, res *Result) 
 		return fmt.Errorf("sim: result reports %d LST violations, records show %d", res.LSTViolations, lstViolations)
 	}
 
-	// Processor occupancy: records on one processor must not overlap.
-	byProc := map[int][]*Record{}
+	// Processor occupancy: records on one processor must not overlap, and
+	// each processor's totals, an idle one's included, must match its
+	// records. Processors are checked in index order, so the error names
+	// the lowest faulty one.
+	byProc := make([][]*Record, len(res.BusyTime))
 	for i := range res.Records {
 		r := &res.Records[i]
 		byProc[r.Proc] = append(byProc[r.Proc], r)
 	}
-	busy := map[int]float64{}
-	oh := map[int]float64{}
 	for proc, rs := range byProc {
-		sort.Slice(rs, func(i, j int) bool { return rs[i].Dispatch < rs[j].Dispatch })
+		sort.SliceStable(rs, func(i, j int) bool { return rs[i].Dispatch < rs[j].Dispatch })
+		var busy, oh float64
 		for i, r := range rs {
 			if i > 0 && r.Dispatch < rs[i-1].Finish-valTol {
 				return fmt.Errorf("sim: processor %d runs %q before %q finished",
 					proc, tasks[r.Task].Name, tasks[rs[i-1].Task].Name)
 			}
-			busy[proc] += r.Finish - r.Start
-			oh[proc] += r.CompOH + r.ChangeOH
+			busy += r.Finish - r.Start
+			oh += r.CompOH + r.ChangeOH
 		}
-	}
-	for proc := range byProc {
-		if proc < 0 || proc >= len(res.BusyTime) {
-			return fmt.Errorf("sim: record on unknown processor %d", proc)
-		}
-		if math.Abs(busy[proc]-res.BusyTime[proc]) > valTol || math.Abs(oh[proc]-res.OverheadTime[proc]) > valTol {
+		if math.Abs(busy-res.BusyTime[proc]) > valTol || math.Abs(oh-res.OverheadTime[proc]) > valTol {
 			return fmt.Errorf("sim: processor %d busy/overhead totals disagree with records", proc)
 		}
 	}
