@@ -312,7 +312,7 @@ func run(o options) error {
 }
 
 // tracerOrNil avoids the classic non-nil-interface-around-nil-pointer trap:
-// a nil *Collector stored in a Tracer interface would defeat the engine's
+// a nil *Collector stored in a Tracer interface would defeat the run's
 // nil gate.
 func tracerOrNil(c *obs.Collector) obs.Tracer {
 	if c == nil {
