@@ -23,9 +23,8 @@ type goldenCase struct {
 }
 
 // goldenCases covers {atr, synthetic} × {transmeta, biglittle} × all nine
-// schemes as single runs with -stats, -trace, -svg, -chrome-trace,
-// -trace-out and -events-out, plus one traced five-frame -stream run per
-// platform.
+// schemes as single runs with -stats, -trace, -svg, -trace-out and
+// -events-out, plus one traced five-frame -stream run per platform.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	for _, wl := range []string{"atr", "synthetic"} {
@@ -59,7 +58,6 @@ func runGoldenCase(t *testing.T, c goldenCase) map[string]string {
 		"trace.json":    &o.traceOut,
 	}
 	if o.stream == 0 {
-		files["chrome.json"] = &o.chromePath
 		files["schedule.svg"] = &o.svgPath
 	}
 	for name, p := range files {

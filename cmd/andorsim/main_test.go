@@ -60,7 +60,7 @@ func TestRunTraceAndExports(t *testing.T) {
 	o.load, o.seed, o.slewUsPerV = 0.6, 1, 50
 	o.trace, o.printPlan = true, true
 	o.svgPath = filepath.Join(dir, "s.svg")
-	o.chromePath = filepath.Join(dir, "t.json")
+	o.traceOut = filepath.Join(dir, "t.json")
 	out, err := capture(t, func() error { return run(o) })
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestRunTraceAndExports(t *testing.T) {
 			t.Errorf("output missing %q", want)
 		}
 	}
-	for _, f := range []string{o.svgPath, o.chromePath} {
+	for _, f := range []string{o.svgPath, o.traceOut} {
 		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
 			t.Errorf("export %s missing or empty", f)
 		}
@@ -85,7 +85,7 @@ func TestRunTraceHetero(t *testing.T) {
 	o.workload, o.platform, o.scheme, o.load = "atr", "biglittle", "GSS", 0.6
 	o.trace = true
 	o.svgPath = filepath.Join(dir, "s.svg")
-	o.chromePath = filepath.Join(dir, "t.json")
+	o.traceOut = filepath.Join(dir, "t.json")
 	out, err := capture(t, func() error { return run(o) })
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestRunTraceHetero(t *testing.T) {
 	if !strings.Contains(out, "schedule:") || !strings.Contains(out, "@0.75V") {
 		t.Errorf("schedule lacks little-core levels:\n%s", out)
 	}
-	for _, f := range []string{o.svgPath, o.chromePath} {
+	for _, f := range []string{o.svgPath, o.traceOut} {
 		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
 			t.Errorf("export %s missing or empty", f)
 		}

@@ -1,60 +1,12 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
 
 	"andorsched/internal/power"
 )
-
-// chromeEvent is one Trace Event Format record ("X" = complete event),
-// loadable by chrome://tracing and Perfetto.
-type chromeEvent struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	Ts   float64           `json:"ts"`  // microseconds
-	Dur  float64           `json:"dur"` // microseconds
-	Pid  int               `json:"pid"`
-	Tid  int               `json:"tid"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-// ChromeTrace renders a schedule as Chrome Trace Event Format JSON: one
-// lane per processor (tid), one complete event per task execution, plus
-// shaded events for power-management overheads. Open the result in
-// chrome://tracing or https://ui.perfetto.dev. Levels and power are read on
-// the DVS table of each processor's class on machine h.
-func ChromeTrace(h *power.Hetero, entries []GanttEntry) ([]byte, error) {
-	events := make([]chromeEvent, 0, 2*len(entries))
-	for _, e := range entries {
-		platform := classPlat(h, e.Proc)
-		lv := platform.Levels()[e.Level]
-		if oh := e.CompOH + e.ChangeOH; oh > 0 {
-			events = append(events, chromeEvent{
-				Name: "dvs-overhead", Ph: "X",
-				Ts: e.Dispatch * 1e6, Dur: oh * 1e6,
-				Pid: 0, Tid: e.Proc,
-				Args: map[string]string{
-					"comp_us":   fmt.Sprintf("%.2f", e.CompOH*1e6),
-					"change_us": fmt.Sprintf("%.2f", e.ChangeOH*1e6),
-				},
-			})
-		}
-		start := e.Dispatch + e.CompOH + e.ChangeOH
-		events = append(events, chromeEvent{
-			Name: e.Name, Ph: "X",
-			Ts: start * 1e6, Dur: (e.Finish - start) * 1e6,
-			Pid: 0, Tid: e.Proc,
-			Args: map[string]string{
-				"level": lv.String(),
-				"power": fmt.Sprintf("%.3gW", platform.PowerAt(e.Level)),
-			},
-		})
-	}
-	return json.Marshal(events)
-}
 
 // svgLane is the pixel height of one processor lane.
 const (

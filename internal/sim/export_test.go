@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -25,36 +24,6 @@ func exportEntries(t *testing.T) (*power.Hetero, []GanttEntry) {
 		t.Fatal(err)
 	}
 	return h, Entries(tasks, res.Records)
-}
-
-func TestChromeTrace(t *testing.T) {
-	p, entries := exportEntries(t)
-	data, err := ChromeTrace(p, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(data, &events); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	// 2 task events + 2 overhead events (both tasks change speed from max
-	// to level 0 and pay computation overhead).
-	if len(events) != 4 {
-		t.Fatalf("events = %d, want 4", len(events))
-	}
-	names := map[string]int{}
-	for _, e := range events {
-		names[e["name"].(string)]++
-		if e["ph"] != "X" {
-			t.Errorf("event phase = %v", e["ph"])
-		}
-		if e["dur"].(float64) <= 0 {
-			t.Error("non-positive duration")
-		}
-	}
-	if names["alpha"] != 1 || names["beta"] != 1 || names["dvs-overhead"] != 2 {
-		t.Errorf("event names = %v", names)
-	}
 }
 
 func TestSVG(t *testing.T) {
@@ -115,35 +84,6 @@ func TestRenderBigLittle(t *testing.T) {
 		if !strings.Contains(line, want(proc)) {
 			t.Errorf("Gantt line for P%d lacks %s: %q", proc, want(proc), line)
 		}
-	}
-
-	data, err := ChromeTrace(h, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []struct {
-		Name string            `json:"name"`
-		Tid  int               `json:"tid"`
-		Args map[string]string `json:"args"`
-	}
-	if err := json.Unmarshal(data, &events); err != nil {
-		t.Fatal(err)
-	}
-	onLittle := 0
-	for _, e := range events {
-		if e.Args["level"] != want(e.Tid) {
-			t.Errorf("trace event %s on P%d at level %q, want %q", e.Name, e.Tid, e.Args["level"], want(e.Tid))
-		}
-		if h.ClassOf(e.Tid) == little {
-			onLittle++
-			plat := h.Class(little).Plat
-			if p := fmt.Sprintf("%.3gW", plat.PowerAt(plat.MaxIndex())); e.Args["power"] != p {
-				t.Errorf("little-core power %q, want %q", e.Args["power"], p)
-			}
-		}
-	}
-	if onLittle != 2 {
-		t.Errorf("%d trace events on little cores, want 2", onLittle)
 	}
 
 	svg := SVG(h, entries, 1)
