@@ -253,7 +253,7 @@ func BenchmarkRunGSSSynthetic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := plan.Run(core.RunConfig{
 			Scheme: core.GSS, Deadline: d,
-			Sampler: exectime.NewSampler(src.Fork()),
+			Sampler: exectime.NewSampler(exectime.NewSource(src.Uint64())),
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -385,14 +385,21 @@ func layeredSection(n int, lft float64) []*sim.Task {
 	return tasks
 }
 
+// compileSection returns tasks' program for machine hp.
+func compileSection(b *testing.B, hp *power.Hetero, tasks []*sim.Task) *sim.Program {
+	b.Helper()
+	prog := new(sim.Program)
+	if _, err := sim.CompileInto(prog, hp, tasks, make([]int, 2*len(tasks))); err != nil {
+		b.Fatal(err)
+	}
+	return prog
+}
+
 // runEngineSection runs tasks as one section from time 0 on arena a,
 // compiling prog first when it is nil.
 func runEngineSection(b *testing.B, a *sim.Arena, cfg *sim.Config, prog *sim.Program, tasks []*sim.Task) *sim.Result {
 	if prog == nil {
-		var err error
-		if prog, err = sim.Compile(cfg.Hetero, tasks); err != nil {
-			b.Fatal(err)
-		}
+		prog = compileSection(b, cfg.Hetero, tasks)
 	}
 	if err := a.Begin(cfg, nil); err != nil {
 		b.Fatal(err)
@@ -455,7 +462,7 @@ func BenchmarkStreamATR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := plan.RunStream(core.StreamConfig{
 			Scheme: core.AS, Period: plan.CTWorst / 0.6, Frames: frames,
-			Sampler: exectime.NewSampler(src.Fork()), CarryLevels: true,
+			Sampler: exectime.NewSampler(exectime.NewSource(src.Uint64())), CarryLevels: true,
 		})
 		if err != nil || res.DeadlineMisses != 0 {
 			b.Fatal(err)
@@ -485,10 +492,7 @@ func BenchmarkEngineSectionArena(b *testing.B) {
 	const n = 64
 	tasks := layeredSection(n, 1)
 	cfg := sim.Config{Hetero: machine(power.Transmeta5400(), 4)}
-	prog, err := sim.Compile(cfg.Hetero, tasks)
-	if err != nil {
-		b.Fatal(err)
-	}
+	prog := compileSection(b, cfg.Hetero, tasks)
 	arena := sim.NewArena()
 	runEngineSection(b, arena, &cfg, prog, tasks) // warm-up
 	b.ReportAllocs()
@@ -512,10 +516,7 @@ func BenchmarkEngineTracerOverhead(b *testing.B) {
 	plat := power.Transmeta5400()
 	tasks := layeredSection(64, 1)
 	cfg := sim.Config{Hetero: machine(plat, 4)}
-	prog, err := sim.Compile(cfg.Hetero, tasks)
-	if err != nil {
-		b.Fatal(err)
-	}
+	prog := compileSection(b, cfg.Hetero, tasks)
 	levels := []int{plat.MaxIndex(), plat.MaxIndex(), plat.MaxIndex(), plat.MaxIndex()}
 	arena := sim.NewArena()
 	runEngineSection(b, arena, &cfg, prog, tasks) // warm-up

@@ -145,28 +145,6 @@ func (g *Graph) SetClass(n *Node, class string) {
 	n.Class = class
 }
 
-// Sources returns the nodes without predecessors (the application roots).
-func (g *Graph) Sources() []*Node {
-	var roots []*Node
-	for _, n := range g.nodes {
-		if n.IsSource() {
-			roots = append(roots, n)
-		}
-	}
-	return roots
-}
-
-// Sinks returns the nodes without successors.
-func (g *Graph) Sinks() []*Node {
-	var sinks []*Node
-	for _, n := range g.nodes {
-		if n.IsSink() {
-			sinks = append(sinks, n)
-		}
-	}
-	return sinks
-}
-
 // ComputeNodes returns all computation nodes in ID order.
 func (g *Graph) ComputeNodes() []*Node {
 	var tasks []*Node

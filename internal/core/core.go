@@ -81,9 +81,6 @@ const (
 // Schemes lists all schemes in presentation order.
 var Schemes = []Scheme{NPM, SPM, GSS, SS1, SS2, AS}
 
-// DynamicSchemes lists the schemes that reclaim run-time slack.
-var DynamicSchemes = []Scheme{GSS, SS1, SS2, AS}
-
 // String returns the scheme's short name as used in the paper's figures.
 func (s Scheme) String() string {
 	switch s {

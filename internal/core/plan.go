@@ -52,7 +52,7 @@ type Plan struct {
 	Placement sim.PlacementPolicy
 	// Overheads are the power-management costs assumed by the dynamic
 	// schemes. The off-line phase pads every task's worst case by
-	// Overheads.PadTime so run-time speed management can never cause a
+	// Overheads.PadTimeHetero so run-time speed management can never cause a
 	// deadline miss.
 	Overheads power.Overheads
 
@@ -621,13 +621,6 @@ func (p *Plan) EnergyBound(deadline float64) float64 {
 func (p *Plan) SectionAvgRemaining(sectionID int) float64 {
 	sp := &p.secs[sectionID]
 	return sp.lenA + sp.remAvg
-}
-
-// SectionWorstRemaining returns the worst-case analogue of
-// SectionAvgRemaining.
-func (p *Plan) SectionWorstRemaining(sectionID int) float64 {
-	sp := &p.secs[sectionID]
-	return sp.lenW + sp.remWorst
 }
 
 // NumSections returns the number of program sections.

@@ -141,8 +141,9 @@ func TestPlanOrForkAggregates(t *testing.T) {
 	if !closeTo(plan.SectionAvgRemaining(plan.Sections.First.ID), 9.9e-3) {
 		t.Error("SectionAvgRemaining(first) != CTAvg")
 	}
-	if !closeTo(plan.SectionWorstRemaining(plan.Sections.First.ID), 18e-3) {
-		t.Error("SectionWorstRemaining(first) != CTWorst")
+	// Its worst-case analogue is CTWorst.
+	if sp := &plan.secs[plan.Sections.First.ID]; !closeTo(sp.lenW+sp.remWorst, 18e-3) {
+		t.Error("worst remaining time at the first section != CTWorst")
 	}
 }
 

@@ -43,7 +43,7 @@ type Key struct {
 	// (the reference rate Hetero.RefFmax on heterogeneous platforms).
 	FMaxBits uint64
 	// PadBits is math.Float64bits of the per-task overhead pad
-	// (power.Overheads.PadTime / PadTimeHetero).
+	// (power.Overheads.PadTimeHetero).
 	PadBits uint64
 	// Hetero identifies the processor mix and the placement policy the
 	// canonical schedules were built with: power.Hetero.Key() plus the

@@ -27,14 +27,6 @@ func NewSampler(src *Source) *Sampler {
 	return &Sampler{src: src, sigmaFactor: DefaultSigmaFactor, bias: 1}
 }
 
-// NewSamplerSigma returns a Sampler with σ = sigmaFactor·(WCET−ACET).
-func NewSamplerSigma(src *Source, sigmaFactor float64) *Sampler {
-	if sigmaFactor < 0 {
-		panic("exectime: negative sigma factor")
-	}
-	return &Sampler{src: src, sigmaFactor: sigmaFactor, bias: 1}
-}
-
 // NewBiasedSampler returns a default-width Sampler whose draws center on
 // factor·ACET, clamped so the mean never exceeds the WCET. It models a
 // system whose off-line profile is wrong: the plan was compiled with one α

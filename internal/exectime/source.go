@@ -19,8 +19,8 @@ const gamma = 0x9e3779b97f4a7c15
 
 // Source is a deterministic pseudo-random number generator (SplitMix64).
 // It implements the subset of math/rand.Rand used by this repository —
-// Float64, Intn, NormFloat64 — plus Fork for carving independent streams.
-// A Source is not safe for concurrent use; Fork one per goroutine.
+// Float64, Intn, NormFloat64. A Source is not safe for concurrent use;
+// seed one per goroutine (see SeedAt).
 type Source struct {
 	state uint64
 
@@ -78,13 +78,6 @@ func (s *Source) NormFloat64() float64 {
 	s.spare = r * math.Sin(2*math.Pi*v)
 	s.haveSpare = true
 	return r * math.Cos(2*math.Pi*v)
-}
-
-// Fork returns a new Source whose stream is independent of the receiver's
-// future output. It consumes one value from the receiver, so repeated Forks
-// yield distinct children.
-func (s *Source) Fork() *Source {
-	return NewSource(s.Uint64())
 }
 
 // Reseed resets the receiver to the exact state of NewSource(seed),

@@ -101,53 +101,3 @@ func WinnerTable(grid [][]WinnerCell) string {
 	b.WriteString("(* = wins by more than 0.01 of normalized energy)\n")
 	return b.String()
 }
-
-// WinnerSVG renders a winner map as an SVG heat map: one colored tile per
-// (load, α) cell, colored by the winning scheme, with the cell's best
-// normalized energy as its tooltip.
-func WinnerSVG(grid [][]WinnerCell) string {
-	if len(grid) == 0 || len(grid[0]) == 0 {
-		return `<svg xmlns="http://www.w3.org/2000/svg" width="200" height="40"><text x="8" y="24">empty map</text></svg>`
-	}
-	const (
-		cell   = 52
-		margin = 54
-		legend = 120
-	)
-	rows, cols := len(grid), len(grid[0])
-	width := margin + cols*cell + legend
-	height := margin + rows*cell + 16
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="sans-serif" font-size="10">`,
-		width, height)
-	fmt.Fprintf(&b, `<text x="%d" y="14">best scheme per (load, α)</text>`, margin)
-	seen := map[core.Scheme]bool{}
-	for ri, row := range grid {
-		y := margin + ri*cell
-		fmt.Fprintf(&b, `<text x="%d" y="%d" text-anchor="end">α=%.2g</text>`, margin-6, y+cell/2+4, row[0].Alpha)
-		for ci, c := range row {
-			x := margin + ci*cell
-			if ri == 0 {
-				fmt.Fprintf(&b, `<text x="%d" y="%d" text-anchor="middle">%.2g</text>`, x+cell/2, margin-8, c.Load)
-			}
-			fmt.Fprintf(&b, `<rect x="%d" y="%d" width="%d" height="%d" fill="%s" stroke="#fff"><title>load %.2g α %.2g: %s %.4f (+%.4f margin)</title></rect>`,
-				x, y, cell, cell, schemeColor(c.Best), c.Load, c.Alpha, c.Best, c.BestEnergy, c.Margin)
-			fmt.Fprintf(&b, `<text x="%d" y="%d" text-anchor="middle" fill="#fff">%s</text>`,
-				x+cell/2, y+cell/2+4, c.Best)
-			seen[c.Best] = true
-		}
-	}
-	// Legend of schemes that actually appear.
-	li := 0
-	for _, s := range append(append([]core.Scheme(nil), core.Schemes...), core.ExtendedSchemes...) {
-		if !seen[s] {
-			continue
-		}
-		y := margin + li*18
-		fmt.Fprintf(&b, `<rect x="%d" y="%d" width="13" height="13" fill="%s"/>`, margin+cols*cell+16, y, schemeColor(s))
-		fmt.Fprintf(&b, `<text x="%d" y="%d">%s</text>`, margin+cols*cell+34, y+11, s)
-		li++
-	}
-	b.WriteString(`</svg>`)
-	return b.String()
-}

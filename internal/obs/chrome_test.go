@@ -45,8 +45,8 @@ func twoProcRun(t *testing.T) []obs.Event {
 		Overheads: power.DefaultOverheads(),
 		Policy:    levelHopPolicy{plat.NumLevels()},
 	}
-	prog, err := sim.Compile(machine, tasks)
-	if err != nil {
+	prog := new(sim.Program)
+	if _, err := sim.CompileInto(prog, machine, tasks, make([]int, 2*len(tasks))); err != nil {
 		t.Fatal(err)
 	}
 	arena := sim.NewArena()

@@ -48,9 +48,10 @@ func TestTraceRecNilSafe(t *testing.T) {
 	if !r.Now().IsZero() {
 		t.Error("nil TraceRec.Now() is not the zero time")
 	}
-	r.Record("x", time.Now())
-	r.RecordDetail("x", time.Now(), "d")
-	r.RecordN("x", time.Now(), 3)
+	r.Record("x", time.Now(), "d")
+	r.Mark("x", "d")
+	r.RecordOffset("x", r.SinceStart(), 3)
+	r.RecordSpan("x", time.Now(), time.Now())
 	r.VisitSpans(func(string, time.Duration, time.Duration, string, int64) {
 		t.Error("nil TraceRec visited a span")
 	})
@@ -75,7 +76,7 @@ func TestRecordVisitAndOverflow(t *testing.T) {
 	base := time.Now()
 	r := f.Start("/v1/run", "", base)
 	for i := 0; i < maxTraceSpans+5; i++ {
-		r.RecordN("phase", base, int64(i))
+		r.RecordOffset("phase", 0, int64(i))
 	}
 	var n int
 	r.VisitSpans(func(phase string, start, dur time.Duration, detail string, cnt int64) {
@@ -169,8 +170,8 @@ func TestFlightConcurrentRecording(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				t0 := r.Now()
-				r.RecordN("exec.mc", t0, 100)
+				t0 := r.SinceStart()
+				r.RecordOffset("exec.mc", t0, 100)
 			}
 		}()
 	}

@@ -20,7 +20,8 @@ func Example() {
 	idx := p.QuantizeUp(200e6)
 	lv := p.Levels()[idx]
 	fmt.Printf("200 MHz requested -> %s\n", lv)
-	fmt.Printf("energy vs f_max for the same work: %.2f\n", p.EnergyRatio(idx))
+	perCycle := func(l power.Level) float64 { return p.Power(l) / l.Freq }
+	fmt.Printf("energy vs f_max for the same work: %.2f\n", perCycle(lv)/perCycle(p.Max()))
 	// Output:
 	// Intel XScale: 5 levels, f_min 150MHz@0.75V, f_max 1000MHz@1.8V
 	// P(f_max) = 3.24 W, idle = 0.162 W

@@ -65,8 +65,12 @@ func FuzzPlatformSpec(f *testing.F) {
 				seen = ci
 			}
 		}
-		if h.RefFmax() <= 0 || h.RefClass() < 0 || h.RefClass() >= h.NumClasses() {
-			t.Fatalf("reference class %d, RefFmax %g", h.RefClass(), h.RefFmax())
+		fastest := 0.0
+		for c := 0; c < h.NumClasses(); c++ {
+			fastest = math.Max(fastest, h.Class(c).EffFmax())
+		}
+		if h.RefFmax() <= 0 || h.RefFmax() != fastest {
+			t.Fatalf("RefFmax %g, want the fastest class's %g", h.RefFmax(), fastest)
 		}
 		if k := h.Key(); k == "" || k != h.Key() {
 			t.Fatal("content key empty or unstable")

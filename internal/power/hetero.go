@@ -185,10 +185,6 @@ func (h *Hetero) ClassIndex(name string) int {
 // seconds.
 func (h *Hetero) RefFmax() float64 { return h.classes[h.ref].EffFmax() }
 
-// RefClass returns the index of the class attaining RefFmax (lowest index
-// on ties).
-func (h *Hetero) RefClass() int { return h.ref }
-
 // MaxLevels returns the largest DVS-table size over all classes.
 func (h *Hetero) MaxLevels() int {
 	n := 0
@@ -228,9 +224,13 @@ func (h *Hetero) Key() string {
 	return "hetero:" + hex.EncodeToString(hash.Sum(nil))
 }
 
-// PadTimeHetero is the heterogeneous counterpart of PadTime: the worst-case
-// per-task power-management allowance over all classes — one worst speed
-// change plus one speed computation at the class's slowest effective rate.
+// PadTimeHetero returns the per-task worst-case allowance the off-line phase
+// reserves so that power management costs can never cause a deadline miss:
+// the largest, over all classes, of one worst-case speed change plus one
+// speed computation at the class's slowest effective rate. Inflating each
+// task's WCET by this amount in the canonical schedules guarantees that, at
+// run time, paying the overheads still leaves at least the task's true WCET
+// of budget (see internal/core).
 func (o Overheads) PadTimeHetero(h *Hetero) float64 {
 	worst := 0.0
 	for i := 0; i < h.NumClasses(); i++ {

@@ -58,8 +58,8 @@ func TestHeteroSingleProc(t *testing.T) {
 	if h.NumProcs() != 1 || h.NumClasses() != 1 {
 		t.Fatalf("got %d procs / %d classes, want 1/1", h.NumProcs(), h.NumClasses())
 	}
-	if h.ClassOf(0) != 0 || h.RefClass() != 0 {
-		t.Fatalf("proc 0 class %d, ref class %d, want 0/0", h.ClassOf(0), h.RefClass())
+	if h.ClassOf(0) != 0 {
+		t.Fatalf("proc 0 class %d, want 0", h.ClassOf(0))
 	}
 	if h.RefFmax() != tm.Max().Freq {
 		t.Fatalf("RefFmax %g, want platform fmax %g", h.RefFmax(), tm.Max().Freq)
@@ -67,6 +67,12 @@ func TestHeteroSingleProc(t *testing.T) {
 	if h.MaxLevels() != tm.NumLevels() {
 		t.Fatalf("MaxLevels %d, want %d", h.MaxLevels(), tm.NumLevels())
 	}
+}
+
+// padTime is the identical-processor overhead pad: one worst-case speed
+// change plus one speed computation at the platform's slowest frequency.
+func padTime(o Overheads, p *Platform) float64 {
+	return o.MaxChangeTime(p) + o.CompTime(p.Min().Freq)
 }
 
 // TestHomogeneousDegenerate pins the bit-level invariants the 1-class
@@ -85,8 +91,8 @@ func TestHomogeneousDegenerate(t *testing.T) {
 			t.Fatalf("%s: RefFmax %v != fmax %v", p.Name, h.RefFmax(), p.Max().Freq)
 		}
 		ov := DefaultOverheads()
-		if got, want := ov.PadTimeHetero(h), ov.PadTime(p); got != want {
-			t.Fatalf("%s: PadTimeHetero %v != PadTime %v (must be bit-identical)", p.Name, got, want)
+		if got, want := ov.PadTimeHetero(h), padTime(ov, p); got != want {
+			t.Fatalf("%s: PadTimeHetero %v != padTime %v (must be bit-identical)", p.Name, got, want)
 		}
 		if c := h.Class(0); c.EffFmax() != p.Max().Freq {
 			t.Fatalf("%s: EffFmax %v != fmax %v", p.Name, c.EffFmax(), p.Max().Freq)
@@ -132,8 +138,8 @@ func TestAccelOffloadReference(t *testing.T) {
 		t.Fatal("no accel class")
 	}
 	// The accelerator's throughput multiplier makes it the reference class.
-	if h.RefClass() != ai {
-		t.Fatalf("ref class %d, want accel %d", h.RefClass(), ai)
+	if h.RefFmax() != h.Class(ai).EffFmax() {
+		t.Fatalf("RefFmax %g, want accel's %g", h.RefFmax(), h.Class(ai).EffFmax())
 	}
 	if eff := h.Class(ai).EffFmax(); eff != 4*500e6 {
 		t.Fatalf("accel EffFmax %g, want 2e9", eff)

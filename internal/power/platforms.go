@@ -114,13 +114,3 @@ func (o Overheads) ChangeTime(from, to Level) float64 {
 func (o Overheads) MaxChangeTime(p *Platform) float64 {
 	return o.SpeedChangeTime + o.VoltSlewTime*(p.Max().Volt-p.Min().Volt)
 }
-
-// PadTime returns the per-task worst-case allowance the off-line phase
-// reserves so that power management costs can never cause a deadline miss:
-// one worst-case speed change plus one speed computation at the platform's
-// slowest frequency. Inflating each task's WCET by this amount in the
-// canonical schedules guarantees that, at run time, paying the overheads
-// still leaves at least the task's true WCET of budget (see internal/core).
-func (o Overheads) PadTime(p *Platform) float64 {
-	return o.MaxChangeTime(p) + o.CompTime(p.Min().Freq)
-}

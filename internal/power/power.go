@@ -118,9 +118,6 @@ func (p *Platform) Min() Level { return p.levels[0] }
 // Max returns the highest-frequency operating point (f_max).
 func (p *Platform) Max() Level { return p.levels[len(p.levels)-1] }
 
-// MinIndex and MaxIndex return the indices of the extreme levels.
-func (p *Platform) MinIndex() int { return 0 }
-
 // MaxIndex returns the index of the highest-frequency level.
 func (p *Platform) MaxIndex() int { return len(p.levels) - 1 }
 
@@ -169,15 +166,6 @@ func (p *Platform) MaxPower() float64 { return p.Power(p.Max()) }
 // IdlePower returns the power consumed by an idle processor:
 // IdleFrac · MaxPower.
 func (p *Platform) IdlePower() float64 { return p.IdleFrac * p.MaxPower() }
-
-// EnergyRatio returns the ideal energy of running a fixed workload at level
-// i relative to running it at f_max (both ignoring idle time): because
-// execution time scales as 1/f, the ratio is (V_i²·f_i)/(V_max²·f_max) ·
-// (f_max/f_i) = V_i²/V_max². It is the quadratic saving the paper quotes.
-func (p *Platform) EnergyRatio(i int) float64 {
-	v := p.levels[i].Volt / p.Max().Volt
-	return v * v
-}
 
 // WithCef returns a copy of the platform with the given effective
 // capacitance.

@@ -140,12 +140,16 @@ func TestEnergyRatioQuadratic(t *testing.T) {
 	p := IntelXScale()
 	// Running fixed work at 400MHz/1.0V vs 1000MHz/1.8V costs
 	// (1.0/1.8)² of the energy.
-	want := (1.0 / 1.8) * (1.0 / 1.8)
-	if got := p.EnergyRatio(1); !closeTo(got, want) {
-		t.Errorf("EnergyRatio(1) = %g, want %g", got, want)
+	// Energy per cycle is P/f = C_ef·V².
+	ratio := func(i int) float64 {
+		return p.PowerAt(i) / p.Levels()[i].Freq / (p.MaxPower() / p.Max().Freq)
 	}
-	if got := p.EnergyRatio(p.MaxIndex()); !closeTo(got, 1) {
-		t.Errorf("EnergyRatio(max) = %g, want 1", got)
+	want := (1.0 / 1.8) * (1.0 / 1.8)
+	if got := ratio(1); !closeTo(got, want) {
+		t.Errorf("energy ratio at level 1 = %g, want %g", got, want)
+	}
+	if got := ratio(p.MaxIndex()); !closeTo(got, 1) {
+		t.Errorf("energy ratio at max = %g, want 1", got)
 	}
 }
 
@@ -205,9 +209,9 @@ func TestOverheads(t *testing.T) {
 		t.Error("NoOverheads CompTime should be 0")
 	}
 	p := IntelXScale()
-	// PadTime = change + comp@fmin = 5µs + 600/150MHz = 9µs.
-	if got := ov.PadTime(p); !closeTo(got, 9e-6) {
-		t.Errorf("PadTime = %g, want 9µs", got)
+	// The pad = change + comp@fmin = 5µs + 600/150MHz = 9µs.
+	if got := ov.PadTimeHetero(oneProc(t, p)); !closeTo(got, 9e-6) {
+		t.Errorf("PadTimeHetero = %g, want 9µs", got)
 	}
 }
 
@@ -230,10 +234,10 @@ func TestVoltageSlewModel(t *testing.T) {
 	if got := ov.MaxChangeTime(p); !closeTo(got, 110e-6) {
 		t.Errorf("MaxChangeTime = %g, want 110µs", got)
 	}
-	// PadTime budgets the worst swing: 110µs + 600c/150MHz = 114µs.
+	// The pad budgets the worst swing: 110µs + 600c/150MHz = 114µs.
 	pad := Overheads{SpeedCompCycles: 600, SpeedChangeTime: 5e-6, VoltSlewTime: 100e-6}
-	if got := pad.PadTime(p); !closeTo(got, 114e-6) {
-		t.Errorf("PadTime = %g, want 114µs", got)
+	if got := pad.PadTimeHetero(oneProc(t, p)); !closeTo(got, 114e-6) {
+		t.Errorf("PadTimeHetero = %g, want 114µs", got)
 	}
 	// The paper's model (zero slew) charges the fixed cost for any swing.
 	if got := DefaultOverheads().ChangeTime(lo, hi); !closeTo(got, 5e-6) {
@@ -245,6 +249,16 @@ func TestLevelString(t *testing.T) {
 	if got := MHz(600, 1.3).String(); got != "600MHz@1.3V" {
 		t.Errorf("Level.String = %q", got)
 	}
+}
+
+// oneProc wraps p as a one-processor machine.
+func oneProc(t *testing.T, p *Platform) *Hetero {
+	t.Helper()
+	h, err := Homogeneous(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 func closeTo(a, b float64) bool {

@@ -276,7 +276,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// that item's error line.
 	rec := obs.TraceFromContext(r.Context())
 	t0 := rec.SinceStart()
-	defer rec.RecordOffset(PhaseEncode, t0)
+	defer rec.RecordOffset(PhaseEncode, t0, 0)
 	jb := jsonBufPool.Get().(*jsonBuf)
 	defer putJSONBuf(jb)
 	jb.buf.Reset()

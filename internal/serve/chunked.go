@@ -198,7 +198,7 @@ func monteCarloOn(ctx context.Context, wk *Worker, plan *core.Plan, cfg core.Run
 	rec := obs.TraceFromContext(ctx)
 	done := 0
 	t0 := rec.SinceStart()
-	defer func() { rec.RecordOffsetN(PhaseExecMC, t0, int64(done)) }()
+	defer func() { rec.RecordOffset(PhaseExecMC, t0, int64(done)) }()
 	return core.MonteCarlo(plan, cfg, seed, lo, hi, wk.Arena, wk.Src, func(i int, res *core.RunResult) error {
 		if err := visit(i, res); err != nil {
 			return err
@@ -230,7 +230,7 @@ func (s *Server) execChunks(w http.ResponseWriter, r *http.Request, peeked bool,
 			return fn(ctx, wk)
 		}
 	})
-	rec.RecordDetail(PhaseExec, t0, "fan-out")
+	rec.Record(PhaseExec, t0, "fan-out")
 	if !s.checkPoolErr(w, err) {
 		return false
 	}
@@ -265,7 +265,7 @@ func (s *Server) runMonteCarlo(w http.ResponseWriter, r *http.Request, plan *cor
 
 	rec := obs.TraceFromContext(r.Context())
 	t0 := rec.SinceStart()
-	defer rec.RecordOffset(PhaseEncode, t0)
+	defer rec.RecordOffset(PhaseEncode, t0, 0)
 	var mc core.MCStats
 	size := 0
 	for _, b := range bufs {
@@ -359,7 +359,7 @@ func (s *Server) runCompare(w http.ResponseWriter, r *http.Request, plan *core.P
 			rec := obs.TraceFromContext(ctx)
 			done := 0
 			t0 := rec.SinceStart()
-			defer func() { rec.RecordOffsetN(PhaseExecMC, t0, int64(done)) }()
+			defer func() { rec.RecordOffset(PhaseExecMC, t0, int64(done)) }()
 			return core.CompareFrames(plan, cfg, schemes, seed, lo, hi, wk.Arena, wk.Src, func(f, si int, res *core.RunResult) error {
 				done++
 				if si < 0 {

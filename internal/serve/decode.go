@@ -21,7 +21,7 @@ import (
 // exactly as decodeJSON accepts or refuses it.
 func (s *Server) decodeRun(r *http.Request, rs *runState) *apiError {
 	rec := obs.TraceFromContext(r.Context())
-	defer rec.Mark(PhaseDecode)
+	defer rec.Mark(PhaseDecode, "")
 	b := jsonBufPool.Get().(*jsonBuf)
 	defer putJSONBuf(b)
 	b.buf.Reset()

@@ -26,7 +26,7 @@ func (s *Server) planFor(ctx context.Context, spec *AppSpec) (plan *core.Plan, p
 		return nil, false, apiErr
 	}
 	if plan, ok := s.pool.planPeek(ra.key); ok {
-		obs.TraceFromContext(ctx).MarkDetail(PhaseCache, "hit")
+		obs.TraceFromContext(ctx).Mark(PhaseCache, "hit")
 		return plan, true, nil
 	}
 	plan, _, apiErr = s.routePlan(ctx, ra)
@@ -51,13 +51,13 @@ func (s *Server) routePlan(ctx context.Context, ra resolvedApp) (*core.Plan, boo
 		rec := obs.TraceFromContext(ctx)
 		plan, hit, err = wk.OwnerPlan(ra.key, func(sched *schedcache.Cache) (*core.Plan, error) {
 			tc := rec.SinceStart()
-			defer rec.RecordOffset(PhaseCompile, tc)
+			defer rec.RecordOffset(PhaseCompile, tc, 0)
 			return buildPlan(ra, sched)
 		})
 		if hit {
-			rec.MarkDetail(PhaseCache, "hit")
+			rec.Mark(PhaseCache, "hit")
 		} else {
-			rec.MarkDetail(PhaseCache, "miss")
+			rec.Mark(PhaseCache, "miss")
 		}
 	}, nil)
 	if jp, ok := submitErr.(*jobPanic); ok {

@@ -551,7 +551,7 @@ func (p *Pool) submit(ctx context.Context, home int, wait bool, units int64, fn 
 			p.inFlight.Add(-1)
 			// The request waited for queue space it never got; that wait is
 			// still queue time.
-			j.rec.Record(PhaseQueue, j.enq)
+			j.rec.Record(PhaseQueue, j.enq, "")
 			return ctx.Err()
 		}
 	} else {
@@ -581,7 +581,7 @@ func (p *Pool) submit(ctx context.Context, home int, wait bool, units int64, fn 
 	// signalling done ordered j.pickup, and stamping the end after the wakeup
 	// charges the worker→handler scheduling latency to exec rather than
 	// leaving it an unattributed gap in the trace.
-	j.rec.Record(PhaseExec, j.pickup)
+	j.rec.Record(PhaseExec, j.pickup, "")
 	return nil
 }
 

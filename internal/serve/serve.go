@@ -130,7 +130,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the scheduling service. Create with New, expose via Handler
-// (for tests or custom listeners) or Serve/ListenAndServe, stop with
+// (for tests or custom listeners) or Serve, stop with
 // Shutdown (graceful) or Close (immediate).
 type Server struct {
 	cfg     Config
@@ -328,15 +328,6 @@ func (s *Server) Serve(l net.Listener) error {
 	return s.httpSrv.Serve(l)
 }
 
-// ListenAndServe binds addr and calls Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
 // Shutdown drains gracefully: the listener closes (new connections are
 // refused), in-flight requests run to completion within ctx, then the
 // worker pool stops. Safe to call without a listener (Handler-only use);
@@ -419,7 +410,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func (s *Server) writeRowTraced(w http.ResponseWriter, r *http.Request, row *RunRow) {
 	rec := obs.TraceFromContext(r.Context())
 	t0 := rec.SinceStart()
-	defer rec.RecordOffset(PhaseEncode, t0)
+	defer rec.RecordOffset(PhaseEncode, t0, 0)
 	b := jsonBufPool.Get().(*jsonBuf)
 	defer putJSONBuf(b)
 	b.buf.Reset()
@@ -440,7 +431,7 @@ func (s *Server) writeJSONTraced(w http.ResponseWriter, r *http.Request, status 
 	rec := obs.TraceFromContext(r.Context())
 	t0 := rec.SinceStart()
 	writeJSON(w, status, v)
-	rec.RecordOffset(PhaseEncode, t0)
+	rec.RecordOffset(PhaseEncode, t0, 0)
 }
 
 // writeError writes a JSON error body and counts it. 429s go through
@@ -475,7 +466,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, runs int) (func()
 	}
 	rec := obs.TraceFromContext(r.Context())
 	dec, release := s.limiter.Admit(s.limiter.KeyFromRequest(r), runs)
-	rec.MarkDetail(PhaseAdmit, dec.Tenant)
+	rec.Mark(PhaseAdmit, dec.Tenant)
 	if dec.OK {
 		return release, true
 	}
@@ -496,7 +487,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, runs int) (func()
 // json.Decoder or its read buffer.
 func (s *Server) decodeJSON(r *http.Request, v any) *apiError {
 	rec := obs.TraceFromContext(r.Context())
-	defer rec.Mark(PhaseDecode)
+	defer rec.Mark(PhaseDecode, "")
 	b := jsonBufPool.Get().(*jsonBuf)
 	defer putJSONBuf(b)
 	return s.bodyError(readJSON(&b.buf, r.Body, v))

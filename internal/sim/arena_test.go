@@ -30,7 +30,7 @@ func TestArenaRunZeroAllocs(t *testing.T) {
 	plat := power.Transmeta5400()
 	tasks := layeredTasks(64)
 	cfg := Config{Hetero: machine(plat, 4), Policy: fixedPolicy(1), Overheads: power.DefaultOverheads()}
-	prog, err := Compile(cfg.Hetero, tasks)
+	prog, err := compile(cfg.Hetero, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func graphSectionWorkloads(tb testing.TB, g *andor.Graph, m int) [][]byte {
 	}
 	plat := power.Transmeta5400()
 	fmax := plat.Max().Freq
-	pads := []float64{0, power.DefaultOverheads().PadTime(plat)}
+	pads := []float64{0, power.DefaultOverheads().PadTimeHetero(machine(plat, 1))}
 	var out [][]byte
 	for _, sec := range secs.All {
 		if len(sec.Nodes) == 0 {
@@ -457,7 +457,7 @@ func checkChained(t *testing.T, a *Arena, cfg Config, start float64, tasks []*Ta
 	levelTime := make([]float64, h.MaxLevels())
 	want := make([]float64, h.MaxLevels())
 	chained := cfg
-	prog, progErr := Compile(h, tasks)
+	prog, progErr := compile(h, tasks)
 	if progErr == nil {
 		if err := a.Begin(&chained, levelTime); err != nil {
 			t.Fatalf("Begin: %v", err)

@@ -43,14 +43,23 @@ func inOrder(tasks ...*Task) []*Task {
 	return tasks
 }
 
+// compile returns tasks' program for machine hp in storage of its own.
+func compile(hp *power.Hetero, tasks []*Task) (*Program, error) {
+	prog := new(Program)
+	if _, err := CompileInto(prog, hp, tasks, make([]int, 2*len(tasks))); err != nil {
+		return nil, err
+	}
+	return prog, nil
+}
+
 // runSection runs tasks as one section from start on arena a: Begin, then
-// Compile, then Section, so that Begin's errors come first, then the
+// compile, then Section, so that Begin's errors come first, then the
 // structural ones, then actual work above the worst case.
 func runSection(a *Arena, cfg *Config, start float64, tasks []*Task) (*Result, error) {
 	if err := a.Begin(cfg, nil); err != nil {
 		return nil, err
 	}
-	prog, err := Compile(cfg.Hetero, tasks)
+	prog, err := compile(cfg.Hetero, tasks)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +75,7 @@ func observeSection(cfg *Config, start float64, tasks []*Task, tr obs.Tracer, m 
 	}
 	var o Observer
 	o.Begin(cfg.Hetero, a.rs.levels, tr, m)
-	prog, err := Compile(cfg.Hetero, tasks)
+	prog, err := compile(cfg.Hetero, tasks)
 	if err != nil {
 		return nil, err
 	}

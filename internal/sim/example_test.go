@@ -24,8 +24,8 @@ func Example() {
 		fmt.Println(err)
 		return
 	}
-	prog, err := sim.Compile(machine, tasks)
-	if err != nil {
+	prog := new(sim.Program)
+	if _, err := sim.CompileInto(prog, machine, tasks, make([]int, 2*len(tasks))); err != nil {
 		fmt.Println(err)
 		return
 	}

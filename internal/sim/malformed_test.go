@@ -12,7 +12,7 @@ import (
 // the canonical list scheduler (the ByPriority subtests, which ignore the
 // order). Every case starts from the well-formed chain a→b→c on two
 // processors and breaks one link. The order-gate cases also run compiled,
-// through Compile, Begin and Section, which must fail the same way.
+// through CompileInto, Begin and Section, which must fail the same way.
 func TestMalformedPrecedence(t *testing.T) {
 	const (
 		deadlock2 = "sim: deadlock with 2 tasks unfinished (bad precedence or order gating)"
@@ -71,11 +71,11 @@ func TestMalformedPrecedence(t *testing.T) {
 	}
 }
 
-// compiledError runs tasks as one section through Compile, Begin
+// compiledError runs tasks as one section through CompileInto, Begin
 // and Section on a fresh arena and returns the first error's text, or ""
 // when the section runs.
 func compiledError(h *power.Hetero, tasks []*Task) string {
-	prog, err := Compile(h, tasks)
+	prog, err := compile(h, tasks)
 	if err == nil {
 		a := NewArena()
 		if err = a.Begin(&Config{Hetero: h, Policy: fixedPolicy(1)}, nil); err == nil {

@@ -16,7 +16,7 @@ import (
 // carried in its dispatch loop, frozen as the reference the post-section
 // observation pass must reproduce: the same events in the same order, times
 // bit for bit, and the same metrics. It runs one section of a structurally
-// valid workload (Compile accepts it) from start and cfg.InitialLevels.
+// valid workload (CompileInto accepts it) from start and cfg.InitialLevels.
 type refObsState struct {
 	cfg     *Config
 	start   float64
@@ -323,7 +323,7 @@ func FuzzObserveDifferential(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
-		if _, err := Compile(cfg.Hetero, tasks); err != nil {
+		if _, err := compile(cfg.Hetero, tasks); err != nil {
 			t.Skip()
 		}
 		works := make([]float64, len(tasks))
@@ -373,7 +373,7 @@ func FuzzObserveDifferential(f *testing.F) {
 // Section each, with one Observer over the run, and reports whether every
 // section ran.
 func observeSections(cfg Config, start float64, tasks []*Task, sections int, setWork func(int), tr obs.Tracer, m *obs.Metrics) bool {
-	prog, err := Compile(cfg.Hetero, tasks)
+	prog, err := compile(cfg.Hetero, tasks)
 	if err != nil {
 		return false
 	}

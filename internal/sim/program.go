@@ -23,22 +23,14 @@ type Program struct {
 	classes int   // class count of the machine compiled for
 }
 
-// Compile checks tasks' structure for runs on machine hp — Order a
+// CompileInto checks tasks' structure for runs on machine hp — Order a
 // permutation of 0..n-1, every computation task pinned to one of hp's
-// classes, Preds and Succs in range — and returns the section's program.
-func Compile(hp *power.Hetero, tasks []*Task) (*Program, error) {
-	prog := new(Program)
-	if _, err := CompileInto(prog, hp, tasks, make([]int, 2*len(tasks))); err != nil {
-		return nil, err
-	}
-	return prog, nil
-}
-
-// CompileInto is Compile into caller-owned storage: the program's tables
-// are carved from the front of buf, which must hold at least 2·len(tasks)
-// ints, and the unused rest of buf is returned, so that the sections of a
-// plan can share one backing array. The checks run in one pass in task
-// order, so the first error is the first offending task's.
+// classes, Preds and Succs in range — and compiles the section's program
+// into prog. The program's tables are carved from the front of buf, which
+// must hold at least 2·len(tasks) ints, and the unused rest of buf is
+// returned, so that the sections of a plan can share one backing array.
+// The checks run in one pass in task order, so the first error is the
+// first offending task's.
 func CompileInto(prog *Program, hp *power.Hetero, tasks []*Task, buf []int) ([]int, error) {
 	n := len(tasks)
 	if len(buf) < 2*n {

@@ -21,23 +21,3 @@ import (
 func Random(seed uint64, opts andor.RandomOpts) *andor.Graph {
 	return andor.RandomGraph(exectime.NewSource(seed), opts)
 }
-
-// Task is one entry of an independent task set.
-type Task struct {
-	Name       string
-	WCET, ACET float64
-}
-
-// Independent builds an application of independent tasks — no precedence,
-// no OR structure: the first of the two models of the paper's predecessor
-// [20] ("Scheduling with Dynamic Voltage/Speed Adjustment Using Slack
-// Reclamation", RTSS'01). In AND/OR terms it is a single section whose
-// tasks are all roots, so the same off-line/on-line machinery (canonical
-// LTF schedule, order-gated greedy slack sharing) applies unchanged.
-func Independent(name string, tasks []Task) *andor.Graph {
-	g := andor.NewGraph(name)
-	for _, t := range tasks {
-		g.AddTask(t.Name, t.WCET, t.ACET)
-	}
-	return g
-}
