@@ -8,7 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"unsafe"
 
 	"andorsched/internal/andor"
@@ -319,7 +319,7 @@ func (s *Server) resolveApp(spec *AppSpec) (resolvedApp, *apiError) {
 		s.texts.insert(sum, key.graph)
 	default:
 		var err error
-		ra.g, key.graph, err = memoBuiltinWorkload(spec.Workload)
+		ra.g, key.graph, err = builtinWorkload(spec.Workload)
 		if err != nil {
 			return ra, errf(http.StatusBadRequest, "%v", err)
 		}
@@ -386,111 +386,65 @@ func (s *Server) resolveApp(spec *AppSpec) (resolvedApp, *apiError) {
 	return ra, nil
 }
 
-// builtinMemo caches the graph and content digest of the fixed builtin
-// workloads. Building the ATR graph costs ~400 allocations; doing that
-// per request would dominate the steady-state /v1/run path, whose
-// simulation is allocation-free. Graphs here are shared across requests,
-// which is sound for the same reason cached Plans are: nothing mutates a
-// graph after construction.
-// The memo is an atomic.Pointer to an immutable map, republished
-// copy-on-write on insert: the name space is tiny and fixed, so the copy
-// happens a bounded number of times per process, after which the warm
-// request path reads it without a lock. Racing inserters may each publish
-// a copy; both carry equivalent entries, so whichever lands last wins
-// harmlessly.
-var builtinMemo atomic.Pointer[map[string]memoEntry]
-
+// memoEntry is a builtin workload's graph and content digest.
 type memoEntry struct {
 	g      *andor.Graph
 	digest [sha256.Size]byte
 }
 
-// memoBuiltinWorkload resolves a builtin workload name, memoizing the
-// fixed (parameterless) ones. Seeded random workloads are rebuilt per
-// request: their name space is unbounded, and memoizing them would let a
-// client grow the map without limit.
-func memoBuiltinWorkload(name string) (*andor.Graph, [sha256.Size]byte, error) {
-	memoizable := name == "atr" || name == "synthetic"
-	if memoizable {
-		if m := builtinMemo.Load(); m != nil {
-			if e, ok := (*m)[name]; ok {
-				return e.g, e.digest, nil
-			}
-		}
-	}
-	g, err := builtinWorkload(name)
-	if err != nil {
-		return nil, [sha256.Size]byte{}, err
-	}
-	digest := graphDigest(g)
-	if memoizable {
-		next := make(map[string]memoEntry, 2)
-		if m := builtinMemo.Load(); m != nil {
-			for k, v := range *m {
-				next[k] = v
-			}
-		}
-		next[name] = memoEntry{g: g, digest: digest}
-		builtinMemo.Store(&next)
-	}
-	return g, digest, nil
-}
+func newMemoEntry(g *andor.Graph) memoEntry { return memoEntry{g: g, digest: graphDigest(g)} }
 
-// platformMemo caches the parsed named platforms. The named space is fixed
-// ("transmeta", "xscale"), so the map cannot grow without bound; synthetic
-// specs are parameterized by client strings and are parsed per request.
-// Platforms are immutable after construction (cached Plans already share
-// them), so sharing one instance across requests is sound.
-// Copy-on-write like builtinMemo: lock-free reads on the warm path.
-var platformMemo atomic.Pointer[map[string]*power.Platform]
+// The fixed builtin workloads and named platforms are built once, on
+// first use, and shared by every request after that; reads are lock-free.
+// Building the ATR graph costs ~400 allocations; doing that per request
+// would dominate the steady-state /v1/run path, whose simulation is
+// allocation-free. Sharing is sound for the same reason cached Plans are:
+// nothing mutates a graph or a platform after construction. Seeded random
+// workloads and synthetic platform specs are built per request: their
+// name spaces are unbounded, and memoizing them would let a client grow
+// the process without limit.
+var (
+	atrMemo       = sync.OnceValue(func() memoEntry { return newMemoEntry(workload.ATR(workload.DefaultATRConfig())) })
+	syntheticMemo = sync.OnceValue(func() memoEntry { return newMemoEntry(workload.Synthetic()) })
+	transmetaMemo = sync.OnceValue(power.Transmeta5400)
+	xscaleMemo    = sync.OnceValue(power.IntelXScale)
+)
 
-// parsePlatformMemo resolves a platform spec, memoizing the named ones.
-func parsePlatformMemo(spec string) (*power.Platform, error) {
-	memoizable := spec == "transmeta" || spec == "xscale"
-	if memoizable {
-		if m := platformMemo.Load(); m != nil {
-			if p, ok := (*m)[spec]; ok {
-				return p, nil
-			}
-		}
-	}
-	p, err := cli.ParsePlatform(spec)
-	if err != nil {
-		return nil, err
-	}
-	if memoizable {
-		next := make(map[string]*power.Platform, 2)
-		if m := platformMemo.Load(); m != nil {
-			for k, v := range *m {
-				next[k] = v
-			}
-		}
-		next[spec] = p
-		platformMemo.Store(&next)
-	}
-	return p, nil
-}
-
-// builtinWorkload resolves the network-safe subset of workload names: the
-// named applications only, never file paths.
-func builtinWorkload(name string) (*andor.Graph, error) {
+// builtinWorkload resolves the network-safe subset of workload names —
+// the named applications only, never file paths — to a graph and its
+// content digest.
+func builtinWorkload(name string) (*andor.Graph, [sha256.Size]byte, error) {
+	var e memoEntry
 	switch {
 	case name == "atr":
-		return workload.ATR(workload.DefaultATRConfig()), nil
+		e = atrMemo()
 	case name == "synthetic":
-		return workload.Synthetic(), nil
+		e = syntheticMemo()
 	case name == "random" || strings.HasPrefix(name, "random:"):
 		seed := uint64(1)
 		if rest, ok := strings.CutPrefix(name, "random:"); ok && rest != "" {
 			v, err := strconv.ParseUint(rest, 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("serve: bad random seed %q", rest)
+				return nil, e.digest, fmt.Errorf("serve: bad random seed %q", rest)
 			}
 			seed = v
 		}
-		return workload.Random(seed, andor.DefaultRandomOpts()), nil
+		e = newMemoEntry(workload.Random(seed, andor.DefaultRandomOpts()))
+	default:
+		return nil, e.digest, fmt.Errorf("serve: unknown workload %q (want atr, synthetic or random[:seed])", name)
 	}
-	return nil, fmt.Errorf("serve: unknown workload %q (want atr, synthetic or random[:seed])", name)
+	return e.g, e.digest, nil
+}
+
+// parsePlatformMemo resolves a platform spec, sharing the named ones.
+func parsePlatformMemo(spec string) (*power.Platform, error) {
+	switch spec {
+	case "transmeta":
+		return transmetaMemo(), nil
+	case "xscale":
+		return xscaleMemo(), nil
+	}
+	return cli.ParsePlatform(spec)
 }
 
 // resolveDeadline applies the deadline/load convention shared by run and
