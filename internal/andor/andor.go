@@ -122,12 +122,6 @@ func (n *Node) BranchProb(i int) float64 {
 	return (*n.prob)[i]
 }
 
-// IsSource reports whether the node has no predecessors.
-func (n *Node) IsSource() bool { return len(n.Preds()) == 0 }
-
-// IsSink reports whether the node has no successors.
-func (n *Node) IsSink() bool { return len(n.Succs()) == 0 }
-
 // String returns a compact description such as "B(5ms/3ms)" or "O1[or]".
 func (n *Node) String() string {
 	switch n.Kind {
