@@ -146,14 +146,6 @@ func New(cfg Config) *Limiter {
 	}
 }
 
-// Config returns the limiter's effective (defaulted) configuration.
-func (l *Limiter) Config() Config {
-	if l == nil {
-		return Config{}
-	}
-	return l.cfg
-}
-
 // KeyFromRequest resolves the tenant key of an HTTP request: the
 // configured API-key header when present (and not ByIPOnly), else the
 // remote IP. Keys are prefixed by their origin ("key:", "ip:") so an
