@@ -371,22 +371,22 @@ func BenchmarkRunHeteroAS(b *testing.B) {
 
 // layeredSection builds the 4-wide layered section the engine benchmarks
 // run: n tasks, each depending on the task 4 positions earlier, each with
-// latest finish time lft.
-func layeredSection(n int, lft float64) []*sim.Task {
-	tasks := make([]*sim.Task, n)
+// latest finish time lft, and each one's actual work.
+func layeredSection(n int, lft float64) ([]sim.Task, []float64) {
+	tasks, work := make([]sim.Task, n), make([]float64, n)
 	for i := range tasks {
-		t := &sim.Task{Name: "t", WorkW: 5e6, WorkA: 4e6, Order: i, LFT: lft}
+		tasks[i] = sim.Task{Name: "t", WorkW: 5e6, Order: i, LFT: lft}
+		work[i] = 4e6
 		if i >= 4 {
-			t.Preds = []int{i - 4}
+			tasks[i].Preds = []int{i - 4}
 			tasks[i-4].Succs = append(tasks[i-4].Succs, i)
 		}
-		tasks[i] = t
 	}
-	return tasks
+	return tasks, work
 }
 
 // compileSection returns tasks' program for machine hp.
-func compileSection(b *testing.B, hp *power.Hetero, tasks []*sim.Task) *sim.Program {
+func compileSection(b *testing.B, hp *power.Hetero, tasks []sim.Task) *sim.Program {
 	b.Helper()
 	prog := new(sim.Program)
 	if _, err := sim.CompileInto(prog, hp, tasks, make([]int, 2*len(tasks))); err != nil {
@@ -395,16 +395,13 @@ func compileSection(b *testing.B, hp *power.Hetero, tasks []*sim.Task) *sim.Prog
 	return prog
 }
 
-// runEngineSection runs tasks as one section from time 0 on arena a,
-// compiling prog first when it is nil.
-func runEngineSection(b *testing.B, a *sim.Arena, cfg *sim.Config, prog *sim.Program, tasks []*sim.Task) *sim.Result {
+// runEngineSection runs tasks, doing work, as a one-section run from time
+// 0 on arena a, compiling prog first when it is nil.
+func runEngineSection(b *testing.B, a *sim.Arena, cfg *sim.Config, prog *sim.Program, tasks []sim.Task, work []float64) *sim.Result {
 	if prog == nil {
 		prog = compileSection(b, cfg.Hetero, tasks)
 	}
-	if err := a.Begin(cfg, nil); err != nil {
-		b.Fatal(err)
-	}
-	res, err := a.Section(prog, tasks, 0)
+	res, err := a.Run(cfg, []sim.Step{{Prog: prog, Work: work}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -418,11 +415,11 @@ func BenchmarkEngineScaling(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		for _, m := range []int{2, 8} {
 			b.Run(fmt.Sprintf("tasks=%d/procs=%d", n, m), func(b *testing.B) {
-				tasks := layeredSection(n, 10)
+				tasks, work := layeredSection(n, 10)
 				cfg := sim.Config{Hetero: machine(power.Transmeta5400(), m)}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					runEngineSection(b, sim.NewArena(), &cfg, nil, tasks)
+					runEngineSection(b, sim.NewArena(), &cfg, nil, tasks, work)
 				}
 				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
 			})
@@ -476,11 +473,11 @@ func BenchmarkStreamATR(b *testing.B) {
 // section and running it on a fresh arena.
 func BenchmarkEngineSection(b *testing.B) {
 	const n = 64
-	tasks := layeredSection(n, 1) // ample latest finish times
+	tasks, work := layeredSection(n, 1) // ample latest finish times
 	cfg := sim.Config{Hetero: machine(power.Transmeta5400(), 4)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runEngineSection(b, sim.NewArena(), &cfg, nil, tasks)
+		runEngineSection(b, sim.NewArena(), &cfg, nil, tasks, work)
 	}
 	b.ReportMetric(float64(n), "tasks/run")
 }
@@ -490,36 +487,36 @@ func BenchmarkEngineSection(b *testing.B) {
 // zero-allocation steady state.
 func BenchmarkEngineSectionArena(b *testing.B) {
 	const n = 64
-	tasks := layeredSection(n, 1)
+	tasks, work := layeredSection(n, 1)
 	cfg := sim.Config{Hetero: machine(power.Transmeta5400(), 4)}
 	prog := compileSection(b, cfg.Hetero, tasks)
 	arena := sim.NewArena()
-	runEngineSection(b, arena, &cfg, prog, tasks) // warm-up
+	runEngineSection(b, arena, &cfg, prog, tasks, work) // warm-up
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runEngineSection(b, arena, &cfg, prog, tasks)
+		runEngineSection(b, arena, &cfg, prog, tasks, work)
 	}
 	b.ReportMetric(float64(n), "tasks/run")
 }
 
 // BenchmarkEngineTracerOverhead measures what observing a section costs.
 // The dispatch loop has no hooks; a run's events and metrics are derived
-// from its records after each section by a sim.Observer. On the workload
-// of BenchmarkEngineSectionArena (compiled once, warmed arena), "section"
-// times Section alone, and the other cases add the post-section pass:
-// "off" with neither a tracer nor a registry, "collector" recording every
-// event (128 per section) and "metrics" updating a live registry. An
-// unobserved core run skips the pass altogether. Re-run with
+// from its records after the run by a sim.Observer. On the workload of
+// BenchmarkEngineSectionArena (compiled once, warmed arena), "section"
+// times a recorded run alone, and the other cases add the observation
+// pass: "off" with neither a tracer nor a registry, "collector" recording
+// every event (128 per section) and "metrics" updating a live registry. An
+// unobserved core run keeps no records and skips the pass altogether. Re-run with
 // `go test -bench=TracerOverhead -count=10` when touching the pass.
 func BenchmarkEngineTracerOverhead(b *testing.B) {
 	plat := power.Transmeta5400()
-	tasks := layeredSection(64, 1)
-	cfg := sim.Config{Hetero: machine(plat, 4)}
+	tasks, work := layeredSection(64, 1)
+	cfg := sim.Config{Hetero: machine(plat, 4), Record: true}
 	prog := compileSection(b, cfg.Hetero, tasks)
 	levels := []int{plat.MaxIndex(), plat.MaxIndex(), plat.MaxIndex(), plat.MaxIndex()}
 	arena := sim.NewArena()
-	runEngineSection(b, arena, &cfg, prog, tasks) // warm-up
+	runEngineSection(b, arena, &cfg, prog, tasks, work) // warm-up
 	bench := func(name string, observe bool, col *obs.Collector, m *obs.Metrics) {
 		b.Run(name, func(b *testing.B) {
 			var o sim.Observer
@@ -529,13 +526,13 @@ func BenchmarkEngineTracerOverhead(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res := runEngineSection(b, arena, &cfg, prog, tasks)
+				res := runEngineSection(b, arena, &cfg, prog, tasks, work)
 				if observe {
 					if col != nil {
 						col.Reset()
 					}
 					o.Begin(cfg.Hetero, levels, tr, m)
-					o.Section(tasks, res, 0, nil)
+					o.Section(sim.Step{Prog: prog, Work: work}, &res.Sections[0], nil)
 				}
 			}
 			if col != nil {

@@ -54,12 +54,23 @@ func CompareFrames(p *Plan, cfg RunConfig, schemes []Scheme, seed uint64, lo, hi
 			return fmt.Errorf("%s run %d: %w", NPM, f, err)
 		}
 		sc := p.resolve(&cfg, a)
+		npmFinish := 0.0
 		for si := -1; si < len(schemes); si++ {
+			var err error
 			if si >= 0 {
 				cfg.Scheme = schemes[si]
 			}
-			if err := p.runScript(&cfg, a, sc, &a.mcRes); err != nil {
+			// CLV's probe is the NPM replay the baseline just ran.
+			if cfg.Scheme == CLV {
+				err = p.runClairvoyant(&cfg, a, sc, npmFinish, &a.mcRes)
+			} else {
+				err = p.runScript(&cfg, a, sc, &a.mcRes)
+			}
+			if err != nil {
 				return fmt.Errorf("%s run %d: %w", cfg.Scheme, f, err)
+			}
+			if si < 0 {
+				npmFinish = a.mcRes.Finish
 			}
 			if err := visit(f, si, &a.mcRes); err != nil {
 				return err

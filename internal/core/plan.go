@@ -66,8 +66,6 @@ type Plan struct {
 	CTAvg float64
 
 	secs []secPlan // indexed by section ID
-	// numTasks counts the tasks of all sections.
-	numTasks int
 	// computeIdx holds every section's compute tasks, in section order,
 	// and times their WCETs and then their ACETs (see computes).
 	computeIdx []int
@@ -90,9 +88,6 @@ type Plan struct {
 // secPlan is the off-line data of one program section.
 type secPlan struct {
 	sec *andor.Section
-	// taskOff is the index of the section's first task in the plan-wide
-	// numbering of all sections' tasks (see Plan.numTasks).
-	taskOff int
 	// lenW and lenA are the canonical schedule lengths using padded worst-
 	// and average-case execution times.
 	lenW, lenA float64
@@ -104,10 +99,9 @@ type secPlan struct {
 	remWorst, remAvg float64
 	// tasks are the engine-task templates of the section's schedulable
 	// units in section-node order (tasks[i] is sec.Nodes[i]), carved from
-	// the plan-wide numbering at taskOff. Each template's Order is the
-	// task's canonical dispatch position, and it has every field but the
-	// run-specific WorkA filled in; its LFT holds the task's latest finish
-	// time minus the deadline (always ≤ 0), which runtimeTasks resolves
+	// the plan's template slab. Each template's Order is the task's
+	// canonical dispatch position; its LFT holds the task's latest finish
+	// time minus the deadline (always ≤ 0), which the engine resolves
 	// against each run's deadline. That relative LFT equals the task's
 	// finish time in the section's canonical schedule minus the worst-case
 	// time from the section's start to the application's end.
@@ -273,7 +267,7 @@ func compile(g *andor.Graph, hp *power.Hetero, platform *power.Platform, ov powe
 	for _, sec := range secs.All {
 		most = max(most, len(sec.Nodes))
 	}
-	cc := &compileScratch{pad: ov.PadTimeHetero(hp), cache: cache, most: most, ptrs: make([]*sim.Task, 0, most),
+	cc := &compileScratch{pad: ov.PadTimeHetero(hp), cache: cache, most: most,
 		tmpls: make([]sim.Task, tasks), ints: make([]int, computes+ends+2*tasks),
 		floats: make([]float64, hp.NumClasses()+2*computes)}
 	p.maxChange = carve(&cc.floats, hp.NumClasses())
@@ -300,19 +294,14 @@ func compile(g *andor.Graph, hp *power.Hetero, platform *power.Platform, ov powe
 	var c int32
 	for i, sec := range secs.All {
 		sp := &p.secs[i]
-		sp.sec, sp.taskOff, sp.tasks = sec, p.numTasks, carve(&cc.tmpls, len(sec.Nodes))
+		sp.sec, sp.tasks = sec, carve(&cc.tmpls, len(sec.Nodes))
 		sp.c0, sp.c1 = c, c
-		p.numTasks += len(sec.Nodes)
 		if err := p.planSection(sp, cc, local); err != nil {
 			return nil, err
 		}
 		c = sp.c1
 		// The engine program, from the final templates.
-		cc.ptrs = cc.ptrs[:0]
-		for i := range sp.tasks {
-			cc.ptrs = append(cc.ptrs, &sp.tasks[i])
-		}
-		if _, err := sim.CompileInto(&sp.prog, hp, cc.ptrs, carve(&cc.ints, 2*len(cc.ptrs))); err != nil {
+		if _, err := sim.CompileInto(&sp.prog, hp, sp.tasks, carve(&cc.ints, 2*len(sp.tasks))); err != nil {
 			return nil, fmt.Errorf("core: section %d: %w", sec.ID, err)
 		}
 	}
@@ -356,12 +345,10 @@ type compileScratch struct {
 	machine string
 	// list builds the canonical schedules, each consumed before the next;
 	// work, allocated on the first cache miss, holds one section's work
-	// for it, and most is the largest section's task count. ptrs points
-	// at the templates of one section, for its engine program.
+	// for it, and most is the largest section's task count.
 	list sim.ListScheduler
 	work []float64
 	most int
-	ptrs []*sim.Task
 
 	// The plan's slabs, minus what the plan has carved so far: tmpls holds
 	// every task template, ints the plan's computeIdx and then each

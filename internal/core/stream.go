@@ -105,7 +105,7 @@ func (p *Plan) RunStreamArena(cfg StreamConfig, a *Arena) (*StreamResult, error)
 		sc := p.resolve(&runCfg, a)
 		var err error
 		if cfg.Scheme == CLV {
-			err = p.runClairvoyant(&runCfg, a, sc, &res)
+			err = p.runScript(&runCfg, a, sc, &res)
 		} else {
 			var levels []int
 			if cfg.CarryLevels {

@@ -19,7 +19,9 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // dvs-overhead slices and speed-change instants.
 type levelHopPolicy struct{ n int }
 
-func (p levelHopPolicy) PickLevel(t *sim.Task, _ float64, _ int, _ int) int {
+func (p levelHopPolicy) Boundary(int, float64) {}
+
+func (p levelHopPolicy) PickLevel(t *sim.Task, _, _ float64, _ int, _ int) int {
 	return (t.Node * 3) % p.n
 }
 
@@ -29,13 +31,14 @@ func (p levelHopPolicy) PickLevel(t *sim.Task, _ float64, _ int, _ int) int {
 func twoProcRun(t *testing.T) []obs.Event {
 	t.Helper()
 	plat := power.Transmeta5400()
-	tasks := []*sim.Task{
-		{Node: 0, Name: "A", WorkW: 6e6, WorkA: 5e6, Order: 0, LFT: 1, Succs: []int{1, 2}},
-		{Node: 1, Name: "B", WorkW: 8e6, WorkA: 6e6, Order: 1, LFT: 1, Preds: []int{0}, Succs: []int{3}},
-		{Node: 2, Name: "C", WorkW: 4e6, WorkA: 4e6, Order: 2, LFT: 1, Preds: []int{0}, Succs: []int{3}},
+	tasks := []sim.Task{
+		{Node: 0, Name: "A", WorkW: 6e6, Order: 0, LFT: 1, Succs: []int{1, 2}},
+		{Node: 1, Name: "B", WorkW: 8e6, Order: 1, LFT: 1, Preds: []int{0}, Succs: []int{3}},
+		{Node: 2, Name: "C", WorkW: 4e6, Order: 2, LFT: 1, Preds: []int{0}, Succs: []int{3}},
 		{Node: 3, Name: "J", Dummy: true, Order: 3, Preds: []int{1, 2}, Succs: []int{4}},
-		{Node: 4, Name: "D", WorkW: 5e6, WorkA: 2e6, Order: 4, LFT: 1, Preds: []int{3}},
+		{Node: 4, Name: "D", WorkW: 5e6, Order: 4, LFT: 1, Preds: []int{3}},
 	}
+	work := []float64{5e6, 6e6, 4e6, 0, 2e6}
 	machine, err := power.Homogeneous(plat, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -44,23 +47,21 @@ func twoProcRun(t *testing.T) []obs.Event {
 		Hetero:    machine,
 		Overheads: power.DefaultOverheads(),
 		Policy:    levelHopPolicy{plat.NumLevels()},
+		Record:    true,
 	}
 	prog := new(sim.Program)
 	if _, err := sim.CompileInto(prog, machine, tasks, make([]int, 2*len(tasks))); err != nil {
 		t.Fatal(err)
 	}
-	arena := sim.NewArena()
-	if err := arena.Begin(&cfg, nil); err != nil {
+	step := sim.Step{Prog: prog, Work: work}
+	res, err := sim.NewArena().Run(&cfg, []sim.Step{step})
+	if err != nil {
 		t.Fatal(err)
 	}
 	col := obs.NewCollector()
 	var o sim.Observer
 	o.Begin(machine, []int{plat.MaxIndex(), plat.MaxIndex()}, col, nil)
-	res, err := arena.Section(prog, tasks, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Section(tasks, res, 0, nil)
+	o.Section(step, &res.Sections[0], nil)
 	return col.Events()
 }
 

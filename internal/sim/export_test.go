@@ -13,17 +13,17 @@ func exportEntries(t *testing.T) (*power.Hetero, []GanttEntry) {
 	p := testPlat()
 	ov := power.Overheads{SpeedCompCycles: 10e6, SpeedChangeTime: 0.01}
 	tasks := []*Task{
-		{Name: "alpha", WorkW: 200e6, WorkA: 150e6, Order: 0, LFT: 10},
-		{Name: "beta", WorkW: 300e6, WorkA: 200e6, Order: 1, LFT: 10},
+		{Name: "alpha", WorkW: 200e6, Order: 0, LFT: 10},
+		{Name: "beta", WorkW: 300e6, Order: 1, LFT: 10},
 	}
 	h := machine(p, 2)
 	res, err := runSection(NewArena(), &Config{
 		Hetero: h, Overheads: ov, Policy: fixedPolicy(0),
-	}, 0, tasks)
+	}, 0, tasks, []float64{150e6, 200e6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h, Entries(tasks, res.Records)
+	return h, Entries(res.step.Prog, res.Records)
 }
 
 func TestSVG(t *testing.T) {
@@ -60,14 +60,14 @@ func TestRenderBigLittle(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tasks = append(tasks, &Task{
 			Name: fmt.Sprintf("t%d", i), Node: i, Order: i,
-			WorkW: 40e6, WorkA: 40e6, LFT: 10, CanonClass: i % 2 * little,
+			WorkW: 40e6, LFT: 10, CanonClass: i % 2 * little,
 		})
 	}
-	res, err := runSection(NewArena(), &Config{Hetero: h}, 0, tasks) // every class at its maximum
+	res, err := runSection(NewArena(), &Config{Hetero: h}, 0, tasks, nil) // every class at its maximum
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := Entries(tasks, res.Records)
+	entries := Entries(res.step.Prog, res.Records)
 	const bigTop, littleTop = "700MHz@1.65V", "400MHz@1.05V"
 	want := func(proc int) string {
 		if h.ClassOf(proc) == little {

@@ -18,9 +18,10 @@ type GanttEntry struct {
 	CompOH, ChangeOH float64
 }
 
-// Entries converts one engine run's records to Gantt entries using the
-// run's task slice for names.
-func Entries(tasks []*Task, records []Record) []GanttEntry {
+// Entries converts one section's records to Gantt entries using the
+// section's program for names.
+func Entries(prog *Program, records []Record) []GanttEntry {
+	tasks := prog.tasks
 	out := make([]GanttEntry, len(records))
 	for i, r := range records {
 		out[i] = GanttEntry{

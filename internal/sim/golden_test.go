@@ -24,10 +24,12 @@ const byOrderGoldenPath = "testdata/byorder_golden.json"
 // the class maximum when none does.
 type slackPolicy struct{ h *power.Hetero }
 
-func (s slackPolicy) PickLevel(t *Task, now float64, _ int, class int) int {
+func (s slackPolicy) Boundary(int, float64) {}
+
+func (s slackPolicy) PickLevel(t *Task, lft, now float64, _ int, class int) int {
 	c := s.h.Class(class)
 	for l := 0; l < c.Plat.NumLevels(); l++ {
-		if now+t.WorkW/c.Rate(l) <= t.LFT {
+		if now+t.WorkW/c.Rate(l) <= lft {
 			return l
 		}
 	}
@@ -41,7 +43,7 @@ func (s slackPolicy) PickLevel(t *Task, now float64, _ int, class int) int {
 // few distinct work values, so equal finish times are common. Task indices
 // are a random permutation of the dispatch order. Every fifth section
 // also records metrics, into the registry returned (nil otherwise).
-func goldenSection(i int) (cfg Config, start float64, m *obs.Metrics, tasks []*Task) {
+func goldenSection(i int) (cfg Config, start float64, m *obs.Metrics, tasks []*Task, work []float64) {
 	rnd := newLCG(uint64(i) + 0x5eed)
 	var h *power.Hetero
 	switch i % 6 {
@@ -87,7 +89,7 @@ func goldenSection(i int) (cfg Config, start float64, m *obs.Metrics, tasks []*T
 		perm[k] = perm[j]
 		perm[j] = k
 	}
-	tasks = make([]*Task, n)
+	tasks, work = make([]*Task, n), make([]float64, n)
 	for k := 0; k < n; k++ {
 		t := &Task{
 			Name: fmt.Sprintf("t%d", k), Node: k, Order: k,
@@ -102,9 +104,9 @@ func goldenSection(i int) (cfg Config, start float64, m *obs.Metrics, tasks []*T
 			switch rnd.next() % 4 {
 			case 0: // zero work
 			case 1:
-				t.WorkA = t.WorkW
+				work[perm[k]] = t.WorkW
 			default:
-				t.WorkA = t.WorkW / 2
+				work[perm[k]] = t.WorkW / 2
 			}
 		}
 		for j := 0; j < k; j++ {
@@ -115,12 +117,12 @@ func goldenSection(i int) (cfg Config, start float64, m *obs.Metrics, tasks []*T
 		}
 		tasks[perm[k]] = t
 	}
-	return cfg, start, m, tasks
+	return cfg, start, m, tasks, work
 }
 
 // digestResult hashes every schedule, time and energy field of res bit for
 // bit, its final levels and, when metrics were recorded, their snapshot s.
-func digestResult(res *Result, s *obs.Snapshot) string {
+func digestResult(res *sectionRun, s *obs.Snapshot) string {
 	h := sha256.New()
 	b := math.Float64bits
 	for _, r := range res.Records {
@@ -183,9 +185,9 @@ func TestByOrderGolden(t *testing.T) {
 	arena := NewArena()
 	got := make([]goldenEntry, sections)
 	for i := range got {
-		cfg, start, m, tasks := goldenSection(i)
+		cfg, start, m, tasks, work := goldenSection(i)
 		col := obs.NewCollector()
-		res, err := observeSection(&cfg, start, tasks, col, m)
+		res, err := observeSection(&cfg, start, tasks, work, col, m)
 		if err != nil {
 			t.Fatalf("section %d: %v", i, err)
 		}
@@ -195,13 +197,13 @@ func TestByOrderGolden(t *testing.T) {
 			snap = &s
 		}
 		got[i] = goldenEntry{Tasks: len(tasks), Result: digestResult(res, snap), Events: digestEvents(col.Events())}
-		if err := ValidateResult(cfg.Hetero, start, tasks, res); err != nil {
+		if err := validate(cfg.Hetero, res); err != nil {
 			t.Errorf("section %d: %v", i, err)
 		}
-		if diff := matchReference(cfg, start, tasks, res); diff != "" {
+		if diff := matchReference(cfg, start, tasks, work, res); diff != "" {
 			t.Errorf("section %d: %s", i, diff)
 		}
-		pooled, err := runSection(arena, &cfg, start, tasks)
+		pooled, err := runSection(arena, &cfg, start, tasks, work)
 		if err != nil {
 			t.Fatalf("section %d: arena: %v", i, err)
 		}

@@ -17,7 +17,7 @@ import (
 // The frozen reference for canonical list schedules: the discrete-event
 // loop the engine ran canonical sections with, copied as the off-line
 // phase ran it — no level policy, zero overheads, no tracer or metrics,
-// from time 0, each task's WorkA its work — with the structural checks
+// from time 0, task i doing work[i] cycles — with the structural checks
 // that ran before it. Only the energy and overhead accounting, which such
 // a run never reads, is left out of issue. The completion heap is
 // container/heap over the same (time, seq) keys, so the reference shares no
@@ -29,6 +29,7 @@ type refListState struct {
 	hp     *power.Hetero
 	place  PlacementPolicy
 	tasks  []*Task
+	work   []float64
 	levels []int
 	freeAt []float64
 	npreds []int
@@ -47,15 +48,15 @@ type refListState struct {
 // refListSchedule runs tasks as one canonical section on hp with the
 // placement place (nil is FastestFirst) and returns its records in
 // dispatch order and its length, or the first error.
-func refListSchedule(hp *power.Hetero, place PlacementPolicy, tasks []*Task) ([]Record, float64, error) {
+func refListSchedule(hp *power.Hetero, place PlacementPolicy, tasks []*Task, work []float64) ([]Record, float64, error) {
 	n := len(tasks)
-	rs := &refListState{hp: hp, place: place, tasks: tasks, npreds: make([]int, n)}
+	rs := &refListState{hp: hp, place: place, tasks: tasks, work: work, npreds: make([]int, n)}
 	if rs.place == nil {
 		rs.place = FastestFirst
 	}
 	for i, t := range tasks {
-		if !t.Dummy && t.WorkA > t.WorkW*(1+1e-9) {
-			return nil, 0, fmt.Errorf("sim: task %q actual work %g exceeds worst case %g", t.Name, t.WorkA, t.WorkW)
+		if !t.Dummy && work[i] > t.WorkW*(1+1e-9) {
+			return nil, 0, fmt.Errorf("sim: task %q actual work %g exceeds worst case %g", t.Name, work[i], t.WorkW)
 		}
 		rs.npreds[i] = len(t.Preds)
 		for _, pr := range t.Preds {
@@ -200,8 +201,8 @@ func (rs *refListState) issue(ti, proc, ci int, now float64) float64 {
 		lvl = c.Plat.MaxIndex()
 	}
 	var execT float64
-	if t.WorkA > 0 {
-		execT = t.WorkA / c.Rate(lvl)
+	if w := rs.work[ti]; w > 0 {
+		execT = w / c.Rate(lvl)
 	}
 	finish := now + execT
 	rs.records = append(rs.records, Record{
@@ -285,8 +286,8 @@ type listOut struct {
 }
 
 // refListOut is refListSchedule's answer as a listOut.
-func refListOut(hp *power.Hetero, place PlacementPolicy, tasks []*Task) (listOut, error) {
-	recs, span, err := refListSchedule(hp, place, tasks)
+func refListOut(hp *power.Hetero, place PlacementPolicy, tasks []*Task, work []float64) (listOut, error) {
+	recs, span, err := refListSchedule(hp, place, tasks, work)
 	if err != nil {
 		return listOut{}, err
 	}
@@ -366,7 +367,7 @@ func FuzzListScheduleDifferential(f *testing.F) {
 	}
 	var l ListScheduler
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, _, tasks, raw, ok := decodeWorkload(data)
+		cfg, _, tasks, avg, raw, ok := decodeWorkload(data)
 		if !ok {
 			t.Skip()
 		}
@@ -375,19 +376,8 @@ func FuzzListScheduleDifferential(f *testing.F) {
 				tk.Node = i / 2
 			}
 		}
-		worst := make([]float64, len(tasks))
-		avg := make([]float64, len(tasks))
-		for i, tk := range tasks {
-			worst[i], avg[i] = tk.WorkW, tk.WorkA
-		}
-		for _, work := range [][]float64{worst, avg} {
-			ref := make([]*Task, len(tasks))
-			for i, tk := range tasks {
-				c := *tk
-				c.WorkA = work[i]
-				ref[i] = &c
-			}
-			want, wantErr := refListOut(cfg.Hetero, cfg.Placement, ref)
+		for _, work := range [][]float64{worst(tasks), avg} {
+			want, wantErr := refListOut(cfg.Hetero, cfg.Placement, tasks, work)
 			got, err := listUnderTest(&l, cfg.Hetero, cfg.Placement, tasks, work)
 			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 				t.Fatalf("error %v, reference error %v", err, wantErr)

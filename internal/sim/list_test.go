@@ -9,23 +9,22 @@ import (
 )
 
 // listSchedule builds the list schedule of tasks on hp, each task running
-// for its WorkA, on a fresh scheduler.
+// for its worst case, on a fresh scheduler.
 func listSchedule(hp *power.Hetero, place PlacementPolicy, tasks []*Task) (*ListSchedule, error) {
 	vals := make([]Task, len(tasks))
-	work := make([]float64, len(tasks))
 	for i, t := range tasks {
-		vals[i], work[i] = *t, t.WorkA
+		vals[i] = *t
 	}
 	var l ListScheduler
-	return l.Schedule(hp, place, vals, work)
+	return l.Schedule(hp, place, vals, worst(tasks))
 }
 
 func TestLTFPriority(t *testing.T) {
 	// Three ready tasks, one processor: longest goes first.
 	tasks := []*Task{
-		task("short", 100, 100, nil, nil),
-		task("long", 400, 400, nil, nil),
-		task("mid", 200, 200, nil, nil),
+		task("short", 100, nil, nil),
+		task("long", 400, nil, nil),
+		task("mid", 200, nil, nil),
 	}
 	ls, err := listSchedule(machine(testPlat(), 1), nil, tasks)
 	if err != nil {
@@ -42,8 +41,8 @@ func TestLTFPriority(t *testing.T) {
 
 func TestLTFTieBreakByNodeID(t *testing.T) {
 	tasks := []*Task{
-		{Node: 5, Name: "n5", WorkW: 100, WorkA: 100},
-		{Node: 2, Name: "n2", WorkW: 100, WorkA: 100},
+		{Node: 5, Name: "n5", WorkW: 100},
+		{Node: 2, Name: "n2", WorkW: 100},
 	}
 	ls, err := listSchedule(machine(testPlat(), 1), nil, tasks)
 	if err != nil {
@@ -56,8 +55,8 @@ func TestLTFTieBreakByNodeID(t *testing.T) {
 
 func TestTwoProcessorsRunInParallel(t *testing.T) {
 	tasks := []*Task{
-		task("a", 400, 400, nil, nil),
-		task("b", 400, 400, nil, nil),
+		task("a", 400, nil, nil),
+		task("b", 400, nil, nil),
 	}
 	ls, err := listSchedule(machine(testPlat(), 2), nil, tasks)
 	if err != nil {
@@ -74,8 +73,8 @@ func TestTwoProcessorsRunInParallel(t *testing.T) {
 func TestPrecedenceRespected(t *testing.T) {
 	// b depends on a; even with two processors, b starts after a ends.
 	tasks := []*Task{
-		task("a", 200, 200, nil, []int{1}),
-		task("b", 200, 200, []int{0}, nil),
+		task("a", 200, nil, []int{1}),
+		task("b", 200, []int{0}, nil),
 	}
 	ls, err := listSchedule(machine(testPlat(), 2), nil, tasks)
 	if err != nil {
@@ -93,9 +92,9 @@ func TestByPriorityWouldViolateOrder(t *testing.T) {
 	// Contrast with TestOrderGateForcesSleep: the list scheduler ignores
 	// the order and runs "free" immediately.
 	tasks := []*Task{
-		{Name: "gate", WorkW: 400e6, WorkA: 400e6, Order: 0, Succs: []int{1}},
-		{Name: "mid", WorkW: 100e6, WorkA: 100e6, Order: 1, Preds: []int{0}},
-		{Name: "free", WorkW: 100e6, WorkA: 100e6, Order: 2},
+		{Name: "gate", WorkW: 400e6, Order: 0, Succs: []int{1}},
+		{Name: "mid", WorkW: 100e6, Order: 1, Preds: []int{0}},
+		{Name: "free", WorkW: 100e6, Order: 2},
 	}
 	ls, err := listSchedule(machine(testPlat(), 2), nil, tasks)
 	if err != nil {
@@ -147,9 +146,9 @@ func TestListScheduleErrors(t *testing.T) {
 func TestListScheduleZeroAllocs(t *testing.T) {
 	ptrs := layeredTasks(64)
 	tasks := make([]Task, len(ptrs))
-	work := make([]float64, len(ptrs))
+	work := layeredWork(64)
 	for i, tk := range ptrs {
-		tasks[i], work[i] = *tk, tk.WorkA
+		tasks[i] = *tk
 	}
 	tasks[5].Dummy, tasks[5].WorkW, work[5] = true, 0, 0
 	for _, h := range []*power.Hetero{machine(power.Transmeta5400(), 4), power.BigLittle()} {

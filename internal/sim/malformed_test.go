@@ -21,9 +21,9 @@ func TestMalformedPrecedence(t *testing.T) {
 	)
 	chain := func() []*Task {
 		return []*Task{
-			{Name: "a", WorkW: 1e6, WorkA: 1e6, Order: 0, Succs: []int{1}},
-			{Name: "b", WorkW: 2e6, WorkA: 2e6, Order: 1, Preds: []int{0}, Succs: []int{2}},
-			{Name: "c", WorkW: 3e6, WorkA: 3e6, Order: 2, Preds: []int{1}},
+			{Name: "a", WorkW: 1e6, Order: 0, Succs: []int{1}},
+			{Name: "b", WorkW: 2e6, Order: 1, Preds: []int{0}, Succs: []int{2}},
+			{Name: "c", WorkW: 3e6, Order: 2, Preds: []int{1}},
 		}
 	}
 	cases := []struct {
@@ -52,7 +52,7 @@ func TestMalformedPrecedence(t *testing.T) {
 		t.Run(tc.name+"/ByOrder", func(t *testing.T) {
 			tasks := chain()
 			tc.mutate(tasks)
-			_, err := runSection(NewArena(), &Config{Hetero: machine(testPlat(), 2), Policy: fixedPolicy(1)}, 0, tasks)
+			_, err := runSection(NewArena(), &Config{Hetero: machine(testPlat(), 2), Policy: fixedPolicy(1)}, 0, tasks, nil)
 			if got := errText(err); got != tc.byOrder {
 				t.Errorf("error = %q, want %q", got, tc.byOrder)
 			}
@@ -71,16 +71,13 @@ func TestMalformedPrecedence(t *testing.T) {
 	}
 }
 
-// compiledError runs tasks as one section through CompileInto, Begin
-// and Section on a fresh arena and returns the first error's text, or ""
-// when the section runs.
+// compiledError runs tasks as a one-step script through CompileInto and
+// Run on a fresh arena and returns the first error's text, or "" when the
+// section runs.
 func compiledError(h *power.Hetero, tasks []*Task) string {
 	prog, err := compile(h, tasks)
 	if err == nil {
-		a := NewArena()
-		if err = a.Begin(&Config{Hetero: h, Policy: fixedPolicy(1)}, nil); err == nil {
-			_, err = a.Section(prog, tasks, 0)
-		}
+		_, err = NewArena().Run(&Config{Hetero: h, Policy: fixedPolicy(1)}, []Step{{prog, worst(tasks)}})
 	}
 	if err != nil {
 		return err.Error()

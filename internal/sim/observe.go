@@ -8,12 +8,12 @@ import (
 	"andorsched/internal/power"
 )
 
-// Observer derives a run's structured events and engine metrics from the
-// records of its sections, after each section, so that the dispatch loop
-// carries no observation hooks. Begin starts a run; Section then emits one
-// section's events and updates the registry as an event loop over the
-// section's dispatches and completions would have. An Observer reuses its
-// buffers across runs and is not safe for concurrent use.
+// Observer derives a run's structured events and engine metrics from a
+// recorded run (Config.Record), so that the dispatch loop carries no
+// observation hooks. Begin starts a run; Section then emits one section's
+// events and updates the registry as an event loop over the section's
+// dispatches and completions would have. An Observer reuses its buffers
+// across runs and is not safe for concurrent use.
 type Observer struct {
 	hp     *power.Hetero
 	tracer obs.Tracer
@@ -58,18 +58,19 @@ func (o *Observer) Begin(hp *power.Hetero, levels []int, tr obs.Tracer, m *obs.M
 	}
 }
 
-// Section observes one section of the run begun: tasks and res are the
-// section's tasks and its engine result, start its start time. It walks
-// the records in dispatch order. Before each record come the finishes due
-// by its dispatch time, in (finish time, dispatch position) order; then
+// Section observes one section of the run begun: step is the section's
+// script step and sec its part of the recorded result. It walks the
+// records in dispatch order. Before each record come the finishes due by
+// its dispatch time, in (finish time, dispatch position) order; then
 // dispatch, if non-nil, is called with the record and its processor's
 // level before it, so that the caller can insert its own events; then the
 // idle, dispatch and speed-change events. A task that takes no time
 // finishes right after its own dispatch, and the finishes still pending
 // close the section. Each processor's busy and overhead gauges then add
 // the section's totals.
-func (o *Observer) Section(tasks []*Task, res *Result, start float64, dispatch func(r *Record, prev int)) {
-	recs, tr, em := res.Records, o.tracer, &o.met
+func (o *Observer) Section(step Step, sec *Section, dispatch func(r *Record, prev int)) {
+	tasks, start := step.Prog.tasks, sec.Start
+	recs, tr, em := sec.Records, o.tracer, &o.met
 	for i := range o.freeAt {
 		o.freeAt[i] = start
 	}
@@ -85,7 +86,7 @@ func (o *Observer) Section(tasks []*Task, res *Result, start float64, dispatch f
 	next := 0 // the first held finish not yet emitted
 	for k := range recs {
 		r := &recs[k]
-		t := tasks[r.Task]
+		t := &tasks[r.Task]
 		prev, idle := o.levels[r.Proc], r.Dispatch-o.freeAt[r.Proc]
 		for ; next < len(o.held) && recs[o.held[next]].Finish <= r.Dispatch; next++ {
 			o.finish(tasks, &recs[o.held[next]])
@@ -118,8 +119,8 @@ func (o *Observer) Section(tasks []*Task, res *Result, start float64, dispatch f
 				// The execution time as the engine computed it: the
 				// record's Finish − Start may differ in the last bit.
 				var execT float64
-				if t.WorkA > 0 {
-					execT = t.WorkA / o.hp.Class(o.hp.ClassOf(r.Proc)).Rate(r.Level)
+				if w := step.Work[r.Task]; w > 0 {
+					execT = w / o.hp.Class(o.hp.ClassOf(r.Proc)).Rate(r.Level)
 				}
 				em.tasks.Inc()
 				em.exec.Observe(execT)
@@ -138,15 +139,15 @@ func (o *Observer) Section(tasks []*Task, res *Result, start float64, dispatch f
 		o.finish(tasks, &recs[k])
 	}
 	for i := range em.procBusy {
-		em.procBusy[i].Add(res.BusyTime[i])
-		em.procOverhead[i].Add(res.OverheadTime[i])
+		em.procBusy[i].Add(sec.BusyTime[i])
+		em.procOverhead[i].Add(sec.OverheadTime[i])
 	}
 }
 
 // finish emits r's finish event. The processor is still at the record's
 // level: its next dispatch comes at or after this finish.
-func (o *Observer) finish(tasks []*Task, r *Record) {
-	t := tasks[r.Task]
+func (o *Observer) finish(tasks []Task, r *Record) {
+	t := &tasks[r.Task]
 	o.tracer.Event(obs.Event{
 		Kind: obs.EvTaskFinish, Time: r.Finish, Proc: r.Proc,
 		Task: r.Task, Node: t.Node, Name: t.Name, Level: r.Level, Prev: r.Level,

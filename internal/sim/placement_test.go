@@ -13,7 +13,9 @@ type clampedPolicy struct {
 	lvl int
 }
 
-func (f clampedPolicy) PickLevel(_ *Task, _ float64, _ int, class int) int {
+func (f clampedPolicy) Boundary(int, float64) {}
+
+func (f clampedPolicy) PickLevel(_ *Task, _, _ float64, _ int, class int) int {
 	if max := f.h.Class(class).Plat.MaxIndex(); f.lvl > max {
 		return max
 	}
@@ -37,7 +39,7 @@ func bigLittlePair() *power.Hetero {
 
 func onlineTask(workMcycles, lft float64) *Task {
 	w := workMcycles * 1e6
-	return &Task{Name: "t", WorkW: w, WorkA: w, LFT: lft}
+	return &Task{Name: "t", WorkW: w, LFT: lft}
 }
 
 // TestPlacementPolicyRanking exercises the three policies directly on
@@ -89,7 +91,7 @@ func TestHeteroFeasibilityGuard(t *testing.T) {
 		res, err := runSection(NewArena(), &Config{
 			Hetero: hp, Placement: place,
 			Policy: clampedPolicy{hp, testPlat().MaxIndex()},
-		}, 0, []*Task{tk})
+		}, 0, []*Task{tk}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +122,7 @@ func TestHeteroFeasibilityGuard(t *testing.T) {
 	res, err := runSection(NewArena(), &Config{
 		Hetero: hp, Placement: FastestFirst,
 		Policy: clampedPolicy{hp, testPlat().MaxIndex()},
-	}, 0, []*Task{a, b})
+	}, 0, []*Task{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,23 +141,23 @@ func TestHeteroFeasibilityGuard(t *testing.T) {
 func TestHeteroConfigErrors(t *testing.T) {
 	hp := bigLittlePair()
 	tk := onlineTask(10, 1e9)
-	if _, err := runSection(NewArena(), &Config{Hetero: hp, InitialLevels: []int{0, 0, 0}}, 0, []*Task{tk}); err == nil {
+	if _, err := runSection(NewArena(), &Config{Hetero: hp, InitialLevels: []int{0, 0, 0}}, 0, []*Task{tk}, nil); err == nil {
 		t.Error("long InitialLevels accepted")
 	}
-	if _, err := runSection(NewArena(), &Config{Hetero: hp, InitialLevels: []int{0}}, 0, []*Task{tk}); err == nil {
+	if _, err := runSection(NewArena(), &Config{Hetero: hp, InitialLevels: []int{0}}, 0, []*Task{tk}, nil); err == nil {
 		t.Error("short InitialLevels accepted")
 	}
 	// Level 1 is valid on the big core's table but not the little core's.
-	if _, err := runSection(NewArena(), &Config{Hetero: hp, InitialLevels: []int{1, 1}}, 0, []*Task{tk}); err == nil {
+	if _, err := runSection(NewArena(), &Config{Hetero: hp, InitialLevels: []int{1, 1}}, 0, []*Task{tk}, nil); err == nil {
 		t.Error("per-class out-of-range initial level accepted")
 	}
 	pinned := onlineTask(10, 1e9)
 	pinned.CanonClass = 2
-	if _, err := runSection(NewArena(), &Config{Hetero: hp}, 0, []*Task{pinned}); err == nil ||
+	if _, err := runSection(NewArena(), &Config{Hetero: hp}, 0, []*Task{pinned}, nil); err == nil ||
 		!strings.Contains(err.Error(), "pinned to class 2 of a 2-class machine") {
 		t.Errorf("task pinned to a missing class: got %v", err)
 	}
-	if _, err := runSection(NewArena(), &Config{Hetero: hp, InitialLevels: []int{2, 0}}, 0, []*Task{tk}); err != nil {
+	if _, err := runSection(NewArena(), &Config{Hetero: hp, InitialLevels: []int{2, 0}}, 0, []*Task{tk}, nil); err != nil {
 		t.Errorf("valid heterogeneous config rejected: %v", err)
 	}
 }
@@ -167,9 +169,9 @@ func TestClassAffinitySteering(t *testing.T) {
 	hp := power.AccelOffload()
 	ai := hp.ClassIndex("accel")
 	w := 2e9 // 2 Gcycles: 1 s on the accelerator (4 × 500 MHz), ~2.9 s on a cpu
-	tagged := &Task{Name: "a", Node: 0, Order: 0, WorkW: w, WorkA: w, Affinity: ai + 1, CanonClass: ai}
-	plain := &Task{Name: "b", Node: 1, Order: 1, WorkW: w, WorkA: w}
-	res, err := runSection(NewArena(), &Config{Hetero: hp, Placement: ClassAffinity}, 0, []*Task{tagged, plain})
+	tagged := &Task{Name: "a", Node: 0, Order: 0, WorkW: w, Affinity: ai + 1, CanonClass: ai}
+	plain := &Task{Name: "b", Node: 1, Order: 1, WorkW: w}
+	res, err := runSection(NewArena(), &Config{Hetero: hp, Placement: ClassAffinity}, 0, []*Task{tagged, plain}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +185,7 @@ func TestClassAffinitySteering(t *testing.T) {
 			}
 		}
 	}
-	if err := ValidateResult(hp, 0, []*Task{tagged, plain}, res); err != nil {
+	if err := validate(hp, res); err != nil {
 		t.Error(err)
 	}
 }
