@@ -34,11 +34,12 @@ func (s *Source) FillNorm(dst []float64) {
 		}
 		v = s.Float64()
 		r := math.Sqrt(-2 * math.Log(u))
-		dst[i] = r * math.Cos(2*math.Pi*v)
+		sin, cos := math.Sincos(2 * math.Pi * v)
+		dst[i] = r * cos
 		if i+1 < len(dst) {
-			dst[i+1] = r * math.Sin(2*math.Pi*v)
+			dst[i+1] = r * sin
 		} else {
-			s.spare = r * math.Sin(2*math.Pi*v)
+			s.spare = r * sin
 			s.haveSpare = true
 		}
 		i += 2
@@ -57,11 +58,9 @@ func (sm *Sampler) SampleBatch(wcet, acet, dst []float64) {
 		panic("exectime: SampleBatch slice length mismatch")
 	}
 	need := 0
-	if sm.sigmaFactor > 0 {
-		for i := range dst {
-			if sm.mean(wcet[i], acet[i]) < wcet[i] {
-				need++
-			}
+	for i := range dst {
+		if sm.mean(wcet[i], acet[i]) < wcet[i] {
+			need++
 		}
 	}
 	if cap(sm.norms) < need {
@@ -77,7 +76,7 @@ func (sm *Sampler) SampleBatch(wcet, acet, dst []float64) {
 			dst[i] = w // no run-time variability (α = 1)
 			continue
 		}
-		sigma := sm.sigmaFactor * (w - a)
+		sigma := DefaultSigmaFactor * (w - a)
 		if sigma == 0 {
 			dst[i] = a
 			continue

@@ -53,47 +53,45 @@ func TestFillNormInterleaved(t *testing.T) {
 }
 
 // TestSampleBatchMatchesSample draws random task parameter sets — including
-// the no-variability (ACET = WCET) and zero-sigma edge cases that consume
-// no randomness — and asserts SampleBatch equals element-wise Sample
-// bit-for-bit, with both samplers ending in the same generator state. The
-// bias factors include 1 (unbiased), lighter and heavier runs, and one
-// above every task's WCET/ACET (every mean clamped to the WCET).
+// the no-variability (ACET = WCET) edge case that consumes no randomness —
+// and asserts SampleBatch equals element-wise Sample bit-for-bit, with both
+// samplers ending in the same generator state. The bias factors include 1
+// (unbiased), lighter and heavier runs, and one above every task's
+// WCET/ACET (every mean clamped to the WCET).
 func TestSampleBatchMatchesSample(t *testing.T) {
-	for _, sigma := range []float64{DefaultSigmaFactor, 0, 0.5} {
-		for _, bias := range []float64{1, 0.4, 1.7, 20} {
-			param := NewSource(123)
-			one := &Sampler{src: NewSource(42), sigmaFactor: sigma, bias: bias}
-			batch := &Sampler{src: NewSource(42), sigmaFactor: sigma, bias: bias}
-			for trial := 0; trial < 200; trial++ {
-				n := param.Intn(17) // includes 0-length sections
-				wcet := make([]float64, n)
-				acet := make([]float64, n)
-				for i := 0; i < n; i++ {
-					wcet[i] = 1e-3 + 9e-3*param.Float64()
-					switch param.Intn(4) {
-					case 0:
-						acet[i] = wcet[i] // α = 1: no draw consumed
-					default:
-						acet[i] = wcet[i] * (0.1 + 0.9*param.Float64())
-					}
-				}
-				got := make([]float64, n)
-				batch.SampleBatch(wcet, acet, got)
-				for i := 0; i < n; i++ {
-					want := one.Sample(wcet[i], acet[i])
-					if got[i] != want {
-						t.Fatalf("sigma %g bias %g trial %d task %d: batch %v != sample %v", sigma, bias, trial, i, got[i], want)
-					}
-					if got[i] <= 0 || got[i] > wcet[i] {
-						t.Fatalf("sigma %g bias %g trial %d task %d: sample %v outside (0, %v]", sigma, bias, trial, i, got[i], wcet[i])
-					}
+	for _, bias := range []float64{1, 0.4, 1.7, 20} {
+		param := NewSource(123)
+		one := &Sampler{src: NewSource(42), bias: bias}
+		batch := &Sampler{src: NewSource(42), bias: bias}
+		for trial := 0; trial < 200; trial++ {
+			n := param.Intn(17) // includes 0-length sections
+			wcet := make([]float64, n)
+			acet := make([]float64, n)
+			for i := 0; i < n; i++ {
+				wcet[i] = 1e-3 + 9e-3*param.Float64()
+				switch param.Intn(4) {
+				case 0:
+					acet[i] = wcet[i] // α = 1: no draw consumed
+				default:
+					acet[i] = wcet[i] * (0.1 + 0.9*param.Float64())
 				}
 			}
-			// Final states must agree so mixed batch/single call sites stay
-			// deterministic.
-			if one.Source().Float64() != batch.Source().Float64() {
-				t.Fatalf("sigma %g bias %g: generator states diverged", sigma, bias)
+			got := make([]float64, n)
+			batch.SampleBatch(wcet, acet, got)
+			for i := 0; i < n; i++ {
+				want := one.Sample(wcet[i], acet[i])
+				if got[i] != want {
+					t.Fatalf("bias %g trial %d task %d: batch %v != sample %v", bias, trial, i, got[i], want)
+				}
+				if got[i] <= 0 || got[i] > wcet[i] {
+					t.Fatalf("bias %g trial %d task %d: sample %v outside (0, %v]", bias, trial, i, got[i], wcet[i])
+				}
 			}
+		}
+		// Final states must agree so mixed batch/single call sites stay
+		// deterministic.
+		if one.Source().Float64() != batch.Source().Float64() {
+			t.Fatalf("bias %g: generator states diverged", bias)
 		}
 	}
 }

@@ -184,9 +184,4 @@ func TestSamplerDegenerateCases(t *testing.T) {
 	if got := sm.Sample(5e-3, 5e-3); got != 5e-3 {
 		t.Errorf("Sample at α=1 = %g, want WCET", got)
 	}
-	// Zero-width sampler: returns the ACET exactly.
-	sz := &Sampler{src: NewSource(9), bias: 1}
-	if got := sz.Sample(5e-3, 3e-3); got != 3e-3 {
-		t.Errorf("zero-sigma Sample = %g, want ACET", got)
-	}
 }

@@ -7,10 +7,6 @@ package exectime
 // OR branch selection, so one seed determines a whole run.
 type Sampler struct {
 	src *Source
-	// sigmaFactor scales the standard deviation: σ = sigmaFactor·(WCET−ACET).
-	// The default (1/3) puts the WCET at 3σ above the mean, so nearly all of
-	// the untruncated mass lies below the worst case.
-	sigmaFactor float64
 	// bias scales every task's mean before drawing: draws center on
 	// min(bias·ACET, WCET). 1 (every constructor but NewBiasedSampler)
 	// leaves the ACET unchanged.
@@ -19,12 +15,14 @@ type Sampler struct {
 	norms []float64
 }
 
-// DefaultSigmaFactor is the default ratio of σ to (WCET − ACET).
+// DefaultSigmaFactor is the ratio of σ to (WCET − ACET): σ =
+// DefaultSigmaFactor·(WCET−ACET). It puts the WCET at 3σ above the mean,
+// so nearly all of the untruncated mass lies below the worst case.
 const DefaultSigmaFactor = 1.0 / 3.0
 
 // NewSampler returns a Sampler drawing from src with the default width.
 func NewSampler(src *Source) *Sampler {
-	return &Sampler{src: src, sigmaFactor: DefaultSigmaFactor, bias: 1}
+	return &Sampler{src: src, bias: 1}
 }
 
 // NewBiasedSampler returns a default-width Sampler whose draws center on
@@ -38,7 +36,7 @@ func NewBiasedSampler(src *Source, factor float64) *Sampler {
 	if factor <= 0 {
 		panic("exectime: bias factor must be positive")
 	}
-	return &Sampler{src: src, sigmaFactor: DefaultSigmaFactor, bias: factor}
+	return &Sampler{src: src, bias: factor}
 }
 
 // mean is the center of a task's draws: its ACET scaled by the bias,
@@ -61,7 +59,7 @@ func (sm *Sampler) Sample(wcet, acet float64) float64 {
 	if a >= wcet {
 		return wcet // no run-time variability (α = 1)
 	}
-	sigma := sm.sigmaFactor * (wcet - a)
+	sigma := DefaultSigmaFactor * (wcet - a)
 	if sigma == 0 {
 		return a
 	}

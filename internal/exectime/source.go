@@ -75,9 +75,10 @@ func (s *Source) NormFloat64() float64 {
 	}
 	v = s.Float64()
 	r := math.Sqrt(-2 * math.Log(u))
-	s.spare = r * math.Sin(2*math.Pi*v)
+	sin, cos := math.Sincos(2 * math.Pi * v)
+	s.spare = r * sin
 	s.haveSpare = true
-	return r * math.Cos(2*math.Pi*v)
+	return r * cos
 }
 
 // Reseed resets the receiver to the exact state of NewSource(seed),
